@@ -61,12 +61,16 @@ int main() {
     return 1;
   }
 
-  // One seeded execution with both passive detectors attached.
+  // One seeded execution with both passive detectors attached, plus a
+  // recorder: runTest() itself keeps no trace.
   HBDetector HB;
   LockSetDetector LockSet;
+  Trace Events;
+  TraceRecorder Recorder(Events);
   ObserverMux Mux;
   Mux.add(&HB);
   Mux.add(&LockSet);
+  Mux.add(&Recorder);
   RandomPolicy Policy(7);
   Result<TestRun> Run = runTest(*P->Module, "tour", Policy, 1, &Mux);
   if (!Run) {
@@ -76,7 +80,7 @@ int main() {
 
   std::printf("== A slice of the execution trace ==\n");
   size_t Shown = 0;
-  for (const TraceEvent &Event : Run->TheTrace.events()) {
+  for (const TraceEvent &Event : Events.events()) {
     if (!Event.isAccess() && Event.Kind != EventKind::Lock &&
         Event.Kind != EventKind::Unlock)
       continue;

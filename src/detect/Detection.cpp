@@ -91,14 +91,14 @@ namespace {
 /// captures that order-sensitivity.
 class AccessValueHasher : public ExecutionObserver {
 public:
-  AccessValueHasher(std::string LabelA, std::string LabelB)
-      : LabelA(std::move(LabelA)), LabelB(std::move(LabelB)) {}
+  AccessValueHasher(const std::string &LabelA, const std::string &LabelB)
+      : MatchA(LabelA), MatchB(LabelB) {}
 
   void onEvent(const TraceEvent &Event) override {
     if (!Event.isAccess())
       return;
-    std::string Label = Event.staticLabel();
-    if (Label != LabelA && Label != LabelB)
+    if (!MatchA.matches(Event.Func, Event.Pc) &&
+        !MatchB.matches(Event.Func, Event.Pc))
       return;
     mix(static_cast<uint64_t>(Event.Val.kind()));
     if (Event.Val.isInt())
@@ -119,8 +119,8 @@ private:
     }
   }
 
-  std::string LabelA;
-  std::string LabelB;
+  LabelMatcher MatchA;
+  LabelMatcher MatchB;
   uint64_t Hash = 0xcbf29ce484222325ULL;
 };
 

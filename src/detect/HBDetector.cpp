@@ -15,7 +15,7 @@ HBDetector::~HBDetector() {
   Metrics.counter("detect.vc_joins").inc(JoinCount);
   Metrics.counter("detect.vc_compares").inc(CompareCount);
   Metrics.counter("detect.vc_allocs").inc(AllocCount);
-  Metrics.counter("detect.hb_reports").inc(Races.size());
+  Metrics.counter("detect.hb_reports").inc(InstanceCount);
 }
 
 VectorClock &HBDetector::clockOf(ThreadId T) {
@@ -28,9 +28,16 @@ VectorClock &HBDetector::clockOf(ThreadId T) {
   return C;
 }
 
-void HBDetector::report(const TraceEvent &Event,
-                        const std::string &PriorLabel, ThreadId PriorThread,
-                        bool PriorIsWrite) {
+void HBDetector::report(const TraceEvent &Event, ProgramPoint Prior,
+                        ThreadId PriorThread, bool PriorIsWrite) {
+  ++InstanceCount;
+  bool IsElem = Event.isElemAccess();
+  if (!Reported
+           .emplace(Prior, Event.point(), IsElem,
+                    IsElem ? 0 : Event.FieldIndex, PriorThread, Event.Thread,
+                    PriorIsWrite, Event.isWrite())
+           .second)
+    return;
   RaceReport R;
   R.Detector = "hb";
   R.ClassName = Event.ClassName;
@@ -38,7 +45,7 @@ void HBDetector::report(const TraceEvent &Event,
   R.Obj = Event.Obj;
   R.IsElem = Event.isElemAccess();
   R.ElemIndex = Event.isElemAccess() ? Event.FieldIndex : 0;
-  R.FirstLabel = PriorLabel;
+  R.FirstLabel = Prior.label();
   R.SecondLabel = Event.staticLabel();
   R.FirstThread = PriorThread;
   R.SecondThread = Event.Thread;
@@ -48,8 +55,7 @@ void HBDetector::report(const TraceEvent &Event,
 }
 
 void HBDetector::handleRead(const TraceEvent &Event) {
-  VarKey Key{Event.Obj, Event.isElemAccess(), Event.FieldIndex,
-             Event.isElemAccess() ? "[]" : Event.Field};
+  VarKey Key{Event.Obj, Event.isElemAccess(), Event.FieldIndex};
   VarState &S = Vars[Key];
   VectorClock &C = clockOf(Event.Thread);
 
@@ -57,7 +63,7 @@ void HBDetector::handleRead(const TraceEvent &Event) {
   if (S.Write.isSet()) {
     ++CompareCount;
     if (!S.Write.leq(C))
-      report(Event, S.WriteLabel, S.WriteThread, /*PriorIsWrite=*/true);
+      report(Event, S.WritePoint, S.Write.Thread, /*PriorIsWrite=*/true);
   }
 
   uint64_t Now = C.get(Event.Thread);
@@ -68,24 +74,20 @@ void HBDetector::handleRead(const TraceEvent &Event) {
       if (!S.Read.leq(C)) {
         // Two concurrent readers: inflate to the read map.
         S.ReadShared = true;
-        S.ReadMap[S.Read.Thread] = S.Read.Clock;
-        S.ReadLabels[S.Read.Thread] = S.ReadLabel;
-        S.ReadMap[Event.Thread] = Now;
-        S.ReadLabels[Event.Thread] = Event.staticLabel();
+        S.ReadMap[S.Read.Thread] = {S.Read.Clock, S.ReadPoint};
+        S.ReadMap[Event.Thread] = {Now, Event.point()};
         return;
       }
     }
     S.Read = Epoch{Event.Thread, Now};
-    S.ReadLabel = Event.staticLabel();
+    S.ReadPoint = Event.point();
     return;
   }
-  S.ReadMap[Event.Thread] = Now;
-  S.ReadLabels[Event.Thread] = Event.staticLabel();
+  S.ReadMap[Event.Thread] = {Now, Event.point()};
 }
 
 void HBDetector::handleWrite(const TraceEvent &Event) {
-  VarKey Key{Event.Obj, Event.isElemAccess(), Event.FieldIndex,
-             Event.isElemAccess() ? "[]" : Event.Field};
+  VarKey Key{Event.Obj, Event.isElemAccess(), Event.FieldIndex};
   VarState &S = Vars[Key];
   VectorClock &C = clockOf(Event.Thread);
 
@@ -93,7 +95,7 @@ void HBDetector::handleWrite(const TraceEvent &Event) {
   if (S.Write.isSet()) {
     ++CompareCount;
     if (!S.Write.leq(C))
-      report(Event, S.WriteLabel, S.WriteThread, /*PriorIsWrite=*/true);
+      report(Event, S.WritePoint, S.Write.Thread, /*PriorIsWrite=*/true);
   }
 
   // read-write races.
@@ -101,25 +103,21 @@ void HBDetector::handleWrite(const TraceEvent &Event) {
     if (S.Read.isSet()) {
       ++CompareCount;
       if (!S.Read.leq(C))
-        report(Event, S.ReadLabel, S.Read.Thread, /*PriorIsWrite=*/false);
+        report(Event, S.ReadPoint, S.Read.Thread, /*PriorIsWrite=*/false);
     }
   } else {
-    for (const auto &[Thread, Clock] : S.ReadMap) {
-      Epoch E{Thread, Clock};
+    for (const auto &[Thread, Read] : S.ReadMap) {
       ++CompareCount;
-      if (!E.leq(C))
-        report(Event, S.ReadLabels[Thread], Thread, /*PriorIsWrite=*/false);
+      if (!Epoch{Thread, Read.Clock}.leq(C))
+        report(Event, Read.Point, Thread, /*PriorIsWrite=*/false);
     }
     S.ReadShared = false;
     S.ReadMap.clear();
-    S.ReadLabels.clear();
   }
   S.Read = Epoch{};
-  S.ReadLabel.clear();
 
   S.Write = Epoch{Event.Thread, C.get(Event.Thread)};
-  S.WriteLabel = Event.staticLabel();
-  S.WriteThread = Event.Thread;
+  S.WritePoint = Event.point();
 }
 
 void HBDetector::onEvent(const TraceEvent &Event) {

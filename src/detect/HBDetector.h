@@ -11,6 +11,10 @@
 /// design.  Synchronization edges: monitor release->acquire and thread
 /// spawn.  Precise: every report is a real race of the observed execution.
 ///
+/// races() keeps the first dynamic instance of each distinct race, in
+/// first-seen order, so memory is bounded by distinct races; the
+/// detect.hb_reports counter still counts every dynamic instance.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NARADA_DETECT_HBDETECTOR_H
@@ -21,7 +25,8 @@
 #include "trace/TraceEvent.h"
 
 #include <map>
-#include <string>
+#include <set>
+#include <tuple>
 #include <vector>
 
 namespace narada {
@@ -41,7 +46,6 @@ private:
     ObjectId Obj;
     bool IsElem;
     unsigned Index;       ///< Field index or element index.
-    std::string Field;    ///< For reporting.
 
     bool operator<(const VarKey &Other) const {
       if (Obj != Other.Obj)
@@ -52,31 +56,45 @@ private:
     }
   };
 
+  /// One reader's entry in the inflated read map.
+  struct SharedRead {
+    uint64_t Clock = 0;
+    ProgramPoint Point;
+  };
+
   /// Per-variable detector state (FastTrack's W/R state).
   struct VarState {
     Epoch Write;
-    std::string WriteLabel;
-    ThreadId WriteThread = NoThread;
+    ProgramPoint WritePoint;
 
     // Read state: epoch while one thread reads, inflated to a map when a
     // second thread reads concurrently.
     Epoch Read;
-    std::string ReadLabel;
+    ProgramPoint ReadPoint;
     bool ReadShared = false;
-    std::map<ThreadId, uint64_t> ReadMap;
-    std::map<ThreadId, std::string> ReadLabels;
+    std::map<ThreadId, SharedRead> ReadMap;
   };
+
+  /// A distinct race: both points, IsElem and field slot (0 for elements),
+  /// both threads, both write flags.  A point fixes class and field
+  /// (MiniJava has no subclassing); the slot keeps hand-built streams
+  /// without points apart.
+  using ReportKey = std::tuple<ProgramPoint, ProgramPoint, bool, unsigned,
+                               ThreadId, ThreadId, bool, bool>;
 
   VectorClock &clockOf(ThreadId T);
   void handleRead(const TraceEvent &Event);
   void handleWrite(const TraceEvent &Event);
-  void report(const TraceEvent &Event, const std::string &PriorLabel,
+  void report(const TraceEvent &Event, ProgramPoint Prior,
               ThreadId PriorThread, bool PriorIsWrite);
 
   std::map<ThreadId, VectorClock> ThreadClocks;
   std::map<ObjectId, VectorClock> LockClocks;
   std::map<VarKey, VarState> Vars;
   std::vector<RaceReport> Races;
+  std::set<ReportKey> Reported;
+  /// Dynamic race instances, deduplicated or not.
+  uint64_t InstanceCount = 0;
   /// Joins performed, flushed to the metrics registry once on destruction
   /// to keep the per-event path free of atomics.
   uint64_t JoinCount = 0;

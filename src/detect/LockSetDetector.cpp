@@ -70,9 +70,11 @@ void LockSetDetector::handleAccess(const TraceEvent &Event) {
     R.Obj = Event.Obj;
     R.IsElem = Event.isElemAccess();
     R.ElemIndex = Event.isElemAccess() ? Event.FieldIndex : 0;
-    R.FirstLabel = S.LastLabel.empty() ? Event.staticLabel() : S.LastLabel;
+    // The first access leaves the variable Exclusive, so a prior access
+    // always exists here.
+    R.FirstLabel = S.LastPoint.label();
     R.SecondLabel = Event.staticLabel();
-    R.FirstThread = S.LastThread == NoThread ? Event.Thread : S.LastThread;
+    R.FirstThread = S.LastThread;
     R.SecondThread = Event.Thread;
     R.FirstIsWrite = S.LastIsWrite;
     R.SecondIsWrite = IsWrite;
@@ -80,7 +82,7 @@ void LockSetDetector::handleAccess(const TraceEvent &Event) {
     S.Reported = true; // One report per variable, like Eraser.
   }
 
-  S.LastLabel = Event.staticLabel();
+  S.LastPoint = Event.point();
   S.LastThread = Event.Thread;
   S.LastIsWrite = IsWrite;
 }

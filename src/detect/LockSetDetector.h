@@ -23,7 +23,6 @@
 
 #include <map>
 #include <set>
-#include <string>
 #include <vector>
 
 namespace narada {
@@ -64,7 +63,7 @@ private:
     ThreadId Owner = NoThread;
     std::set<ObjectId> Candidates;
     bool CandidatesInitialized = false;
-    std::string LastLabel;
+    ProgramPoint LastPoint;
     ThreadId LastThread = NoThread;
     bool LastIsWrite = false;
     bool Reported = false;

@@ -7,27 +7,23 @@
 #include "detect/RaceConfirmer.h"
 
 #include "obs/Metrics.h"
-#include "support/StringUtils.h"
 
 #include <algorithm>
 
 using namespace narada;
 
-static std::string labelOf(const PendingAccess &Access) {
-  return formatString("%s:%u", Access.Func->name().c_str(), Access.Pc);
-}
-
 std::optional<std::pair<PendingAccess, bool>>
 RaceConfirmPolicy::matchAt(ThreadId T, VM &M) {
+  // Match the runnable (so live, non-empty) thread's current point before
+  // decoding its instruction: this runs for every runnable thread per step.
+  const Frame &Top = M.thread(T).Stack.back();
+  bool IsA = MatchA.matches(Top.Func, Top.Pc);
+  if (!IsA && !MatchB.matches(Top.Func, Top.Pc))
+    return std::nullopt;
   std::optional<PendingAccess> Access = M.peekAccess(T);
   if (!Access)
     return std::nullopt;
-  std::string Label = labelOf(*Access);
-  if (Label == LabelA)
-    return std::make_pair(*Access, true);
-  if (Label == LabelB)
-    return std::make_pair(*Access, false);
-  return std::nullopt;
+  return std::make_pair(std::move(*Access), IsA);
 }
 
 ThreadId RaceConfirmPolicy::pick(const std::vector<ThreadId> &Runnable,
@@ -57,7 +53,7 @@ ThreadId RaceConfirmPolicy::pick(const std::vector<ThreadId> &Runnable,
       // For distinct labels the partner must sit at the *other* access; for
       // a same-label pair (the "concurrent access at the same label from a
       // different thread" case) any second thread at the label qualifies.
-      if (LabelA != LabelB && Match->second == PausedIsA)
+      if (!SameLabel && Match->second == PausedIsA)
         continue;
       const PendingAccess &Other = Match->first;
       if (Other.Obj != PausedAccess.Obj ||
@@ -77,8 +73,8 @@ ThreadId RaceConfirmPolicy::pick(const std::vector<ThreadId> &Runnable,
       R.Obj = PausedAccess.Obj;
       R.IsElem = PausedAccess.IsElem;
       R.ElemIndex = PausedAccess.ElemIndex;
-      R.FirstLabel = labelOf(PausedAccess);
-      R.SecondLabel = labelOf(Other);
+      R.FirstLabel = PausedAccess.point().label();
+      R.SecondLabel = Other.point().label();
       R.FirstThread = Paused;
       R.SecondThread = T;
       R.FirstIsWrite = PausedAccess.IsWrite;

@@ -23,6 +23,7 @@
 #include "detect/RaceReport.h"
 #include "runtime/Scheduler.h"
 #include "support/RNG.h"
+#include "trace/TraceEvent.h"
 
 #include <optional>
 #include <string>
@@ -35,10 +36,10 @@ public:
   /// \p LabelA / \p LabelB are the static labels ("Class.method:pc") of the
   /// two accesses.  \p SecondFirst chooses which access runs first once the
   /// race is reproduced (false: the paused side runs first).
-  RaceConfirmPolicy(std::string LabelA, std::string LabelB, uint64_t Seed,
-                    bool SecondFirst = false)
-      : LabelA(std::move(LabelA)), LabelB(std::move(LabelB)), Rand(Seed),
-        SecondFirst(SecondFirst) {}
+  RaceConfirmPolicy(const std::string &LabelA, const std::string &LabelB,
+                    uint64_t Seed, bool SecondFirst = false)
+      : MatchA(LabelA), MatchB(LabelB), SameLabel(LabelA == LabelB),
+        Rand(Seed), SecondFirst(SecondFirst) {}
 
   ThreadId pick(const std::vector<ThreadId> &Runnable, VM &M) override;
 
@@ -50,11 +51,13 @@ public:
   const RaceReport &confirmedRace() const { return *Confirmed; }
 
 private:
-  /// Pending-access label of thread \p T if it matches either candidate.
+  /// The pending access of thread \p T if it sits at either candidate
+  /// label, plus whether that is label A.
   std::optional<std::pair<PendingAccess, bool>> matchAt(ThreadId T, VM &M);
 
-  std::string LabelA;
-  std::string LabelB;
+  LabelMatcher MatchA;
+  LabelMatcher MatchB;
+  bool SameLabel;
   RNG Rand;
   bool SecondFirst;
 

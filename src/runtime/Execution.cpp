@@ -53,13 +53,7 @@ Result<TestRun> narada::runTest(const IRModule &M,
 
   TestRun Run;
   VM Machine(M, RandSeed);
-
-  TraceRecorder Recorder(Run.TheTrace);
-  ObserverMux Mux;
-  Mux.add(&Recorder);
-  if (Extra)
-    Mux.add(Extra);
-  Machine.setObserver(&Mux);
+  Machine.setObserver(Extra);
 
   Machine.spawnThread(Test, {});
   Run.Result = runToCompletion(Machine, Policy, MaxSteps);
@@ -89,5 +83,10 @@ Result<TestRun> narada::runTestSequential(const IRModule &M,
                                           const std::string &TestName,
                                           uint64_t RandSeed) {
   RoundRobinPolicy Policy;
-  return runTest(M, TestName, Policy, RandSeed);
+  Trace Recorded;
+  TraceRecorder Recorder(Recorded);
+  Result<TestRun> Run = runTest(M, TestName, Policy, RandSeed, &Recorder);
+  if (Run)
+    Run->TheTrace = std::move(Recorded);
+  return Run;
 }

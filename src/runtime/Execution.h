@@ -7,8 +7,8 @@
 /// \file
 /// Convenience entry points tying the front end, IR and VM together:
 /// compile MiniJava source, run a test under a scheduling policy, and get
-/// back the recorded trace.  Used by the Narada pipeline, the detectors,
-/// the examples and the benchmark harness.
+/// back its outcome.  Used by the Narada pipeline, the detectors, the
+/// examples and the benchmark harness.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,13 +41,14 @@ Result<CompiledProgram> compileProgram(std::string_view Source);
 
 /// The outcome of one test execution.
 struct TestRun {
-  Trace TheTrace;
+  Trace TheTrace; ///< Filled by runTestSequential() only.
   RunResult Result;
   uint64_t HeapHash = 0; ///< Heap state hash after the run.
 };
 
-/// Runs test \p TestName under \p Policy, recording every event.
-/// \p Extra, if non-null, also observes the execution (e.g. a detector).
+/// Runs test \p TestName under \p Policy, recording no trace: \p Extra,
+/// if non-null, observes every event, and a caller that wants TheTrace
+/// passes a TraceRecorder there (via an ObserverMux next to a detector).
 /// \p RandSeed seeds the VM's rand() stream.
 Result<TestRun> runTest(const IRModule &M, const std::string &TestName,
                         SchedulingPolicy &Policy, uint64_t RandSeed = 1,
@@ -55,8 +56,8 @@ Result<TestRun> runTest(const IRModule &M, const std::string &TestName,
                         uint64_t MaxSteps = 1'000'000);
 
 /// Runs test \p TestName single-threaded (round-robin degenerates to
-/// program order for sequential tests).  This produces the sequential seed
-/// traces the Narada analysis consumes.
+/// program order for sequential tests), recording every event into
+/// TheTrace: the sequential seed traces the Narada analysis consumes.
 Result<TestRun> runTestSequential(const IRModule &M,
                                   const std::string &TestName,
                                   uint64_t RandSeed = 1);

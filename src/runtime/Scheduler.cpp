@@ -136,12 +136,13 @@ RunResult narada::runToCompletion(VM &M, SchedulingPolicy &Policy,
   // must not touch atomics per iteration.
   uint64_t ContextSwitches = 0;
   ThreadId Prev = NoThread;
+  std::vector<ThreadId> Runnable; // Refilled each step, allocated once.
   while (!M.allDone()) {
     if (Result.Steps >= MaxSteps) {
       Result.HitStepLimit = true;
       break;
     }
-    std::vector<ThreadId> Runnable = M.runnableThreads();
+    M.runnableThreads(Runnable);
     if (Runnable.empty()) {
       Result.Deadlocked = M.deadlocked();
       break;

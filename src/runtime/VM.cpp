@@ -24,7 +24,7 @@ TraceEvent VM::makeEvent(EventKind Kind, const ThreadState &T) {
   return E;
 }
 
-void VM::emit(TraceEvent Event) {
+void VM::emit(const TraceEvent &Event) {
   if (Observer)
     Observer->onEvent(Event);
 }
@@ -65,8 +65,8 @@ ThreadId VM::spawnThread(const IRFunction *F, std::vector<Value> Args,
   return Created.Id;
 }
 
-std::vector<ThreadId> VM::runnableThreads() const {
-  std::vector<ThreadId> Out;
+void VM::runnableThreads(std::vector<ThreadId> &Out) const {
+  Out.clear();
   for (const ThreadState &T : Threads) {
     if (T.Status == ThreadStatus::Runnable) {
       Out.push_back(T.Id);
@@ -78,7 +78,6 @@ std::vector<ThreadId> VM::runnableThreads() const {
         Out.push_back(T.Id);
     }
   }
-  return Out;
 }
 
 bool VM::allDone() const {
@@ -101,13 +100,6 @@ bool VM::deadlocked() const {
       return false;
   }
   return AnyLive;
-}
-
-bool VM::anyFault() const {
-  for (const ThreadState &T : Threads)
-    if (T.Status == ThreadStatus::Faulted)
-      return true;
-  return false;
 }
 
 const Instr *VM::nextInstr(ThreadId Tid) const {
@@ -264,10 +256,15 @@ InstrClass narada::classifyOpcode(Opcode Op) {
 void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
   ++Stats.InstrByOp[static_cast<unsigned>(I.Op)];
 
-  auto NullCheck = [&](const Value &V, const char *What) -> bool {
+  // Runs on every field access and call: the message is built only when
+  // the check fails.
+  auto NullCheck = [&](const Value &V, const char *What,
+                       const std::string *Member = nullptr) -> bool {
     if (V.isRef())
       return true;
-    fault(T, formatString("null dereference: %s at %s:%u", What,
+    std::string Subject =
+        Member ? formatString("%s '%s'", What, Member->c_str()) : What;
+    fault(T, formatString("null dereference: %s at %s:%u", Subject.c_str(),
                           F.Func->name().c_str(), F.Pc));
     return false;
   };
@@ -365,7 +362,7 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
 
   case Opcode::LoadField: {
     const Value &Base = F.Regs[I.A];
-    if (!NullCheck(Base, ("read of field '" + I.Member + "'").c_str()))
+    if (!NullCheck(Base, "read of field", &I.Member))
       return;
     HeapObject &Obj = TheHeap.object(Base.asRef());
     assert(I.FieldIndex < Obj.Fields.size() && "field index out of layout");
@@ -385,7 +382,7 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
 
   case Opcode::StoreField: {
     const Value &Base = F.Regs[I.A];
-    if (!NullCheck(Base, ("write of field '" + I.Member + "'").c_str()))
+    if (!NullCheck(Base, "write of field", &I.Member))
       return;
     HeapObject &Obj = TheHeap.object(Base.asRef());
     assert(I.FieldIndex < Obj.Fields.size() && "field index out of layout");
@@ -420,7 +417,7 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
 
   case Opcode::Invoke: {
     const Value &Receiver = F.Regs[I.A];
-    if (!NullCheck(Receiver, ("call of '" + I.Member + "'").c_str()))
+    if (!NullCheck(Receiver, "call of", &I.Member))
       return;
     if (!I.Callee) {
       execBuiltinInvoke(T, F, I);

@@ -75,6 +75,8 @@ struct PendingAccess {
   bool IsWrite = false;
   const IRFunction *Func = nullptr;
   uint32_t Pc = 0;
+
+  ProgramPoint point() const { return {Func, Pc}; }
 };
 
 /// Coarse opcode classes for the instruction-mix profile.  Buckets follow
@@ -151,18 +153,16 @@ public:
   const ThreadState &thread(ThreadId T) const { return Threads[T]; }
   size_t numThreads() const { return Threads.size(); }
 
-  /// Threads that can make progress now: Runnable ones plus Blocked ones
-  /// whose awaited monitor has become available.
-  std::vector<ThreadId> runnableThreads() const;
+  /// Fills \p Out with the threads that can make progress now: Runnable
+  /// ones plus Blocked ones whose awaited monitor has become available.
+  /// The scheduler loop passes one buffer for every step.
+  void runnableThreads(std::vector<ThreadId> &Out) const;
 
   /// True when no thread is live.
   bool allDone() const;
 
   /// True if every live thread is blocked — a deadlock.
   bool deadlocked() const;
-
-  /// True if any thread faulted.
-  bool anyFault() const;
 
   /// The instruction thread \p T would execute next, or nullptr when done.
   const Instr *nextInstr(ThreadId T) const;
@@ -185,7 +185,7 @@ private:
   void execBuiltinInvoke(ThreadState &T, Frame &F, const Instr &I);
   void doReturn(ThreadState &T, Value RetVal);
   void fault(ThreadState &T, const std::string &Message);
-  void emit(TraceEvent Event);
+  void emit(const TraceEvent &Event);
   uint64_t nextLabel() { return ++LabelCounter; }
 
   /// Fills the static-point and thread fields of an event.

@@ -8,6 +8,8 @@
 
 #include "support/StringUtils.h"
 
+#include <charconv>
+
 using namespace narada;
 
 ExecutionObserver::~ExecutionObserver() = default;
@@ -42,10 +44,23 @@ const char *narada::eventKindName(EventKind Kind) {
   narada_unreachable("unknown event kind");
 }
 
-std::string TraceEvent::staticLabel() const {
+std::string ProgramPoint::label() const {
   if (!Func)
     return "<unknown>";
   return formatString("%s:%u", Func->name().c_str(), Pc);
+}
+
+LabelMatcher::LabelMatcher(std::string_view Label) {
+  // "name:pc" with the pc in %u form: all digits, no leading zero.
+  size_t Colon = Label.rfind(':');
+  if (Colon == std::string_view::npos || Colon == 0)
+    return;
+  const char *First = Label.data() + Colon + 1;
+  const char *Last = Label.data() + Label.size();
+  auto [End, Err] = std::from_chars(First, Last, Pc);
+  Valid = Err == std::errc() && End == Last &&
+          (*First != '0' || End == First + 1);
+  FuncName = Label.substr(0, Colon);
 }
 
 std::vector<const TraceEvent *> Trace::eventsOfKind(EventKind Kind) const {

@@ -21,7 +21,9 @@
 #include "runtime/Value.h"
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace narada {
@@ -44,6 +46,36 @@ enum class EventKind {
 
 /// Returns a short mnemonic for \p Kind.
 const char *eventKindName(EventKind Kind);
+
+/// A static program point.  Detectors keep points on the per-event path
+/// and render the label only when a report is built.
+struct ProgramPoint {
+  const IRFunction *Func = nullptr;
+  uint32_t Pc = 0;
+
+  /// "Class.method:pc", or "<unknown>" without a function.
+  std::string label() const;
+  bool operator<(const ProgramPoint &O) const {
+    return Func != O.Func ? std::less<>()(Func, O.Func) : Pc < O.Pc;
+  }
+};
+
+/// A static label parsed once, so hot paths match program points without
+/// rendering a label per event.  Anything label() cannot produce for a
+/// function matches nothing.
+class LabelMatcher {
+public:
+  explicit LabelMatcher(std::string_view Label);
+  /// Compares the pc first, the function name only on a pc hit.
+  bool matches(const IRFunction *Func, uint32_t Pc) const {
+    return Valid && Pc == this->Pc && Func && Func->name() == FuncName;
+  }
+
+private:
+  std::string FuncName;
+  uint32_t Pc = 0;
+  bool Valid = false;
+};
 
 /// One dynamic event.
 struct TraceEvent {
@@ -87,8 +119,10 @@ struct TraceEvent {
     return Kind == EventKind::ReadElem || Kind == EventKind::WriteElem;
   }
 
+  ProgramPoint point() const { return {Func, Pc}; }
+
   /// "Class.method:pc" — the static label used to name racy accesses.
-  std::string staticLabel() const;
+  std::string staticLabel() const { return point().label(); }
 };
 
 /// Receives events as the VM executes.  Implemented by the trace recorder,

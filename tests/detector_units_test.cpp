@@ -11,6 +11,7 @@
 
 #include "detect/HBDetector.h"
 #include "detect/LockSetDetector.h"
+#include "obs/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -55,6 +56,12 @@ public:
     TraceEvent E = base(EventKind::Unlock, T);
     E.Obj = Obj;
     Events.push_back(E);
+    return *this;
+  }
+  /// Places the last event at static point \p Func : \p Pc.
+  Stream &at(const IRFunction *Func, uint32_t Pc) {
+    Events.back().Func = Func;
+    Events.back().Pc = Pc;
     return *this;
   }
 
@@ -136,6 +143,34 @@ TEST(HBUnitTest, ConcurrentReadsDoNotRaceButBothRaceALaterWrite) {
     EXPECT_FALSE(R.FirstIsWrite);
     EXPECT_TRUE(R.SecondIsWrite);
   }
+}
+
+TEST(HBUnitTest, RepeatedRaceIsReportedOnceAndCountedPerInstance) {
+  // One unordered write/write pair, repeated on 1000 fresh objects: races()
+  // keeps the first instance only, detect.hb_reports counts all of them.
+  IRFunction Put("C.put", IRFunction::Kind::Method);
+  IRFunction Clear("C.clear", IRFunction::Kind::Method);
+  Stream S;
+  S.start(0).start(1);
+  for (ObjectId Obj = 1; Obj <= 1000; ++Obj)
+    S.write(0, Obj).at(&Put, 3).write(1, Obj).at(&Clear, 7);
+  obs::Counter &Reports =
+      obs::MetricsRegistry::global().counter("detect.hb_reports");
+  uint64_t Before = Reports.value();
+  {
+    HBDetector HB;
+    S.feed(HB);
+    ASSERT_EQ(HB.races().size(), 1u);
+    const RaceReport &R = HB.races()[0];
+    EXPECT_EQ(R.Obj, 1u);
+    EXPECT_EQ(R.FirstThread, 0u);
+    EXPECT_EQ(R.SecondThread, 1u);
+    EXPECT_EQ(R.FirstLabel, "C.put:3");
+    EXPECT_EQ(R.SecondLabel, "C.clear:7");
+    EXPECT_TRUE(R.FirstIsWrite);
+    EXPECT_TRUE(R.SecondIsWrite);
+  }
+  EXPECT_EQ(Reports.value() - Before, 1000u);
 }
 
 TEST(HBUnitTest, SameThreadNeverRaces) {

@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RunRecorded.h"
 #include "detect/Detection.h"
 #include "detect/HBDetector.h"
 #include "detect/LockSetDetector.h"
@@ -187,14 +188,15 @@ TEST(ScheduleReplayTest, RecordedScheduleReplaysByteIdentically) {
   CompiledProgram P = compileOk(RacyCounter);
   RandomPolicy Inner(7);
   explore::RecordingPolicy Recorder(Inner);
-  Result<TestRun> Original = runTest(*P.Module, "racy", Recorder, 1);
+  Result<TestRun> Original = runRecorded(*P.Module, "racy", Recorder);
   ASSERT_TRUE(Original.hasValue());
+  ASSERT_FALSE(Original->TheTrace.empty());
 
   explore::ScheduleTrace Trace = Recorder.trace("racy", 1);
   EXPECT_EQ(Trace.Picks.size(), Original->Result.Steps);
 
   explore::ReplayPolicy Replay(Trace);
-  Result<TestRun> Replayed = runTest(*P.Module, "racy", Replay, 1);
+  Result<TestRun> Replayed = runRecorded(*P.Module, "racy", Replay);
   ASSERT_TRUE(Replayed.hasValue());
   EXPECT_FALSE(Replay.diverged());
   EXPECT_EQ(Replayed->HeapHash, Original->HeapHash);
@@ -207,14 +209,15 @@ TEST(ScheduleReplayTest, SerializedTraceReplaysIdentically) {
   CompiledProgram P = compileOk(NarrowWindow);
   PreemptionBoundedPolicy Inner(11, /*PreemptPercent=*/40);
   explore::RecordingPolicy Recorder(Inner);
-  Result<TestRun> Original = runTest(*P.Module, "narrow", Recorder, 1);
+  Result<TestRun> Original = runRecorded(*P.Module, "narrow", Recorder);
   ASSERT_TRUE(Original.hasValue());
+  ASSERT_FALSE(Original->TheTrace.empty());
 
   Result<explore::ScheduleTrace> Back = explore::ScheduleTrace::deserialize(
       Recorder.trace("narrow", 1).serialize());
   ASSERT_TRUE(Back.hasValue());
   explore::ReplayPolicy Replay(*Back);
-  Result<TestRun> Replayed = runTest(*P.Module, "narrow", Replay, 1);
+  Result<TestRun> Replayed = runRecorded(*P.Module, "narrow", Replay);
   ASSERT_TRUE(Replayed.hasValue());
   EXPECT_FALSE(Replay.diverged());
   EXPECT_EQ(printTrace(Replayed->TheTrace), printTrace(Original->TheTrace));

@@ -29,6 +29,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RunRecorded.h"
 #include "corpus/Corpus.h"
 #include "gen/GenEngine.h"
 #include "lang/ASTPrinter.h"
@@ -77,13 +78,14 @@ TEST_P(SeedSweep, IdenticalSeedsGiveIdenticalExecutions) {
 
   auto RunOnce = [&] {
     RandomPolicy Policy(GetParam());
-    Result<TestRun> Run = runTest(*P->Module, "mixed", Policy);
+    Result<TestRun> Run = runRecorded(*P->Module, "mixed", Policy);
     EXPECT_TRUE(Run.hasValue());
     return Run.take();
   };
   TestRun A = RunOnce();
   TestRun B = RunOnce();
   EXPECT_EQ(A.HeapHash, B.HeapHash);
+  ASSERT_FALSE(A.TheTrace.empty());
   ASSERT_EQ(A.TheTrace.size(), B.TheTrace.size());
   for (size_t I = 0; I < A.TheTrace.size(); ++I) {
     EXPECT_EQ(A.TheTrace[I].Kind, B.TheTrace[I].Kind) << I;
@@ -126,7 +128,7 @@ TEST_P(SeedSweep, SynchronizedCounterIsExact) {
       "}\n");
   ASSERT_TRUE(P.hasValue());
   RandomPolicy Policy(GetParam());
-  Result<TestRun> Run = runTest(*P->Module, "t", Policy);
+  Result<TestRun> Run = runRecorded(*P->Module, "t", Policy);
   ASSERT_TRUE(Run.hasValue());
   int64_t Final = -1;
   for (const TraceEvent &E : Run->TheTrace.events())
@@ -140,12 +142,14 @@ TEST_P(SeedSweep, MonitorEventsBalance) {
   Result<CompiledProgram> P = compileProgram(RacyMix);
   ASSERT_TRUE(P.hasValue());
   RandomPolicy Policy(GetParam());
-  Result<TestRun> Run = runTest(*P->Module, "mixed", Policy);
+  Result<TestRun> Run = runRecorded(*P->Module, "mixed", Policy);
   ASSERT_TRUE(Run.hasValue());
 
   std::map<ObjectId, ThreadId> Holder;
+  size_t Locks = 0;
   for (const TraceEvent &E : Run->TheTrace.events()) {
     if (E.Kind == EventKind::Lock) {
+      ++Locks;
       EXPECT_FALSE(Holder.count(E.Obj))
           << "lock of held monitor @" << E.Obj;
       Holder[E.Obj] = E.Thread;
@@ -155,6 +159,7 @@ TEST_P(SeedSweep, MonitorEventsBalance) {
       Holder.erase(E.Obj);
     }
   }
+  EXPECT_GT(Locks, 0u) << "no monitor events recorded";
   EXPECT_TRUE(Holder.empty()) << "monitors leaked at exit";
 }
 
@@ -170,7 +175,7 @@ TEST_P(SeedSweep, PreemptionBoundedPolicyPreservesAtomicity) {
       "}\n");
   ASSERT_TRUE(P.hasValue());
   PreemptionBoundedPolicy Policy(GetParam(), /*PreemptPercent=*/25);
-  Result<TestRun> Run = runTest(*P->Module, "t", Policy);
+  Result<TestRun> Run = runRecorded(*P->Module, "t", Policy);
   ASSERT_TRUE(Run.hasValue());
   EXPECT_FALSE(Run->Result.Deadlocked);
   int64_t Final = -1;

@@ -167,3 +167,46 @@ TEST(TraceTest, ThreadStartCarriesParent) {
   EXPECT_EQ(Starts[1]->ParentThread, Starts[0]->Thread)
       << "spawned thread records its parent";
 }
+
+TEST(TraceTest, RunTestRecordsOnlyThroughAnAttachedRecorder) {
+  Result<CompiledProgram> P = compileProgram(
+      "class A { field n: int;\n"
+      "  method bump() synchronized { this.n = this.n + 1; } }\n"
+      "test t { var a: A = new A; a.bump(); spawn { a.bump(); } }\n");
+  ASSERT_TRUE(P.hasValue());
+
+  RoundRobinPolicy Bare;
+  Result<TestRun> Unobserved = runTest(*P->Module, "t", Bare);
+  ASSERT_TRUE(Unobserved.hasValue());
+  EXPECT_TRUE(Unobserved->TheTrace.empty());
+
+  Trace Recorded;
+  TraceRecorder Recorder(Recorded);
+  RoundRobinPolicy Policy;
+  Result<TestRun> Observed = runTest(*P->Module, "t", Policy, 1, &Recorder);
+  ASSERT_TRUE(Observed.hasValue());
+  EXPECT_TRUE(Observed->TheTrace.empty());
+
+  Result<TestRun> Sequential = runTestSequential(*P->Module, "t");
+  ASSERT_TRUE(Sequential.hasValue());
+  ASSERT_FALSE(Recorded.empty());
+  EXPECT_EQ(printTrace(Sequential->TheTrace), printTrace(Recorded));
+}
+
+TEST(TraceTest, LabelMatcherInvertsProgramPointLabels) {
+  IRFunction Put("Map.put", IRFunction::Kind::Method);
+  IRFunction Other("Map.get", IRFunction::Kind::Method);
+  for (uint32_t Pc : {0u, 7u, 42u, 4294967295u}) {
+    LabelMatcher Match(ProgramPoint{&Put, Pc}.label());
+    EXPECT_TRUE(Match.matches(&Put, Pc)) << Pc;
+    EXPECT_FALSE(Match.matches(&Put, Pc + 1)) << Pc;
+    EXPECT_FALSE(Match.matches(&Other, Pc)) << Pc;
+    EXPECT_FALSE(Match.matches(nullptr, Pc)) << Pc;
+  }
+  // Anything label() cannot produce for a function matches nothing.
+  for (const char *Bad : {"Map.put:07", "Map.put:", ":7", "Map.put:7x",
+                          "Map.put:-7", "Map.put:4294967296", "Map.put",
+                          "<unknown>"})
+    for (uint32_t Pc : {0u, 7u})
+      EXPECT_FALSE(LabelMatcher(Bad).matches(&Put, Pc)) << Bad;
+}

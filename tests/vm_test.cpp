@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RunRecorded.h"
 #include "runtime/Execution.h"
 
 #include <gtest/gtest.h>
@@ -294,7 +295,7 @@ TEST(VMTest, RandomInterleavingsCanLoseUnsynchronizedUpdates) {
   for (uint64_t Seed = 0; Seed < 64 && !(SawLostUpdate && SawBothUpdates);
        ++Seed) {
     RandomPolicy Policy(Seed);
-    Result<TestRun> R = runTest(*P.Module, "t", Policy, /*RandSeed=*/1);
+    Result<TestRun> R = runRecorded(*P.Module, "t", Policy);
     ASSERT_TRUE(R.hasValue());
     int64_t Final = lastWrite(R->TheTrace, "count")->Val.asInt();
     if (Final == 1)
@@ -320,7 +321,7 @@ TEST(VMTest, SynchronizedBlocksExcludeEachOther) {
                      "}\n");
   for (uint64_t Seed = 0; Seed < 32; ++Seed) {
     RandomPolicy Policy(Seed);
-    Result<TestRun> R = runTest(*P.Module, "t", Policy);
+    Result<TestRun> R = runRecorded(*P.Module, "t", Policy);
     ASSERT_TRUE(R.hasValue());
     EXPECT_EQ(lastWrite(R->TheTrace, "count")->Val.asInt(), 2)
         << "seed " << Seed;
@@ -420,8 +421,9 @@ TEST(VMTest, TraceLabelsAreStrictlyIncreasing) {
                      "  spawn { c.inc(); }\n"
                      "}\n");
   RandomPolicy Policy(3);
-  Result<TestRun> R = runTest(*P.Module, "t", Policy);
+  Result<TestRun> R = runRecorded(*P.Module, "t", Policy);
   ASSERT_TRUE(R.hasValue());
+  ASSERT_FALSE(R->TheTrace.empty());
   uint64_t Prev = 0;
   for (const TraceEvent &E : R->TheTrace.events()) {
     EXPECT_GT(E.Label, Prev);
@@ -449,7 +451,7 @@ TEST(SchedulerTest, PCTFindsTheCounterRace) {
   bool SawLostUpdate = false;
   for (uint64_t Seed = 0; Seed < 128 && !SawLostUpdate; ++Seed) {
     PCTPolicy Policy(Seed, /*Depth=*/2, /*MaxSteps=*/40);
-    Result<TestRun> R = runTest(*P.Module, "t", Policy);
+    Result<TestRun> R = runRecorded(*P.Module, "t", Policy);
     ASSERT_TRUE(R.hasValue());
     if (lastWrite(R->TheTrace, "count")->Val.asInt() == 1)
       SawLostUpdate = true;
@@ -467,7 +469,7 @@ TEST(SchedulerTest, PCTRunsToCompletion) {
                      "}\n");
   for (uint64_t Seed = 0; Seed < 16; ++Seed) {
     PCTPolicy Policy(Seed, 3, 500);
-    Result<TestRun> R = runTest(*P.Module, "t", Policy);
+    Result<TestRun> R = runRecorded(*P.Module, "t", Policy);
     ASSERT_TRUE(R.hasValue());
     EXPECT_FALSE(R->Result.Deadlocked);
     EXPECT_FALSE(R->Result.HitStepLimit);
@@ -485,12 +487,13 @@ TEST(SchedulerTest, PCTIsDeterministicPerSeed) {
                      "}\n");
   for (uint64_t Seed : {3u, 9u}) {
     PCTPolicy P1(Seed, 2, 100), P2(Seed, 2, 100);
-    Result<TestRun> A = runTest(*P.Module, "t", P1);
-    Result<TestRun> B = runTest(*P.Module, "t", P2);
+    Result<TestRun> A = runRecorded(*P.Module, "t", P1);
+    Result<TestRun> B = runRecorded(*P.Module, "t", P2);
     ASSERT_TRUE(A.hasValue());
     ASSERT_TRUE(B.hasValue());
     EXPECT_EQ(A->HeapHash, B->HeapHash);
-    EXPECT_EQ(A->TheTrace.size(), B->TheTrace.size());
+    ASSERT_FALSE(A->TheTrace.empty());
+    EXPECT_EQ(printTrace(A->TheTrace), printTrace(B->TheTrace));
   }
 }
 
