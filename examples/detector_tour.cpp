@@ -80,7 +80,7 @@ int main() {
 
   std::printf("== A slice of the execution trace ==\n");
   size_t Shown = 0;
-  for (const TraceEvent &Event : Events.events()) {
+  for (const TraceEvent &Event : Events) {
     if (!Event.isAccess() && Event.Kind != EventKind::Lock &&
         Event.Kind != EventKind::Unlock)
       continue;

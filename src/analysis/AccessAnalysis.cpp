@@ -132,13 +132,14 @@ private:
 
 void TraceAnalyzer::beginInvocation(const TraceEvent &Event) {
   InvocationContext Ctx;
-  Ctx.ClassName = Event.ClassName;
-  Ctx.Method = Event.Method;
-  Ctx.IsConstructor = Event.Method == ConstructorName;
+  Ctx.ClassName = *Event.ClassName;
+  Ctx.Method = *Event.Member;
+  Ctx.IsConstructor = Ctx.Method == ConstructorName;
 
-  for (size_t I = 0, E = Event.Args.size(); I != E; ++I)
-    if (Event.Args[I].isRef())
-      Ctx.Roots.emplace_back(static_cast<int>(I), Event.Args[I].asRef());
+  std::span<const Value> Args = Event.args();
+  for (size_t I = 0, E = Args.size(); I != E; ++I)
+    if (Args[I].isRef())
+      Ctx.Roots.emplace_back(static_cast<int>(I), Args[I].asRef());
   Ctx.Snapshot = Mirror.reachableFrom(Ctx.Roots);
   Current = std::move(Ctx);
 }
@@ -170,8 +171,8 @@ void TraceAnalyzer::handleAccess(const TraceEvent &Event) {
   Record.Label = Event.staticLabel();
   Record.IsWrite = Event.isWrite();
   Record.IsElem = Event.isElemAccess();
-  Record.Field = Record.IsElem ? "[]" : Event.Field;
-  Record.FieldClassName = Event.ClassName;
+  Record.Field = Record.IsElem ? "[]" : *Event.Member;
+  Record.FieldClassName = *Event.ClassName;
   Record.BasePath = pathOf(Event.Obj);
   Record.InConstructor =
       Event.Func && endsWith(Event.Func->name(),
@@ -196,7 +197,7 @@ void TraceAnalyzer::handleAccess(const TraceEvent &Event) {
       WriteableAssign Setter;
       Setter.ClassName = Current->ClassName;
       Setter.Method = Current->Method;
-      Setter.Lhs = Record.BasePath->appended(Event.Field);
+      Setter.Lhs = Record.BasePath->appended(*Event.Member);
       Setter.Rhs = *ValuePath;
       Setter.IsConstructor = Current->IsConstructor;
       if (SetterKeys.insert(Setter.str()).second)
@@ -261,7 +262,7 @@ void TraceAnalyzer::endInvocation(const TraceEvent &Event) {
 }
 
 AnalysisResult TraceAnalyzer::run() {
-  for (const TraceEvent &Event : T.events()) {
+  for (const TraceEvent &Event : T) {
     switch (Event.Kind) {
     case EventKind::ClientCall:
       beginInvocation(Event);
@@ -301,7 +302,7 @@ AnalysisResult narada::analyzeTrace(const Trace &T, const ProgramInfo &Info,
 
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
   Metrics.counter("analysis.traces_analyzed").inc();
-  Metrics.counter("analysis.events_visited").inc(T.events().size());
+  Metrics.counter("analysis.events_visited").inc(T.size());
   Metrics.counter("analysis.accesses_recorded").inc(Result.Accesses.size());
   Metrics.counter("analysis.setters_recorded").inc(Result.Setters.size());
   Metrics.counter("analysis.returns_recorded").inc(Result.Returns.size());

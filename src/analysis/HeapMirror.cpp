@@ -23,9 +23,9 @@ void HeapMirror::apply(const TraceEvent &Event) {
     // Objects the VM staged outside of traced code (direct harness
     // allocations) may be first seen here.
     MirrorObject &Obj = Objects[Event.Obj];
-    if (Obj.ClassName.empty())
+    if (!Obj.ClassName)
       Obj.ClassName = Event.ClassName;
-    Obj.Fields[Event.Field] = Event.Val;
+    Obj.Fields[*Event.Member] = Event.Val;
     return;
   }
   default:

@@ -30,7 +30,8 @@ namespace narada {
 
 /// Field state of one mirrored object.
 struct MirrorObject {
-  std::string ClassName;
+  /// Borrowed from the trace's module, like the event it came from.
+  const std::string *ClassName = nullptr;
   std::map<std::string, Value> Fields; ///< By field name; refs only matter.
 };
 

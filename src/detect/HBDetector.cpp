@@ -8,6 +8,8 @@
 
 #include "obs/Metrics.h"
 
+#include <algorithm>
+
 using namespace narada;
 
 HBDetector::~HBDetector() {
@@ -19,13 +21,29 @@ HBDetector::~HBDetector() {
 }
 
 VectorClock &HBDetector::clockOf(ThreadId T) {
-  auto It = ThreadClocks.find(T);
-  if (It != ThreadClocks.end())
-    return It->second;
-  ++AllocCount;
+  if (T >= ThreadClocks.size())
+    ThreadClocks.resize(T + 1);
   VectorClock &C = ThreadClocks[T];
-  C.set(T, 1);
+  if (C.empty()) {
+    ++AllocCount;
+    C.set(T, 1);
+  }
   return C;
+}
+
+size_t HBDetector::ReportKeyHash::operator()(const ReportKey &K) const {
+  uint64_t H = 0;
+  auto Mix = [&H](uint64_t V) {
+    H = (H ^ V) * 0x9e3779b97f4a7c15ULL;
+    H ^= H >> 29;
+  };
+  Mix(reinterpret_cast<uintptr_t>(K.Prior.Func));
+  Mix(reinterpret_cast<uintptr_t>(K.Current.Func));
+  Mix(uint64_t(K.Prior.Pc) << 32 | K.Current.Pc);
+  Mix(uint64_t(K.PriorThread) << 32 | K.Thread);
+  Mix(uint64_t(K.Slot) << 3 | K.IsElem << 2 | K.PriorIsWrite << 1 |
+      K.IsWrite);
+  return H;
 }
 
 void HBDetector::report(const TraceEvent &Event, ProgramPoint Prior,
@@ -33,18 +51,18 @@ void HBDetector::report(const TraceEvent &Event, ProgramPoint Prior,
   ++InstanceCount;
   bool IsElem = Event.isElemAccess();
   if (!Reported
-           .emplace(Prior, Event.point(), IsElem,
-                    IsElem ? 0 : Event.FieldIndex, PriorThread, Event.Thread,
-                    PriorIsWrite, Event.isWrite())
+           .insert({Prior, Event.point(), IsElem ? 0 : Event.FieldIndex,
+                    PriorThread, Event.Thread, IsElem, PriorIsWrite,
+                    Event.isWrite()})
            .second)
     return;
   RaceReport R;
   R.Detector = "hb";
-  R.ClassName = Event.ClassName;
-  R.Field = Event.isElemAccess() ? "[]" : Event.Field;
+  R.ClassName = *Event.ClassName;
+  R.Field = IsElem ? "[]" : *Event.Member;
   R.Obj = Event.Obj;
-  R.IsElem = Event.isElemAccess();
-  R.ElemIndex = Event.isElemAccess() ? Event.FieldIndex : 0;
+  R.IsElem = IsElem;
+  R.ElemIndex = IsElem ? Event.FieldIndex : 0;
   R.FirstLabel = Prior.label();
   R.SecondLabel = Event.staticLabel();
   R.FirstThread = PriorThread;
@@ -54,9 +72,18 @@ void HBDetector::report(const TraceEvent &Event, ProgramPoint Prior,
   Races.push_back(std::move(R));
 }
 
+void HBDetector::VarState::setRead(const SharedRead &R) {
+  auto It = std::lower_bound(
+      ReadMap.begin(), ReadMap.end(), R.Thread,
+      [](const SharedRead &E, ThreadId T) { return E.Thread < T; });
+  if (It != ReadMap.end() && It->Thread == R.Thread)
+    *It = R;
+  else
+    ReadMap.insert(It, R);
+}
+
 void HBDetector::handleRead(const TraceEvent &Event) {
-  VarKey Key{Event.Obj, Event.isElemAccess(), Event.FieldIndex};
-  VarState &S = Vars[Key];
+  VarState &S = Vars[Event.locationKey()];
   VectorClock &C = clockOf(Event.Thread);
 
   // write-read race: the last write must happen-before this read.
@@ -74,8 +101,8 @@ void HBDetector::handleRead(const TraceEvent &Event) {
       if (!S.Read.leq(C)) {
         // Two concurrent readers: inflate to the read map.
         S.ReadShared = true;
-        S.ReadMap[S.Read.Thread] = {S.Read.Clock, S.ReadPoint};
-        S.ReadMap[Event.Thread] = {Now, Event.point()};
+        S.setRead({S.Read.Thread, S.Read.Clock, S.ReadPoint});
+        S.setRead({Event.Thread, Now, Event.point()});
         return;
       }
     }
@@ -83,12 +110,11 @@ void HBDetector::handleRead(const TraceEvent &Event) {
     S.ReadPoint = Event.point();
     return;
   }
-  S.ReadMap[Event.Thread] = {Now, Event.point()};
+  S.setRead({Event.Thread, Now, Event.point()});
 }
 
 void HBDetector::handleWrite(const TraceEvent &Event) {
-  VarKey Key{Event.Obj, Event.isElemAccess(), Event.FieldIndex};
-  VarState &S = Vars[Key];
+  VarState &S = Vars[Event.locationKey()];
   VectorClock &C = clockOf(Event.Thread);
 
   // write-write race.
@@ -106,10 +132,10 @@ void HBDetector::handleWrite(const TraceEvent &Event) {
         report(Event, S.ReadPoint, S.Read.Thread, /*PriorIsWrite=*/false);
     }
   } else {
-    for (const auto &[Thread, Read] : S.ReadMap) {
+    for (const SharedRead &Read : S.ReadMap) {
       ++CompareCount;
-      if (!Epoch{Thread, Read.Clock}.leq(C))
-        report(Event, Read.Point, Thread, /*PriorIsWrite=*/false);
+      if (!Epoch{Read.Thread, Read.Clock}.leq(C))
+        report(Event, Read.Point, Read.Thread, /*PriorIsWrite=*/false);
     }
     S.ReadShared = false;
     S.ReadMap.clear();
@@ -123,6 +149,10 @@ void HBDetector::handleWrite(const TraceEvent &Event) {
 void HBDetector::onEvent(const TraceEvent &Event) {
   switch (Event.Kind) {
   case EventKind::ThreadStart: {
+    // Both clocks live in ThreadClocks: size it before taking references.
+    if (Event.ParentThread != NoThread &&
+        Event.ParentThread >= ThreadClocks.size())
+      ThreadClocks.resize(Event.ParentThread + 1);
     VectorClock &Child = clockOf(Event.Thread);
     if (Event.ParentThread != NoThread) {
       VectorClock &Parent = clockOf(Event.ParentThread);
@@ -135,9 +165,8 @@ void HBDetector::onEvent(const TraceEvent &Event) {
   }
   case EventKind::Lock: {
     // acquire: C_t := C_t ⊔ L_m.
-    auto It = LockClocks.find(Event.Obj);
-    if (It != LockClocks.end()) {
-      clockOf(Event.Thread).joinWith(It->second);
+    if (Event.Obj < LockClocks.size() && !LockClocks[Event.Obj].empty()) {
+      clockOf(Event.Thread).joinWith(LockClocks[Event.Obj]);
       ++JoinCount;
     }
     return;
@@ -145,10 +174,12 @@ void HBDetector::onEvent(const TraceEvent &Event) {
   case EventKind::Unlock: {
     // release: L_m := C_t; C_t.tick().
     VectorClock &C = clockOf(Event.Thread);
-    auto [It, Inserted] = LockClocks.try_emplace(Event.Obj);
-    if (Inserted)
+    if (Event.Obj >= LockClocks.size())
+      LockClocks.resize(Event.Obj + 1);
+    VectorClock &L = LockClocks[Event.Obj];
+    if (L.empty())
       ++AllocCount;
-    It->second = C;
+    L = C;
     C.tick(Event.Thread);
     return;
   }

@@ -24,9 +24,8 @@
 #include "detect/VectorClock.h"
 #include "trace/TraceEvent.h"
 
-#include <map>
-#include <set>
-#include <tuple>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace narada {
@@ -41,23 +40,9 @@ public:
   const std::vector<RaceReport> &races() const { return Races; }
 
 private:
-  /// Identifies a memory location: object + field slot or element index.
-  struct VarKey {
-    ObjectId Obj;
-    bool IsElem;
-    unsigned Index;       ///< Field index or element index.
-
-    bool operator<(const VarKey &Other) const {
-      if (Obj != Other.Obj)
-        return Obj < Other.Obj;
-      if (IsElem != Other.IsElem)
-        return IsElem < Other.IsElem;
-      return Index < Other.Index;
-    }
-  };
-
   /// One reader's entry in the inflated read map.
   struct SharedRead {
+    ThreadId Thread = NoThread;
     uint64_t Clock = 0;
     ProgramPoint Point;
   };
@@ -67,20 +52,31 @@ private:
     Epoch Write;
     ProgramPoint WritePoint;
 
-    // Read state: epoch while one thread reads, inflated to a map when a
-    // second thread reads concurrently.
+    // Read state: epoch while one thread reads, inflated to a read map
+    // (sorted by thread) when a second thread reads concurrently.
     Epoch Read;
     ProgramPoint ReadPoint;
     bool ReadShared = false;
-    std::map<ThreadId, SharedRead> ReadMap;
+    std::vector<SharedRead> ReadMap;
+
+    /// Sets R.Thread's read-map entry.
+    void setRead(const SharedRead &R);
   };
 
   /// A distinct race: both points, IsElem and field slot (0 for elements),
   /// both threads, both write flags.  A point fixes class and field
   /// (MiniJava has no subclassing); the slot keeps hand-built streams
   /// without points apart.
-  using ReportKey = std::tuple<ProgramPoint, ProgramPoint, bool, unsigned,
-                               ThreadId, ThreadId, bool, bool>;
+  struct ReportKey {
+    ProgramPoint Prior, Current;
+    unsigned Slot;
+    ThreadId PriorThread, Thread;
+    bool IsElem, PriorIsWrite, IsWrite;
+    bool operator==(const ReportKey &) const = default;
+  };
+  struct ReportKeyHash {
+    size_t operator()(const ReportKey &K) const;
+  };
 
   VectorClock &clockOf(ThreadId T);
   void handleRead(const TraceEvent &Event);
@@ -88,11 +84,14 @@ private:
   void report(const TraceEvent &Event, ProgramPoint Prior,
               ThreadId PriorThread, bool PriorIsWrite);
 
-  std::map<ThreadId, VectorClock> ThreadClocks;
-  std::map<ObjectId, VectorClock> LockClocks;
-  std::map<VarKey, VarState> Vars;
+  /// Indexed by thread id; an empty clock was never materialized.
+  std::vector<VectorClock> ThreadClocks;
+  /// Indexed by lock object id; empty until the lock's first release.
+  std::vector<VectorClock> LockClocks;
+  /// Keyed by TraceEvent::locationKey().
+  std::unordered_map<uint64_t, VarState> Vars;
   std::vector<RaceReport> Races;
-  std::set<ReportKey> Reported;
+  std::unordered_set<ReportKey, ReportKeyHash> Reported;
   /// Dynamic race instances, deduplicated or not.
   uint64_t InstanceCount = 0;
   /// Joins performed, flushed to the metrics registry once on destruction

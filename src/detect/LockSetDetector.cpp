@@ -18,10 +18,15 @@ LockSetDetector::~LockSetDetector() {
   Metrics.counter("detect.lockset_reports").inc(Races.size());
 }
 
+std::vector<ObjectId> &LockSetDetector::heldBy(ThreadId T) {
+  if (T >= Held.size())
+    Held.resize(T + 1);
+  return Held[T];
+}
+
 void LockSetDetector::handleAccess(const TraceEvent &Event) {
-  VarKey Key{Event.Obj, Event.isElemAccess(), Event.FieldIndex};
-  VarState &S = Vars[Key];
-  const std::set<ObjectId> &Locks = Held[Event.Thread];
+  VarState &S = Vars[Event.locationKey()];
+  const std::vector<ObjectId> &Locks = heldBy(Event.Thread);
   bool IsWrite = Event.isWrite();
 
   switch (S.Phase) {
@@ -52,12 +57,9 @@ void LockSetDetector::handleAccess(const TraceEvent &Event) {
       S.CandidatesInitialized = true;
     } else {
       ++IntersectionCount;
-      std::set<ObjectId> Intersection;
-      std::set_intersection(S.Candidates.begin(), S.Candidates.end(),
-                            Locks.begin(), Locks.end(),
-                            std::inserter(Intersection,
-                                          Intersection.begin()));
-      S.Candidates = std::move(Intersection);
+      std::erase_if(S.Candidates, [&](ObjectId Lock) {
+        return !std::binary_search(Locks.begin(), Locks.end(), Lock);
+      });
     }
   }
 
@@ -65,8 +67,8 @@ void LockSetDetector::handleAccess(const TraceEvent &Event) {
       S.CandidatesInitialized && !S.Reported) {
     RaceReport R;
     R.Detector = "lockset";
-    R.ClassName = Event.ClassName;
-    R.Field = Event.isElemAccess() ? "[]" : Event.Field;
+    R.ClassName = *Event.ClassName;
+    R.Field = Event.isElemAccess() ? "[]" : *Event.Member;
     R.Obj = Event.Obj;
     R.IsElem = Event.isElemAccess();
     R.ElemIndex = Event.isElemAccess() ? Event.FieldIndex : 0;
@@ -89,12 +91,20 @@ void LockSetDetector::handleAccess(const TraceEvent &Event) {
 
 void LockSetDetector::onEvent(const TraceEvent &Event) {
   switch (Event.Kind) {
-  case EventKind::Lock:
-    Held[Event.Thread].insert(Event.Obj);
+  case EventKind::Lock: {
+    std::vector<ObjectId> &Locks = heldBy(Event.Thread);
+    auto It = std::lower_bound(Locks.begin(), Locks.end(), Event.Obj);
+    if (It == Locks.end() || *It != Event.Obj)
+      Locks.insert(It, Event.Obj);
     return;
-  case EventKind::Unlock:
-    Held[Event.Thread].erase(Event.Obj);
+  }
+  case EventKind::Unlock: {
+    std::vector<ObjectId> &Locks = heldBy(Event.Thread);
+    auto It = std::lower_bound(Locks.begin(), Locks.end(), Event.Obj);
+    if (It != Locks.end() && *It == Event.Obj)
+      Locks.erase(It);
     return;
+  }
   case EventKind::ReadField:
   case EventKind::ReadElem:
   case EventKind::WriteField:

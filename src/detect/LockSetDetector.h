@@ -21,8 +21,7 @@
 #include "detect/RaceReport.h"
 #include "trace/TraceEvent.h"
 
-#include <map>
-#include <set>
+#include <unordered_map>
 #include <vector>
 
 namespace narada {
@@ -44,24 +43,10 @@ private:
     SharedModified, ///< Written by multiple threads / read-write shared.
   };
 
-  struct VarKey {
-    ObjectId Obj;
-    bool IsElem;
-    unsigned Index;
-
-    bool operator<(const VarKey &Other) const {
-      if (Obj != Other.Obj)
-        return Obj < Other.Obj;
-      if (IsElem != Other.IsElem)
-        return IsElem < Other.IsElem;
-      return Index < Other.Index;
-    }
-  };
-
   struct VarState {
     VarPhase Phase = VarPhase::Virgin;
     ThreadId Owner = NoThread;
-    std::set<ObjectId> Candidates;
+    std::vector<ObjectId> Candidates; ///< Sorted.
     bool CandidatesInitialized = false;
     ProgramPoint LastPoint;
     ThreadId LastThread = NoThread;
@@ -69,10 +54,13 @@ private:
     bool Reported = false;
   };
 
+  std::vector<ObjectId> &heldBy(ThreadId T);
   void handleAccess(const TraceEvent &Event);
 
-  std::map<ThreadId, std::set<ObjectId>> Held;
-  std::map<VarKey, VarState> Vars;
+  /// Held locks, sorted, indexed by thread id.
+  std::vector<std::vector<ObjectId>> Held;
+  /// Keyed by TraceEvent::locationKey().
+  std::unordered_map<uint64_t, VarState> Vars;
   std::vector<RaceReport> Races;
   /// Lockset refinements performed, flushed to the metrics registry once on
   /// destruction to keep the per-access path free of atomics.

@@ -7,6 +7,7 @@
 #include "detect/RaceConfirmer.h"
 
 #include "obs/Metrics.h"
+#include "support/Error.h"
 
 #include <algorithm>
 
@@ -24,6 +25,15 @@ RaceConfirmPolicy::matchAt(ThreadId T, VM &M) {
   if (!Access)
     return std::nullopt;
   return std::make_pair(std::move(*Access), IsA);
+}
+
+ThreadId RaceConfirmPolicy::pickOther(const std::vector<ThreadId> &Runnable,
+                                      ThreadId Skip) {
+  uint64_t K = Rand.nextBelow(Runnable.size() - 1);
+  for (ThreadId T : Runnable)
+    if (T != Skip && K-- == 0)
+      return T;
+  narada_unreachable("Skip is not among the runnable threads");
 }
 
 ThreadId RaceConfirmPolicy::pick(const std::vector<ThreadId> &Runnable,
@@ -69,7 +79,7 @@ ThreadId RaceConfirmPolicy::pick(const std::vector<ThreadId> &Runnable,
       if (M.heap().isValid(PausedAccess.Obj) &&
           M.heap().object(PausedAccess.Obj).Class)
         R.ClassName = M.heap().object(PausedAccess.Obj).Class->Name;
-      R.Field = PausedAccess.IsElem ? "[]" : PausedAccess.Field;
+      R.Field = PausedAccess.IsElem ? "[]" : *PausedAccess.Field;
       R.Obj = PausedAccess.Obj;
       R.IsElem = PausedAccess.IsElem;
       R.ElemIndex = PausedAccess.ElemIndex;
@@ -100,16 +110,12 @@ ThreadId RaceConfirmPolicy::pick(const std::vector<ThreadId> &Runnable,
     }
 
     // Keep the paused thread parked; run anyone else.
-    std::vector<ThreadId> Others;
-    for (ThreadId T : Runnable)
-      if (T != Paused)
-        Others.push_back(T);
-    if (Others.empty()) {
+    if (Runnable.size() == 1) {
       ThreadId Released = Paused;
       Paused = NoThread;
       return Released;
     }
-    return Others[Rand.nextBelow(Others.size())];
+    return pickOther(Runnable, Paused);
   }
 
   Paused = NoThread;
@@ -128,11 +134,7 @@ ThreadId RaceConfirmPolicy::pick(const std::vector<ThreadId> &Runnable,
       PausedAccess = Match->first;
       PausedIsA = Match->second;
       PausedFor = 0;
-      std::vector<ThreadId> Others;
-      for (ThreadId U : Runnable)
-        if (U != T)
-          Others.push_back(U);
-      return Others[Rand.nextBelow(Others.size())];
+      return pickOther(Runnable, T);
     }
   }
 

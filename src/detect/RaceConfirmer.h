@@ -55,6 +55,11 @@ private:
   /// label, plus whether that is label A.
   std::optional<std::pair<PendingAccess, bool>> matchAt(ThreadId T, VM &M);
 
+  /// A random runnable thread other than \p Skip, which \p Runnable holds
+  /// next to at least one other thread.  Draws the RNG exactly as indexing
+  /// a copy of \p Runnable without \p Skip would.
+  ThreadId pickOther(const std::vector<ThreadId> &Runnable, ThreadId Skip);
+
   LabelMatcher MatchA;
   LabelMatcher MatchB;
   bool SameLabel;

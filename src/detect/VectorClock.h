@@ -24,6 +24,9 @@ namespace narada {
 /// A grow-on-demand vector clock indexed by thread id.
 class VectorClock {
 public:
+  /// True for a clock no component was ever set in.
+  bool empty() const { return Clocks.empty(); }
+
   /// The component for thread \p T (0 when never set).
   uint64_t get(ThreadId T) const {
     return T < Clocks.size() ? Clocks[T] : 0;

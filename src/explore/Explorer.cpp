@@ -36,7 +36,7 @@ bool conflicting(const std::optional<PendingAccess> &A,
     return false;
   if (A->IsElem && A->ElemIndex != B->ElemIndex)
     return false;
-  if (!A->IsElem && A->Field != B->Field)
+  if (!A->IsElem && *A->Field != *B->Field)
     return false;
   return A->IsWrite || B->IsWrite;
 }

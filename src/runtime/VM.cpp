@@ -32,6 +32,8 @@ void VM::emit(const TraceEvent &Event) {
 ThreadId VM::spawnThread(const IRFunction *F, std::vector<Value> Args,
                          ThreadId Parent) {
   assert(F && "spawning a thread without code");
+  assert(F->kind() != IRFunction::Kind::Method &&
+         "thread roots are tests or spawn closures, which are client code");
   assert(Args.size() == F->numParams() && "argument count mismatch");
 
   ThreadState T;
@@ -42,9 +44,6 @@ ThreadId VM::spawnThread(const IRFunction *F, std::vector<Value> Args,
   Entry.Regs.resize(F->numRegs());
   for (size_t I = 0, E = Args.size(); I != E; ++I)
     Entry.Regs[I] = Args[I];
-  // A method run as a thread root is a client→library boundary: the harness
-  // (ConTeGe baseline, direct drivers) plays the client.
-  Entry.IsClientBoundary = F->kind() == IRFunction::Kind::Method;
   T.Stack.push_back(std::move(Entry));
 
   Threads.push_back(std::move(T));
@@ -54,14 +53,6 @@ ThreadId VM::spawnThread(const IRFunction *F, std::vector<Value> Args,
   TraceEvent Start = makeEvent(EventKind::ThreadStart, Created);
   Start.ParentThread = Parent;
   emit(Start);
-  if (Created.Stack.back().IsClientBoundary) {
-    TraceEvent Call = makeEvent(EventKind::ClientCall, Created);
-    Call.Method = F->name();
-    Call.ClassName = F->className();
-    Call.Receiver = Args.empty() ? NoObject : Args[0].refOrNone();
-    Call.Args = Args;
-    emit(Call);
-  }
   return Created.Id;
 }
 
@@ -128,7 +119,7 @@ std::optional<PendingAccess> VM::peekAccess(ThreadId Tid) const {
     if (!Base.isRef())
       return std::nullopt;
     Out.Obj = Base.asRef();
-    Out.Field = I->Member;
+    Out.Field = &I->Member;
     Out.IsWrite = I->Op == Opcode::StoreField;
     return Out;
   }
@@ -185,7 +176,7 @@ void VM::fault(ThreadState &T, const std::string &Message) {
     }
   }
   TraceEvent E = makeEvent(EventKind::Fault, T);
-  E.Message = Message;
+  E.Message = &Message;
   emit(E);
   T.Status = ThreadStatus::Faulted;
   T.FaultMessage = Message;
@@ -371,8 +362,8 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
 
     TraceEvent E = makeEvent(EventKind::ReadField, T);
     E.Obj = Base.asRef();
-    E.ClassName = Obj.Class->Name;
-    E.Field = I.Member;
+    E.ClassName = &Obj.Class->Name;
+    E.Member = &I.Member;
     E.FieldIndex = I.FieldIndex;
     E.Val = Read;
     emit(E);
@@ -391,8 +382,8 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
 
     TraceEvent E = makeEvent(EventKind::WriteField, T);
     E.Obj = Base.asRef();
-    E.ClassName = Obj.Class->Name;
-    E.Field = I.Member;
+    E.ClassName = &Obj.Class->Name;
+    E.Member = &I.Member;
     E.FieldIndex = I.FieldIndex;
     E.Val = NewVal;
     emit(E);
@@ -409,7 +400,7 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
 
     TraceEvent E = makeEvent(EventKind::Alloc, T);
     E.Obj = Id;
-    E.ClassName = Class->Name;
+    E.ClassName = &Class->Name;
     emit(E);
     ++F.Pc;
     return;
@@ -424,19 +415,24 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
       return;
     }
 
-    bool ClientBoundary = F.Func->kind() != IRFunction::Kind::Method;
-    std::vector<Value> Args;
-    Args.reserve(I.Args.size() + 1);
-    Args.push_back(Receiver);
-    for (Reg R : I.Args)
-      Args.push_back(F.Regs[R]);
+    // The callee's parameter registers double as the ClientCall's
+    // argument list: receiver first, then the arguments.
+    Frame Callee;
+    Callee.Func = I.Callee;
+    Callee.Regs.resize(I.Callee->numRegs());
+    Callee.Regs[0] = Receiver;
+    for (size_t ArgIdx = 0; ArgIdx != I.Args.size(); ++ArgIdx)
+      Callee.Regs[ArgIdx + 1] = F.Regs[I.Args[ArgIdx]];
+    Callee.RetDst = I.Dst;
+    Callee.IsClientBoundary = F.Func->kind() != IRFunction::Kind::Method;
 
-    if (ClientBoundary) {
+    if (Callee.IsClientBoundary) {
       TraceEvent E = makeEvent(EventKind::ClientCall, T);
-      E.Method = I.Member;
-      E.ClassName = I.ClassName;
+      E.Member = &I.Member;
+      E.ClassName = &I.ClassName;
       E.Receiver = Receiver.asRef();
-      E.Args = Args;
+      E.Args = Callee.Regs.data();
+      E.NumArgs = static_cast<uint32_t>(I.Args.size() + 1);
       emit(E);
     }
 
@@ -449,14 +445,6 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
                             I.Member.c_str()));
       return;
     }
-
-    Frame Callee;
-    Callee.Func = I.Callee;
-    Callee.Regs.resize(I.Callee->numRegs());
-    for (size_t ArgIdx = 0; ArgIdx != Args.size(); ++ArgIdx)
-      Callee.Regs[ArgIdx] = Args[ArgIdx];
-    Callee.RetDst = I.Dst;
-    Callee.IsClientBoundary = ClientBoundary;
     T.Stack.push_back(std::move(Callee));
     return;
   }
@@ -572,7 +560,7 @@ void VM::execBuiltinInvoke(ThreadState &T, Frame &F, const Instr &I) {
 
     TraceEvent E = makeEvent(EventKind::ReadElem, T);
     E.Obj = Receiver.asRef();
-    E.ClassName = Obj.Class->Name;
+    E.ClassName = &Obj.Class->Name;
     E.FieldIndex = static_cast<unsigned>(Index);
     E.Val = Value::makeInt(Read);
     emit(E);
@@ -589,7 +577,7 @@ void VM::execBuiltinInvoke(ThreadState &T, Frame &F, const Instr &I) {
 
     TraceEvent E = makeEvent(EventKind::WriteElem, T);
     E.Obj = Receiver.asRef();
-    E.ClassName = Obj.Class->Name;
+    E.ClassName = &Obj.Class->Name;
     E.FieldIndex = static_cast<unsigned>(Index);
     E.Val = Value::makeInt(NewVal);
     emit(E);

@@ -69,7 +69,7 @@ struct ThreadState {
 /// right before a suspected racy access.
 struct PendingAccess {
   ObjectId Obj = NoObject;
-  std::string Field;
+  const std::string *Field = nullptr; ///< Instr::Member; null for elements.
   unsigned ElemIndex = 0;
   bool IsElem = false;
   bool IsWrite = false;
@@ -138,10 +138,10 @@ public:
   Heap &heap() { return TheHeap; }
   const Heap &heap() const { return TheHeap; }
 
-  /// Starts a new thread executing \p F with \p Args as its parameter
-  /// registers (for methods, Args[0] is the receiver).  Returns its id.
-  /// \p Parent identifies the spawning thread for happens-before edges;
-  /// NoThread marks a root thread started by the harness.
+  /// Starts a new thread executing \p F — a test body or a spawn closure,
+  /// never a method — with \p Args as its parameter registers.  Returns
+  /// its id.  \p Parent identifies the spawning thread for happens-before
+  /// edges; NoThread marks a root thread started by the harness.
   ThreadId spawnThread(const IRFunction *F, std::vector<Value> Args,
                        ThreadId Parent = NoThread);
 

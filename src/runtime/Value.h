@@ -113,10 +113,13 @@ public:
   }
 
 private:
-  Kind TheKind = Kind::Null;
+  // Widest member first, so the kind packs into the tail: 16 bytes.
   int64_t IntVal = 0;
   ObjectId RefVal = NoObject;
+  Kind TheKind = Kind::Null;
 };
+
+static_assert(sizeof(Value) == 16, "Value is copied into every trace event");
 
 } // namespace narada
 

@@ -63,9 +63,35 @@ LabelMatcher::LabelMatcher(std::string_view Label) {
   FuncName = Label.substr(0, Colon);
 }
 
+void Trace::FreeChunk::operator()(TraceEvent *P) const {
+  std::allocator<TraceEvent>().deallocate(P, ChunkSize);
+}
+
+void Trace::swap(Trace &O) noexcept {
+  using std::swap;
+  swap(Chunks, O.Chunks);
+  swap(Size, O.Size);
+  swap(ArgLists, O.ArgLists);
+  swap(Messages, O.Messages);
+}
+
+void Trace::append(const TraceEvent &Event) {
+  if ((Size & (ChunkSize - 1)) == 0)
+    Chunks.push_back(Chunk(std::allocator<TraceEvent>().allocate(ChunkSize)));
+  TraceEvent *Slot = std::construct_at(
+      &Chunks[Size >> ChunkShift][Size & (ChunkSize - 1)], Event);
+  ++Size;
+
+  if (Event.NumArgs)
+    Slot->Args = ArgLists.emplace_front(Event.Args, Event.Args + Event.NumArgs)
+                     .data();
+  if (Event.Message)
+    Slot->Message = &Messages.emplace_front(*Event.Message);
+}
+
 std::vector<const TraceEvent *> Trace::eventsOfKind(EventKind Kind) const {
   std::vector<const TraceEvent *> Out;
-  for (const TraceEvent &E : Events)
+  for (const TraceEvent &E : *this)
     if (E.Kind == Kind)
       Out.push_back(&E);
   return Out;
@@ -73,14 +99,14 @@ std::vector<const TraceEvent *> Trace::eventsOfKind(EventKind Kind) const {
 
 std::vector<const TraceEvent *> Trace::accesses() const {
   std::vector<const TraceEvent *> Out;
-  for (const TraceEvent &E : Events)
+  for (const TraceEvent &E : *this)
     if (E.isAccess())
       Out.push_back(&E);
   return Out;
 }
 
 bool Trace::hasFault() const {
-  for (const TraceEvent &E : Events)
+  for (const TraceEvent &E : *this)
     if (E.Kind == EventKind::Fault)
       return true;
   return false;
@@ -88,11 +114,18 @@ bool Trace::hasFault() const {
 
 std::vector<std::string> Trace::faultMessages() const {
   std::vector<std::string> Out;
-  for (const TraceEvent &E : Events)
+  for (const TraceEvent &E : *this)
     if (E.Kind == EventKind::Fault)
-      Out.push_back(E.Message);
+      Out.push_back(E.Message ? *E.Message : std::string());
   return Out;
 }
+
+namespace {
+
+/// A borrowed string for printing; an absent one prints empty.
+const char *orEmpty(const std::string *S) { return S ? S->c_str() : ""; }
+
+} // namespace
 
 std::string narada::printEvent(const TraceEvent &E) {
   std::string Out = formatString("%6llu t%u %-15s",
@@ -100,11 +133,11 @@ std::string narada::printEvent(const TraceEvent &E) {
                                  E.Thread, eventKindName(E.Kind));
   switch (E.Kind) {
   case EventKind::Alloc:
-    Out += formatString(" @%u : %s", E.Obj, E.ClassName.c_str());
+    Out += formatString(" @%u : %s", E.Obj, orEmpty(E.ClassName));
     break;
   case EventKind::ReadField:
   case EventKind::WriteField:
-    Out += formatString(" @%u.%s = %s  [%s]", E.Obj, E.Field.c_str(),
+    Out += formatString(" @%u.%s = %s  [%s]", E.Obj, orEmpty(E.Member),
                         E.Val.str().c_str(), E.staticLabel().c_str());
     break;
   case EventKind::ReadElem:
@@ -118,9 +151,9 @@ std::string narada::printEvent(const TraceEvent &E) {
     break;
   case EventKind::ClientCall: {
     std::vector<std::string> Args;
-    for (const Value &V : E.Args)
+    for (const Value &V : E.args())
       Args.push_back(V.str());
-    Out += formatString(" @%u.%s(%s)", E.Receiver, E.Method.c_str(),
+    Out += formatString(" @%u.%s(%s)", E.Receiver, orEmpty(E.Member),
                         join(Args, ", ").c_str());
     break;
   }
@@ -131,7 +164,8 @@ std::string narada::printEvent(const TraceEvent &E) {
   case EventKind::ThreadEnd:
     break;
   case EventKind::Fault:
-    Out += " " + E.Message;
+    Out += " ";
+    Out += orEmpty(E.Message);
     break;
   }
   return Out;
@@ -139,7 +173,7 @@ std::string narada::printEvent(const TraceEvent &E) {
 
 std::string narada::printTrace(const Trace &T) {
   std::string Out;
-  for (const TraceEvent &E : T.events()) {
+  for (const TraceEvent &E : T) {
     Out += printEvent(E);
     Out += '\n';
   }

@@ -11,6 +11,13 @@
 /// carries a globally unique label (its dynamic execution index, cf. the
 /// paper's §3.1) and the static program point (function, pc) it came from.
 ///
+/// Lifetime contract: a TraceEvent is a trivially copyable record that owns
+/// nothing.  Its class, field and method names point into the IRModule the
+/// VM runs (ClassInfo::Name, Instr::ClassName, Instr::Member) and live as
+/// long as that module.  ClientCall arguments and the Fault message point
+/// into VM state and live only for the duration of onEvent(); an observer
+/// that keeps them past that call copies them, as Trace::append does.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NARADA_TRACE_TRACEEVENT_H
@@ -20,16 +27,18 @@
 #include "runtime/Heap.h"
 #include "runtime/Value.h"
 
+#include <cassert>
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace narada {
 
 /// The kinds of events a VM execution produces.
-enum class EventKind {
+enum class EventKind : uint8_t {
   Alloc,         ///< A new object was allocated.
   ReadField,     ///< Obj.Field was read.
   WriteField,    ///< Obj.Field was written.
@@ -55,9 +64,7 @@ struct ProgramPoint {
 
   /// "Class.method:pc", or "<unknown>" without a function.
   std::string label() const;
-  bool operator<(const ProgramPoint &O) const {
-    return Func != O.Func ? std::less<>()(Func, O.Func) : Pc < O.Pc;
-  }
+  bool operator==(const ProgramPoint &O) const = default;
 };
 
 /// A static label parsed once, so hot paths match program points without
@@ -77,33 +84,30 @@ private:
   bool Valid = false;
 };
 
-/// One dynamic event.
+/// One dynamic event.  Borrowed fields follow the lifetime contract in the
+/// file comment; unset names are null.
 struct TraceEvent {
-  EventKind Kind;
   uint64_t Label = 0;       ///< Dynamic execution index, globally unique.
-  ThreadId Thread = 0;
-
-  // Static program point.
-  const IRFunction *Func = nullptr;
-  uint32_t Pc = 0;
-
-  // Accessed / locked / allocated object.
-  ObjectId Obj = NoObject;
-  std::string ClassName;    ///< Dynamic class of Obj where relevant.
-  std::string Field;        ///< Field name for field accesses.
-  unsigned FieldIndex = 0;  ///< Field slot, or element index for Read/WriteElem.
+  const IRFunction *Func = nullptr; ///< Static program point (with Pc).
+  /// Dynamic class of Obj (Alloc, accesses) or the static receiver class
+  /// of a ClientCall.
+  const std::string *ClassName = nullptr;
+  /// Field name of a field access, or the invoked method of a ClientCall
+  /// (both are the instruction's Instr::Member).
+  const std::string *Member = nullptr;
+  const Value *Args = nullptr; ///< ClientCall arguments, receiver first.
+  const std::string *Message = nullptr; ///< Fault description.
   Value Val;                ///< Value read / written / returned.
-
-  // ClientCall payload.
-  std::string Method;          ///< Invoked method name.
-  ObjectId Receiver = NoObject;
-  std::vector<Value> Args;
-
+  ThreadId Thread = 0;
+  uint32_t Pc = 0;
+  ObjectId Obj = NoObject;  ///< Accessed / locked / allocated object.
+  unsigned FieldIndex = 0;  ///< Field slot, or element index for Read/WriteElem.
+  ObjectId Receiver = NoObject; ///< ClientCall receiver (Args[0]).
+  uint32_t NumArgs = 0;
   /// For ThreadStart: the spawning thread (NoThread for root threads).
   /// Gives happens-before detectors the parent->child edge.
   ThreadId ParentThread = NoThread;
-
-  std::string Message;      ///< Fault description.
+  EventKind Kind = EventKind::Alloc;
 
   /// True for the four heap-access kinds.
   bool isAccess() const {
@@ -119,11 +123,24 @@ struct TraceEvent {
     return Kind == EventKind::ReadElem || Kind == EventKind::WriteElem;
   }
 
+  std::span<const Value> args() const { return {Args, NumArgs}; }
+
+  /// The accessed location packed into one key: object, element flag and
+  /// field slot or element index.
+  uint64_t locationKey() const {
+    assert(FieldIndex < (1u << 31) && "slot does not fit the packed key");
+    return uint64_t(Obj) << 32 | uint64_t(isElemAccess()) << 31 | FieldIndex;
+  }
+
   ProgramPoint point() const { return {Func, Pc}; }
 
   /// "Class.method:pc" — the static label used to name racy accesses.
   std::string staticLabel() const { return point().label(); }
 };
+
+static_assert(std::is_trivially_copyable_v<TraceEvent> &&
+                  sizeof(TraceEvent) <= 96,
+              "events are copied by value on every VM step");
 
 /// Receives events as the VM executes.  Implemented by the trace recorder,
 /// the race detectors and the RaceFuzzer-style active scheduler.

@@ -70,10 +70,10 @@ TEST_P(CorpusTest, SeedsCoverEveryFocusMethod) {
   for (const std::string &Seed : E.SeedNames) {
     Result<TestRun> Run = runTestSequential(*P->Module, Seed);
     ASSERT_TRUE(Run.hasValue());
-    for (const TraceEvent &Event : Run->TheTrace.events())
+    for (const TraceEvent &Event : Run->TheTrace)
       if (Event.Kind == EventKind::ClientCall &&
-          Event.ClassName == E.ClassName)
-        Invoked.insert(Event.Method);
+          *Event.ClassName == E.ClassName)
+        Invoked.insert(*Event.Member);
   }
   for (const MethodInfo &M : Focus->Methods) {
     // Constructors may be exercised indirectly (C1 builds wrappers through

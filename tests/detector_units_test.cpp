@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EventNames.h"
 #include "detect/HBDetector.h"
 #include "detect/LockSetDetector.h"
 #include "obs/Metrics.h"
@@ -32,8 +33,8 @@ public:
     TraceEvent E = base(EventKind::ReadField, T);
     E.Obj = Obj;
     E.FieldIndex = Field;
-    E.Field = "f" + std::to_string(Field);
-    E.ClassName = "C";
+    E.Member = Names("f" + std::to_string(Field));
+    E.ClassName = Names("C");
     Events.push_back(E);
     return *this;
   }
@@ -41,8 +42,8 @@ public:
     TraceEvent E = base(EventKind::WriteField, T);
     E.Obj = Obj;
     E.FieldIndex = Field;
-    E.Field = "f" + std::to_string(Field);
-    E.ClassName = "C";
+    E.Member = Names("f" + std::to_string(Field));
+    E.ClassName = Names("C");
     Events.push_back(E);
     return *this;
   }
@@ -79,6 +80,7 @@ private:
     return E;
   }
 
+  EventNames Names;
   std::vector<TraceEvent> Events;
   uint64_t Label = 0;
 };

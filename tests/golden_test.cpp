@@ -10,7 +10,10 @@
 // and C8 (the two synchronized-method corpus classes): the static lockset
 // analysis interprets exactly this IR, so a lowering change that moves a
 // MonitorEnter or renumbers a label shows up here before it shows up as a
-// verdict change.
+// verdict change.  Finally pins `narada-cli trace` output (printTrace of
+// a sequential seed run) for C3's seed — allocations, locks, client-call
+// arguments, element accesses — and for a seed that faults while holding
+// a lock.
 //
 // To regenerate after an intentional output change:
 //
@@ -23,6 +26,7 @@
 
 #include "corpus/Corpus.h"
 #include "ir/IRPrinter.h"
+#include "runtime/Execution.h"
 #include "synth/Narada.h"
 
 #include <gtest/gtest.h>
@@ -95,6 +99,44 @@ std::string loweredIR(const std::string &CorpusId) {
   return printModule(*P->Module);
 }
 
+/// printTrace of a sequential run of \p Test, as `narada-cli trace` prints it.
+std::string seedTrace(const std::string &Source, const std::string &Test) {
+  Result<CompiledProgram> P = compileProgram(Source);
+  EXPECT_TRUE(P.hasValue()) << (P ? "" : P.error().str());
+  if (!P)
+    return {};
+  Result<TestRun> Run = runTestSequential(*P->Module, Test);
+  EXPECT_TRUE(Run.hasValue()) << (Run ? "" : Run.error().str());
+  return Run ? printTrace(Run->TheTrace) : std::string();
+}
+
+/// A seed whose second nextSize() call dereferences a null field inside a
+/// synchronized method: the fault releases the monitor, then kills the
+/// thread.
+const char *FaultingSeed = R"(class Cell {
+  field data: IntArray;
+  field next: Cell;
+
+  method init(n: int) { this.data = new IntArray(n); }
+
+  method store(i: int, v: int) synchronized { this.data.set(i, v); }
+
+  method link(c: Cell) { this.next = c; }
+
+  method nextSize(): int synchronized { return this.next.data.length(); }
+}
+
+test seedFaults {
+  var a: Cell = new Cell(2);
+  a.store(1, 7);
+  var b: Cell = new Cell(1);
+  b.link(a);
+  var s: int = b.nextSize();
+  var t: int = a.nextSize();
+  a.store(0, s + t);
+}
+)";
+
 TEST(GoldenTest, C1FactoryWrappedQueue) {
   SynthesizedTestInfo T = firstTest("C1");
   ASSERT_FALSE(T.SourceText.empty());
@@ -123,4 +165,16 @@ TEST(GoldenTest, C8LoweredIR) {
   std::string IR = loweredIR("C8");
   ASSERT_FALSE(IR.empty());
   checkGolden("c8_ir", IR);
+}
+
+TEST(GoldenTest, C3SeedTrace) {
+  std::string Text = seedTrace(findCorpusEntry("C3")->Source, "seedC3");
+  ASSERT_FALSE(Text.empty());
+  checkGolden("c3_seed_trace", Text);
+}
+
+TEST(GoldenTest, FaultingSeedTrace) {
+  std::string Text = seedTrace(FaultingSeed, "seedFaults");
+  ASSERT_NE(Text.find(" fault "), std::string::npos);
+  checkGolden("fault_seed_trace", Text);
 }

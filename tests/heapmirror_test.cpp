@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EventNames.h"
 #include "analysis/HeapMirror.h"
 
 #include <gtest/gtest.h>
@@ -12,11 +13,13 @@ using namespace narada;
 
 namespace {
 
+EventNames Names;
+
 TraceEvent alloc(ObjectId Obj, const std::string &ClassName) {
   TraceEvent E;
   E.Kind = EventKind::Alloc;
   E.Obj = Obj;
-  E.ClassName = ClassName;
+  E.ClassName = Names(ClassName);
   return E;
 }
 
@@ -24,7 +27,7 @@ TraceEvent write(ObjectId Obj, const std::string &Field, Value V) {
   TraceEvent E;
   E.Kind = EventKind::WriteField;
   E.Obj = Obj;
-  E.Field = Field;
+  E.Member = Names(Field);
   E.Val = V;
   return E;
 }
@@ -36,7 +39,8 @@ TEST(HeapMirrorTest, TracksAllocations) {
   EXPECT_FALSE(M.knows(1));
   M.apply(alloc(1, "A"));
   EXPECT_TRUE(M.knows(1));
-  EXPECT_EQ(M.object(1).ClassName, "A");
+  ASSERT_NE(M.object(1).ClassName, nullptr);
+  EXPECT_EQ(*M.object(1).ClassName, "A");
 }
 
 TEST(HeapMirrorTest, TracksFieldWrites) {
@@ -148,7 +152,9 @@ TEST(HeapMirrorTest, LateSeenObjectsGetClassFromWrite) {
   HeapMirror M;
   M.apply(write(9, "f", Value::makeInt(1)));
   TraceEvent W = write(9, "f", Value::makeInt(2));
-  W.ClassName = "Late";
+  W.ClassName = Names("Late");
   M.apply(W);
   EXPECT_TRUE(M.knows(9));
+  ASSERT_NE(M.object(9).ClassName, nullptr);
+  EXPECT_EQ(*M.object(9).ClassName, "Late");
 }

@@ -131,8 +131,8 @@ TEST_P(SeedSweep, SynchronizedCounterIsExact) {
   Result<TestRun> Run = runRecorded(*P->Module, "t", Policy);
   ASSERT_TRUE(Run.hasValue());
   int64_t Final = -1;
-  for (const TraceEvent &E : Run->TheTrace.events())
-    if (E.Kind == EventKind::WriteField && E.Field == "n")
+  for (const TraceEvent &E : Run->TheTrace)
+    if (E.Kind == EventKind::WriteField && *E.Member == "n")
       Final = E.Val.asInt();
   EXPECT_EQ(Final, 6) << "seed " << GetParam();
 }
@@ -147,7 +147,7 @@ TEST_P(SeedSweep, MonitorEventsBalance) {
 
   std::map<ObjectId, ThreadId> Holder;
   size_t Locks = 0;
-  for (const TraceEvent &E : Run->TheTrace.events()) {
+  for (const TraceEvent &E : Run->TheTrace) {
     if (E.Kind == EventKind::Lock) {
       ++Locks;
       EXPECT_FALSE(Holder.count(E.Obj))
@@ -179,7 +179,7 @@ TEST_P(SeedSweep, PreemptionBoundedPolicyPreservesAtomicity) {
   ASSERT_TRUE(Run.hasValue());
   EXPECT_FALSE(Run->Result.Deadlocked);
   int64_t Final = -1;
-  for (const TraceEvent &E : Run->TheTrace.events())
+  for (const TraceEvent &E : Run->TheTrace)
     if (E.Kind == EventKind::WriteField)
       Final = E.Val.asInt();
   EXPECT_EQ(Final, 4);

@@ -4,24 +4,44 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EventNames.h"
 #include "runtime/Execution.h"
 #include "trace/Trace.h"
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 using namespace narada;
 
+static_assert(std::is_trivially_copyable_v<TraceEvent>,
+              "events are plain records copied on every VM step");
+static_assert(sizeof(TraceEvent) <= 96, "an event fits in 96 bytes");
+static_assert(!std::is_copy_constructible_v<Trace> &&
+                  !std::is_copy_assignable_v<Trace>,
+              "a trace is never copied");
+static_assert(std::is_move_constructible_v<Trace> &&
+                  std::is_move_assignable_v<Trace>,
+              "a trace moves");
+
 namespace {
+
+EventNames Names;
 
 TraceEvent makeAccess(EventKind Kind, ObjectId Obj, const std::string &Field,
                       uint64_t Label) {
   TraceEvent E;
   E.Kind = Kind;
   E.Obj = Obj;
-  E.Field = Field;
+  E.Member = Names(Field);
   E.Label = Label;
-  E.ClassName = "C";
+  E.ClassName = Names("C");
   return E;
+}
+
+/// True when \p Name is present and equals \p Expected.
+bool named(const std::string *Name, const std::string &Expected) {
+  return Name && *Name == Expected;
 }
 
 } // namespace
@@ -60,7 +80,7 @@ TEST(TraceTest, FaultQueries) {
   EXPECT_FALSE(T.hasFault());
   TraceEvent Fault;
   Fault.Kind = EventKind::Fault;
-  Fault.Message = "null dereference";
+  Fault.Message = Names("null dereference");
   T.append(Fault);
   EXPECT_TRUE(T.hasFault());
   ASSERT_EQ(T.faultMessages().size(), 1u);
@@ -106,7 +126,7 @@ TEST(TraceTest, PrintEventFormats) {
 
   TraceEvent Fault;
   Fault.Kind = EventKind::Fault;
-  Fault.Message = "boom";
+  Fault.Message = Names("boom");
   EXPECT_NE(printEvent(Fault).find("boom"), std::string::npos);
 }
 
@@ -138,11 +158,13 @@ TEST(TraceTest, SequentialTraceEventOrdering) {
   Result<TestRun> Run = runTestSequential(*P->Module, "t");
   ASSERT_TRUE(Run.hasValue());
   int CallIdx = -1, WriteIdx = -1, EndIdx = -1;
-  const auto &Events = Run->TheTrace.events();
+  const Trace &Events = Run->TheTrace;
   for (int I = 0; I < static_cast<int>(Events.size()); ++I) {
-    if (Events[I].Kind == EventKind::ClientCall && Events[I].Method == "set")
+    if (Events[I].Kind == EventKind::ClientCall &&
+        named(Events[I].Member, "set"))
       CallIdx = I;
-    if (Events[I].Kind == EventKind::WriteField && Events[I].Field == "n")
+    if (Events[I].Kind == EventKind::WriteField &&
+        named(Events[I].Member, "n"))
       WriteIdx = I;
     if (Events[I].Kind == EventKind::ClientCallEnd)
       EndIdx = I;
@@ -209,4 +231,87 @@ TEST(TraceTest, LabelMatcherInvertsProgramPointLabels) {
                           "<unknown>"})
     for (uint32_t Pc : {0u, 7u})
       EXPECT_FALSE(LabelMatcher(Bad).matches(&Put, Pc)) << Bad;
+}
+
+TEST(TraceTest, MovedTraceOwnsArgumentsAndFaultMessage) {
+  Result<CompiledProgram> P = compileProgram(
+      "class A { field x: int;\n"
+      "  method m(v: int, o: A) { this.x = v; } }\n"
+      "test t { var a: A = new A; a.m(42, a); var n: A = null; n.m(7, a); }\n");
+  ASSERT_TRUE(P.hasValue());
+  Trace Moved;
+  std::string FaultMessage;
+  {
+    // The VM and its frames are gone once runTestSequential returns; the
+    // run itself is gone after this scope.
+    Result<TestRun> Run = runTestSequential(*P->Module, "t");
+    ASSERT_TRUE(Run.hasValue());
+    ASSERT_EQ(Run->Result.FaultMessages.size(), 1u);
+    FaultMessage = Run->Result.FaultMessages[0];
+    Moved = std::move(Run->TheTrace);
+  }
+
+  std::vector<const TraceEvent *> Calls = Moved.eventsOfKind(EventKind::ClientCall);
+  ASSERT_EQ(Calls.size(), 1u);
+  const TraceEvent &Call = *Calls[0];
+  EXPECT_TRUE(named(Call.Member, "m"));
+  EXPECT_TRUE(named(Call.ClassName, "A"));
+  ASSERT_EQ(Call.args().size(), 3u); // receiver, v, o
+  EXPECT_EQ(Call.args()[0], Value::makeRef(Call.Receiver));
+  EXPECT_EQ(Call.args()[1], Value::makeInt(42));
+  EXPECT_EQ(Call.args()[2], Value::makeRef(Call.Receiver));
+
+  ASSERT_EQ(Moved.faultMessages(), std::vector<std::string>{FaultMessage});
+  EXPECT_NE(FaultMessage.find("null dereference"), std::string::npos);
+  EXPECT_NE(printTrace(Moved).find(FaultMessage), std::string::npos);
+}
+
+TEST(TraceTest, ChunkedTraceKeepsEventsAndPayloadsAcrossGrowth) {
+  // Enough events for several chunks and enough arguments for several
+  // argument chunks, each appended from a buffer that is then reused.
+  const size_t N = 5000;
+  Trace Grown;
+  std::vector<Value> Args(3);
+  std::string Message;
+  for (size_t I = 0; I != N; ++I) {
+    TraceEvent E;
+    E.Label = I + 1;
+    if (I % 7 == 0) {
+      Message = "fault " + std::to_string(I);
+      E.Kind = EventKind::Fault;
+      E.Message = &Message;
+    } else {
+      Args = {Value::makeRef(1), Value::makeInt(int64_t(I)),
+              Value::makeBool(I % 2)};
+      E.Kind = EventKind::ClientCall;
+      E.Member = Names("m");
+      E.Args = Args.data();
+      E.NumArgs = static_cast<uint32_t>(Args.size());
+    }
+    Grown.append(E);
+  }
+  Args.assign(3, Value::makeNull());
+  Message.clear();
+
+  Trace T = std::move(Grown);
+  ASSERT_EQ(T.size(), N);
+  // The moved-from trace is empty and records again.
+  EXPECT_TRUE(Grown.empty());
+  Grown.append(TraceEvent());
+  EXPECT_EQ(Grown.size(), 1u);
+
+  size_t I = 0;
+  for (const TraceEvent &E : T) {
+    ASSERT_EQ(E.Label, I + 1);
+    if (I % 7 == 0) {
+      ASSERT_TRUE(named(E.Message, "fault " + std::to_string(I)));
+    } else {
+      ASSERT_EQ(E.args().size(), 3u);
+      EXPECT_EQ(E.args()[1], Value::makeInt(int64_t(I)));
+      EXPECT_EQ(E.args()[2], Value::makeBool(I % 2));
+    }
+    ++I;
+  }
+  EXPECT_EQ(I, N);
+  EXPECT_EQ(T.faultMessages().size(), (N + 6) / 7);
 }

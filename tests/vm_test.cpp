@@ -29,8 +29,8 @@ TestRun runOk(const IRModule &M, const std::string &Name,
 /// Returns the last written value of @Obj.Field in the trace, if any.
 const TraceEvent *lastWrite(const Trace &T, const std::string &Field) {
   const TraceEvent *Out = nullptr;
-  for (const TraceEvent &E : T.events())
-    if (E.Kind == EventKind::WriteField && E.Field == Field)
+  for (const TraceEvent &E : T)
+    if (E.Kind == EventKind::WriteField && *E.Member == Field)
       Out = &E;
   return Out;
 }
@@ -91,8 +91,8 @@ TEST(VMTest, IfElseBranches) {
                      "}\n");
   auto Run = runOk(*P.Module, "t");
   std::vector<int64_t> Writes;
-  for (const TraceEvent &E : Run.TheTrace.events())
-    if (E.Kind == EventKind::WriteField && E.Field == "r")
+  for (const TraceEvent &E : Run.TheTrace)
+    if (E.Kind == EventKind::WriteField && *E.Member == "r")
       Writes.push_back(E.Val.asInt());
   ASSERT_EQ(Writes.size(), 3u);
   EXPECT_EQ(Writes[0], -1);
@@ -160,7 +160,7 @@ TEST(VMTest, IntArrayOperations) {
   EXPECT_EQ(lastWrite(Run.TheTrace, "total")->Val.asInt(), 100);
   // Element accesses appear in the trace.
   size_t ElemWrites = 0, ElemReads = 0;
-  for (const TraceEvent &E : Run.TheTrace.events()) {
+  for (const TraceEvent &E : Run.TheTrace) {
     if (E.Kind == EventKind::WriteElem)
       ++ElemWrites;
     if (E.Kind == EventKind::ReadElem)
@@ -246,8 +246,8 @@ TEST(VMTest, ClientCallEventsAtLibraryBoundary) {
   // Only client->library transitions: set and go (library->library poke is
   // not a client call).
   ASSERT_EQ(Calls.size(), 2u);
-  EXPECT_EQ(Calls[0]->Method, "set");
-  EXPECT_EQ(Calls[1]->Method, "go");
+  EXPECT_EQ(*Calls[0]->Member, "set");
+  EXPECT_EQ(*Calls[1]->Member, "go");
   EXPECT_EQ(Run.TheTrace.eventsOfKind(EventKind::ClientCallEnd).size(), 2u);
 }
 
@@ -259,8 +259,8 @@ TEST(VMTest, ClientCallCarriesReceiverAndArgs) {
   auto Calls = Run.TheTrace.eventsOfKind(EventKind::ClientCall);
   ASSERT_EQ(Calls.size(), 1u);
   EXPECT_NE(Calls[0]->Receiver, NoObject);
-  ASSERT_EQ(Calls[0]->Args.size(), 2u); // receiver + v
-  EXPECT_EQ(Calls[0]->Args[1].asInt(), 42);
+  ASSERT_EQ(Calls[0]->args().size(), 2u); // receiver + v
+  EXPECT_EQ(Calls[0]->args()[1].asInt(), 42);
 }
 
 TEST(VMTest, SpawnedThreadsRunToCompletion) {
@@ -425,7 +425,7 @@ TEST(VMTest, TraceLabelsAreStrictlyIncreasing) {
   ASSERT_TRUE(R.hasValue());
   ASSERT_FALSE(R->TheTrace.empty());
   uint64_t Prev = 0;
-  for (const TraceEvent &E : R->TheTrace.events()) {
+  for (const TraceEvent &E : R->TheTrace) {
     EXPECT_GT(E.Label, Prev);
     Prev = E.Label;
   }
