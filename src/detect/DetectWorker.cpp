@@ -6,14 +6,9 @@
 
 #include "detect/DetectWorker.h"
 
-#include "obs/Log.h"
-#include "obs/Metrics.h"
-#include "obs/Trace.h"
 #include "support/Bundle.h"
-#include "support/FaultInjection.h"
 #include "support/StringUtils.h"
 
-#include <new>
 #include <utility>
 
 using namespace narada;
@@ -250,30 +245,11 @@ void Service::runUnit(const wire::RecordReader &Request,
       Hints.emplace_back(Firsts[K], Seconds[K]);
   }
 
-  try {
-    fault::ScopedUnit Unit(I);
-    obs::TraceScope Scope("test", I);
-    Result<TestDetectionResult> Result =
-        detectRacesInTest(*S->Program.Module, TestName, S->Options, Hints);
-    if (!Result) {
-      Reply.add("err", Result.error().str());
-      return;
-    }
-    encodeDetectResult(Reply, *Result);
-  } catch (const std::bad_alloc &) {
-    throw; // The worker loop answers with a graceful oom crash frame.
-  } catch (...) {
-    // The in-process containment barrier, replayed worker-side so the
-    // quarantine counters ship with this unit's metrics delta.
-    TestDetectionResult Q;
-    Q.Quarantined = true;
-    Q.QuarantineReason =
-        "internal fault: " + describeException(std::current_exception());
-    obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-    Metrics.counter("detect.quarantined").inc();
-    Metrics.counter("detect.internal_faults").inc();
-    NARADA_LOG_WARN("quarantined test %s: %s", TestName.c_str(),
-                    Q.QuarantineReason.c_str());
-    encodeDetectResult(Reply, Q);
+  Result<TestDetectionResult> Result =
+      detectRacesInTest(*S->Program.Module, TestName, S->Options, Hints);
+  if (!Result) {
+    Reply.add("err", Result.error().str());
+    return;
   }
+  encodeDetectResult(Reply, *Result);
 }

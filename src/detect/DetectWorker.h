@@ -14,10 +14,10 @@
 /// supervisor's — and runs the ordinary detectRacesInTest on it, which
 /// keeps schedule exploration bit-for-bit identical to in-process mode.
 ///
-/// A detection that throws inside the worker degrades to the same
-/// quarantined result the in-process containment barrier produces; a
-/// detection that takes the whole worker down (SIGSEGV, OOM kill, hang)
-/// is classified by the supervisor and becomes a crash quarantine.
+/// A detection that throws inside the worker is answered with a fault=
+/// record by the worker loop; one that takes the whole worker down
+/// (SIGSEGV, OOM kill, hang) is classified by the supervisor.  Either way
+/// detectRacesInTests quarantines the test, as for a throw in process.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,10 +82,10 @@ public:
   static Result<std::unique_ptr<Service>> create(
       const wire::RecordReader &Setup);
 
-  /// Handles one unit request.  Soft failures quarantine the test exactly
-  /// like the in-process containment barrier; detection errors come back
-  /// as err= records; std::bad_alloc propagates for the graceful oom
-  /// crash frame; hard faults never return.
+  /// Handles one unit request: the detection result, or an err= record
+  /// for a detection error.  Exceptions propagate to the worker loop (see
+  /// above; std::bad_alloc becomes the graceful oom crash frame); hard
+  /// faults never return.
   void runUnit(const wire::RecordReader &Request, wire::RecordWriter &Reply);
 
 private:

@@ -10,17 +10,13 @@
 #include "detect/HBDetector.h"
 #include "detect/LockSetDetector.h"
 #include "detect/RaceConfirmer.h"
-#include "obs/MetricsWire.h"
-#include "support/ProcessPool.h"
-#include "support/Wire.h"
 #include "explore/Explorer.h"
 #include "explore/WitnessMinimizer.h"
 #include "obs/Log.h"
 #include "obs/Span.h"
-#include "obs/Trace.h"
+#include "obs/UnitExecutor.h"
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <map>
@@ -83,6 +79,37 @@ unsigned TestDetectionResult::benignCount() const {
 }
 
 namespace {
+
+/// The passive detectors of one execution: HB and LockSet, each attached
+/// per Options.UseHB / UseLockSet.  Built fresh for every execution, so a
+/// retried or replayed run starts from clean detector state.
+class DetectorSet {
+public:
+  explicit DetectorSet(const DetectOptions &Options) {
+    if (Options.UseHB)
+      Mux.add(&HB);
+    if (Options.UseLockSet)
+      Mux.add(&LockSet);
+  }
+  DetectorSet(const DetectorSet &) = delete;
+  DetectorSet &operator=(const DetectorSet &) = delete;
+
+  ExecutionObserver *observer() { return &Mux; }
+
+  /// Calls \p Note on every reported race, HB's before LockSet's, so the
+  /// first report per race key is HB's whenever both detectors saw it.
+  template <typename NoteFn> void forEachRace(NoteFn Note) const {
+    for (const RaceReport &R : HB.races())
+      Note(R);
+    for (const RaceReport &R : LockSet.races())
+      Note(R);
+  }
+
+private:
+  HBDetector HB;
+  LockSetDetector LockSet;
+  ObserverMux Mux;
+};
 
 /// Hashes the values flowing through the two candidate accesses.  A racy
 /// *read* does not change the heap, but the value it observes depends on
@@ -179,40 +206,6 @@ uint64_t escalatedBudget(const DetectOptions &Options, unsigned Try) {
   return Budget;
 }
 
-/// runConfirm with the watchdog-retry protocol: a step-limited run is
-/// retried under an escalating budget up to Options.StepLimitRetries
-/// times.  The returned run still has HitStepLimit set when even the last
-/// budget was exhausted — the caller quarantines then.  \p SawStepLimit is
-/// latched when any attempt (retried or not) hit its ceiling.
-Result<ConfirmRun>
-runConfirmWithRetry(const IRModule &M, const std::string &TestName,
-                    const std::string &LabelA, const std::string &LabelB,
-                    uint64_t Seed, bool SecondFirst,
-                    const DetectOptions &Options, bool &SawStepLimit) {
-  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-  for (unsigned Try = 0;; ++Try) {
-    Result<ConfirmRun> Run =
-        runConfirm(M, TestName, LabelA, LabelB, Seed, SecondFirst,
-                   escalatedBudget(Options, Try));
-    if (!Run)
-      return Run;
-    if (!Run->HitStepLimit)
-      return Run;
-    SawStepLimit = true;
-    Metrics.counter("detect.step_limit_runs").inc();
-    if (Try >= Options.StepLimitRetries)
-      return Run; // Budget exhausted even after every escalation.
-    Metrics.counter("detect.retries").inc();
-    NARADA_LOG_DEBUG("confirm run of %s hit step budget %llu, retrying "
-                     "with x%llu budget",
-                     TestName.c_str(),
-                     static_cast<unsigned long long>(
-                         escalatedBudget(Options, Try)),
-                     static_cast<unsigned long long>(
-                         Options.StepBudgetEscalation));
-  }
-}
-
 /// Marks \p Out quarantined with \p Reason (first reason wins) and counts
 /// it; detection results gathered so far stay attached.
 void quarantine(TestDetectionResult &Out, const std::string &TestName,
@@ -224,6 +217,43 @@ void quarantine(TestDetectionResult &Out, const std::string &TestName,
   obs::MetricsRegistry::global().counter("detect.quarantined").inc();
   NARADA_LOG_WARN("quarantined test %s: %s", TestName.c_str(),
                   Out.QuarantineReason.c_str());
+}
+
+/// The watchdog's retry ladder, shared by every step-limited execution:
+/// calls \p Attempt(Budget) with an escalating budget until an attempt
+/// finishes inside it or Options.StepLimitRetries retries are spent.  Each
+/// step-limited attempt latches Out.SawStepLimit and counts
+/// detect.step_limit_runs; each retry counts detect.retries.  When even the
+/// last budget is exhausted, \p Out is quarantined — a runaway run never
+/// passes for a clean one — and the returned attempt still has
+/// HitStepLimit set.  \p What names the run in the quarantine reason.
+template <typename AttemptFn>
+auto runWithRetries(const DetectOptions &Options, const std::string &TestName,
+                    const std::string &What, TestDetectionResult &Out,
+                    AttemptFn Attempt) {
+  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
+  for (unsigned Try = 0;; ++Try) {
+    auto Run = Attempt(escalatedBudget(Options, Try));
+    if (!Run || !Run->HitStepLimit)
+      return Run;
+    Out.SawStepLimit = true;
+    Metrics.counter("detect.step_limit_runs").inc();
+    if (Try >= Options.StepLimitRetries) {
+      quarantine(Out, TestName,
+                 formatString("%s exceeded its step budget (%llu steps "
+                              "after %u retries)",
+                              What.c_str(),
+                              static_cast<unsigned long long>(
+                                  escalatedBudget(Options, Try)),
+                              Try));
+      return Run;
+    }
+    Metrics.counter("detect.retries").inc();
+    NARADA_LOG_DEBUG("%s of %s hit step budget %llu, retrying",
+                     What.c_str(), TestName.c_str(),
+                     static_cast<unsigned long long>(
+                         escalatedBudget(Options, Try)));
+  }
 }
 
 } // namespace
@@ -242,14 +272,16 @@ Result<TestDetectionResult> narada::detectRacesInTest(
 
   // Watchdog: per-test wall-clock budget (0 = unlimited), checked at run
   // boundaries — a runaway single run is bounded by the step budget below.
+  // Quarantines the test once the budget is spent.
   Timer Wall;
   auto WallExpired = [&] {
-    return Options.WallBudgetSeconds > 0.0 &&
-           Wall.seconds() > Options.WallBudgetSeconds;
-  };
-  auto WallReason = [&] {
-    return formatString("wall-clock budget of %.3fs exceeded after %.3fs",
-                        Options.WallBudgetSeconds, Wall.seconds());
+    if (Options.WallBudgetSeconds <= 0.0 ||
+        Wall.seconds() <= Options.WallBudgetSeconds)
+      return false;
+    quarantine(Out, TestName,
+               formatString("wall-clock budget of %.3fs exceeded after %.3fs",
+                            Options.WallBudgetSeconds, Wall.seconds()));
+    return true;
   };
 
   // Phase 1: pick schedules per Options.Mode with the passive detectors
@@ -269,81 +301,64 @@ Result<TestDetectionResult> narada::detectRacesInTest(
   };
 
   // The randomized loop (modes Random and PCT, and the Systematic
-  // fallback).  A run that exhausts its step budget is retried with an
-  // escalated budget; if even the last escalation hits the ceiling the
-  // test is quarantined — a runaway schedule must never pass for a clean
-  // one.  Returns false when the caller must return immediately (either
-  // PhaseError is set or Out was quarantined).
+  // fallback).  Each run goes through the retry ladder, which quarantines
+  // the test when even the last escalated budget is exhausted — a runaway
+  // schedule must never pass for a clean one.  Returns false when the
+  // caller must return immediately (either PhaseError is set or Out was
+  // quarantined).
   auto runRandomPhase = [&]() -> bool {
     for (unsigned RunIdx = 0; RunIdx < Options.RandomRuns; ++RunIdx) {
-      if (WallExpired()) {
-        quarantine(Out, TestName, WallReason());
+      if (WallExpired())
         return false;
-      }
       obs::Span ScheduleSpan("schedule");
       Metrics.counter("detect.schedules_explored").inc();
       ++Out.SchedulesRun;
       fault::probe("detect.random_run");
-      for (unsigned Try = 0;; ++Try) {
-        // Detectors and policy are rebuilt per attempt so a retry replays
-        // the identical schedule, only with more budget.
-        HBDetector HB;
-        LockSetDetector LockSet;
-        ObserverMux Mux;
-        if (Options.UseHB)
-          Mux.add(&HB);
-        if (Options.UseLockSet)
-          Mux.add(&LockSet);
-
-        bool Limited = fault::timeoutProbe("detect.random.steps");
-        if (!Limited) {
-          RandomPolicy Random(Options.BaseSeed + RunIdx);
-          PCTPolicy PCT(Options.BaseSeed + RunIdx);
-          SchedulingPolicy &Inner =
-              Options.Mode == ExplorationMode::PCT
-                  ? static_cast<SchedulingPolicy &>(PCT)
-                  : static_cast<SchedulingPolicy &>(Random);
-          // Recording delegates every pick, so wrapping is transparent to
-          // the inner policy's schedule.
-          explore::RecordingPolicy Recorder(Inner);
-          SchedulingPolicy &Policy =
-              WantWitness ? static_cast<SchedulingPolicy &>(Recorder)
-                          : Inner;
-          Result<TestRun> Run =
-              runTest(M, TestName, Policy, /*RandSeed=*/1, &Mux,
-                      escalatedBudget(Options, Try));
-          if (!Run) {
-            PhaseError = Run.error();
-            return false;
-          }
-          Limited = Run->Result.HitStepLimit;
-          if (!Limited) {
-            Out.SawFault = Out.SawFault || Run->Result.Faulted;
-            Out.SawDeadlock = Out.SawDeadlock || Run->Result.Deadlocked;
-            explore::ScheduleTrace Trace;
-            if (WantWitness)
-              Trace = Recorder.trace(TestName, /*RandSeed=*/1);
-            for (const RaceReport &R : HB.races())
-              NoteRace(R, Trace);
-            for (const RaceReport &R : LockSet.races())
-              NoteRace(R, Trace);
-            break;
-          }
-        }
-        Out.SawStepLimit = true;
-        Metrics.counter("detect.step_limit_runs").inc();
-        if (Try >= Options.StepLimitRetries) {
-          quarantine(Out, TestName,
-                     formatString("random-schedule run %u exceeded its step "
-                                  "budget (%llu steps after %u retries)",
-                                  RunIdx,
-                                  static_cast<unsigned long long>(
-                                      escalatedBudget(Options, Try)),
-                                  Try));
-          return false;
-        }
-        Metrics.counter("detect.retries").inc();
+      Result<RunResult> Run = runWithRetries(
+          Options, TestName, formatString("random-schedule run %u", RunIdx),
+          Out, [&](uint64_t Budget) -> Result<RunResult> {
+            // Detectors and policy are rebuilt per attempt so a retry
+            // replays the identical schedule, only with more budget.
+            DetectorSet Detectors(Options);
+            if (fault::timeoutProbe("detect.random.steps")) {
+              RunResult Limited;
+              Limited.HitStepLimit = true;
+              return Limited;
+            }
+            RandomPolicy Random(Options.BaseSeed + RunIdx);
+            PCTPolicy PCT(Options.BaseSeed + RunIdx);
+            SchedulingPolicy &Inner =
+                Options.Mode == ExplorationMode::PCT
+                    ? static_cast<SchedulingPolicy &>(PCT)
+                    : static_cast<SchedulingPolicy &>(Random);
+            // Recording delegates every pick, so wrapping is transparent
+            // to the inner policy's schedule.
+            explore::RecordingPolicy Recorder(Inner);
+            SchedulingPolicy &Policy =
+                WantWitness ? static_cast<SchedulingPolicy &>(Recorder)
+                            : Inner;
+            Result<TestRun> Run = runTest(M, TestName, Policy,
+                                          /*RandSeed=*/1,
+                                          Detectors.observer(), Budget);
+            if (!Run)
+              return Run.error();
+            if (!Run->Result.HitStepLimit) {
+              explore::ScheduleTrace Trace;
+              if (WantWitness)
+                Trace = Recorder.trace(TestName, /*RandSeed=*/1);
+              Detectors.forEachRace(
+                  [&](const RaceReport &R) { NoteRace(R, Trace); });
+            }
+            return std::move(Run->Result);
+          });
+      if (!Run) {
+        PhaseError = Run.error();
+        return false;
       }
+      if (Run->HitStepLimit)
+        return false;
+      Out.SawFault = Out.SawFault || Run->Faulted;
+      Out.SawDeadlock = Out.SawDeadlock || Run->Deadlocked;
     }
     return true;
   };
@@ -353,56 +368,42 @@ Result<TestDetectionResult> narada::detectRacesInTest(
   auto runSystematicPhase = [&]() -> bool {
     struct Visitor final : explore::ScheduleVisitor {
       const DetectOptions &Options;
-      TestDetectionResult &Out;
-      std::function<void(const RaceReport &, const explore::ScheduleTrace &)>
-          Note;
-      std::function<bool()> Expired;
-      std::optional<HBDetector> HB;
-      std::optional<LockSetDetector> LockSet;
-      ObserverMux Mux;
+      std::function<bool(const DetectorSet &, const explore::ScheduleTrace &,
+                         const TestRun &)>
+          End;
+      std::optional<DetectorSet> Detectors;
 
-      Visitor(const DetectOptions &Options, TestDetectionResult &Out,
-              decltype(Note) Note, decltype(Expired) Expired)
-          : Options(Options), Out(Out), Note(std::move(Note)),
-            Expired(std::move(Expired)) {}
-
+      Visitor(const DetectOptions &Options, decltype(End) End)
+          : Options(Options), End(std::move(End)) {}
       ExecutionObserver *beginSchedule(unsigned) override {
-        HB.emplace();
-        LockSet.emplace();
-        Mux = ObserverMux();
-        if (Options.UseHB)
-          Mux.add(&*HB);
-        if (Options.UseLockSet)
-          Mux.add(&*LockSet);
-        return &Mux;
+        Detectors.emplace(Options);
+        return Detectors->observer();
       }
-
       bool endSchedule(const explore::ScheduleTrace &Trace,
                        const TestRun &Run) override {
-        Out.SawFault = Out.SawFault || Run.Result.Faulted;
-        Out.SawDeadlock = Out.SawDeadlock || Run.Result.Deadlocked;
-        if (Run.Result.HitStepLimit) {
-          // A step-limited schedule is recorded (its prefix branches were
-          // still expanded) but the test can no longer count as clean.
-          Out.SawStepLimit = true;
-          obs::MetricsRegistry::global()
-              .counter("detect.step_limit_runs")
-              .inc();
-        }
-        for (const RaceReport &R : HB->races())
-          Note(R, Trace);
-        for (const RaceReport &R : LockSet->races())
-          Note(R, Trace);
-        return !Expired();
+        return End(*Detectors, Trace, Run);
       }
     };
+    Visitor V(Options, [&](const DetectorSet &Detectors,
+                           const explore::ScheduleTrace &Trace,
+                           const TestRun &Run) {
+      Out.SawFault = Out.SawFault || Run.Result.Faulted;
+      Out.SawDeadlock = Out.SawDeadlock || Run.Result.Deadlocked;
+      if (Run.Result.HitStepLimit) {
+        // A step-limited schedule is recorded (its prefix branches were
+        // still expanded) but the test can no longer count as clean.
+        Out.SawStepLimit = true;
+        Metrics.counter("detect.step_limit_runs").inc();
+      }
+      Detectors.forEachRace([&](const RaceReport &R) { NoteRace(R, Trace); });
+      return !WallExpired();
+    });
 
     explore::ExploreOptions ExOpts = Options.Explore;
     // Keep the step budget and VM seed uniform with the randomized loop so
     // the two phases explore the same per-schedule universe.
     ExOpts.MaxSteps = Options.MaxSteps;
     ExOpts.RandSeed = 1;
-    Visitor V(Options, Out, NoteRace, WallExpired);
     Result<explore::ExploreOutcome> Outcome =
         explore::exploreSchedules(M, TestName, ExOpts, V);
     if (!Outcome) {
@@ -412,10 +413,8 @@ Result<TestDetectionResult> narada::detectRacesInTest(
     Out.SchedulesRun += Outcome->SchedulesRun;
     Out.SchedulesPruned += Outcome->Pruned;
     Out.ExplorationExhausted = Outcome->Exhausted;
-    if (WallExpired()) {
-      quarantine(Out, TestName, WallReason());
+    if (WallExpired())
       return false;
-    }
     if (!Outcome->Exhausted) {
       // Budget ladder bottom: the bounded space was too large, fall back
       // to the randomized policies over what remains.
@@ -445,18 +444,13 @@ Result<TestDetectionResult> narada::detectRacesInTest(
     Metrics.counter("detect.schedules_explored").inc();
     Metrics.counter("explore.replays").inc();
     ++Out.SchedulesRun;
-    HBDetector HB;
-    LockSetDetector LockSet;
-    ObserverMux Mux;
-    if (Options.UseHB)
-      Mux.add(&HB);
-    if (Options.UseLockSet)
-      Mux.add(&LockSet);
+    DetectorSet Detectors(Options);
     explore::ReplayPolicy Policy(*Options.ReplayTrace);
     // Replays get the fully escalated budget up front: the recorded run
     // already fit in some budget, so there is nothing to ladder.
     Result<TestRun> Run =
-        runTest(M, TestName, Policy, Options.ReplayTrace->RandSeed, &Mux,
+        runTest(M, TestName, Policy, Options.ReplayTrace->RandSeed,
+                Detectors.observer(),
                 escalatedBudget(Options, Options.StepLimitRetries));
     if (!Run) {
       PhaseError = Run.error();
@@ -469,10 +463,8 @@ Result<TestDetectionResult> narada::detectRacesInTest(
     Out.SawFault = Out.SawFault || Run->Result.Faulted;
     Out.SawDeadlock = Out.SawDeadlock || Run->Result.Deadlocked;
     Out.SawStepLimit = Out.SawStepLimit || Run->Result.HitStepLimit;
-    for (const RaceReport &R : HB.races())
-      ByKey.emplace(R.key(), R);
-    for (const RaceReport &R : LockSet.races())
-      ByKey.emplace(R.key(), R);
+    Detectors.forEachRace(
+        [&](const RaceReport &R) { ByKey.emplace(R.key(), R); });
     return true;
   };
 
@@ -516,24 +508,17 @@ Result<TestDetectionResult> narada::detectRacesInTest(
           [&, &Key = Key, &Trace = Trace](
               const std::vector<explore::SegmentReplayPolicy::Segment>
                   &Candidate) -> std::optional<explore::ScheduleTrace> {
-        HBDetector HB;
-        LockSetDetector LockSet;
-        ObserverMux Mux;
-        if (Options.UseHB)
-          Mux.add(&HB);
-        if (Options.UseLockSet)
-          Mux.add(&LockSet);
+        DetectorSet Detectors(Options);
         explore::SegmentReplayPolicy Inner(Candidate);
         explore::RecordingPolicy Recorder(Inner);
-        Result<TestRun> Run = runTest(M, TestName, Recorder, Trace.RandSeed,
-                                      &Mux, Options.MaxSteps);
+        Result<TestRun> Run =
+            runTest(M, TestName, Recorder, Trace.RandSeed,
+                    Detectors.observer(), Options.MaxSteps);
         if (!Run || Run->Result.HitStepLimit)
           return std::nullopt;
         bool Seen = false;
-        for (const RaceReport &R : HB.races())
-          Seen = Seen || R.key() == Key;
-        for (const RaceReport &R : LockSet.races())
-          Seen = Seen || R.key() == Key;
+        Detectors.forEachRace(
+            [&](const RaceReport &R) { Seen = Seen || R.key() == Key; });
         if (!Seen)
           return std::nullopt;
         return Recorder.trace(TestName, Trace.RandSeed);
@@ -574,54 +559,40 @@ Result<TestDetectionResult> narada::detectRacesInTest(
 
   std::set<std::string> Classified;
   for (const auto &[LabelA, LabelB] : LabelPairs) {
-    if (WallExpired()) {
-      quarantine(Out, TestName, WallReason());
+    if (WallExpired())
       return Out;
-    }
     obs::Span ConfirmSpan("confirm");
     ConfirmedRace Entry;
     for (unsigned Attempt = 0; Attempt < Options.ConfirmAttempts;
          ++Attempt) {
       Metrics.counter("detect.confirm_attempts").inc();
       uint64_t Seed = Options.BaseSeed + 1000 + Attempt;
-      Result<ConfirmRun> FirstOrder = runConfirmWithRetry(
-          M, TestName, LabelA, LabelB, Seed,
-          /*SecondFirst=*/false, Options, Out.SawStepLimit);
+      auto Confirm = [&](bool SecondFirst) {
+        std::string What = formatString("confirmation of %s~%s%s",
+                                        LabelA.c_str(), LabelB.c_str(),
+                                        SecondFirst ? " (reversed order)" : "");
+        return runWithRetries(Options, TestName, What, Out,
+                              [&](uint64_t Budget) {
+                                return runConfirm(M, TestName, LabelA, LabelB,
+                                                  Seed, SecondFirst, Budget);
+                              });
+      };
+      // A step-limited result means even the escalated budgets were
+      // exhausted and the test is quarantined: this confirmation can not be
+      // trusted to have run clean.
+      Result<ConfirmRun> FirstOrder = Confirm(/*SecondFirst=*/false);
       if (!FirstOrder)
         return FirstOrder.error();
-      if (FirstOrder->HitStepLimit) {
-        // Even the escalated budgets were exhausted: quarantine — this
-        // confirmation can not be trusted to have run clean.
-        quarantine(Out, TestName,
-                   formatString("confirmation of %s~%s exceeded its step "
-                                "budget (%llu steps after %u retries)",
-                                LabelA.c_str(), LabelB.c_str(),
-                                static_cast<unsigned long long>(
-                                    escalatedBudget(
-                                        Options, Options.StepLimitRetries)),
-                                Options.StepLimitRetries));
+      if (FirstOrder->HitStepLimit)
         return Out;
-      }
       if (!FirstOrder->Confirmed)
         continue;
 
-      Result<ConfirmRun> SecondOrder = runConfirmWithRetry(
-          M, TestName, LabelA, LabelB, Seed,
-          /*SecondFirst=*/true, Options, Out.SawStepLimit);
+      Result<ConfirmRun> SecondOrder = Confirm(/*SecondFirst=*/true);
       if (!SecondOrder)
         return SecondOrder.error();
-      if (SecondOrder->HitStepLimit) {
-        quarantine(Out, TestName,
-                   formatString("confirmation of %s~%s (reversed order) "
-                                "exceeded its step budget (%llu steps "
-                                "after %u retries)",
-                                LabelA.c_str(), LabelB.c_str(),
-                                static_cast<unsigned long long>(
-                                    escalatedBudget(
-                                        Options, Options.StepLimitRetries)),
-                                Options.StepLimitRetries));
+      if (SecondOrder->HitStepLimit)
         return Out;
-      }
 
       Entry.Reproduced = true;
       Entry.Report = FirstOrder->Report;
@@ -659,138 +630,52 @@ Result<TestDetectionResult> narada::detectRacesInTest(
   return Out;
 }
 
-namespace {
-
-/// The --isolate detection stage: one worker subprocess unit per test.
-/// Soft faults come back as ordinary quarantined results built inside the
-/// worker (counters travel in the metrics delta); hard faults — the worker
-/// dying under a unit — are classified by the pool supervisor and degrade
-/// to a crash quarantine here, with every other test unaffected.
-Result<std::vector<TestDetectionResult>>
-detectIsolated(const std::vector<TestDetectJob> &Jobs,
-               const DetectOptions &Options, unsigned JobCount,
-               const detectworker::DetectIsolateContext &Iso) {
-  pool::ProcessPool Pool(Iso.Isolate.poolOptions(
-      resolveJobs(JobCount), detectworker::encodeSetup(Iso, Options)));
-
-  std::vector<std::string> Units;
-  Units.reserve(Jobs.size());
-  for (size_t I = 0; I < Jobs.size(); ++I)
-    Units.push_back(detectworker::encodeUnit(I, Jobs[I]));
-  std::vector<pool::UnitOutcome> Outcomes = Pool.run(Units);
-
-  // Commit in input order — identical to the in-process merge walk.
-  std::vector<TestDetectionResult> Out;
-  Out.reserve(Jobs.size());
-  std::optional<Error> FirstError;
-  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-  for (size_t I = 0; I < Outcomes.size(); ++I) {
-    const pool::UnitOutcome &O = Outcomes[I];
-    obs::observePoolUnitMicros(O.Micros);
-    if (!O.Ok) {
-      TestDetectionResult Q;
-      Q.Quarantined = true;
-      Q.QuarantineReason = pool::describeCrash(O);
-      Metrics.counter("detect.quarantined").inc();
-      Metrics.counter("detect.worker_crashes").inc();
-      NARADA_LOG_WARN("quarantined test %s: %s", Jobs[I].TestName.c_str(),
-                      Q.QuarantineReason.c_str());
-      Out.push_back(std::move(Q));
-      continue;
-    }
-    wire::RecordReader Reply(O.Payload);
-    obs::mergeMetricsDelta(Reply);
-    if (std::optional<std::string> Err = Reply.get("err")) {
-      if (!FirstError)
-        FirstError.emplace(*Err);
-      Out.emplace_back();
-      continue;
-    }
-    if (std::optional<std::string> Fault = Reply.get("fault")) {
-      TestDetectionResult Q;
-      Q.Quarantined = true;
-      Q.QuarantineReason = "internal fault: " + *Fault;
-      Metrics.counter("detect.quarantined").inc();
-      Metrics.counter("detect.internal_faults").inc();
-      NARADA_LOG_WARN("quarantined test %s: %s", Jobs[I].TestName.c_str(),
-                      Q.QuarantineReason.c_str());
-      Out.push_back(std::move(Q));
-      continue;
-    }
-    Out.push_back(detectworker::decodeDetectResult(Reply));
-  }
-  obs::publishPoolStats(Pool.stats());
-  if (FirstError)
-    return *FirstError;
-  return Out;
-}
-
-} // namespace
-
 Result<std::vector<TestDetectionResult>> narada::detectRacesInTests(
     const IRModule &M, const std::vector<TestDetectJob> &Jobs,
     const DetectOptions &Options, unsigned JobCount,
     const detectworker::DetectIsolateContext *Iso) {
-  if (Iso && Iso->Isolate.Enabled)
-    return detectIsolated(Jobs, Options, JobCount, *Iso);
-  const unsigned Workers = resolveJobs(JobCount);
+  const bool Isolated = Iso && Iso->Isolate.Enabled;
+  UnitExecutor Exec(JobCount, "test", Isolated ? &Iso->Isolate : nullptr,
+                    Isolated ? detectworker::encodeSetup(*Iso, Options)
+                             : std::string());
   std::vector<std::optional<Result<TestDetectionResult>>> Slots(Jobs.size());
+  std::vector<std::optional<UnitFault>> Faults = Exec.run(
+      unitIds(Jobs.size()),
+      [&](size_t I) {
+        Slots[I].emplace(
+            detectRacesInTest(M, Jobs[I].TestName, Options, Jobs[I].Hints));
+      },
+      [&](size_t I) { return detectworker::encodeUnit(I, Jobs[I]); },
+      [&](size_t I, const wire::RecordReader &Reply) {
+        if (std::optional<std::string> Err = Reply.get("err"))
+          Slots[I].emplace(Error(*Err));
+        else
+          Slots[I].emplace(detectworker::decodeDetectResult(Reply));
+      });
 
-  // Captures a crash inside one test's detection and degrades it to a
-  // quarantined result: one misbehaving synthesized test must cost its own
-  // results, never the whole batch (let alone the process).
-  auto Quarantined = [&](size_t I, std::exception_ptr E) {
-    TestDetectionResult Q;
-    Q.Quarantined = true;
-    Q.QuarantineReason = "internal fault: " + describeException(E);
-    obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-    Metrics.counter("detect.quarantined").inc();
-    Metrics.counter("detect.internal_faults").inc();
-    NARADA_LOG_WARN("quarantined test %s: %s", Jobs[I].TestName.c_str(),
-                    Q.QuarantineReason.c_str());
-    return Q;
-  };
-
-  auto RunOne = [&](size_t I) {
-    fault::ScopedUnit Unit(I);
-    obs::TraceScope Scope("test", I);
-    try {
-      Slots[I].emplace(
-          detectRacesInTest(M, Jobs[I].TestName, Options, Jobs[I].Hints));
-    } catch (...) {
-      Slots[I].emplace(Quarantined(I, std::current_exception()));
-    }
-  };
-
-  if (Workers <= 1 || Jobs.size() <= 1) {
-    for (size_t I = 0; I < Jobs.size(); ++I)
-      RunOne(I);
-  } else {
-    // Independent schedule explorations for different tests run
-    // concurrently; each slot is written by exactly one task.
-    obs::SpanParent Parent{obs::Span::currentPath()};
-    std::vector<std::string> WorkerNames;
-    for (unsigned W = 0; W < Workers; ++W)
-      WorkerNames.push_back(formatString("worker%u", W));
-    ThreadPool Pool(Workers);
-    std::vector<ThreadPool::TaskFailure> Failures =
-        Pool.parallelFor(Jobs.size(), [&](size_t I, unsigned W) {
-          obs::Span WorkerSpan(WorkerNames[W], Parent);
-          RunOne(I);
-        });
-    // RunOne contains exceptions itself; the pool barrier is the backstop
-    // for anything escaping the slot bookkeeping.
-    for (ThreadPool::TaskFailure &F : Failures)
-      Slots[F.Item].emplace(Quarantined(F.Item, std::move(F.Error)));
-  }
-
-  // Merge in input order; surface the first error deterministically.
+  // Commit in input order: a faulted unit costs its own test, which is
+  // quarantined; the first detection error in input order fails the call.
   std::vector<TestDetectionResult> Out;
   Out.reserve(Jobs.size());
-  for (std::optional<Result<TestDetectionResult>> &Slot : Slots) {
-    if (!Slot->hasValue())
-      return Slot->error();
-    Out.push_back(Slot->take());
+  std::optional<Error> FirstError;
+  for (size_t I = 0; I < Jobs.size(); ++I) {
+    if (Faults[I]) {
+      const bool Crash = Faults[I]->K == UnitFault::Kind::Crash;
+      TestDetectionResult Q;
+      quarantine(Q, Jobs[I].TestName,
+                 Crash ? Faults[I]->Message
+                       : "internal fault: " + Faults[I]->Message);
+      obs::MetricsRegistry::global()
+          .counter(Crash ? "detect.worker_crashes" : "detect.internal_faults")
+          .inc();
+      Out.push_back(std::move(Q));
+    } else if (*Slots[I]) {
+      Out.push_back(Slots[I]->take());
+    } else if (!FirstError) {
+      FirstError = Slots[I]->error();
+    }
   }
+  if (FirstError)
+    return *FirstError;
   return Out;
 }

@@ -145,24 +145,24 @@ struct TestDetectJob {
   std::vector<std::pair<std::string, std::string>> Hints;
 };
 
-/// Runs detectRacesInTest for every job on \p JobCount worker threads
-/// (1 = inline on the calling thread, 0 = one per hardware thread).  Each
-/// test's schedule exploration is an independent deterministic function of
-/// (module, test, options) — the VM is rebuilt per run over the shared
-/// read-only module — so results are returned in input order and are
-/// identical for every JobCount.  On failure the first error in input
-/// order is returned.
-///
-/// Fault containment: an exception escaping one test's detection (e.g. an
-/// injected fault — see support/FaultInjection.h; jobs run under
-/// fault::ScopedUnit(index)) is captured per test and converted into a
-/// quarantined TestDetectionResult carrying the exception message; every
-/// other test's results are unaffected and the call still succeeds.
+/// Runs detectRacesInTest for every job as one unit of a UnitExecutor
+/// (obs/UnitExecutor.h) with \p JobCount workers (1 = inline on the
+/// calling thread, 0 = one per hardware thread).  Each test's schedule
+/// exploration is an independent deterministic function of (module, test,
+/// options) — the VM is rebuilt per run over the shared read-only module —
+/// so results are returned in input order and are identical for every
+/// JobCount.  On failure the first error in input order is returned.
 ///
 /// When \p Iso is non-null and enabled, each job instead runs in a worker
-/// subprocess (detect/DetectWorker.h): soft faults quarantine identically,
-/// and hard faults (SIGSEGV, OOM kill, hang) that would have taken this
-/// process down are contained and quarantined with a crash classification.
+/// subprocess (detect/DetectWorker.h); clean results are identical.
+///
+/// Fault containment: jobs run under fault::ScopedUnit(index).  A unit
+/// fault — an exception escaping one test's detection (e.g. an injected
+/// fault, see support/FaultInjection.h), or a hard fault (SIGSEGV, OOM
+/// kill, hang) that took its worker process down — is committed as a
+/// quarantined TestDetectionResult carrying the exception message or the
+/// crash classification; every other test's results are unaffected and
+/// the call still succeeds.
 Result<std::vector<TestDetectionResult>>
 detectRacesInTests(const IRModule &M, const std::vector<TestDetectJob> &Jobs,
                    const DetectOptions &Options = {}, unsigned JobCount = 1,

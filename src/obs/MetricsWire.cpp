@@ -6,7 +6,6 @@
 
 #include "obs/MetricsWire.h"
 
-#include "support/ProcessPool.h"
 #include "support/StringUtils.h"
 
 #include <cstdlib>
@@ -69,31 +68,4 @@ void obs::mergeMetricsDelta(const wire::RecordReader &In,
   for (const std::string &Entry : In.all("phase"))
     if (splitEntry(Entry, Name, A, B, 2) && B > 0)
       Registry.addPhase(Name, A, static_cast<uint64_t>(B));
-}
-
-void obs::publishPoolStats(const pool::PoolStats &S,
-                           MetricsRegistry &Registry) {
-  auto Publish = [&](const char *Name, uint64_t Value) {
-    if (Value)
-      Registry.counter(Name).inc(Value);
-  };
-  Publish("pool.workers_spawned", S.WorkersSpawned);
-  Publish("pool.workers_respawned", S.WorkersRespawned);
-  Publish("pool.workers_crashed", S.WorkersCrashed);
-  Publish("pool.workers_timed_out", S.WorkersTimedOut);
-  Publish("pool.units_dispatched", S.UnitsDispatched);
-  Publish("pool.units_redispatched", S.UnitsRedispatched);
-  Publish("pool.units_poisoned", S.UnitsPoisoned);
-  Publish("pool.backoff_waits", S.BackoffWaits);
-  Publish("pool.backoff_ms_total",
-          static_cast<uint64_t>(S.BackoffMsTotal + 0.5));
-}
-
-void obs::observePoolUnitMicros(uint64_t Micros, MetricsRegistry &Registry) {
-  // 100us .. 10s in decade steps: unit cost spans compile-sized setup
-  // amortization at the low end to deadline-bounded units at the top.
-  Registry
-      .histogram("pool.unit_micros",
-                 {100, 1000, 10000, 100000, 1000000, 10000000})
-      .observe(Micros);
 }

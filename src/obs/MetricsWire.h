@@ -28,9 +28,6 @@
 #include "support/Wire.h"
 
 namespace narada {
-namespace pool {
-struct PoolStats;
-}
 namespace obs {
 
 /// Appends every non-zero counter/gauge/phase of \p S to \p Out.
@@ -42,18 +39,6 @@ void appendMetricsDelta(wire::RecordWriter &Out, const MetricsSnapshot &S);
 /// Merges a delta read from \p In into \p Registry.
 void mergeMetricsDelta(const wire::RecordReader &In,
                        MetricsRegistry &Registry = MetricsRegistry::global());
-
-/// Publishes a ProcessPool's lifetime statistics as `pool.*` counters —
-/// the supervisor-side half of pool observability (the pool itself lives
-/// below the metrics layer).  Call once per pool, after its last round.
-void publishPoolStats(const pool::PoolStats &S,
-                      MetricsRegistry &Registry = MetricsRegistry::global());
-
-/// Records one unit's dispatch-to-outcome wall time in the
-/// `pool.unit_micros` histogram (per-unit isolation overhead).
-void observePoolUnitMicros(uint64_t Micros,
-                           MetricsRegistry &Registry =
-                               MetricsRegistry::global());
 
 } // namespace obs
 } // namespace narada

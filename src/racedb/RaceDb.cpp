@@ -172,29 +172,13 @@ std::string racedb::renderRaceDb(const RaceDb &Db) {
 }
 
 bool racedb::saveRaceDb(const std::string &Path, const RaceDb &Db) {
-  const std::string TempPath = Path + ".tmp";
-  int Fd = ::open(TempPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (Fd < 0) {
-    NARADA_LOG_WARN("racedb: cannot write db file '%s'", TempPath.c_str());
-    return false;
-  }
   const std::string Bytes = renderRaceDb(Db);
-  bool Ok = true;
-  size_t Off = 0;
-  while (Ok && Off < Bytes.size()) {
-    ssize_t N = ::write(Fd, Bytes.data() + Off, Bytes.size() - Off);
-    if (N <= 0)
-      Ok = false;
-    else
-      Off += static_cast<size_t>(N);
-  }
-  ::close(Fd);
-  if (!Ok || ::rename(TempPath.c_str(), Path.c_str()) != 0) {
+  bool Saved = wire::replaceFileDurably(Path, [&](int Fd) {
+    return wire::writeAll(Fd, Bytes.data(), Bytes.size());
+  });
+  if (!Saved)
     NARADA_LOG_WARN("racedb: failed to persist db file '%s'", Path.c_str());
-    ::unlink(TempPath.c_str());
-    return false;
-  }
-  return true;
+  return Saved;
 }
 
 Result<RaceDb> racedb::loadRaceDb(const std::string &Path, LoadStats *Stats) {

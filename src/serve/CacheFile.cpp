@@ -239,56 +239,49 @@ decodeMemoFrame(const wire::RecordReader &In) {
 
 bool serve::saveCacheFile(const std::string &Path,
                           const CacheSnapshot &Snapshot) {
-  const std::string TempPath = Path + ".tmp";
-  int Fd = ::open(TempPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (Fd < 0) {
-    NARADA_LOG_WARN("serve: cannot write cache file '%s'", TempPath.c_str());
-    return false;
-  }
-  bool Ok = true;
-  auto Emit = [&](const wire::RecordWriter &W) {
-    if (Ok && !wire::writeFrame(Fd, W.str()))
-      Ok = false;
-  };
-  {
-    wire::RecordWriter Header;
-    Header.add("magic", std::string_view(Magic));
-    Header.add("version", Version);
-    Emit(Header);
-  }
-  for (const auto &[Symbol, Entry] : Snapshot.Summaries) {
-    wire::RecordWriter W;
-    encodeSummaryFrame(W, Symbol, Entry);
-    Emit(W);
-  }
-  for (const auto &[Digest, Memo] : Snapshot.MemoScopes) {
-    wire::RecordWriter W;
-    encodeMemoFrame(W, Digest, *Memo);
-    Emit(W);
-  }
-  for (const auto &[Name, Digest] : Snapshot.InputDigests) {
-    wire::RecordWriter W;
-    W.add("kind", std::string_view("input"));
-    W.add("name", Name);
-    W.add("digest", Digest);
-    Emit(W);
-  }
-  // Written in FIFO order so the eviction queue reloads exactly as it was.
-  for (uint64_t Key : Snapshot.DetectOrder) {
-    auto It = Snapshot.DetectMemo.find(Key);
-    if (It == Snapshot.DetectMemo.end())
-      continue;
-    wire::RecordWriter W;
-    encodeDetectMemoFrame(W, Key, It->second);
-    Emit(W);
-  }
-  ::close(Fd);
-  if (!Ok || ::rename(TempPath.c_str(), Path.c_str()) != 0) {
+  // Streamed frame by frame: the snapshot is never rendered in memory.
+  bool Saved = wire::replaceFileDurably(Path, [&](int Fd) {
+    bool Ok = true;
+    auto Emit = [&](const wire::RecordWriter &W) {
+      Ok = Ok && wire::writeFrame(Fd, W.str());
+    };
+    {
+      wire::RecordWriter Header;
+      Header.add("magic", std::string_view(Magic));
+      Header.add("version", Version);
+      Emit(Header);
+    }
+    for (const auto &[Symbol, Entry] : Snapshot.Summaries) {
+      wire::RecordWriter W;
+      encodeSummaryFrame(W, Symbol, Entry);
+      Emit(W);
+    }
+    for (const auto &[Digest, Memo] : Snapshot.MemoScopes) {
+      wire::RecordWriter W;
+      encodeMemoFrame(W, Digest, *Memo);
+      Emit(W);
+    }
+    for (const auto &[Name, Digest] : Snapshot.InputDigests) {
+      wire::RecordWriter W;
+      W.add("kind", std::string_view("input"));
+      W.add("name", Name);
+      W.add("digest", Digest);
+      Emit(W);
+    }
+    // Written in FIFO order so the eviction queue reloads exactly as it was.
+    for (uint64_t Key : Snapshot.DetectOrder) {
+      auto It = Snapshot.DetectMemo.find(Key);
+      if (It == Snapshot.DetectMemo.end())
+        continue;
+      wire::RecordWriter W;
+      encodeDetectMemoFrame(W, Key, It->second);
+      Emit(W);
+    }
+    return Ok;
+  });
+  if (!Saved)
     NARADA_LOG_WARN("serve: failed to persist cache file '%s'", Path.c_str());
-    ::unlink(TempPath.c_str());
-    return false;
-  }
-  return true;
+  return Saved;
 }
 
 Result<CacheSnapshot> serve::loadCacheFile(const std::string &Path) {

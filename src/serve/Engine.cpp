@@ -33,7 +33,9 @@
 #include "synth/PairGenerator.h"
 #include "trace/Trace.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -74,6 +76,30 @@ bool parsePositiveCount(const char *Text, unsigned &Out) {
     return false;
   Out = Value;
   return true;
+}
+
+/// Parses a number of seconds; the whole text must be the number.
+bool parseSeconds(const char *Text, double &Out) {
+  errno = 0;
+  char *End = nullptr;
+  double Value = std::strtod(Text, &End);
+  if (End == Text || *End != '\0' || errno == ERANGE)
+    return false;
+  Out = Value;
+  return true;
+}
+
+/// Stores flag \p Flag's value \p Text in \p Out through \p Parse; an
+/// invalid value is ignored with a warning, and \p Out keeps its value.
+template <typename T>
+void readFlag(const char *Flag, const char *Text, T &Out,
+              bool (*Parse)(const char *, T &)) {
+  if (Parse(Text, Out))
+    return;
+  std::ostringstream Keeping;
+  Keeping << Out;
+  std::fprintf(stderr, "warning: ignoring invalid %s '%s' (keeping %s)\n",
+               Flag, Text, Keeping.str().c_str());
 }
 
 int cmdRun(CliArgs &Args, const std::string &Source) {
@@ -688,22 +714,23 @@ std::optional<CliArgs> serve::parseArgs(int Argc, char **Argv) {
     if (Arg == "--class" && I + 1 < Argc) {
       Args.FocusClass = Argv[++I];
     } else if (Arg == "--seed" && I + 1 < Argc) {
-      Args.Seed = std::stoull(Argv[++I]);
+      readFlag("--seed", Argv[++I], Args.Seed, parseUnsigned);
     } else if (Arg == "--tests" && I + 1 < Argc) {
-      Args.Tests = static_cast<unsigned>(std::stoul(Argv[++I]));
+      readFlag("--tests", Argv[++I], Args.Tests, parseUnsigned);
     } else if (Arg == "--jobs" && I + 1 < Argc) {
-      Args.Jobs = static_cast<unsigned>(std::stoul(Argv[++I]));
+      readFlag("--jobs", Argv[++I], Args.Jobs, parseJobs);
     } else if (Arg == "--report" && I + 1 < Argc) {
       Args.ReportPath = Argv[++I];
     } else if (Arg == "--trace" && I + 1 < Argc) {
       Args.TracePath = Argv[++I];
     } else if (Arg == "--max-steps" && I + 1 < Argc) {
-      Args.Detect.MaxSteps = std::stoull(Argv[++I]);
+      readFlag("--max-steps", Argv[++I], Args.Detect.MaxSteps, parseUnsigned);
     } else if (Arg == "--step-retries" && I + 1 < Argc) {
-      Args.Detect.StepLimitRetries =
-          static_cast<unsigned>(std::stoul(Argv[++I]));
+      readFlag("--step-retries", Argv[++I], Args.Detect.StepLimitRetries,
+               parseUnsigned);
     } else if (Arg == "--wall-budget" && I + 1 < Argc) {
-      Args.Detect.WallBudgetSeconds = std::stod(Argv[++I]);
+      readFlag("--wall-budget", Argv[++I], Args.Detect.WallBudgetSeconds,
+               parseSeconds);
     } else if (Arg == "--policy" && I + 1 < Argc) {
       Args.PolicyName = Argv[++I];
       if (!makePolicy(Args.PolicyName, /*Seed=*/1)) {
@@ -721,19 +748,11 @@ std::optional<CliArgs> serve::parseArgs(int Argc, char **Argv) {
         return std::nullopt;
       }
     } else if (Arg == "--max-schedules" && I + 1 < Argc) {
-      const char *Value = Argv[++I];
-      if (!parsePositiveCount(Value, Args.Detect.Explore.MaxSchedules))
-        std::fprintf(stderr,
-                     "warning: ignoring invalid --max-schedules '%s' "
-                     "(keeping %u)\n",
-                     Value, Args.Detect.Explore.MaxSchedules);
+      readFlag("--max-schedules", Argv[++I],
+               Args.Detect.Explore.MaxSchedules, parsePositiveCount);
     } else if (Arg == "--confirm-attempts" && I + 1 < Argc) {
-      const char *Value = Argv[++I];
-      if (!parsePositiveCount(Value, Args.Detect.ConfirmAttempts))
-        std::fprintf(stderr,
-                     "warning: ignoring invalid --confirm-attempts '%s' "
-                     "(keeping %u)\n",
-                     Value, Args.Detect.ConfirmAttempts);
+      readFlag("--confirm-attempts", Argv[++I], Args.Detect.ConfirmAttempts,
+               parsePositiveCount);
     } else if (Arg == "--replay" && I + 1 < Argc) {
       Args.ReplayPath = Argv[++I];
       Args.Detect.Mode = ExplorationMode::Replay;
@@ -748,27 +767,20 @@ std::optional<CliArgs> serve::parseArgs(int Argc, char **Argv) {
     } else if (Arg == "--gen-seeds") {
       Args.GenSeeds = true;
     } else if (Arg == "--gen-rounds" && I + 1 < Argc) {
-      const char *Value = Argv[++I];
-      if (!parsePositiveCount(Value, Args.GenRounds))
-        std::fprintf(stderr,
-                     "warning: ignoring invalid --gen-rounds '%s' "
-                     "(keeping %u)\n",
-                     Value, Args.GenRounds);
+      readFlag("--gen-rounds", Argv[++I], Args.GenRounds, parsePositiveCount);
     } else if (Arg == "--gen-budget" && I + 1 < Argc) {
-      const char *Value = Argv[++I];
-      if (!parsePositiveCount(Value, Args.GenBudget))
-        std::fprintf(stderr,
-                     "warning: ignoring invalid --gen-budget '%s' "
-                     "(keeping %u)\n",
-                     Value, Args.GenBudget);
+      readFlag("--gen-budget", Argv[++I], Args.GenBudget, parsePositiveCount);
     } else if (Arg == "--isolate") {
       Args.Isolate.Enabled = true;
     } else if (Arg == "--worker-deadline" && I + 1 < Argc) {
-      Args.Isolate.UnitDeadlineSeconds = std::stod(Argv[++I]);
+      readFlag("--worker-deadline", Argv[++I],
+               Args.Isolate.UnitDeadlineSeconds, parseSeconds);
     } else if (Arg == "--worker-cpu-limit" && I + 1 < Argc) {
-      Args.Isolate.WorkerCpuLimitSeconds = std::stoull(Argv[++I]);
+      readFlag("--worker-cpu-limit", Argv[++I],
+               Args.Isolate.WorkerCpuLimitSeconds, parseUnsigned);
     } else if (Arg == "--worker-mem-limit" && I + 1 < Argc) {
-      Args.Isolate.WorkerMemLimitMb = std::stoull(Argv[++I]);
+      readFlag("--worker-mem-limit", Argv[++I], Args.Isolate.WorkerMemLimitMb,
+               parseUnsigned);
     } else if (Arg == "--stats") {
       Args.Stats = true;
     } else if (Arg.rfind("--", 0) == 0) {

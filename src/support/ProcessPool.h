@@ -34,8 +34,8 @@
 ///    canonical order regardless of which worker ran what when.
 ///
 /// Layering: this lives in narada_support, *below* narada_obs, so it
-/// reports statistics through PoolStats; callers (synth/detect drivers)
-/// publish those as `pool.*` metrics.
+/// reports statistics through PoolStats; its pipeline caller, UnitExecutor
+/// (obs/UnitExecutor.h), publishes those as `pool.*` metrics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,7 +71,7 @@ struct UnitOutcome;
 
 /// Quarantine message for a hard-faulted unit: "hard fault: <kind>:
 /// <detail>" plus partial-output / poison annotations.  Shared by the
-/// synth and detect drivers so crash records read the same everywhere.
+/// synth and detect stages so crash records read the same everywhere.
 std::string describeCrash(const UnitOutcome &O);
 
 /// Configuration for one pool.

@@ -48,11 +48,10 @@ inline unsigned resolveJobs(unsigned Requested) {
   return HW == 0 ? 1 : HW;
 }
 
-/// Parses a --jobs/NARADA_JOBS value: a base-10 unsigned integer where 0
-/// means "all hardware threads".  Returns false and leaves \p Out untouched
-/// on empty, non-numeric, or out-of-range input, so callers keep their
-/// default instead of silently escalating to maximum parallelism.
-inline bool parseJobs(const char *Text, unsigned &Out) {
+/// Parses a base-10 unsigned integer that fits in \p T.  Returns false and
+/// leaves \p Out untouched on empty, signed, non-numeric, or out-of-range
+/// input, so callers keep their default.
+template <typename T> bool parseUnsigned(const char *Text, T &Out) {
   if (!Text || *Text == '\0')
     return false;
   for (const char *P = Text; *P; ++P)
@@ -60,12 +59,19 @@ inline bool parseJobs(const char *Text, unsigned &Out) {
       return false;
   errno = 0;
   char *End = nullptr;
-  unsigned long Value = std::strtoul(Text, &End, 10);
+  unsigned long long Value = std::strtoull(Text, &End, 10);
   if (End == Text || *End != '\0' || errno == ERANGE ||
-      Value > std::numeric_limits<unsigned>::max())
+      Value > std::numeric_limits<T>::max())
     return false;
-  Out = static_cast<unsigned>(Value);
+  Out = static_cast<T>(Value);
   return true;
+}
+
+/// Parses a --jobs/NARADA_JOBS value, where 0 means "all hardware threads";
+/// on malformed input callers keep their default instead of silently
+/// escalating to maximum parallelism.
+inline bool parseJobs(const char *Text, unsigned &Out) {
+  return parseUnsigned(Text, Out);
 }
 
 /// A fixed-size work-stealing thread pool.  Construct with the worker

@@ -9,6 +9,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fcntl.h>
+#include <filesystem>
 #include <unistd.h>
 
 using namespace narada;
@@ -168,9 +170,7 @@ std::vector<std::string> RecordReader::all(std::string_view Key) const {
   return Out;
 }
 
-namespace {
-
-bool writeAll(int Fd, const char *Data, size_t N) {
+bool wire::writeAll(int Fd, const char *Data, size_t N) {
   while (N > 0) {
     ssize_t Wrote = ::write(Fd, Data, N);
     if (Wrote < 0) {
@@ -183,6 +183,36 @@ bool writeAll(int Fd, const char *Data, size_t N) {
   }
   return true;
 }
+
+bool wire::replaceFileDurably(const std::string &Path,
+                              const std::function<bool(int Fd)> &Write) {
+  auto SyncFd = [](int Fd) {
+    while (::fsync(Fd) != 0)
+      if (errno != EINTR)
+        return false;
+    return true;
+  };
+  const std::string TempPath = Path + ".tmp";
+  int Fd = ::open(TempPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (Fd < 0)
+    return false;
+  bool Ok = Write(Fd) && SyncFd(Fd);
+  Ok = ::close(Fd) == 0 && Ok;
+  if (!Ok || ::rename(TempPath.c_str(), Path.c_str()) != 0) {
+    ::unlink(TempPath.c_str());
+    return false;
+  }
+  // The rename is durable once the directory entry is.
+  std::string Dir = std::filesystem::path(Path).parent_path().string();
+  int DirFd = ::open(Dir.empty() ? "." : Dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (DirFd < 0)
+    return false;
+  Ok = SyncFd(DirFd);
+  ::close(DirFd);
+  return Ok;
+}
+
+namespace {
 
 /// Reads exactly \p N bytes; returns how many were read before EOF/error
 /// (negative on error).

@@ -20,12 +20,16 @@
 /// lists.  The format is deliberately line-oriented and human-readable:
 /// a captured frame pastes straight into a bug report.
 ///
+/// The durable snapshot files (the daemon cache, the race database) are
+/// frame sequences too, saved through replaceFileDurably.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NARADA_SUPPORT_WIRE_H
 #define NARADA_SUPPORT_WIRE_H
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -89,6 +93,18 @@ public:
 private:
   std::vector<std::pair<std::string, std::string>> Entries;
 };
+
+/// Writes all \p N bytes at \p Data to \p Fd, retrying on EINTR and short
+/// writes; false on any write error.
+bool writeAll(int Fd, const char *Data, size_t N);
+
+/// Replaces \p Path with what \p Write writes into the descriptor it is
+/// given (a fresh `<Path>.tmp`), fsyncing the file before the rename and
+/// the directory after it, so a crash leaves the old file or the complete
+/// new one.  False when any step fails; \p Path is then untouched unless
+/// only the directory sync failed.
+bool replaceFileDurably(const std::string &Path,
+                        const std::function<bool(int Fd)> &Write);
 
 /// Writes one frame to \p Fd (blocking, retries on EINTR and short
 /// writes).  Returns false on any write error (e.g. EPIPE from a dead

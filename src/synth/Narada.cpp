@@ -45,6 +45,32 @@ std::string SkippedPair::str() const {
   return Out;
 }
 
+Result<CompiledProgram>
+narada::compileNormalized(std::string_view LibrarySource,
+                          const std::vector<std::string> &SeedNames,
+                          std::string &NormalizedSource) {
+  Result<CompiledProgram> Original = compileProgram(LibrarySource);
+  if (!Original)
+    return Original;
+  for (const auto &Class : Original->Ast->Classes)
+    NormalizedSource += printClass(*Class) + "\n";
+  for (const std::string &SeedName : SeedNames) {
+    const TestDecl *Seed = Original->Ast->findTest(SeedName);
+    if (!Seed)
+      return Error(formatString("no seed test named '%s'", SeedName.c_str()));
+    Result<std::unique_ptr<TestDecl>> Norm =
+        normalizeSeed(*Seed, *Original->Info);
+    if (!Norm)
+      return Norm.error();
+    NormalizedSource += printTest(**Norm) + "\n";
+  }
+  Result<CompiledProgram> Recompiled = compileProgram(NormalizedSource);
+  if (!Recompiled)
+    return Error("internal: normalized seeds failed to recompile: " +
+                 Recompiled.error().str());
+  return Recompiled;
+}
+
 Result<NaradaResult>
 narada::runNarada(std::string_view LibrarySource,
                   const std::vector<std::string> &SeedNames,
@@ -58,31 +84,9 @@ narada::runNarada(std::string_view LibrarySource,
   // Pass 1: compile the library + original seeds, then normalize the seeds
   // so collectObjects is a syntactic prefix inline.
   std::string NormalizedSource;
-  Result<CompiledProgram> Normalized = [&]() -> Result<CompiledProgram> {
+  Result<CompiledProgram> Normalized = [&] {
     obs::Span FrontendSpan("frontend", &Out.Stages.FrontendSeconds);
-    Result<CompiledProgram> Original = compileProgram(LibrarySource);
-    if (!Original)
-      return Original;
-
-    for (const auto &Class : Original->Ast->Classes)
-      NormalizedSource += printClass(*Class) + "\n";
-    for (const std::string &SeedName : SeedNames) {
-      const TestDecl *Seed = Original->Ast->findTest(SeedName);
-      if (!Seed)
-        return Error(
-            formatString("no seed test named '%s'", SeedName.c_str()));
-      Result<std::unique_ptr<TestDecl>> Norm =
-          normalizeSeed(*Seed, *Original->Info);
-      if (!Norm)
-        return Norm.error();
-      NormalizedSource += printTest(**Norm) + "\n";
-    }
-
-    Result<CompiledProgram> Recompiled = compileProgram(NormalizedSource);
-    if (!Recompiled)
-      return Error("internal: normalized seeds failed to recompile: " +
-                   Recompiled.error().str());
-    return Recompiled;
+    return compileNormalized(LibrarySource, SeedNames, NormalizedSource);
   }();
   if (!Normalized)
     return Normalized.error();

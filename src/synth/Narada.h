@@ -183,6 +183,14 @@ struct NaradaResult {
   NaradaStageTimes Stages;
 };
 
+/// Pass 1 of runNarada, shared with the --isolate synthesis worker: the
+/// library plus its normalized seeds \p SeedNames, recompiled; their
+/// source is appended to \p NormalizedSource.
+Result<CompiledProgram>
+compileNormalized(std::string_view LibrarySource,
+                  const std::vector<std::string> &SeedNames,
+                  std::string &NormalizedSource);
+
 /// Runs the full pipeline on \p LibrarySource using the tests named in
 /// \p SeedNames as the sequential seed suite.
 Result<NaradaResult> runNarada(std::string_view LibrarySource,

@@ -8,13 +8,10 @@
 
 #include "lang/ASTPrinter.h"
 #include "obs/Log.h"
-#include "obs/MetricsWire.h"
 #include "obs/Span.h"
-#include "obs/Trace.h"
+#include "obs/UnitExecutor.h"
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
-#include "support/ThreadPool.h"
-#include "support/Wire.h"
 #include "synth/SynthWorker.h"
 
 #include <cstring>
@@ -50,40 +47,25 @@ void countSkip(SkipReason Reason) {
       .inc();
 }
 
-/// Per-pair state filled by the parallel phases, merged serially.
+/// Per-pair state filled by the unit phases, committed serially.
 struct PairSlot {
-  SharingPlan Plan;
+  SharingPlan Plan; ///< In process only; isolated plans stay in the workers.
   std::string Shape;
-  bool Attempted = false;
-  std::optional<Result<std::unique_ptr<TestDecl>>> Attempt;
-  /// Set when this pair's derivation/synthesis task threw: the pair is
-  /// committed as an internal_fault skip and never re-attempted (the fault
-  /// is assumed deterministic, like every other per-pair outcome).
-  bool Faulted = false;
-  std::string FaultMessage;
+  std::optional<SynthAttempt> Attempt; ///< Set once the pair was attempted.
+  /// Set when this pair's derivation or synthesis unit faulted: the pair is
+  /// committed as an internal_fault (or worker_crash) skip and never
+  /// re-attempted (the fault is assumed deterministic, like every other
+  /// per-pair outcome).
+  std::optional<UnitFault> Fault;
 };
 
-/// Marks \p Slot faulted with the message of \p E.  The shape becomes a
-/// per-pair sentinel no real shape can collide with, so a faulted lead
-/// never absorbs healthy pairs of its (unknown) shape.
-void markFaulted(PairSlot &Slot, size_t PairIndex, std::exception_ptr E) {
-  Slot.Faulted = true;
-  Slot.FaultMessage = describeException(E);
+/// Marks \p Slot faulted.  The shape becomes a per-pair sentinel no real
+/// shape can collide with, so a faulted lead never absorbs healthy pairs
+/// of its (unknown) shape.
+void markFaulted(PairSlot &Slot, size_t PairIndex, UnitFault Fault) {
+  Slot.Fault = std::move(Fault);
   Slot.Shape = formatString("<internal-fault>#%zu", PairIndex);
 }
-
-/// Per-worker pipeline instances: stage objects are cheap wrappers over
-/// the shared read-only databases, so giving each worker its own keeps
-/// them trivially race-free.
-struct WorkerState {
-  WorkerState(const AnalysisResult &Analysis, const ProgramInfo &Info,
-              const SeedRegistry &Registry, DerivationMemo *Memo)
-      : Deriver(Analysis, Info), Synth(Registry, Info) {
-    Deriver.setMemo(Memo);
-  }
-  ContextDeriver Deriver;
-  TestSynthesizer Synth;
-};
 
 } // namespace
 
@@ -159,221 +141,22 @@ narada::planCommit(const std::vector<std::string> &Shapes,
   return Out;
 }
 
-namespace {
-
-/// Per-pair state of the isolated stage: what unit replies (or crash
-/// classifications) established, mirroring PairSlot without the
-/// in-process Plan/Attempt objects (those live in the workers).
-struct IsoSlot {
-  std::string Shape;
-  bool Faulted = false;
-  SkipReason FaultReason = SkipReason::InternalFault;
-  std::string FaultMessage;
-  bool Attempted = false;
-  bool AttemptOk = false;
-  std::string Source; ///< Placeholder-named test source (AttemptOk).
-  bool Complete = false;
-  std::string SharedClass;
-  std::string ErrMessage; ///< Synthesizer error message (classification).
-  std::string ErrStr;     ///< Full error text (skip record).
-};
-
-void markIsoFaulted(IsoSlot &Slot, size_t PairIndex, SkipReason Reason,
-                    std::string Message) {
-  Slot.Faulted = true;
-  Slot.FaultReason = Reason;
-  Slot.FaultMessage = std::move(Message);
-  Slot.Shape = formatString("<internal-fault>#%zu", PairIndex);
-}
-
-/// Applies one unit outcome to its slot: hard crashes become WorkerCrash
-/// faults carrying the classification; a fault= record (contained soft
-/// failure in the worker) mirrors the in-process internal_fault path;
-/// otherwise \p Apply sees the parsed reply.  Metric deltas merge either
-/// way — the worker did the work even when it failed softly.
-template <typename ApplyFn>
-void applyOutcome(IsoSlot &Slot, size_t PairIndex,
-                  const pool::UnitOutcome &O, ApplyFn Apply) {
-  obs::observePoolUnitMicros(O.Micros);
-  if (!O.Ok) {
-    markIsoFaulted(Slot, PairIndex, SkipReason::WorkerCrash,
-                   pool::describeCrash(O));
-    return;
+SynthAttempt narada::attemptSynthesis(TestSynthesizer &Synth,
+                                      const RacyPair &Pair,
+                                      const SharingPlan &Plan) {
+  Result<std::unique_ptr<TestDecl>> Test =
+      Synth.synthesize(Pair, Plan, SynthPlaceholderName);
+  SynthAttempt Out;
+  if (!Test) {
+    Out.Err = Test.error();
+    return Out;
   }
-  wire::RecordReader Reply(O.Payload);
-  obs::mergeMetricsDelta(Reply);
-  if (std::optional<std::string> Fault = Reply.get("fault")) {
-    markIsoFaulted(Slot, PairIndex, SkipReason::InternalFault, *Fault);
-    return;
-  }
-  Apply(Reply);
-}
-
-/// The --isolate synthesis stage: phases A/B run as unit requests against
-/// a crash-contained worker pool, then the identical commit walk replays
-/// the serial bookkeeping.  Clean runs are byte-identical to the
-/// in-process stage; hard-faulted units degrade to worker_crash skips.
-SynthStageOutput runIsolatedSynthesisStage(const std::vector<RacyPair> &Pairs,
-                                           const NaradaOptions &Options,
-                                           const SynthIsolateContext &Iso) {
-  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-  const size_t N = Pairs.size();
-  const unsigned WorkerCount =
-      resolveJobs(Options.Jobs == 0 ? 0 : Options.Jobs);
-  Metrics.gauge("synth.jobs").set(static_cast<int64_t>(WorkerCount));
-
-  pool::ProcessPool Pool(Iso.Isolate.poolOptions(
-      WorkerCount,
-      synthworker::encodeSetup(Iso, Options, obs::Span::currentPath())));
-
-  std::vector<IsoSlot> Slots(N);
-
-  // Phase A: every pair's shape, derived out of process.
-  {
-    std::vector<std::string> Units;
-    Units.reserve(N);
-    for (size_t I = 0; I < N; ++I)
-      Units.push_back(synthworker::encodeUnit("derive", I, Pairs[I].key()));
-    std::vector<pool::UnitOutcome> Outcomes = Pool.run(Units);
-    for (size_t I = 0; I < N; ++I)
-      applyOutcome(Slots[I], I, Outcomes[I],
-                   [&](const wire::RecordReader &Reply) {
-                     Slots[I].Shape = Reply.getOr("shape", "");
-                     if (Slots[I].Shape.empty())
-                       markIsoFaulted(Slots[I], I, SkipReason::WorkerCrash,
-                                      "hard fault: protocol-error: derive "
-                                      "reply carried no shape");
-                   });
-  }
-
-  // Phase B: one synthesis unit per first-of-shape lead.
-  auto ApplySynthReply = [](IsoSlot &Slot, const wire::RecordReader &Reply) {
-    Slot.Attempted = true;
-    Slot.AttemptOk = Reply.getBool("ok");
-    if (Slot.AttemptOk) {
-      Slot.Source = Reply.getOr("source", "");
-      Slot.Complete = Reply.getBool("complete");
-      Slot.SharedClass = Reply.getOr("shared_class", "");
-    } else {
-      Slot.ErrMessage = Reply.getOr("err_message", "");
-      Slot.ErrStr = Reply.getOr("err_str", Slot.ErrMessage);
-    }
-  };
-  std::vector<size_t> Leads;
-  {
-    std::unordered_map<std::string, size_t> FirstOfShape;
-    for (size_t I = 0; I < N; ++I)
-      if (!Slots[I].Faulted &&
-          FirstOfShape.try_emplace(Slots[I].Shape, I).second)
-        Leads.push_back(I);
-  }
-  {
-    std::vector<std::string> Units;
-    Units.reserve(Leads.size());
-    for (size_t I : Leads)
-      Units.push_back(synthworker::encodeUnit("synth", I, Pairs[I].key()));
-    std::vector<pool::UnitOutcome> Outcomes = Pool.run(Units);
-    for (size_t K = 0; K < Leads.size(); ++K)
-      applyOutcome(Slots[Leads[K]], Leads[K], Outcomes[K],
-                   [&](const wire::RecordReader &Reply) {
-                     ApplySynthReply(Slots[Leads[K]], Reply);
-                   });
-  }
-
-  // Commit: the identical serial walk; re-attempts for non-lead pairs of
-  // failed shapes go to the pool one unit at a time, exactly when the
-  // serial loop would have attempted them.
-  std::vector<std::string> Shapes;
-  Shapes.reserve(N);
-  for (const IsoSlot &Slot : Slots)
-    Shapes.push_back(Slot.Shape);
-
-  auto SynthesisSucceeds = [&](size_t I) {
-    IsoSlot &Slot = Slots[I];
-    if (Slot.Faulted)
-      return false;
-    if (!Slot.Attempted) {
-      std::vector<pool::UnitOutcome> One = Pool.run(
-          {synthworker::encodeUnit("synth", I, Pairs[I].key())});
-      applyOutcome(Slot, I, One[0], [&](const wire::RecordReader &Reply) {
-        ApplySynthReply(Slot, Reply);
-      });
-      if (Slot.Faulted)
-        return false;
-    }
-    return Slot.AttemptOk;
-  };
-  std::vector<CommitDecision> Decisions =
-      planCommit(Shapes, SynthesisSucceeds, Options.MaxTests);
-
-  SynthStageOutput Out;
-  for (size_t I = 0; I < N; ++I) {
-    const RacyPair &Pair = Pairs[I];
-    IsoSlot &Slot = Slots[I];
-    if (Slot.Faulted) {
-      NARADA_LOG_WARN("pair %s %s, contained: %s", Pair.key().c_str(),
-                      Slot.FaultReason == SkipReason::WorkerCrash
-                          ? "hard-faulted its worker"
-                          : "crashed during synthesis",
-                      Slot.FaultMessage.c_str());
-      Out.Skipped.push_back(
-          {Pair.key(), Slot.FaultReason, Slot.FaultMessage});
-      countSkip(Slot.FaultReason);
-      continue;
-    }
-    switch (Decisions[I].K) {
-    case CommitDecision::Kind::Join: {
-      SynthesizedTestInfo &Test = Out.Tests[Decisions[I].TestIndex];
-      Test.CoveredPairKeys.push_back(Pair.key());
-      Test.CandidateLabels.emplace_back(Pair.First.AccessLabel,
-                                        Pair.Second.AccessLabel);
-      Metrics.counter("synth.pairs_deduped").inc();
-      break;
-    }
-    case CommitDecision::Kind::BudgetSkip:
-      Out.Skipped.push_back({Pair.key(), SkipReason::TestBudget, ""});
-      countSkip(SkipReason::TestBudget);
-      break;
-    case CommitDecision::Kind::FailSkip: {
-      SkipReason Reason = classifySkip(Error(Slot.ErrMessage));
-      NARADA_LOG_DEBUG("skip %s (%s): %s", Pair.key().c_str(),
-                       skipReasonId(Reason), Slot.ErrStr.c_str());
-      Out.Skipped.push_back({Pair.key(), Reason, Slot.ErrStr});
-      countSkip(Reason);
-      break;
-    }
-    case CommitDecision::Kind::NewTest: {
-      SynthesizedTestInfo TestInfo;
-      TestInfo.Name = formatString("%s_%03zu", Options.TestNamePrefix.c_str(),
-                                   Out.Tests.size());
-      // The worker printed the test under the placeholder; splice in the
-      // final dense name the commit order just assigned.
-      TestInfo.SourceText = Slot.Source;
-      size_t At = TestInfo.SourceText.find(SynthPlaceholderName);
-      if (At != std::string::npos)
-        TestInfo.SourceText.replace(At, std::strlen(SynthPlaceholderName),
-                                    TestInfo.Name);
-      TestInfo.Representative = Pair;
-      TestInfo.CoveredPairKeys.push_back(Pair.key());
-      TestInfo.ContextComplete = Slot.Complete;
-      TestInfo.SharedClassName = Slot.SharedClass;
-      TestInfo.Field = Pair.Field;
-      TestInfo.CandidateLabels.emplace_back(Pair.First.AccessLabel,
-                                            Pair.Second.AccessLabel);
-      Out.SynthesizedSource += TestInfo.SourceText + "\n";
-      Out.Tests.push_back(std::move(TestInfo));
-      Metrics.counter("synth.tests_synthesized").inc();
-      if (!Slot.Complete)
-        Metrics.counter("synth.tests_partial_context").inc();
-      break;
-    }
-    }
-  }
-  obs::publishPoolStats(Pool.stats());
+  Out.Ok = true;
+  Out.Source = printTest(**Test);
+  Out.Complete = Plan.Complete;
+  Out.SharedClass = Plan.SharedClassName;
   return Out;
 }
-
-} // namespace
 
 SynthStageOutput
 narada::runSynthesisStage(const AnalysisResult &Analysis,
@@ -382,11 +165,16 @@ narada::runSynthesisStage(const AnalysisResult &Analysis,
                           const std::vector<RacyPair> &Pairs,
                           const NaradaOptions &Options,
                           const SynthIsolateContext *Iso) {
-  if (Iso && Iso->Isolate.Enabled)
-    return runIsolatedSynthesisStage(Pairs, Options, *Iso);
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
   const size_t N = Pairs.size();
-  const unsigned Jobs = resolveJobs(Options.Jobs == 0 ? 0 : Options.Jobs);
+  // Isolated workers root their spans under the submitting thread's
+  // innermost span (normally "pipeline.synth"), as worker threads do.
+  const bool Isolated = Iso && Iso->Isolate.Enabled;
+  UnitExecutor Exec(Options.Jobs, "pair", Isolated ? &Iso->Isolate : nullptr,
+                    Isolated ? synthworker::encodeSetup(
+                                   *Iso, Options, obs::Span::currentPath())
+                             : std::string());
+  Metrics.gauge("synth.jobs").set(static_cast<int64_t>(Exec.workers()));
 
   // The serving layer may supply a memo pre-warmed by earlier runs; memo
   // contents only short-circuit deterministic derivations, so a warm memo
@@ -395,124 +183,81 @@ narada::runSynthesisStage(const AnalysisResult &Analysis,
   DerivationMemo *Memo =
       Options.Caches && Options.Caches->SharedMemo ? Options.Caches->SharedMemo
                                                    : &LocalMemo;
-  std::vector<std::unique_ptr<WorkerState>> Workers;
-  const unsigned WorkerCount = Jobs > 1 ? Jobs : 1;
-  Workers.reserve(WorkerCount);
-  for (unsigned W = 0; W < WorkerCount; ++W)
-    Workers.push_back(
-        std::make_unique<WorkerState>(Analysis, Info, Registry, Memo));
-
   std::vector<PairSlot> Slots(N);
 
-  // Worker spans root under the submitting thread's innermost span
-  // (normally "pipeline.synth"); precomputed names keep the hot loop free
-  // of formatting.
-  obs::SpanParent Parent{obs::Span::currentPath()};
-  std::vector<std::string> WorkerNames;
-  for (unsigned W = 0; W < WorkerCount; ++W)
-    WorkerNames.push_back(formatString("worker%u", W));
-
-  std::optional<ThreadPool> Pool;
-  if (Jobs > 1)
-    Pool.emplace(Jobs);
-  Metrics.gauge("synth.jobs").set(static_cast<int64_t>(WorkerCount));
-
-  // Runs Body over [0, Count) item indices: inline at --jobs 1 (serial
-  // span layout, zero thread overhead), stolen-from-deques otherwise.
-  // Either way a throwing Body is captured per-item and returned instead
-  // of unwinding the stage, so serial and parallel runs degrade the same
-  // way.
-  auto ForEach = [&](size_t Count,
-                     const std::function<void(size_t, unsigned)> &Body)
-      -> std::vector<ThreadPool::TaskFailure> {
-    if (!Pool) {
-      std::vector<ThreadPool::TaskFailure> Failures;
-      for (size_t I = 0; I < Count; ++I) {
-        try {
-          Body(I, 0);
-        } catch (...) {
-          Failures.push_back({I, std::current_exception()});
-        }
-      }
-      return Failures;
-    }
-    return Pool->parallelFor(Count, [&](size_t I, unsigned W) {
-      obs::Span WorkerSpan(WorkerNames[W], Parent);
-      Body(I, W);
-    });
-  };
-
   // Phase A: derive every pair's sharing plan and shape key.
-  std::vector<ThreadPool::TaskFailure> DeriveFailures =
-      ForEach(N, [&](size_t I, unsigned W) {
-    WorkerState &WS = *Workers[W];
-    PairSlot &Slot = Slots[I];
-    const RacyPair &Pair = Pairs[I];
-    fault::ScopedUnit Unit(I);
-    obs::TraceScope Scope("pair", I);
-    fault::probe("synth.pair_task");
-    {
-      obs::Span DeriveSpan("derive");
-      Slot.Plan = deriveSynthPlan(WS.Deriver, Pair, I, Options);
-    }
-    Slot.Shape = synthShapeKey(Pair, Slot.Plan);
-  });
-  for (ThreadPool::TaskFailure &F : DeriveFailures)
-    markFaulted(Slots[F.Item], F.Item, std::move(F.Error));
+  std::vector<std::optional<UnitFault>> DeriveFaults = Exec.run(
+      unitIds(N),
+      [&](size_t I) {
+        fault::probe("synth.pair_task");
+        // Derivers and synthesizers are stateless views of the shared
+        // read-only databases, so each unit builds its own.
+        ContextDeriver Deriver(Analysis, Info);
+        Deriver.setMemo(Memo);
+        {
+          obs::Span DeriveSpan("derive");
+          Slots[I].Plan = deriveSynthPlan(Deriver, Pairs[I], I, Options);
+        }
+        Slots[I].Shape = synthShapeKey(Pairs[I], Slots[I].Plan);
+      },
+      [&](size_t I) {
+        return synthworker::encodeUnit("derive", I, Pairs[I].key());
+      },
+      [&](size_t I, const wire::RecordReader &Reply) {
+        Slots[I].Shape = Reply.getOr("shape", "");
+      });
+  for (size_t I = 0; I < N; ++I) {
+    if (DeriveFaults[I])
+      markFaulted(Slots[I], I, std::move(*DeriveFaults[I]));
+    else if (Slots[I].Shape.empty())
+      markFaulted(Slots[I], I,
+                  {UnitFault::Kind::Crash, "hard fault: protocol-error: "
+                                           "derive reply carried no shape"});
+  }
 
   // Phase B: synthesize each shape's first pair under a placeholder name.
   // Later pairs of a shape only need their own attempt when the first one
-  // failed (rare) — the commit walk triggers those on demand.  Faulted
-  // pairs carry sentinel shapes, so each stays a lead of its own and never
-  // absorbs healthy pairs.
+  // failed (rare) — the commit walk triggers those on demand, one unit at
+  // a time, exactly when the serial loop would have attempted them.
+  // Faulted pairs carry sentinel shapes, so each stays a lead of its own
+  // and never absorbs healthy pairs.
+  auto RunSynthesis = [&](const std::vector<size_t> &Ids) {
+    std::vector<std::optional<UnitFault>> Faults = Exec.run(
+        Ids,
+        [&](size_t I) {
+          obs::Span SynthesizeSpan("synthesize");
+          TestSynthesizer Synth(Registry, Info);
+          Slots[I].Attempt = attemptSynthesis(Synth, Pairs[I], Slots[I].Plan);
+        },
+        [&](size_t I) {
+          return synthworker::encodeUnit("synth", I, Pairs[I].key());
+        },
+        [&](size_t I, const wire::RecordReader &Reply) {
+          Slots[I].Attempt = synthworker::decodeAttempt(Reply);
+        });
+    for (size_t K = 0; K < Ids.size(); ++K)
+      if (Faults[K])
+        markFaulted(Slots[Ids[K]], Ids[K], std::move(*Faults[K]));
+  };
   std::vector<size_t> Leads;
   {
     std::unordered_map<std::string, size_t> FirstOfShape;
     for (size_t I = 0; I < N; ++I)
-      if (!Slots[I].Faulted &&
+      if (!Slots[I].Fault &&
           FirstOfShape.try_emplace(Slots[I].Shape, I).second)
         Leads.push_back(I);
   }
-  std::vector<ThreadPool::TaskFailure> SynthFailures =
-      ForEach(Leads.size(), [&](size_t LeadIdx, unsigned W) {
-    size_t I = Leads[LeadIdx];
-    PairSlot &Slot = Slots[I];
-    fault::ScopedUnit Unit(I);
-    obs::TraceScope Scope("pair", I);
-    obs::Span SynthesizeSpan("synthesize");
-    Slot.Attempt.emplace(
-        Workers[W]->Synth.synthesize(Pairs[I], Slot.Plan, SynthPlaceholderName));
-    Slot.Attempted = true;
-  });
-  for (ThreadPool::TaskFailure &F : SynthFailures) {
-    size_t I = Leads[F.Item];
-    markFaulted(Slots[I], I, std::move(F.Error));
-  }
+  RunSynthesis(Leads);
 
   // Commit: replay the serial bookkeeping in canonical pair order.
   std::vector<std::string> Shapes;
   Shapes.reserve(N);
   for (const PairSlot &Slot : Slots)
     Shapes.push_back(Slot.Shape);
-
   auto SynthesisSucceeds = [&](size_t I) {
-    PairSlot &Slot = Slots[I];
-    if (Slot.Faulted)
-      return false;
-    if (!Slot.Attempted) {
-      try {
-        fault::ScopedUnit Unit(I);
-        obs::TraceScope Scope("pair", I);
-        obs::Span SynthesizeSpan("synthesize");
-        Slot.Attempt.emplace(Workers[0]->Synth.synthesize(
-            Pairs[I], Slot.Plan, SynthPlaceholderName));
-        Slot.Attempted = true;
-      } catch (...) {
-        markFaulted(Slot, I, std::current_exception());
-        return false;
-      }
-    }
-    return Slot.Attempt->hasValue();
+    if (!Slots[I].Fault && !Slots[I].Attempt)
+      RunSynthesis({I});
+    return !Slots[I].Fault && Slots[I].Attempt->Ok;
   };
   std::vector<CommitDecision> Decisions =
       planCommit(Shapes, SynthesisSucceeds, Options.MaxTests);
@@ -521,15 +266,19 @@ narada::runSynthesisStage(const AnalysisResult &Analysis,
   for (size_t I = 0; I < N; ++I) {
     const RacyPair &Pair = Pairs[I];
     PairSlot &Slot = Slots[I];
-    if (Slot.Faulted) {
-      // Contained crash: the pair degrades to a structured skip no matter
+    if (Slot.Fault) {
+      // Contained fault: the pair degrades to a structured skip no matter
       // what the commit plan would have decided (its sentinel shape can
       // only yield FailSkip or BudgetSkip anyway).
-      NARADA_LOG_WARN("pair %s crashed during synthesis, contained: %s",
-                      Pair.key().c_str(), Slot.FaultMessage.c_str());
-      Out.Skipped.push_back(
-          {Pair.key(), SkipReason::InternalFault, Slot.FaultMessage});
-      countSkip(SkipReason::InternalFault);
+      const bool Crash = Slot.Fault->K == UnitFault::Kind::Crash;
+      SkipReason Reason =
+          Crash ? SkipReason::WorkerCrash : SkipReason::InternalFault;
+      NARADA_LOG_WARN("pair %s %s, contained: %s", Pair.key().c_str(),
+                      Crash ? "hard-faulted its worker"
+                            : "crashed during synthesis",
+                      Slot.Fault->Message.c_str());
+      Out.Skipped.push_back({Pair.key(), Reason, Slot.Fault->Message});
+      countSkip(Reason);
       continue;
     }
     switch (Decisions[I].K) {
@@ -546,7 +295,7 @@ narada::runSynthesisStage(const AnalysisResult &Analysis,
       countSkip(SkipReason::TestBudget);
       break;
     case CommitDecision::Kind::FailSkip: {
-      const Error &E = Slot.Attempt->error();
+      const Error &E = Slot.Attempt->Err;
       SkipReason Reason = classifySkip(E);
       NARADA_LOG_DEBUG("skip %s (%s): %s", Pair.key().c_str(),
                        skipReasonId(Reason), E.str().c_str());
@@ -555,23 +304,27 @@ narada::runSynthesisStage(const AnalysisResult &Analysis,
       break;
     }
     case CommitDecision::Kind::NewTest: {
-      std::unique_ptr<TestDecl> Test = Slot.Attempt->take();
       SynthesizedTestInfo TestInfo;
       TestInfo.Name = formatString("%s_%03zu", Options.TestNamePrefix.c_str(),
                                    Out.Tests.size());
-      Test->Name = TestInfo.Name;
-      TestInfo.SourceText = printTest(*Test);
+      // Phase B printed the test under the placeholder; splice in the
+      // final dense name the commit order just assigned.
+      TestInfo.SourceText = std::move(Slot.Attempt->Source);
+      size_t At = TestInfo.SourceText.find(SynthPlaceholderName);
+      if (At != std::string::npos)
+        TestInfo.SourceText.replace(At, std::strlen(SynthPlaceholderName),
+                                    TestInfo.Name);
       TestInfo.Representative = Pair;
       TestInfo.CoveredPairKeys.push_back(Pair.key());
-      TestInfo.ContextComplete = Slot.Plan.Complete;
-      TestInfo.SharedClassName = Slot.Plan.SharedClassName;
+      TestInfo.ContextComplete = Slot.Attempt->Complete;
+      TestInfo.SharedClassName = Slot.Attempt->SharedClass;
       TestInfo.Field = Pair.Field;
       TestInfo.CandidateLabels.emplace_back(Pair.First.AccessLabel,
                                             Pair.Second.AccessLabel);
       Out.SynthesizedSource += TestInfo.SourceText + "\n";
       Out.Tests.push_back(std::move(TestInfo));
       Metrics.counter("synth.tests_synthesized").inc();
-      if (!Slot.Plan.Complete)
+      if (!Slot.Attempt->Complete)
         Metrics.counter("synth.tests_partial_context").inc();
       break;
     }

@@ -5,24 +5,28 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Fans the post-PairGenerator stages — context derivation (the Q queries
-/// of Fig. 10) and test synthesis (Algorithm 1) — out across racy pair
-/// candidates on a work-stealing thread pool, then commits the results in
+/// Runs the post-PairGenerator stages — context derivation (the Q queries
+/// of Fig. 10) and test synthesis (Algorithm 1) — as per-pair units on a
+/// UnitExecutor (obs/UnitExecutor.h), then commits the results in
 /// canonical pair order so the output is byte-identical to a serial run:
 ///
-///   phase A (parallel): derive every pair's SharingPlan + shape key.
+///   phase A (units): derive every pair's SharingPlan + shape key.
 ///       Randomized setter selection stays reproducible because each pair
 ///       gets a private RNG split from DerivationSeed by pair *index*, not
 ///       a shared sequential stream.
-///   phase B (parallel): synthesize one test per first-of-shape pair,
-///       under a placeholder name (final names depend on commit order).
+///   phase B (units): synthesize and print one test per first-of-shape
+///       pair, under a placeholder name (final names depend on commit
+///       order).
 ///   commit (serial):   walk pairs in canonical order, dedup by shape,
-///       apply the test budget, assign final dense names, and classify
-///       failures — exactly the serial loop's semantics, driven by
-///       planCommit() below.
+///       apply the test budget, splice in final dense names, and classify
+///       failures and faults — exactly the serial loop's semantics, driven
+///       by planCommit() below.
 ///
-/// Workers hold their own ContextDeriver/TestSynthesizer instances and
-/// share one DerivationMemo; per-worker obs::Spans
+/// The executor decides whether units run inline, on worker threads or in
+/// --isolate worker processes (synth/SynthWorker.h); the phases, the
+/// per-pair slot and the commit walk are the same code in every mode.
+/// In-process units build their own ContextDeriver/TestSynthesizer views
+/// and share one DerivationMemo; per-worker obs::Spans
 /// ("pipeline.synth.worker<K>.derive") keep the phase tree honest across
 /// threads.
 ///
@@ -86,6 +90,22 @@ inline constexpr const char *SynthPlaceholderName = "narada_uncommitted";
 SharingPlan deriveSynthPlan(ContextDeriver &Deriver, const RacyPair &Pair,
                             size_t PairIndex, const NaradaOptions &Options);
 
+/// One synthesis attempt, as the commit walk consumes it: the test printed
+/// under SynthPlaceholderName, or the synthesizer's error.
+struct SynthAttempt {
+  bool Ok = false;
+  std::string Source;      ///< Placeholder-named test source (Ok).
+  bool Complete = false;   ///< The plan's context is complete (Ok).
+  std::string SharedClass; ///< The plan's shared class (Ok).
+  Error Err;               ///< The synthesizer's error (!Ok).
+};
+
+/// Synthesizes pair \p Pair under \p Plan and prints the test under
+/// SynthPlaceholderName.  Span-free, like deriveSynthPlan; shared by the
+/// in-process stage and the isolated worker.
+SynthAttempt attemptSynthesis(TestSynthesizer &Synth, const RacyPair &Pair,
+                              const SharingPlan &Plan);
+
 /// Everything the synthesis stage produces; spliced into NaradaResult.
 struct SynthStageOutput {
   std::vector<SynthesizedTestInfo> Tests;
@@ -108,9 +128,9 @@ struct SynthIsolateContext {
 /// Runs stages 2b+3 over \p Pairs with Options.Jobs workers (1 = inline on
 /// the calling thread, 0 = one per hardware thread).  The output is
 /// byte-identical for every job count given the same inputs and
-/// DerivationSeed.  With \p Iso non-null, units run in crash-contained
-/// worker subprocesses instead of threads (clean runs byte-identical to
-/// in-process; hard-faulted units become worker_crash skips).
+/// DerivationSeed.  With \p Iso non-null and enabled, units run in
+/// crash-contained worker subprocesses instead of threads (clean runs
+/// byte-identical to in-process; hard faults become worker_crash skips).
 SynthStageOutput runSynthesisStage(const AnalysisResult &Analysis,
                                    const ProgramInfo &Info,
                                    const SeedRegistry &Registry,

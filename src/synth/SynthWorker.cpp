@@ -7,19 +7,14 @@
 #include "synth/SynthWorker.h"
 
 #include "analysis/AccessAnalysis.h"
-#include "lang/ASTPrinter.h"
 #include "obs/Span.h"
-#include "obs/Trace.h"
 #include "staticrace/LocksetAnalysis.h"
 #include "support/Bundle.h"
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
-#include "synth/SeedNormalizer.h"
 #include "synth/TestSynthesizer.h"
 
-#include <new>
 #include <optional>
-#include <unordered_map>
 
 using namespace narada;
 using namespace narada::synthworker;
@@ -66,6 +61,33 @@ std::string synthworker::encodeUnit(const char *Op, size_t Unit,
   return W.str();
 }
 
+void synthworker::encodeAttempt(wire::RecordWriter &Reply,
+                                const SynthAttempt &Attempt) {
+  Reply.addBool("ok", Attempt.Ok);
+  if (Attempt.Ok) {
+    Reply.add("source", Attempt.Source);
+    Reply.addBool("complete", Attempt.Complete);
+    Reply.add("shared_class", Attempt.SharedClass);
+  } else {
+    Reply.add("err_message", Attempt.Err.message());
+    Reply.add("err_location", Attempt.Err.location());
+  }
+}
+
+SynthAttempt synthworker::decodeAttempt(const wire::RecordReader &Reply) {
+  SynthAttempt Out;
+  Out.Ok = Reply.getBool("ok");
+  if (Out.Ok) {
+    Out.Source = Reply.getOr("source", "");
+    Out.Complete = Reply.getBool("complete");
+    Out.SharedClass = Reply.getOr("shared_class", "");
+  } else {
+    Out.Err = Error(Reply.getOr("err_message", ""),
+                    Reply.getOr("err_location", ""));
+  }
+  return Out;
+}
+
 /// Everything Service rebuilds from the setup record.  Heap-allocated and
 /// never moved: Deriver/Synth hold references into the earlier members.
 struct Service::State {
@@ -73,21 +95,14 @@ struct Service::State {
   std::string SpanParentPath;
   CompiledProgram Program; ///< Normalized library + seeds.
   AnalysisResult Analysis;
-  std::shared_ptr<const staticrace::ModuleSummary> Static;
   std::vector<RacyPair> Pairs;
   std::optional<SeedRegistry> Registry;
   std::optional<ContextDeriver> Deriver; ///< Memo-less (no threads here).
   std::optional<TestSynthesizer> Synth;
-  /// Plans computed by derive units, consumed by synth units.  A fresh
-  /// worker (post-respawn) re-derives on miss — derivation is
-  /// deterministic per pair index, so the plan is the same either way.
-  std::unordered_map<size_t, SharingPlan> PlanCache;
 };
 
 Service::Service() : S(std::make_unique<State>()) {}
 Service::~Service() = default;
-
-size_t Service::pairCount() const { return S->Pairs.size(); }
 
 Result<std::unique_ptr<Service>>
 Service::create(const wire::RecordReader &Setup) {
@@ -100,35 +115,19 @@ Service::create(const wire::RecordReader &Setup) {
   Result<wire::ModuleBundle> Bundle = wire::readBundle(Setup, "synth setup");
   if (!Bundle)
     return Bundle.error();
-  const std::string &Source = Bundle->Source;
-  std::vector<std::string> &SeedNames = Bundle->Seeds;
+  const std::vector<std::string> &SeedNames = Bundle->Seeds;
 
   // The front half of runNarada, replayed without spans or logs: every
   // stage below is deterministic in (source, seeds, options), so the
   // resulting pair table matches the supervisor's.  Setup-time metrics
   // are discarded by the worker loop (the supervisor ran these stages
   // itself), so none of this double-counts.
-  Result<CompiledProgram> Original = compileProgram(Source);
-  if (!Original)
-    return Original.error();
   std::string NormalizedSource;
-  for (const auto &Class : Original->Ast->Classes)
-    NormalizedSource += printClass(*Class) + "\n";
-  for (const std::string &SeedName : SeedNames) {
-    const TestDecl *Seed = Original->Ast->findTest(SeedName);
-    if (!Seed)
-      return Error(formatString("no seed test named '%s'", SeedName.c_str()));
-    Result<std::unique_ptr<TestDecl>> Norm =
-        normalizeSeed(*Seed, *Original->Info);
-    if (!Norm)
-      return Norm.error();
-    NormalizedSource += printTest(**Norm) + "\n";
-  }
-  Result<CompiledProgram> Recompiled = compileProgram(NormalizedSource);
-  if (!Recompiled)
-    return Error("normalized seeds failed to recompile: " +
-                 Recompiled.error().str());
-  S.Program = Recompiled.take();
+  Result<CompiledProgram> Normalized =
+      compileNormalized(Bundle->Source, SeedNames, NormalizedSource);
+  if (!Normalized)
+    return Normalized.error();
+  S.Program = Normalized.take();
 
   for (const std::string &SeedName : SeedNames) {
     Result<TestRun> Run = runTestSequential(*S.Program.Module, SeedName);
@@ -139,13 +138,13 @@ Service::create(const wire::RecordReader &Setup) {
     S.Analysis.merge(analyzeTrace(Run->TheTrace, *S.Program.Info));
   }
 
+  std::optional<staticrace::ModuleSummary> Static;
   if (S.Options.StaticPrefilter || S.Options.StaticRank)
-    S.Static = std::make_shared<const staticrace::ModuleSummary>(
-        staticrace::summarizeModule(*S.Program.Module));
+    Static.emplace(staticrace::summarizeModule(*S.Program.Module));
 
   PairGenOptions PairOptions;
   PairOptions.FocusClass = S.Options.FocusClass;
-  PairOptions.Static = S.Static.get();
+  PairOptions.Static = Static ? &*Static : nullptr;
   PairOptions.StaticPrefilter = S.Options.StaticPrefilter;
   PairOptions.StaticRank = S.Options.StaticRank;
   S.Pairs = generatePairs(S.Analysis, PairOptions);
@@ -181,52 +180,27 @@ void Service::runUnit(const wire::RecordReader &Request,
   }
 
   const RacyPair &Pair = S->Pairs[I];
-  try {
-    fault::ScopedUnit Unit(I);
-    obs::TraceScope Scope("pair", I);
-    obs::SpanParent Parent{S->SpanParentPath};
-
-    if (Op == "derive") {
-      fault::probe("synth.pair_task");
-      SharingPlan Plan;
-      {
-        obs::Span DeriveSpan("derive", Parent);
-        Plan = deriveSynthPlan(*S->Deriver, Pair, I, S->Options);
-      }
-      Reply.add("shape", synthShapeKey(Pair, Plan));
-      Reply.addBool("complete", Plan.Complete);
-      S->PlanCache.insert_or_assign(I, std::move(Plan));
-      return;
+  obs::SpanParent Parent{S->SpanParentPath};
+  if (Op == "derive") {
+    fault::probe("synth.pair_task");
+    SharingPlan Plan;
+    {
+      obs::Span DeriveSpan("derive", Parent);
+      Plan = deriveSynthPlan(*S->Deriver, Pair, I, S->Options);
     }
-
-    if (Op == "synth") {
-      auto It = S->PlanCache.find(I);
-      if (It == S->PlanCache.end())
-        It = S->PlanCache
-                 .emplace(I, deriveSynthPlan(*S->Deriver, Pair, I, S->Options))
-                 .first;
-      const SharingPlan &Plan = It->second;
-      Result<std::unique_ptr<TestDecl>> Attempt = [&] {
-        obs::Span SynthesizeSpan("synthesize", Parent);
-        return S->Synth->synthesize(Pair, Plan, SynthPlaceholderName);
-      }();
-      if (Attempt) {
-        Reply.addBool("ok", true);
-        Reply.add("source", printTest(**Attempt));
-        Reply.addBool("complete", Plan.Complete);
-        Reply.add("shared_class", Plan.SharedClassName);
-      } else {
-        Reply.addBool("ok", false);
-        Reply.add("err_message", Attempt.error().message());
-        Reply.add("err_str", Attempt.error().str());
-      }
-      return;
-    }
-
-    Reply.add("fault", "unknown synth op '" + Op + "'");
-  } catch (const std::bad_alloc &) {
-    throw; // The worker loop answers with a graceful oom crash frame.
-  } catch (...) {
-    Reply.add("fault", describeException(std::current_exception()));
+    Reply.add("shape", synthShapeKey(Pair, Plan));
+    return;
   }
+
+  if (Op == "synth") {
+    // Derivation is deterministic per pair index, so the synth unit
+    // re-derives its plan rather than depending on which worker ran the
+    // pair's derive unit.
+    SharingPlan Plan = deriveSynthPlan(*S->Deriver, Pair, I, S->Options);
+    obs::Span SynthesizeSpan("synthesize", Parent);
+    encodeAttempt(Reply, attemptSynthesis(*S->Synth, Pair, Plan));
+    return;
+  }
+
+  Reply.add("fault", "unknown synth op '" + Op + "'");
 }

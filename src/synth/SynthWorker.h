@@ -17,9 +17,9 @@
 ///    the supervisor's index for index, verified per unit via pair_key —
 ///    and then serves `derive` and `synth` unit requests.
 ///
-/// Unit replies carry either the result records (shape= for derive;
-/// ok=/source=/complete=/shared_class= or ok=0/err_message=/err_str= for
-/// synth) or a fault= record for contained soft failures.  Hard faults
+/// Unit replies carry either the result records (shape= for derive,
+/// encodeAttempt's for synth) or a fault= record for contained soft
+/// failures, added by the worker loop when the unit throws.  Hard faults
 /// (SIGSEGV, abort, hang, OOM kill) never produce a reply at all — that is
 /// the point of running out of process.
 ///
@@ -61,6 +61,13 @@ std::string encodeSetup(const SynthIsolateContext &Iso,
 std::string encodeUnit(const char *Op, size_t Unit,
                        const std::string &PairKey);
 
+/// Appends a synth unit's result: ok=/source=/complete=/shared_class=, or
+/// ok=0/err_message=/err_location= when synthesis failed.
+void encodeAttempt(wire::RecordWriter &Reply, const SynthAttempt &Attempt);
+
+/// Inverse of encodeAttempt.
+SynthAttempt decodeAttempt(const wire::RecordReader &Reply);
+
 /// Worker-side service: pipeline state rebuilt from a setup record,
 /// serving unit requests for the rest of the process's life.
 class Service {
@@ -73,13 +80,11 @@ public:
       const wire::RecordReader &Setup);
 
   /// Handles one unit request, appending reply records to \p Reply.
-  /// Soft failures (synthesizer errors, injected throws) land in the
-  /// reply as fault=/err_* records; std::bad_alloc propagates so the
-  /// worker loop can answer with a graceful oom crash frame; hard faults
-  /// never return.
+  /// Synthesizer errors land in err_* records; exceptions propagate to the
+  /// worker loop, which answers them with a fault= record (or, for
+  /// std::bad_alloc, a graceful oom crash frame); hard faults never
+  /// return.
   void runUnit(const wire::RecordReader &Request, wire::RecordWriter &Reply);
-
-  size_t pairCount() const;
 
 private:
   Service();

@@ -565,6 +565,41 @@ TEST(WitnessRoundTripTest, WitnessReplaysToIdenticalRaceReport) {
 }
 
 //===----------------------------------------------------------------------===//
+// Detector selection: every exploration mode honours UseHB / UseLockSet
+//===----------------------------------------------------------------------===//
+
+TEST(DetectorSelectionTest, EachDetectorAloneReportsOnlyItsOwnRaces) {
+  CompiledProgram P = compileOk(MultiNarrow);
+  RandomPolicy Inner(1);
+  explore::RecordingPolicy Recorder(Inner);
+  ASSERT_TRUE(runTest(*P.Module, "n0", Recorder, /*RandSeed=*/1).hasValue());
+  auto Trace = std::make_shared<const explore::ScheduleTrace>(
+      Recorder.trace("n0", /*RandSeed=*/1));
+
+  for (ExplorationMode Mode :
+       {ExplorationMode::Random, ExplorationMode::PCT,
+        ExplorationMode::Systematic, ExplorationMode::Replay}) {
+    for (bool UseHB : {true, false}) {
+      SCOPED_TRACE(std::string(explorationModeName(Mode)) +
+                   (UseHB ? " hb only" : " lockset only"));
+      DetectOptions Options;
+      Options.Mode = Mode;
+      Options.RandomRuns = 4;
+      Options.ConfirmAttempts = 1;
+      Options.ReplayTrace = Trace;
+      Options.UseHB = UseHB;
+      Options.UseLockSet = !UseHB;
+      Result<TestDetectionResult> R =
+          detectRacesInTest(*P.Module, "n0", Options);
+      ASSERT_TRUE(R.hasValue()) << R.error().str();
+      ASSERT_FALSE(R->Detected.empty());
+      for (const RaceReport &Rep : R->Detected)
+        EXPECT_EQ(Rep.Detector, UseHB ? "hb" : "lockset") << Rep.str();
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Fault containment with exploration enabled
 //===----------------------------------------------------------------------===//
 

@@ -19,6 +19,7 @@
 #include "corpus/Corpus.h"
 #include "detect/DetectWorker.h"
 #include "detect/Detection.h"
+#include "obs/Metrics.h"
 #include "support/FaultInjection.h"
 #include "support/ProcessPool.h"
 #include "support/Wire.h"
@@ -238,6 +239,87 @@ TEST_F(ProcessPoolTest, IsolatedDetectionIsByteIdenticalAtJobs1And4) {
     Result<std::vector<TestDetectionResult>> Isolated = detectRacesInTests(
         *Narada.Program.Module, Jobs, Options, JobCount, &Iso);
     ASSERT_TRUE(Isolated.hasValue()) << Isolated.error().str();
+    expectIdenticalDetection(*InProcess, *Isolated);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Soft faults: one commit walk, whichever way the units ran
+//===----------------------------------------------------------------------===//
+
+uint64_t counterNow(const char *Name) {
+  return obs::MetricsRegistry::global().snapshot().counter(Name);
+}
+
+TEST_F(ProcessPoolTest, SoftSynthFaultsDegradeIdenticallyWhenIsolated) {
+  const CorpusEntry &Entry = *findCorpusEntry("C5");
+  fault::resetRegistry();
+  NaradaResult Clean = runClass(Entry, 1, /*Isolate=*/false);
+  ASSERT_FALSE(Clean.Tests.empty());
+
+  for (const char *Site : {"synth.pair_task", "synth.synthesize"}) {
+    SCOPED_TRACE(Site);
+    std::optional<uint64_t> Unit = fault::minUnitOf(Site);
+    ASSERT_TRUE(Unit.has_value());
+    const char *Counter = "synth.pairs_skipped.internal_fault";
+
+    uint64_t Before = counterNow(Counter);
+    fault::arm(Site, *Unit);
+    NaradaResult InProcess = runClass(Entry, 1, /*Isolate=*/false);
+    fault::disarm();
+    const uint64_t InProcessSkips = counterNow(Counter) - Before;
+
+    const std::string Spec = std::string(Site) + ":" + std::to_string(*Unit);
+    ::setenv("NARADA_FAULT_INJECT", Spec.c_str(), 1);
+    Before = counterNow(Counter);
+    NaradaResult Isolated = runClass(Entry, 4, /*Isolate=*/true);
+    ::unsetenv("NARADA_FAULT_INJECT");
+
+    EXPECT_EQ(InProcessSkips, 1u);
+    EXPECT_EQ(counterNow(Counter) - Before, InProcessSkips);
+    expectIdenticalResults(InProcess, Isolated);
+  }
+}
+
+TEST_F(ProcessPoolTest, SoftDetectFaultsQuarantineIdenticallyWhenIsolated) {
+  const CorpusEntry &Entry = *findCorpusEntry("C1");
+  NaradaResult Narada = runClass(Entry, 1, /*Isolate=*/false);
+  std::vector<TestDetectJob> Jobs = detectJobs(Narada);
+  ASSERT_GE(Jobs.size(), 6u);
+  Jobs.resize(6);
+  DetectOptions Options = fastDetect();
+  detectworker::DetectIsolateContext Iso;
+  Iso.Isolate = isolateOptions();
+  Iso.FinalSource = Narada.FinalSource;
+
+  fault::resetRegistry();
+  ASSERT_TRUE(
+      detectRacesInTests(*Narada.Program.Module, Jobs, Options, 1).hasValue());
+  for (const char *Site : {"detect.test", "detect.confirm"}) {
+    SCOPED_TRACE(Site);
+    std::optional<uint64_t> Unit = fault::minUnitOf(Site);
+    ASSERT_TRUE(Unit.has_value());
+    const char *Counter = "detect.internal_faults";
+
+    uint64_t Before = counterNow(Counter);
+    fault::arm(Site, *Unit);
+    Result<std::vector<TestDetectionResult>> InProcess =
+        detectRacesInTests(*Narada.Program.Module, Jobs, Options, 1);
+    fault::disarm();
+    const uint64_t InProcessFaults = counterNow(Counter) - Before;
+    ASSERT_TRUE(InProcess.hasValue()) << InProcess.error().str();
+
+    const std::string Spec = std::string(Site) + ":" + std::to_string(*Unit);
+    ::setenv("NARADA_FAULT_INJECT", Spec.c_str(), 1);
+    Before = counterNow(Counter);
+    Result<std::vector<TestDetectionResult>> Isolated =
+        detectRacesInTests(*Narada.Program.Module, Jobs, Options, 4, &Iso);
+    ::unsetenv("NARADA_FAULT_INJECT");
+    ASSERT_TRUE(Isolated.hasValue()) << Isolated.error().str();
+
+    EXPECT_EQ(InProcessFaults, 1u);
+    EXPECT_EQ(counterNow(Counter) - Before, InProcessFaults);
+    EXPECT_TRUE((*Isolated)[*Unit].Quarantined);
     expectIdenticalDetection(*InProcess, *Isolated);
   }
 }

@@ -36,9 +36,12 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
+#include <sys/stat.h>
 #include <unistd.h>
 #include <vector>
 
@@ -207,6 +210,35 @@ TEST(RaceDbFileTest, RoundTripsAndResavesByteIdentically) {
   // is a fixed point, which is what the ingest byte-identity acceptance
   // rests on.
   EXPECT_EQ(renderRaceDb(*Loaded), renderRaceDb(Db));
+  ::unlink(Path.c_str());
+}
+
+TEST(RaceDbFileTest, FailedSaveKeepsThePreviousFile) {
+  auto FileBytes = [](const std::string &Path) {
+    std::ifstream In(Path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(In), {});
+  };
+  RaceDb Db;
+  RaceRecord A = sampleRecord("Buffer.count{Buffer.put:3~Buffer.take:1}");
+  Db.Races[A.Key] = A;
+  const std::string Path = tempPath("durable");
+  const std::string TempPath = Path + ".tmp";
+  ASSERT_TRUE(saveRaceDb(Path, Db));
+  EXPECT_NE(::access(TempPath.c_str(), F_OK), 0)
+      << "a successful save leaves no temp file";
+  const std::string Before = FileBytes(Path);
+
+  // A directory in the temp file's place: the save cannot even begin.
+  ASSERT_EQ(::mkdir(TempPath.c_str(), 0755), 0);
+  RaceRecord B = sampleRecord("Box.f{x\\{1~y}");
+  Db.Races[B.Key] = B;
+  EXPECT_FALSE(saveRaceDb(Path, Db));
+  ::rmdir(TempPath.c_str());
+
+  EXPECT_EQ(FileBytes(Path), Before);
+  Result<RaceDb> Loaded = loadRaceDb(Path);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.error().str();
+  EXPECT_EQ(Loaded->Races.size(), 1u);
   ::unlink(Path.c_str());
 }
 

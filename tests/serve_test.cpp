@@ -36,8 +36,11 @@
 
 #include <cstdio>
 #include <fcntl.h>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
+#include <sys/stat.h>
 #include <unistd.h>
 #include <utility>
 #include <vector>
@@ -419,6 +422,34 @@ TEST(CacheFileTest, TruncatedEntryFrameFailsTheLoad) {
     ::close(Fd);
   }
   EXPECT_FALSE(loadCacheFile(Path).hasValue());
+  ::unlink(Path.c_str());
+}
+
+std::string fileBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In), {});
+}
+
+TEST(CacheFileTest, FailedSaveKeepsThePreviousFile) {
+  CacheSnapshot Snapshot;
+  Snapshot.InputDigests["corpus:CX"] = 42;
+  const std::string Path = tempPath("durable");
+  const std::string TempPath = Path + ".tmp";
+  ASSERT_TRUE(saveCacheFile(Path, Snapshot));
+  EXPECT_NE(::access(TempPath.c_str(), F_OK), 0)
+      << "a successful save leaves no temp file";
+  const std::string Before = fileBytes(Path);
+
+  // A directory in the temp file's place: the save cannot even begin.
+  ASSERT_EQ(::mkdir(TempPath.c_str(), 0755), 0);
+  Snapshot.InputDigests["corpus:CY"] = 7;
+  EXPECT_FALSE(saveCacheFile(Path, Snapshot));
+  ::rmdir(TempPath.c_str());
+
+  EXPECT_EQ(fileBytes(Path), Before);
+  Result<CacheSnapshot> Loaded = loadCacheFile(Path);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.error().str();
+  EXPECT_EQ(Loaded->InputDigests.size(), 1u);
   ::unlink(Path.c_str());
 }
 

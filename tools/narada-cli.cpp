@@ -80,11 +80,12 @@ namespace {
 /// `narada-cli worker`: the subprocess half of --isolate
 /// (support/ProcessPool.h).  Speaks the framed record protocol on
 /// stdin/stdout: the first frame is the stage `setup` (mode=synth|detect),
-/// answered with `ready`; every further frame is a unit request answered
-/// with `result` (or a graceful `crash kind=oom` when the unit exhausts
-/// memory but the worker catches the bad_alloc in time).  A monitor thread
-/// emits `hb` heartbeats so the supervisor can tell a busy worker from a
-/// wedged one.  Hard faults (SIGSEGV, abort, runaway loops, OOM kills)
+/// answered with `ready`; every further frame is a unit request, run under
+/// fault::ScopedUnit(unit) and answered with `result` (carrying fault= when
+/// the unit threw), or with a graceful `crash kind=oom` when the unit
+/// exhausts memory but the worker catches the bad_alloc in time.  A monitor
+/// thread emits `hb` heartbeats so the supervisor can tell a busy worker
+/// from a wedged one.  Hard faults (SIGSEGV, abort, runaway loops, OOM kills)
 /// simply take the process down — classification is the supervisor's job.
 int cmdWorker() {
   std::mutex OutMutex;
@@ -168,10 +169,20 @@ int cmdWorker() {
       obs::MetricsRegistry::global().reset();
       wire::RecordWriter Reply;
       Reply.add("verb", std::string_view("result"));
-      if (Synth)
-        Synth->runUnit(Record, Reply);
-      else
-        Detect->runUnit(Record, Reply);
+      try {
+        fault::ScopedUnit Unit(Record.getU64("unit"));
+        if (Synth)
+          Synth->runUnit(Record, Reply);
+        else
+          Detect->runUnit(Record, Reply);
+      } catch (const std::bad_alloc &) {
+        throw;
+      } catch (...) {
+        // A soft failure: the supervisor's UnitExecutor (obs/UnitExecutor.h)
+        // turns fault= into the unit's internal fault, as for an in-process
+        // throw.
+        Reply.add("fault", describeException(std::current_exception()));
+      }
       obs::appendMetricsDelta(Reply, obs::MetricsRegistry::global().snapshot());
       if (!Send(Reply.str()))
         break;
