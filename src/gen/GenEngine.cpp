@@ -21,6 +21,7 @@
 #include "synth/PairGenerator.h"
 
 #include <algorithm>
+#include <deque>
 
 using namespace narada;
 using namespace narada::gen;
@@ -104,35 +105,191 @@ collectSteerTargets(const staticrace::ModuleSummary &Summary,
   return Targets;
 }
 
-/// Coverage state of the growing corpus: everything a candidate can be
-/// judged against.  Pair keys are recomputed over the *merged* analysis
-/// because candidate pairs arise from access combinations across seeds.
-struct Coverage {
-  AnalysisResult Merged;
-  std::set<std::string> PairKeys;
-  std::set<std::string> SetterStrs;
-  std::set<std::string> ReturnStrs;
-};
+/// Step budget of a candidate's validation run.  The longest candidate that
+/// finishes, over C1-C9 x seeds 1-16, takes 2,501 steps; the ones that do
+/// not finish run self-feeding loops (`l.addAll(l)`, capacity growth) that
+/// reach any budget, so a larger one only records a longer trace to reject.
+constexpr uint64_t ValidationStepBudget = 65'536;
 
-std::set<std::string> pairKeysOf(const AnalysisResult &Analysis,
-                                 const std::string &FocusClass) {
-  PairGenOptions Options;
-  Options.FocusClass = FocusClass;
+/// Keys of the candidate pairs that involve a record of \p New, within one
+/// field whose other admitted records are \p Old.
+std::set<std::string>
+pairKeysAdding(std::vector<const AccessRecord *> Old,
+               const std::vector<const AccessRecord *> &New) {
   std::set<std::string> Keys;
-  for (const RacyPair &Pair : generatePairs(Analysis, Options))
-    Keys.insert(Pair.key());
+  auto Add = [&](const AccessRecord &A, const AccessRecord &B) {
+    if (checkCandidatePair(A, B) == PairCheck::Forms)
+      Keys.insert(makeCandidatePair(A, B).key());
+  };
+  for (const AccessRecord *R : New) {
+    Old.push_back(R);
+    for (const AccessRecord *M : Old) {
+      Add(*R, *M);
+      if (M != R)
+        Add(*M, *R);
+    }
+  }
   return Keys;
 }
 
-Coverage coverageOf(AnalysisResult Merged, const std::string &FocusClass) {
-  Coverage Cov;
-  Cov.PairKeys = pairKeysOf(Merged, FocusClass);
-  for (const WriteableAssign &Setter : Merged.Setters)
-    Cov.SetterStrs.insert(Setter.str());
-  for (const ReturnSummary &Ret : Merged.Returns)
-    Cov.ReturnStrs.insert(Ret.str());
-  Cov.Merged = std::move(Merged);
-  return Cov;
+/// Coverage of the kept corpus, one seed at a time: the keys generatePairs
+/// gives over the kept analyses merged in order, and the setter and return
+/// summaries the context deriver mines.  Merging keeps the first record of
+/// each dedupKey, so a seed can only add the pairs its new records form in
+/// their own field, and can only take away the pairs of records it holds
+/// first.  tests/property_test.cpp checks the keys against generatePairs.
+class CorpusCoverage {
+public:
+  explicit CorpusCoverage(const std::string &FocusClass) {
+    Options.FocusClass = FocusClass;
+  }
+
+  /// Keeps \p Analysis as the next seed iff it adds a pair key, setter or
+  /// return summary.
+  bool keepIfGrows(AnalysisResult Analysis);
+  /// Drops kept seed \p Id (ids count kept seeds from 0) iff the other
+  /// seeds cover the same pair keys, setters and return summaries.
+  bool dropIfRedundant(size_t Id);
+
+  /// The kept seeds' analyses merged in order, before any drop.
+  const AnalysisResult &merged() const { return Merged; }
+  std::set<std::string> pairKeys() const {
+    std::set<std::string> Keys;
+    for (const auto &[Name, Field] : Fields)
+      Keys.insert(Field.Keys.begin(), Field.Keys.end());
+    return Keys;
+  }
+
+private:
+  /// A kept seed's record of one dedupKey.
+  struct Holder {
+    size_t Seed;
+    const AccessRecord *Record;
+  };
+  /// The admitted merged records of one field and the pair keys they form.
+  struct FieldCoverage {
+    std::vector<const AccessRecord *> Records;
+    std::set<std::string> Keys;
+  };
+
+  bool admitted(const AccessRecord &R) const {
+    return admitAccess(R, Options) == Admission::Admitted;
+  }
+  const FieldCoverage &field(const std::string &Name) const {
+    static const FieldCoverage None;
+    auto It = Fields.find(Name);
+    return It == Fields.end() ? None : It->second;
+  }
+
+  PairGenOptions Options;
+  std::deque<AnalysisResult> Seeds; ///< Every seed ever kept, by id.
+  /// dedupKey -> the kept seeds holding it, in order; the first one's
+  /// record is the merged record.
+  std::map<std::string, std::vector<Holder>> Holders;
+  std::map<std::string, FieldCoverage> Fields; ///< By pairFieldOf.
+  /// Setter and return summary strings -> how many kept seeds hold them.
+  std::map<std::string, unsigned> Setters, Returns;
+  AnalysisResult Merged;
+};
+
+bool CorpusCoverage::keepIfGrows(AnalysisResult Analysis) {
+  const size_t Id = Seeds.size();
+  const AnalysisResult &Seed = Seeds.emplace_back(std::move(Analysis));
+
+  bool Grows = false;
+  for (const WriteableAssign &Setter : Seed.Setters)
+    Grows |= !Setters.count(Setter.str());
+  for (const ReturnSummary &Ret : Seed.Returns)
+    Grows |= !Returns.count(Ret.str());
+
+  // Only records new by dedupKey can form new pairs (the analysis holds
+  // each key once), and only with records of their own field.
+  std::vector<std::string> Keys;
+  std::map<std::string, std::vector<const AccessRecord *>> Fresh;
+  for (const AccessRecord &R : Seed.Accesses) {
+    Keys.push_back(R.dedupKey());
+    if (!Holders.count(Keys.back()) && admitted(R))
+      Fresh[pairFieldOf(R)].push_back(&R);
+  }
+  std::map<std::string, std::set<std::string>> Added;
+  for (const auto &[Name, New] : Fresh) {
+    const FieldCoverage &Field = field(Name);
+    for (const std::string &Key : pairKeysAdding(Field.Records, New))
+      if (!Field.Keys.count(Key))
+        Added[Name].insert(Key);
+  }
+  if (!Grows && Added.empty()) {
+    Seeds.pop_back();
+    return false;
+  }
+
+  for (size_t I = 0; I < Seed.Accesses.size(); ++I) {
+    std::vector<Holder> &Held = Holders[Keys[I]];
+    Held.push_back({Id, &Seed.Accesses[I]});
+    if (Held.size() == 1)
+      Merged.Accesses.push_back(Seed.Accesses[I]);
+  }
+  for (const auto &[Name, New] : Fresh) {
+    FieldCoverage &Field = Fields[Name];
+    Field.Records.insert(Field.Records.end(), New.begin(), New.end());
+    Field.Keys.merge(Added[Name]);
+  }
+  for (const WriteableAssign &Setter : Seed.Setters)
+    if (Setters[Setter.str()]++ == 0)
+      Merged.Setters.push_back(Setter);
+  for (const ReturnSummary &Ret : Seed.Returns)
+    if (Returns[Ret.str()]++ == 0)
+      Merged.Returns.push_back(Ret);
+  return true;
+}
+
+bool CorpusCoverage::dropIfRedundant(size_t Id) {
+  const AnalysisResult &Seed = Seeds[Id];
+  for (const WriteableAssign &Setter : Seed.Setters)
+    if (Setters.at(Setter.str()) == 1)
+      return false;
+  for (const ReturnSummary &Ret : Seed.Returns)
+    if (Returns.at(Ret.str()) == 1)
+      return false;
+
+  // Where the seed holds a merged record, the next kept seed's record of
+  // that dedupKey (if any) takes its place: rebuild just those fields.
+  std::vector<std::string> Keys;
+  std::map<std::string, std::vector<const AccessRecord *>> After;
+  auto Touch = [&](const AccessRecord &R) -> auto & {
+    std::string Name = pairFieldOf(R);
+    auto [It, New] = After.try_emplace(Name);
+    if (New)
+      It->second = field(Name).Records;
+    return It->second;
+  };
+  for (const AccessRecord &R : Seed.Accesses) {
+    Keys.push_back(R.dedupKey());
+    const std::vector<Holder> &Held = Holders.at(Keys.back());
+    if (Held.front().Seed != Id)
+      continue;
+    if (admitted(R))
+      std::erase(Touch(R), &R);
+    if (Held.size() > 1 && admitted(*Held[1].Record))
+      Touch(*Held[1].Record).push_back(Held[1].Record);
+  }
+  for (const auto &[Name, Records] : After)
+    if (pairKeysAdding({}, Records) != field(Name).Keys)
+      return false;
+
+  for (auto &[Name, Records] : After)
+    Fields[Name].Records = std::move(Records);
+  for (const std::string &Key : Keys) {
+    auto It = Holders.find(Key);
+    std::erase_if(It->second, [&](const Holder &H) { return H.Seed == Id; });
+    if (It->second.empty())
+      Holders.erase(It);
+  }
+  for (const WriteableAssign &Setter : Seed.Setters)
+    --Setters[Setter.str()];
+  for (const ReturnSummary &Ret : Seed.Returns)
+    --Returns[Ret.str()];
+  return true;
 }
 
 /// One emitted candidate awaiting validation.
@@ -189,8 +346,7 @@ Result<GenResult> narada::gen::generateSeedCorpus(
   SeedOptions.MaxCalls = Options.MaxCalls;
 
   GenResult Out;
-  Coverage Cov;
-  std::vector<AnalysisResult> KeptAnalyses; // parallel to Out.Seeds
+  CorpusCoverage Cov(Options.FocusClass);
   std::set<std::string> CoveredTargets;
 
   ThreadPool Pool(resolveJobs(Options.Jobs));
@@ -255,7 +411,8 @@ Result<GenResult> narada::gen::generateSeedCorpus(
             V.Error = "does not compile: " + Compiled.error().str();
             return;
           }
-          Result<TestRun> Run = runTestSequential(*Compiled->Module, C.Name);
+          Result<TestRun> Run = runTestSequential(
+              *Compiled->Module, C.Name, /*RandSeed=*/1, ValidationStepBudget);
           if (!Run) {
             V.Error = "failed to run: " + Run.error().str();
             return;
@@ -278,7 +435,7 @@ Result<GenResult> narada::gen::generateSeedCorpus(
     }
 
     // Commit phase: walk candidates in emission order; keep one iff its
-    // analysis grows the merged pair-key set or the setter/return material
+    // analysis grows the covered pair keys or the setter/return material
     // the context deriver mines.
     for (size_t Idx = 0; Idx < Candidates.size(); ++Idx) {
       const Candidate &C = Candidates[Idx];
@@ -289,19 +446,11 @@ Result<GenResult> narada::gen::generateSeedCorpus(
         continue;
       }
       Metrics.counter("gen.candidates_valid").inc();
-
-      AnalysisResult Tentative = Cov.Merged;
-      Tentative.merge(V.Analysis);
-      Coverage Next = coverageOf(std::move(Tentative), Options.FocusClass);
-      if (Next.PairKeys.size() == Cov.PairKeys.size() &&
-          Next.SetterStrs.size() == Cov.SetterStrs.size() &&
-          Next.ReturnStrs.size() == Cov.ReturnStrs.size()) {
+      if (!Cov.keepIfGrows(std::move(V.Analysis))) {
         Metrics.counter("gen.candidates_redundant").inc();
         continue;
       }
-      Cov = std::move(Next);
       Out.Seeds.push_back({C.Name, C.Source});
-      KeptAnalyses.push_back(std::move(V.Analysis));
     }
 
     // Steering update: mark targets some generated pair now reaches.
@@ -309,7 +458,7 @@ Result<GenResult> narada::gen::generateSeedCorpus(
       PairGenOptions PairOptions;
       PairOptions.FocusClass = Options.FocusClass;
       std::set<std::string> PairCoords;
-      for (const RacyPair &Pair : generatePairs(Cov.Merged, PairOptions))
+      for (const RacyPair &Pair : generatePairs(Cov.merged(), PairOptions))
         PairCoords.insert(targetKey(
             sideCoord(methodSymbol(Pair.First.ClassName, Pair.First.Method),
                       Pair.First.AccessLabel),
@@ -323,24 +472,15 @@ Result<GenResult> narada::gen::generateSeedCorpus(
 
   // Reduction: greedy backward elimination.  A seed is dropped only when
   // the remaining corpus covers the identical pair/setter/return sets, so
-  // reduction can never shrink coverage (tests/property_test.cpp).
-  if (Options.Reduce && Out.Seeds.size() > 1) {
-    for (size_t Victim = Out.Seeds.size(); Victim-- > 0;) {
-      if (Out.Seeds.size() == 1)
-        break;
-      AnalysisResult Without;
-      for (size_t I = 0; I < KeptAnalyses.size(); ++I)
-        if (I != Victim)
-          Without.merge(KeptAnalyses[I]);
-      Coverage Reduced = coverageOf(std::move(Without), Options.FocusClass);
-      if (Reduced.PairKeys == Cov.PairKeys &&
-          Reduced.SetterStrs == Cov.SetterStrs &&
-          Reduced.ReturnStrs == Cov.ReturnStrs) {
-        Out.Seeds.erase(Out.Seeds.begin() + Victim);
-        KeptAnalyses.erase(KeptAnalyses.begin() + Victim);
-        Cov = std::move(Reduced);
-        Metrics.counter("gen.seeds_reduced").inc();
-      }
+  // reduction can never shrink coverage (tests/property_test.cpp).  Seeds
+  // after the victim are already decided, so its position is its id.
+  if (Options.Reduce) {
+    for (size_t Victim = Out.Seeds.size();
+         Victim-- > 0 && Out.Seeds.size() > 1;) {
+      if (!Cov.dropIfRedundant(Victim))
+        continue;
+      Out.Seeds.erase(Out.Seeds.begin() + Victim);
+      Metrics.counter("gen.seeds_reduced").inc();
     }
   }
 
@@ -349,7 +489,7 @@ Result<GenResult> narada::gen::generateSeedCorpus(
     Out.CorpusSource += "\n" + Seed.Source;
     Out.SeedNames.push_back(Seed.Name);
   }
-  Out.PairKeys = Cov.PairKeys;
+  Out.PairKeys = Cov.pairKeys();
   Out.StaticTargets = static_cast<unsigned>(Targets.size());
   Out.StaticTargetsCovered = static_cast<unsigned>(CoveredTargets.size());
 

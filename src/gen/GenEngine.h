@@ -14,8 +14,9 @@
 ///   emit    (serial)  : Budget candidates from split RNGs
 ///                       (candidateSeed(Seed, Round, Index), the
 ///                       pairDerivationSeed discipline),
-///   validate(parallel): compile library+candidate, run it sequentially,
-///                       discard faulting/deadlocking/diverging candidates,
+///   validate(parallel): compile library+candidate, run it sequentially on
+///                       a fixed step budget, discard faulting/deadlocking/
+///                       diverging (step-limited) candidates,
 ///   commit  (serial)  : keep a candidate iff its stage-1 analysis adds a
 ///                       new candidate-pair key or new setter/return
 ///                       summary to the corpus built so far,

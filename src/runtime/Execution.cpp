@@ -81,11 +81,13 @@ Result<TestRun> narada::runTest(const IRModule &M,
 
 Result<TestRun> narada::runTestSequential(const IRModule &M,
                                           const std::string &TestName,
-                                          uint64_t RandSeed) {
+                                          uint64_t RandSeed,
+                                          uint64_t MaxSteps) {
   RoundRobinPolicy Policy;
   Trace Recorded;
   TraceRecorder Recorder(Recorded);
-  Result<TestRun> Run = runTest(M, TestName, Policy, RandSeed, &Recorder);
+  Result<TestRun> Run =
+      runTest(M, TestName, Policy, RandSeed, &Recorder, MaxSteps);
   if (Run)
     Run->TheTrace = std::move(Recorded);
   return Run;

@@ -58,9 +58,11 @@ Result<TestRun> runTest(const IRModule &M, const std::string &TestName,
 /// Runs test \p TestName single-threaded (round-robin degenerates to
 /// program order for sequential tests), recording every event into
 /// TheTrace: the sequential seed traces the Narada analysis consumes.
+/// A run that reaches \p MaxSteps stops with HitStepLimit set.
 Result<TestRun> runTestSequential(const IRModule &M,
                                   const std::string &TestName,
-                                  uint64_t RandSeed = 1);
+                                  uint64_t RandSeed = 1,
+                                  uint64_t MaxSteps = 1'000'000);
 
 } // namespace narada
 

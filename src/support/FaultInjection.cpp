@@ -102,6 +102,10 @@ void executeHardFault(Mode M) {
   case Mode::Crash:
     std::abort();
   case Mode::Segv:
+    // A sanitizer's SEGV handler would turn the signal into an exit
+    // status; the default action kills the worker by signal, as a real
+    // segfault does in a production build.
+    std::signal(SIGSEGV, SIG_DFL);
     std::raise(SIGSEGV);
     std::abort(); // Backstop, should SIGSEGV ever be blocked.
   case Mode::Hang:

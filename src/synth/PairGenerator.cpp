@@ -62,31 +62,35 @@ bool narada::locksCollideUnderSharing(const AccessRecord &A,
   return false;
 }
 
-std::vector<RacyPair>
-narada::generatePairs(const AnalysisResult &Analysis,
-                      const PairGenOptions &Options) {
-  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
+Admission narada::admitAccess(const AccessRecord &R,
+                              const PairGenOptions &Options) {
+  if (!Options.FocusClass.empty() && R.ClassName != Options.FocusClass)
+    return Admission::OtherClass;
+  if (Options.DiscardConstructorAccesses && R.InConstructor)
+    return Admission::InConstructor;
+  if (!R.BasePath)
+    return Admission::Uncontrollable; // A client cannot stage the sharing.
+  return Admission::Admitted;
+}
 
-  // Group accesses by the field they touch.
-  std::map<std::string, std::vector<const AccessRecord *>> ByField;
-  for (const AccessRecord &R : Analysis.Accesses) {
-    if (!Options.FocusClass.empty() && R.ClassName != Options.FocusClass)
-      continue;
-    if (Options.DiscardConstructorAccesses && R.InConstructor) {
-      Metrics.counter("pairgen.accesses_dropped.constructor").inc();
-      continue;
-    }
-    if (!R.BasePath) {
-      // Not controllable: a client cannot stage the sharing.
-      Metrics.counter("pairgen.accesses_dropped.uncontrollable").inc();
-      continue;
-    }
-    ByField[R.FieldClassName + "." + R.Field].push_back(&R);
-  }
+std::string narada::pairFieldOf(const AccessRecord &R) {
+  return R.FieldClassName + "." + R.Field;
+}
 
-  std::vector<RacyPair> Pairs;
-  std::set<std::string> Seen;
+PairCheck narada::checkCandidatePair(const AccessRecord &A,
+                                     const AccessRecord &B) {
+  if (!A.IsWrite && !B.IsWrite)
+    return PairCheck::ReadRead; // Read-read never races.
+  // Every pair is anchored on an unprotected access.
+  if (!A.Unprotected)
+    return PairCheck::Unanchored;
+  if (locksCollideUnderSharing(A, B))
+    return PairCheck::LocksCollide;
+  return PairCheck::Forms;
+}
 
+RacyPair narada::makeCandidatePair(const AccessRecord &A,
+                                   const AccessRecord &B) {
   auto MakeSide = [](const AccessRecord &R) {
     RacySide Side;
     Side.ClassName = R.ClassName;
@@ -96,53 +100,77 @@ narada::generatePairs(const AnalysisResult &Analysis,
     Side.IsWrite = R.IsWrite;
     return Side;
   };
+  RacyPair Pair;
+  Pair.First = MakeSide(A);
+  Pair.Second = MakeSide(B);
+  Pair.Field = A.Field;
+  Pair.FieldClassName = A.FieldClassName;
+  return Pair;
+}
+
+std::vector<RacyPair>
+narada::generatePairs(const AnalysisResult &Analysis,
+                      const PairGenOptions &Options) {
+  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
+
+  // Group accesses by the field they touch.
+  std::map<std::string, std::vector<const AccessRecord *>> ByField;
+  for (const AccessRecord &R : Analysis.Accesses) {
+    switch (admitAccess(R, Options)) {
+    case Admission::OtherClass:
+      continue;
+    case Admission::InConstructor:
+      Metrics.counter("pairgen.accesses_dropped.constructor").inc();
+      continue;
+    case Admission::Uncontrollable:
+      Metrics.counter("pairgen.accesses_dropped.uncontrollable").inc();
+      continue;
+    case Admission::Admitted:
+      break;
+    }
+    ByField[pairFieldOf(R)].push_back(&R);
+  }
+
+  std::vector<RacyPair> Pairs;
+  std::set<std::string> Seen;
 
   const staticrace::ModuleSummary *Static = Options.Static;
   const bool Prefilter = Static && Options.StaticPrefilter;
   std::set<std::string> PrunedKeys;
 
-  auto MakePair = [&](const AccessRecord &A, const AccessRecord &B) {
-    RacyPair Pair;
-    Pair.First = MakeSide(A);
-    Pair.Second = MakeSide(B);
-    Pair.Field = A.Field;
-    Pair.FieldClassName = A.FieldClassName;
-    return Pair;
-  };
-
   for (const auto &[FieldKey, Records] : ByField) {
     for (const AccessRecord *A : Records) {
-      // Every generated pair is anchored on an unprotected access; with
-      // the prefilter on, protected anchors are still scanned so the
+      // With the prefilter on, protected anchors are still scanned so the
       // guarded candidate space can be counted as pruned.
       const bool Anchor = A->Unprotected;
       if (!Anchor && !Prefilter)
         continue;
       for (const AccessRecord *B : Records) {
-        if (!A->IsWrite && !B->IsWrite) {
+        PairCheck Check = checkCandidatePair(*A, *B);
+        if (Check == PairCheck::ReadRead) {
           if (Anchor)
             Metrics.counter("pairgen.candidates_rejected.read_read").inc();
-          continue; // Read-read never races.
+          continue;
         }
         std::optional<staticrace::PairVerdict> Verdict;
         if (Static)
           Verdict = staticrace::classifyRecordPair(*Static, *A, *B);
         if (Prefilter &&
             Verdict == staticrace::PairVerdict::MustGuarded) {
-          // Provably serialized under the staged sharing: prune before
-          // the dynamic feasibility checks even look at it.
-          PrunedKeys.insert(MakePair(*A, *B).key());
+          // Provably serialized under the staged sharing: pruned, and not
+          // counted as a dynamic feasibility rejection.
+          PrunedKeys.insert(makeCandidatePair(*A, *B).key());
           continue;
         }
-        if (!Anchor)
+        if (Check == PairCheck::Unanchored)
           continue; // Scanned for pruning accounting only.
-        if (locksCollideUnderSharing(*A, *B)) {
+        if (Check == PairCheck::LocksCollide) {
           Metrics.counter("pairgen.candidates_rejected.lock_collision")
               .inc();
           continue;
         }
 
-        RacyPair Pair = MakePair(*A, *B);
+        RacyPair Pair = makeCandidatePair(*A, *B);
         if (Verdict) {
           Pair.Verdict = *Verdict;
           Pair.Classified = true;

@@ -64,6 +64,28 @@ struct PairGenOptions {
 /// be one object.  Exposed for testing.
 bool locksCollideUnderSharing(const AccessRecord &A, const AccessRecord &B);
 
+/// Whether an access record enters pair generation, or why not.
+enum class Admission { Admitted, OtherClass, InConstructor, Uncontrollable };
+
+/// Why two admitted accesses to one field do or do not form a pair.
+enum class PairCheck { Forms, ReadRead, Unanchored, LocksCollide };
+
+/// The candidate-pair rule, per access: \p R enters pair generation when
+/// its invoked method belongs to the focus class, it is not a discarded
+/// constructor access, and its base is client-rooted.
+Admission admitAccess(const AccessRecord &R, const PairGenOptions &Options);
+
+/// The field an admitted access is paired within ("FieldClass.field").
+std::string pairFieldOf(const AccessRecord &R);
+
+/// The candidate-pair rule, per pair, for admitted accesses \p A and \p B
+/// with one pairFieldOf: the pair anchored on A forms iff one side writes,
+/// A is unprotected, and the sharing does not force a common monitor.
+PairCheck checkCandidatePair(const AccessRecord &A, const AccessRecord &B);
+
+/// The candidate pair anchored on \p A; its key() identifies it.
+RacyPair makeCandidatePair(const AccessRecord &A, const AccessRecord &B);
+
 /// Generates all candidate racy pairs from \p Analysis.
 std::vector<RacyPair> generatePairs(const AnalysisResult &Analysis,
                                     const PairGenOptions &Options = {});

@@ -18,6 +18,7 @@
 #include "gen/SeedGen.h"
 #include "ir/Verifier.h"
 #include "lang/ASTPrinter.h"
+#include "obs/Metrics.h"
 #include "staticrace/LocksetAnalysis.h"
 #include "synth/Narada.h"
 
@@ -204,6 +205,26 @@ TEST(GenEngineTest, CorpusIsByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(Serial->CorpusSource, Par->CorpusSource);
   EXPECT_EQ(Serial->SeedNames, Par->SeedNames);
   EXPECT_EQ(Serial->PairKeys, Par->PairKeys);
+}
+
+TEST(GenEngineTest, StepLimitedCandidatesStopAtTheValidationBudget) {
+  // Some C2 candidates never finish (`l.addAll(l)` grows the list it
+  // walks).  Validation stops them at its own step budget: at seed 1 the
+  // whole generation runs under 1M steps, where runTestSequential's
+  // default budget spends over 5M on the same candidates.
+  const CorpusEntry *C2 = findCorpusEntry("C2");
+  gen::GenOptions Options;
+  Options.FocusClass = C2->ClassName;
+  Options.Seed = 1;
+  auto CounterNow = [](const char *Name) {
+    return obs::MetricsRegistry::global().snapshot().counter(Name);
+  };
+  const uint64_t Steps = CounterNow("runtime.steps");
+  const uint64_t LimitHits = CounterNow("runtime.step_limit_hits");
+  Result<gen::GenResult> Gen = gen::generateSeedCorpus(C2->Source, Options);
+  ASSERT_TRUE(Gen.hasValue()) << Gen.error().str();
+  EXPECT_GE(CounterNow("runtime.step_limit_hits") - LimitHits, 1u);
+  EXPECT_LT(CounterNow("runtime.steps") - Steps, 1'000'000u);
 }
 
 TEST(GenEngineTest, CandidateSeedsAreCoordinateStable) {

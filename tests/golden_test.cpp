@@ -13,7 +13,9 @@
 // verdict change.  Finally pins `narada-cli trace` output (printTrace of
 // a sequential seed run) for C3's seed — allocations, locks, client-call
 // arguments, element accesses — and for a seed that faults while holding
-// a lock.
+// a lock.  And pins the seeds generation keeps for C2 and C5 at seed 1
+// and the default budget, so a change to validation, the coverage commit
+// or reduction that keeps different seeds shows up as a diff.
 //
 // To regenerate after an intentional output change:
 //
@@ -25,6 +27,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
+#include "gen/GenEngine.h"
 #include "ir/IRPrinter.h"
 #include "runtime/Execution.h"
 #include "synth/Narada.h"
@@ -110,6 +113,21 @@ std::string seedTrace(const std::string &Source, const std::string &Test) {
   return Run ? printTrace(Run->TheTrace) : std::string();
 }
 
+/// The seeds a default-budget generation keeps for \p CorpusId at seed 1.
+std::string generatedSeeds(const std::string &CorpusId) {
+  const CorpusEntry &E = *findCorpusEntry(CorpusId);
+  gen::GenOptions Options;
+  Options.FocusClass = E.ClassName;
+  Options.Seed = 1;
+  Result<gen::GenResult> Gen = gen::generateSeedCorpus(E.Source, Options);
+  EXPECT_TRUE(Gen.hasValue()) << (Gen ? "" : Gen.error().str());
+  std::string Text;
+  if (Gen)
+    for (const gen::GenSeed &Seed : Gen->Seeds)
+      Text += (Text.empty() ? "" : "\n") + Seed.Source;
+  return Text;
+}
+
 /// A seed whose second nextSize() call dereferences a null field inside a
 /// synchronized method: the fault releases the monitor, then kills the
 /// thread.
@@ -177,4 +195,16 @@ TEST(GoldenTest, FaultingSeedTrace) {
   std::string Text = seedTrace(FaultingSeed, "seedFaults");
   ASSERT_NE(Text.find(" fault "), std::string::npos);
   checkGolden("fault_seed_trace", Text);
+}
+
+TEST(GoldenTest, C2GeneratedSeeds) {
+  std::string Text = generatedSeeds("C2");
+  ASSERT_FALSE(Text.empty());
+  checkGolden("gen_c2_seed1", Text);
+}
+
+TEST(GoldenTest, C5GeneratedSeeds) {
+  std::string Text = generatedSeeds("C5");
+  ASSERT_FALSE(Text.empty());
+  checkGolden("gen_c5_seed1", Text);
 }

@@ -30,6 +30,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "RunRecorded.h"
+#include "analysis/AccessAnalysis.h"
 #include "corpus/Corpus.h"
 #include "gen/GenEngine.h"
 #include "lang/ASTPrinter.h"
@@ -37,6 +38,7 @@
 #include "runtime/Execution.h"
 #include "support/RNG.h"
 #include "synth/Narada.h"
+#include "synth/PairGenerator.h"
 #include "synth/ParallelDriver.h"
 
 #include <gtest/gtest.h>
@@ -395,6 +397,39 @@ TEST_P(GenSweep, SameSeedRegenerationReplaysReducedCorpus) {
     EXPECT_EQ(A->Seeds[I].Source, B->Seeds[I].Source) << A->Seeds[I].Name;
 }
 
+// P11: the commit and reduction phases track pair coverage one seed at a
+// time.  generatePairs over the kept seeds, run and merged from scratch in
+// order, is the reference for the keys they report.
+TEST_P(GenSweep, PairCoverageMatchesGeneratePairsOverKeptSeeds) {
+  const CorpusEntry *Entry = findCorpusEntry(GetParam());
+  ASSERT_TRUE(Entry);
+  for (bool Reduce : {false, true}) {
+    gen::GenOptions Options;
+    Options.FocusClass = Entry->ClassName;
+    Options.Reduce = Reduce;
+    Result<gen::GenResult> Gen =
+        gen::generateSeedCorpus(Entry->Source, Options);
+    ASSERT_TRUE(Gen.hasValue()) << Gen.error().str();
+    Result<CompiledProgram> Corpus = compileProgram(Gen->CorpusSource);
+    ASSERT_TRUE(Corpus.hasValue()) << Corpus.error().str();
+
+    AnalysisResult Merged;
+    for (const std::string &Name : Gen->SeedNames) {
+      Result<TestRun> Run = runTestSequential(*Corpus->Module, Name);
+      ASSERT_TRUE(Run.hasValue()) << Run.error().str();
+      ASSERT_FALSE(Run->Result.HitStepLimit) << Name;
+      Merged.merge(analyzeTrace(Run->TheTrace, *Corpus->Info));
+    }
+    PairGenOptions PairOptions;
+    PairOptions.FocusClass = Entry->ClassName;
+    std::set<std::string> Keys;
+    for (const RacyPair &Pair : generatePairs(Merged, PairOptions))
+      Keys.insert(Pair.key());
+    EXPECT_FALSE(Keys.empty());
+    EXPECT_EQ(Keys, Gen->PairKeys) << "Reduce=" << Reduce;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Classes, GenSweep,
-                         ::testing::Values("C1", "C8", "C9"),
+                         ::testing::Values("C1", "C2", "C5", "C8", "C9"),
                          [](const auto &Info) { return Info.param; });
