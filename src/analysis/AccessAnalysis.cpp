@@ -37,16 +37,6 @@ std::string ReturnSummary::str() const {
                       RetPath.str().c_str(), Rhs.str().c_str());
 }
 
-std::vector<const WriteableAssign *>
-AnalysisResult::settersFor(const std::string &ClassName,
-                           const AccessPath &Lhs) const {
-  std::vector<const WriteableAssign *> Out;
-  for (const WriteableAssign &W : Setters)
-    if (W.ClassName == ClassName && W.Lhs == Lhs)
-      Out.push_back(&W);
-  return Out;
-}
-
 void AnalysisResult::merge(const AnalysisResult &Other) {
   std::set<std::string> AccessKeys;
   for (const AccessRecord &R : Accesses)
@@ -72,12 +62,13 @@ void AnalysisResult::merge(const AnalysisResult &Other) {
 
 namespace {
 
+/// Maximum depth of the Fig. 9 return-rule walk over the returned object.
+constexpr unsigned ReturnWalkDepth = 3;
+
 /// Walks one trace, maintaining the heap mirror and per-invocation state.
 class TraceAnalyzer {
 public:
-  TraceAnalyzer(const Trace &T, const ProgramInfo &Info,
-                const AnalysisOptions &Options)
-      : T(T), Info(Info), Options(Options) {}
+  TraceAnalyzer(const Trace &T, const ProgramInfo &Info) : T(T), Info(Info) {}
 
   AnalysisResult run();
 
@@ -119,7 +110,6 @@ private:
 
   const Trace &T;
   const ProgramInfo &Info;
-  const AnalysisOptions &Options;
   HeapMirror Mirror;
   std::optional<InvocationContext> Current;
   AnalysisResult Result;
@@ -241,7 +231,7 @@ void TraceAnalyzer::recordReturnSummaries(const TraceEvent &Event) {
   while (!Queue.empty()) {
     WorkItem Item = Queue.front();
     Queue.pop_front();
-    if (Item.Path.depth() >= Options.ReturnWalkDepth || !Mirror.knows(Item.Obj))
+    if (Item.Path.depth() >= ReturnWalkDepth || !Mirror.knows(Item.Obj))
       continue;
     for (const auto &[Field, Val] : Mirror.object(Item.Obj).Fields) {
       if (!Val.isRef())
@@ -292,12 +282,11 @@ AnalysisResult TraceAnalyzer::run() {
   return Result;
 }
 
-AnalysisResult narada::analyzeTrace(const Trace &T, const ProgramInfo &Info,
-                                    const AnalysisOptions &Options) {
+AnalysisResult narada::analyzeTrace(const Trace &T, const ProgramInfo &Info) {
   // Nested under "pipeline.analyze" when driven by runNarada; benches and
   // tests calling analyzeTrace directly get a top-level "trace" phase.
   obs::Span TraceSpan("trace");
-  TraceAnalyzer Analyzer(T, Info, Options);
+  TraceAnalyzer Analyzer(T, Info);
   AnalysisResult Result = Analyzer.run();
 
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();

@@ -108,23 +108,12 @@ struct AnalysisResult {
   std::vector<WriteableAssign> Setters;
   std::vector<ReturnSummary> Returns;
 
-  /// Setters assigning exactly \p Lhs on class \p ClassName.
-  std::vector<const WriteableAssign *>
-  settersFor(const std::string &ClassName, const AccessPath &Lhs) const;
-
   /// Merges \p Other into this result, deduplicating.
   void merge(const AnalysisResult &Other);
 };
 
-/// Options controlling the analysis.
-struct AnalysisOptions {
-  /// Maximum depth of the return-rule walk over the returned object.
-  unsigned ReturnWalkDepth = 3;
-};
-
 /// Runs stage 1 over a recorded sequential trace.
-AnalysisResult analyzeTrace(const Trace &T, const ProgramInfo &Info,
-                            const AnalysisOptions &Options = {});
+AnalysisResult analyzeTrace(const Trace &T, const ProgramInfo &Info);
 
 } // namespace narada
 

@@ -34,7 +34,6 @@ struct AccessPath {
   AccessPath(int Root, std::vector<std::string> Fields)
       : Root(Root), Fields(std::move(Fields)) {}
 
-  bool isReceiverOnly() const { return Root == 0 && Fields.empty(); }
   size_t depth() const { return Fields.size(); }
 
   /// Returns this path extended by \p Field.

@@ -19,12 +19,15 @@ using namespace narada;
 
 namespace {
 
+constexpr unsigned PrefixCalls = 3; ///< Random calls before the threads fork.
+constexpr unsigned SuffixCalls = 2; ///< Random calls per concurrent thread.
+constexpr unsigned BatchSize = 50;  ///< Tests compiled per batch.
+
 /// Generates one random test (plus its two linearizations) as source text.
 class TestGenerator {
 public:
-  TestGenerator(const ProgramInfo &Info, const std::string &CutClass,
-                RNG &Rand, const ContegeOptions &Options)
-      : Info(Info), CutClass(CutClass), Rand(Rand), Options(Options) {}
+  TestGenerator(const ProgramInfo &Info, const std::string &CutClass, RNG &Rand)
+      : Info(Info), CutClass(CutClass), Rand(Rand) {}
 
   /// Emits three tests: Name (concurrent), Name_lin1, Name_lin2.
   std::string generate(const std::string &Name);
@@ -50,7 +53,6 @@ private:
   const ProgramInfo &Info;
   std::string CutClass;
   RNG &Rand;
-  const ContegeOptions &Options;
   unsigned VarCounter = 0;
   std::map<std::string, std::vector<std::string>> Pool; ///< class -> vars.
 };
@@ -139,7 +141,7 @@ std::string TestGenerator::generate(const std::string &Name) {
   // Shared prefix: create the class under test, then random warm-up calls.
   std::string Prefix;
   std::string Cut = createInstance(CutClass, Prefix, 0);
-  for (unsigned I = 0; I < Options.PrefixCalls; ++I) {
+  for (unsigned I = 0; I < PrefixCalls; ++I) {
     // Pick any pool object; bias toward the class under test.
     std::string Receiver = Cut;
     std::string ReceiverClass = CutClass;
@@ -165,7 +167,7 @@ std::string TestGenerator::generate(const std::string &Name) {
   auto MakeSuffix = [&] {
     Pool = PoolAfterPrefix;
     std::string Suffix;
-    for (unsigned I = 0; I < Options.SuffixCalls; ++I)
+    for (unsigned I = 0; I < SuffixCalls; ++I)
       emitRandomCall(Cut, CutClass, Suffix, /*AddResultToPool=*/false);
     Pool = PoolAfterPrefix;
     return Suffix;
@@ -210,15 +212,14 @@ Result<ContegeResult> narada::runContege(std::string_view LibrarySource,
 
   unsigned Generated = 0;
   while (Generated < Options.MaxTests) {
-    unsigned Batch = std::min(Options.BatchSize,
-                              Options.MaxTests - Generated);
+    unsigned Batch = std::min(BatchSize, Options.MaxTests - Generated);
 
     // Generate a batch and compile it together with the library.
     std::vector<std::string> Names;
     std::vector<std::string> Sources;
     std::string BatchSource(LibrarySource);
     for (unsigned I = 0; I < Batch; ++I) {
-      TestGenerator Gen(*Base->Info, CutClass, Rand, Options);
+      TestGenerator Gen(*Base->Info, CutClass, Rand);
       std::string Name = formatString("ctg_%u", Generated + I);
       std::string TestSource = Gen.generate(Name);
       Names.push_back(Name);
@@ -245,11 +246,12 @@ Result<ContegeResult> narada::runContege(std::string_view LibrarySource,
            Sched < Options.SchedulesPerTest && !Misbehaved; ++Sched) {
         obs::Span ScheduleSpan("schedule");
         Metrics.counter("contege.schedules_explored").inc();
+        // Silent data races are counted for comparison only; the real
+        // ConTeGe oracle ignores them.
         HBDetector HB;
         RandomPolicy Policy(Options.Seed * 7919 + Generated + I + Sched);
         Result<TestRun> Run =
-            runTest(*Compiled->Module, Name, Policy, /*RandSeed=*/1,
-                    Options.TrackSilentRaces ? &HB : nullptr);
+            runTest(*Compiled->Module, Name, Policy, /*RandSeed=*/1, &HB);
         if (!Run)
           return Run.error();
         Misbehaved = Run->Result.Faulted || Run->Result.Deadlocked;

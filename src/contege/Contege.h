@@ -36,14 +36,8 @@ namespace narada {
 struct ContegeOptions {
   uint64_t Seed = 1;
   unsigned MaxTests = 200;        ///< Tests to generate and run.
-  unsigned PrefixCalls = 3;       ///< Random calls before the threads fork.
-  unsigned SuffixCalls = 2;       ///< Random calls per concurrent thread.
   unsigned SchedulesPerTest = 6;  ///< Interleavings tried per test.
-  unsigned BatchSize = 50;        ///< Tests compiled per batch.
   bool StopAtFirstViolation = false;
-  /// Also count silent data races (via the HB detector) for comparison;
-  /// the real ConTeGe oracle ignores them.
-  bool TrackSilentRaces = true;
 };
 
 /// What the baseline found.

@@ -25,13 +25,9 @@ void detectworker::encodeDetectOptions(wire::RecordWriter &W,
   W.add("explore_mode", explorationModeName(Options.Mode));
   W.add("explore_max_schedules",
         static_cast<uint64_t>(Options.Explore.MaxSchedules));
-  W.add("explore_max_preemptions",
-        static_cast<uint64_t>(Options.Explore.MaxPreemptions));
-  W.addDouble("explore_wall_budget", Options.Explore.WallBudgetSeconds);
   W.add("witness_dir", Options.WitnessDir);
   W.add("step_limit_retries",
         static_cast<uint64_t>(Options.StepLimitRetries));
-  W.add("step_budget_escalation", Options.StepBudgetEscalation);
   W.addDouble("wall_budget_seconds", Options.WallBudgetSeconds);
 }
 
@@ -49,13 +45,9 @@ Result<DetectOptions> detectworker::decodeDetectOptions(
     return Error("detect setup record has an unknown exploration mode");
   O.Explore.MaxSchedules =
       static_cast<unsigned>(In.getU64("explore_max_schedules", 256));
-  O.Explore.MaxPreemptions =
-      static_cast<unsigned>(In.getU64("explore_max_preemptions", 2));
-  O.Explore.WallBudgetSeconds = In.getDouble("explore_wall_budget", 0.0);
   O.WitnessDir = In.getOr("witness_dir", "");
   O.StepLimitRetries =
       static_cast<unsigned>(In.getU64("step_limit_retries", 2));
-  O.StepBudgetEscalation = In.getU64("step_budget_escalation", 4);
   O.WallBudgetSeconds = In.getDouble("wall_budget_seconds", 0.0);
   return O;
 }

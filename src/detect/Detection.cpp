@@ -199,10 +199,8 @@ Result<ConfirmRun> runConfirm(const IRModule &M, const std::string &TestName,
 /// The escalated step budget for retry \p Try (0 = first attempt).
 uint64_t escalatedBudget(const DetectOptions &Options, unsigned Try) {
   uint64_t Budget = Options.MaxSteps;
-  uint64_t Factor =
-      Options.StepBudgetEscalation < 2 ? 2 : Options.StepBudgetEscalation;
   for (unsigned I = 0; I < Try; ++I)
-    Budget *= Factor;
+    Budget *= DetectOptions::StepBudgetEscalation;
   return Budget;
 }
 

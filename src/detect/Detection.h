@@ -82,7 +82,7 @@ struct DetectOptions {
   /// StepLimitRetries times; if the final retry still hits the ceiling the
   /// test is quarantined — never reported as a clean schedule.
   unsigned StepLimitRetries = 2;
-  uint64_t StepBudgetEscalation = 4; ///< Budget multiplier per retry (>= 2).
+  static constexpr uint64_t StepBudgetEscalation = 4; ///< Per-retry factor.
   /// Per-test wall-clock budget in seconds; exceeded => the test is
   /// quarantined with whatever results were already gathered.  0 disables
   /// the watchdog (the default: wall-clock cutoffs are inherently timing-

@@ -9,7 +9,6 @@
 #include "obs/Metrics.h"
 #include "obs/Span.h"
 #include "support/FaultInjection.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <optional>
@@ -49,13 +48,16 @@ struct Branch {
   std::vector<ThreadId> Untried;   ///< Alternatives still to explore.
 };
 
+/// Maximum preemptive context switches per schedule (the PCT/CHESS bound
+/// d); yield switches are free.  Races of depth d need d-1 preemptions.
+constexpr unsigned MaxPreemptions = 2;
+
 /// One run of the DFS: replays \p Forced, then continues non-preemptively
 /// (keep the running thread; at yields, lowest thread id first), creating
 /// Branch records for every decision point past the forced prefix.
 class DfsPolicy : public SchedulingPolicy {
 public:
-  DfsPolicy(const std::vector<ThreadId> &Forced, unsigned MaxPreemptions)
-      : Forced(Forced), MaxPreemptions(MaxPreemptions) {}
+  explicit DfsPolicy(const std::vector<ThreadId> &Forced) : Forced(Forced) {}
 
   ThreadId pick(const std::vector<ThreadId> &Runnable, VM &M) override {
     uint64_t Step = Picks.size();
@@ -137,7 +139,6 @@ public:
 
 private:
   const std::vector<ThreadId> &Forced;
-  unsigned MaxPreemptions;
 
   std::vector<ThreadId> Picks;
   std::vector<uint64_t> PreemptSteps;
@@ -157,7 +158,6 @@ narada::explore::exploreSchedules(const IRModule &M,
                                   ScheduleVisitor &Visitor) {
   obs::Span ExploreSpan("explore");
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-  Timer Wall;
 
   ExploreOutcome Outcome;
   std::vector<Branch> Stack;
@@ -168,18 +168,13 @@ narada::explore::exploreSchedules(const IRModule &M,
       Outcome.HitScheduleBudget = true;
       break;
     }
-    if (Options.WallBudgetSeconds > 0.0 &&
-        Wall.seconds() > Options.WallBudgetSeconds) {
-      Outcome.HitWallBudget = true;
-      break;
-    }
 
     obs::Span ScheduleSpan("schedule");
     // Containment boundary: an injected fault here unwinds out of the
     // whole exploration and is quarantined per test by detectRacesInTests,
     // never aborting sibling tests (see support/FaultInjection.h).
     fault::probe("explore.schedule");
-    DfsPolicy Policy(Forced, Options.MaxPreemptions);
+    DfsPolicy Policy(Forced);
     ExecutionObserver *Observer =
         Visitor.beginSchedule(Outcome.SchedulesRun);
     Result<TestRun> Run = runTest(M, TestName, Policy, Options.RandSeed,

@@ -23,14 +23,15 @@
 ///    finished) are always branched, since they reorder whole thread
 ///    bodies for free.
 ///
-/// The search is bounded by a budget ladder — max schedules, max
-/// preemptions per schedule, and an optional wall budget — and reports
-/// whether the bounded space was exhausted, so callers can degrade
-/// gracefully to randomized policies when it was not (see
-/// detect/Detection.cpp).  Approximation notes: monitor operations are not
-/// branch points (peekAccess only describes heap accesses), so lock-order
-/// interleavings beyond those forced by yields are not enumerated; within
-/// the preemption bound the search is exhaustive over the pruned space.
+/// The search is bounded by a budget ladder — max schedules and max
+/// preemptions per schedule — and reports whether the bounded space was
+/// exhausted, so callers can degrade gracefully to randomized policies
+/// when it was not (see detect/Detection.cpp).  A wall-clock budget is the
+/// caller's: detection checks its per-test budget after every schedule.
+/// Approximation notes: monitor operations are not branch points
+/// (peekAccess only describes heap accesses), so lock-order interleavings
+/// beyond those forced by yields are not enumerated; within the preemption
+/// bound the search is exhaustive over the pruned space.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,12 +52,6 @@ struct ExploreOptions {
   /// Maximum schedules to execute before giving up on exhausting the
   /// space.  Degenerate values are still honored (1 = baseline run only).
   unsigned MaxSchedules = 256;
-  /// Maximum preemptive context switches per schedule (the PCT/CHESS bound
-  /// d); yield switches are free.  Races of depth d need d-1 preemptions.
-  unsigned MaxPreemptions = 2;
-  /// Wall-clock budget in seconds for the whole search (0 = off).  Checked
-  /// between schedules; inherently timing-dependent, so opt-in.
-  double WallBudgetSeconds = 0.0;
   /// Per-schedule step ceiling.
   uint64_t MaxSteps = 400'000;
   /// VM rand() stream seed (schedules are deterministic given it).
@@ -71,7 +66,6 @@ struct ExploreOutcome {
   uint64_t Pruned = 0;
   bool Exhausted = false;         ///< The pruned, bounded space was covered.
   bool HitScheduleBudget = false; ///< Stopped at MaxSchedules.
-  bool HitWallBudget = false;     ///< Stopped at WallBudgetSeconds.
   bool Stopped = false;           ///< The visitor asked to stop.
 };
 

@@ -330,20 +330,14 @@ Result<GenResult> narada::gen::generateSeedCorpus(
                  Lib.error().str());
   const ProgramInfo &Info = *Lib->Info;
 
-  staticrace::ModuleSummary Summary;
-  std::vector<SteerTarget> Targets;
-  if (Options.StaticSteering) {
-    Summary = staticrace::summarizeModule(*Lib->Module);
-    Targets = collectSteerTargets(Summary, Options.FocusClass);
-  }
+  // Static steering: target the suspicious pairs no generated pair covers.
+  staticrace::ModuleSummary Summary =
+      staticrace::summarizeModule(*Lib->Module);
+  std::vector<SteerTarget> Targets =
+      collectSteerTargets(Summary, Options.FocusClass);
   Metrics.counter("gen.static_targets").inc(Targets.size());
 
-  ApiModel Model =
-      extractApiModel(Info, Options.StaticSteering ? &Summary : nullptr);
-
-  SeedGenOptions SeedOptions;
-  SeedOptions.FocusClass = Options.FocusClass;
-  SeedOptions.MaxCalls = Options.MaxCalls;
+  ApiModel Model = extractApiModel(Info, &Summary);
 
   GenResult Out;
   CorpusCoverage Cov(Options.FocusClass);
@@ -384,9 +378,10 @@ Result<GenResult> narada::gen::generateSeedCorpus(
         // construct-populate-exercise shape hand-written suites have,
         // which random chains only reach by luck.  Argument pooling still
         // varies with the candidate RNG, so sweeps differ across rounds.
-        C.Source = I < 2 ? generateSweepSeedTest(Model, SeedOptions, C.Name, R)
-                         : generateSeedTest(Model, SeedOptions, Weights,
-                                            C.Name, R);
+        C.Source =
+            I < 2 ? generateSweepSeedTest(Model, Options.FocusClass, C.Name, R)
+                  : generateSeedTest(Model, Options.FocusClass, Weights,
+                                     C.Name, R);
       } catch (const std::exception &Ex) {
         Out.Quarantined.push_back({Round, Global, "emit", Ex.what()});
         continue;

@@ -57,14 +57,10 @@ struct GenOptions {
   unsigned Rounds = 2;
   /// Candidates emitted per round.
   unsigned Budget = 16;
-  /// Maximum method calls per candidate test.
-  unsigned MaxCalls = 16;
   /// Worker threads for the validation runs (0 = hardware concurrency).
   unsigned Jobs = 1;
   /// Run the corpus reducer after the last round.
   bool Reduce = true;
-  /// Compute static summaries and steer toward uncovered suspicious pairs.
-  bool StaticSteering = true;
 };
 
 /// One kept generated seed test.

@@ -16,13 +16,20 @@ using namespace narada::gen;
 
 namespace {
 
+/// Upper bound on method calls per random-chain test (at least 2 are
+/// emitted so a single seed can already exhibit a two-access pair).
+constexpr unsigned MaxCalls = 16;
+/// Chance (percent) of constructing a second focus-class receiver, which
+/// diversifies the setter/factory material the context deriver mines.
+constexpr unsigned SecondReceiverPercent = 50;
+
 /// Mutable state of one test emission: the statement list plus typed value
 /// pools the statements have defined so far.
 class Emitter {
 public:
-  Emitter(const ApiModel &Model, const SeedGenOptions &Options,
+  Emitter(const ApiModel &Model, const std::string &FocusClass,
           const MethodWeights &Weights, RNG &R)
-      : Model(Model), Options(Options), Weights(Weights), R(R) {}
+      : Model(Model), FocusClass(FocusClass), Weights(Weights), R(R) {}
 
   std::string run(const std::string &TestName);
   std::string runSweep(const std::string &TestName);
@@ -92,7 +99,7 @@ private:
   std::string assemble(const std::string &TestName) const;
 
   const ApiModel &Model;
-  const SeedGenOptions &Options;
+  const std::string &FocusClass;
   const MethodWeights &Weights;
   RNG &R;
 
@@ -191,7 +198,7 @@ void Emitter::emitCall() {
   if (Receivers.empty())
     return;
   size_t RecvIdx = weightedPick(Receivers.size(), [&](size_t I) -> uint64_t {
-    return Receivers[I].Class->Name == Options.FocusClass ? 4 : 1;
+    return Receivers[I].Class->Name == FocusClass ? 4 : 1;
   });
   const ClassModel &Class = *Receivers[RecvIdx].Class;
   std::string Recv = *Receivers[RecvIdx].Var;
@@ -261,7 +268,7 @@ void Emitter::emitCallTo(const ClassModel &Class, const MethodApi &Method,
 std::string Emitter::run(const std::string &TestName) {
   // Pick the root receiver class: the focus class when given, otherwise
   // uniformly over modeled classes that expose methods.
-  const ClassModel *Focus = Model.find(Options.FocusClass);
+  const ClassModel *Focus = Model.find(FocusClass);
   if (!Focus) {
     std::vector<const ClassModel *> Eligible;
     for (const auto &[Name, Class] : Model.Classes)
@@ -273,13 +280,10 @@ std::string Emitter::run(const std::string &TestName) {
 
   if (Focus) {
     constructObject(*Focus, 0);
-    if (R.chance(Options.SecondReceiverPercent, 100))
+    if (R.chance(SecondReceiverPercent, 100))
       constructObject(*Focus, 0);
 
-    unsigned NumCalls =
-        Options.MaxCalls <= 2
-            ? 2
-            : 2 + static_cast<unsigned>(R.nextBelow(Options.MaxCalls - 1));
+    unsigned NumCalls = 2 + static_cast<unsigned>(R.nextBelow(MaxCalls - 1));
     for (unsigned I = 0; I < NumCalls; ++I)
       emitCall();
   }
@@ -292,7 +296,7 @@ std::string Emitter::runSweep(const std::string &TestName) {
   // of every other constructible class, then a second focus receiver —
   // which reuses pooled constructor arguments with the usual bias, the
   // two-wrappers-one-backing-object aliasing of the paper's Fig. 2.
-  const ClassModel *Focus = Model.find(Options.FocusClass);
+  const ClassModel *Focus = Model.find(FocusClass);
   if (Focus && Focus->Constructible)
     constructObject(*Focus, 0);
   for (const auto &[Name, Class] : Model.Classes)
@@ -343,19 +347,19 @@ std::string Emitter::assemble(const std::string &TestName) const {
 } // namespace
 
 std::string narada::gen::generateSeedTest(const ApiModel &Model,
-                                          const SeedGenOptions &Options,
+                                          const std::string &FocusClass,
                                           const MethodWeights &Weights,
                                           const std::string &TestName,
                                           RNG &R) {
-  Emitter E(Model, Options, Weights, R);
+  Emitter E(Model, FocusClass, Weights, R);
   return E.run(TestName);
 }
 
 std::string narada::gen::generateSweepSeedTest(const ApiModel &Model,
-                                               const SeedGenOptions &Options,
+                                               const std::string &FocusClass,
                                                const std::string &TestName,
                                                RNG &R) {
   static const MethodWeights NoWeights;
-  Emitter E(Model, Options, NoWeights, R);
+  Emitter E(Model, FocusClass, NoWeights, R);
   return E.runSweep(TestName);
 }

@@ -33,19 +33,6 @@
 namespace narada {
 namespace gen {
 
-/// Knobs for one emitted test.
-struct SeedGenOptions {
-  /// Receivers are drawn from this class (empty: uniformly from every
-  /// constructible modeled class).
-  std::string FocusClass;
-  /// Upper bound on method calls per test (at least 2 are emitted so a
-  /// single seed can already exhibit a two-access pair).
-  unsigned MaxCalls = 16;
-  /// Chance (percent) of constructing a second focus-class receiver, which
-  /// diversifies the setter/factory material the context deriver mines.
-  unsigned SecondReceiverPercent = 50;
-};
-
 /// Per-method steering weights, keyed by "Class.method" (methodSymbol
 /// format).  Methods absent from the map weigh 1; the engine raises the
 /// weight of methods participating in statically suspicious, not-yet-
@@ -53,9 +40,11 @@ struct SeedGenOptions {
 using MethodWeights = std::map<std::string, unsigned>;
 
 /// Generates one seed test named \p TestName.  Returns the complete test
-/// source ("test name {...}").  \p R is the candidate's private RNG stream.
+/// source ("test name {...}").  Receivers are drawn from \p FocusClass
+/// (empty: uniformly from every constructible modeled class).  \p R is the
+/// candidate's private RNG stream.
 std::string generateSeedTest(const ApiModel &Model,
-                             const SeedGenOptions &Options,
+                             const std::string &FocusClass,
                              const MethodWeights &Weights,
                              const std::string &TestName, RNG &R);
 
@@ -68,7 +57,7 @@ std::string generateSeedTest(const ApiModel &Model,
 /// methods see both empty and populated peers.  \p R only varies argument
 /// choices; the call skeleton is fixed by the model.
 std::string generateSweepSeedTest(const ApiModel &Model,
-                                  const SeedGenOptions &Options,
+                                  const std::string &FocusClass,
                                   const std::string &TestName, RNG &R);
 
 } // namespace gen

@@ -141,7 +141,6 @@ public:
       : Info(std::move(Info)) {}
 
   const ProgramInfo &programInfo() const { return *Info; }
-  std::shared_ptr<ProgramInfo> programInfoPtr() const { return Info; }
 
   /// Registers a function; returns a stable pointer.
   IRFunction *addFunction(std::unique_ptr<IRFunction> F);

@@ -166,7 +166,6 @@ public:
         Field(std::move(Field)) {}
 
   Expr *base() const { return Base.get(); }
-  ExprPtr takeBase() { return std::move(Base); }
   const std::string &field() const { return Field; }
 
   static bool classof(const Expr *E) { return E->kind() == Kind::FieldAccess; }

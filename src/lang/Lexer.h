@@ -34,7 +34,6 @@ public:
 private:
   Result<Token> lexToken();
   void skipWhitespaceAndComments();
-  Token makeToken(TokenKind Kind, size_t Begin);
   char peek(size_t Ahead = 0) const;
   char advance();
   bool atEnd() const { return Pos >= Source.size(); }

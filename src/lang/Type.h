@@ -51,8 +51,6 @@ public:
   bool isNull() const { return TheKind == Kind::Null; }
   bool isVoid() const { return TheKind == Kind::Void; }
   bool isPrimitive() const { return isInt() || isBool(); }
-  /// True for class references and null: values stored as heap references.
-  bool isReference() const { return isClass() || isNull(); }
 
   /// The class name; only meaningful for Kind::Class.
   const std::string &className() const { return ClassName; }

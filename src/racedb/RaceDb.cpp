@@ -12,9 +12,6 @@
 #include "support/Wire.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fcntl.h>
-#include <unistd.h>
 
 using namespace narada;
 using namespace narada::racedb;
@@ -182,53 +179,25 @@ bool racedb::saveRaceDb(const std::string &Path, const RaceDb &Db) {
 }
 
 Result<RaceDb> racedb::loadRaceDb(const std::string &Path, LoadStats *Stats) {
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0)
-    return Error("cannot open racedb file '" + Path + "'");
   RaceDb Db;
   LoadStats Local;
-  std::string Payload;
-  wire::ReadStatus St = wire::readFrame(Fd, Payload);
-  if (St != wire::ReadStatus::Ok) {
-    ::close(Fd);
-    return Error("racedb file '" + Path + "' has no header frame");
-  }
-  {
-    wire::RecordReader Header(Payload);
-    if (Header.getOr("magic", "") != Magic) {
-      ::close(Fd);
-      return Error("racedb file '" + Path + "' has a bad magic");
-    }
-    if (Header.getU64("version", 0) != Version) {
-      ::close(Fd);
-      return Error("racedb file '" + Path + "' has an unsupported version");
-    }
+  auto OnHeader = [&](const wire::RecordReader &Header) -> Status {
     Db.NextRunId = Header.getU64("next_run_id", 1);
-  }
-  for (;;) {
-    St = wire::readFrame(Fd, Payload);
-    if (St == wire::ReadStatus::Eof)
-      break;
-    if (St != wire::ReadStatus::Ok) {
-      ::close(Fd);
-      return Error("racedb file '" + Path + "' is truncated or corrupt");
-    }
-    wire::RecordReader In(Payload);
-    const std::string Kind = In.getOr("kind", "");
-    if (Kind != "race") {
-      ::close(Fd);
-      return Error("racedb file '" + Path + "' has an unknown entry kind '" +
-                   Kind + "'");
-    }
+    return Status::success();
+  };
+  auto OnRace = [&](const wire::RecordReader &In) -> Status {
     Result<RaceRecord> R = decodeRaceFrame(In, Local);
-    if (!R) {
-      ::close(Fd);
+    if (!R)
       return R.error();
-    }
     std::string Key = R->Key;
     Db.Races[std::move(Key)] = R.take();
-  }
-  ::close(Fd);
+    return Status::success();
+  };
+  Status Loaded = wire::readSnapshot(
+      Path, {"racedb file", Magic, Version, Version}, OnHeader,
+      {{"race", OnRace}});
+  if (!Loaded)
+    return Loaded.error();
   if (Local.MigratedKeys)
     obs::MetricsRegistry::global()
         .counter("racedb.keys_migrated")

@@ -10,9 +10,6 @@
 #include "obs/Log.h"
 #include "support/Wire.h"
 
-#include <cstdio>
-#include <fcntl.h>
-#include <unistd.h>
 #include <utility>
 #include <vector>
 
@@ -285,82 +282,48 @@ bool serve::saveCacheFile(const std::string &Path,
 }
 
 Result<CacheSnapshot> serve::loadCacheFile(const std::string &Path) {
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0)
-    return Error("cannot open cache file '" + Path + "'");
   CacheSnapshot Snapshot;
-  std::string Payload;
-  wire::ReadStatus St = wire::readFrame(Fd, Payload);
-  if (St != wire::ReadStatus::Ok) {
-    ::close(Fd);
-    return Error("cache file '" + Path + "' has no header frame");
-  }
-  {
-    wire::RecordReader Header(Payload);
-    if (Header.getOr("magic", "") != Magic) {
-      ::close(Fd);
-      return Error("cache file '" + Path + "' has a bad magic");
-    }
-    const uint64_t V = Header.getU64("version", 0);
-    if (V < MinVersion || V > Version) {
-      ::close(Fd);
-      return Error("cache file '" + Path + "' has an unsupported version");
-    }
-  }
-  for (;;) {
-    St = wire::readFrame(Fd, Payload);
-    if (St == wire::ReadStatus::Eof)
-      break;
-    if (St != wire::ReadStatus::Ok) {
-      ::close(Fd);
-      return Error("cache file '" + Path + "' is truncated or corrupt");
-    }
-    wire::RecordReader In(Payload);
-    const std::string Kind = In.getOr("kind", "");
-    if (Kind == "summary") {
-      Result<std::pair<std::string, CacheSnapshot::SummaryEntry>> Entry =
-          decodeSummaryFrame(In);
-      if (!Entry) {
-        ::close(Fd);
-        return Entry.error();
-      }
-      Snapshot.Summaries[Entry->first] = std::move(Entry->second);
-    } else if (Kind == "memo_scope") {
-      std::optional<std::string> Digest = In.get("digest");
-      if (!Digest) {
-        ::close(Fd);
-        return Error("cache memo scope has no digest");
-      }
-      Result<std::unique_ptr<DerivationMemo>> Memo = decodeMemoFrame(In);
-      if (!Memo) {
-        ::close(Fd);
-        return Memo.error();
-      }
-      Snapshot.MemoScopes[In.getU64("digest", 0)] = Memo.take();
-    } else if (Kind == "detect_memo") {
-      Result<std::pair<uint64_t, std::vector<TestDetectionResult>>> Entry =
-          decodeDetectMemoFrame(In);
-      if (!Entry) {
-        ::close(Fd);
-        return Entry.error();
-      }
-      if (Snapshot.DetectMemo.emplace(Entry->first, std::move(Entry->second))
-              .second)
-        Snapshot.DetectOrder.push_back(Entry->first);
-    } else if (Kind == "input") {
-      std::optional<std::string> Name = In.get("name");
-      std::optional<std::string> Digest = In.get("digest");
-      if (!Name || !Digest) {
-        ::close(Fd);
-        return Error("cache input binding has no name/digest");
-      }
-      Snapshot.InputDigests[*Name] = In.getU64("digest", 0);
-    } else {
-      ::close(Fd);
-      return Error("cache file '" + Path + "' has an unknown entry kind '" +
-                   Kind + "'");
-    }
-  }
-  ::close(Fd);
+  auto OnSummary = [&](const wire::RecordReader &In) -> Status {
+    Result<std::pair<std::string, CacheSnapshot::SummaryEntry>> Entry =
+        decodeSummaryFrame(In);
+    if (!Entry)
+      return Entry.error();
+    Snapshot.Summaries[Entry->first] = std::move(Entry->second);
+    return Status::success();
+  };
+  auto OnMemoScope = [&](const wire::RecordReader &In) -> Status {
+    if (!In.get("digest"))
+      return Error("cache memo scope has no digest");
+    Result<std::unique_ptr<DerivationMemo>> Memo = decodeMemoFrame(In);
+    if (!Memo)
+      return Memo.error();
+    Snapshot.MemoScopes[In.getU64("digest", 0)] = Memo.take();
+    return Status::success();
+  };
+  auto OnDetectMemo = [&](const wire::RecordReader &In) -> Status {
+    Result<std::pair<uint64_t, std::vector<TestDetectionResult>>> Entry =
+        decodeDetectMemoFrame(In);
+    if (!Entry)
+      return Entry.error();
+    if (Snapshot.DetectMemo.emplace(Entry->first, std::move(Entry->second))
+            .second)
+      Snapshot.DetectOrder.push_back(Entry->first);
+    return Status::success();
+  };
+  auto OnInput = [&](const wire::RecordReader &In) -> Status {
+    std::optional<std::string> Name = In.get("name");
+    if (!Name || !In.get("digest"))
+      return Error("cache input binding has no name/digest");
+    Snapshot.InputDigests[*Name] = In.getU64("digest", 0);
+    return Status::success();
+  };
+  Status Loaded = wire::readSnapshot(
+      Path, {"cache file", Magic, MinVersion, Version}, /*OnHeader=*/{},
+      {{"summary", OnSummary},
+       {"memo_scope", OnMemoScope},
+       {"detect_memo", OnDetectMemo},
+       {"input", OnInput}});
+  if (!Loaded)
+    return Loaded.error();
   return Snapshot;
 }

@@ -85,7 +85,6 @@ public:
 
   // Introspection for tests and logs.
   size_t summaryCount() const { return State.Summaries.size(); }
-  size_t memoScopeCount() const { return State.MemoScopes.size(); }
   size_t detectMemoCount() const { return State.DetectMemo.size(); }
 
 private:

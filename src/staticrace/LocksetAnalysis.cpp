@@ -28,6 +28,14 @@ namespace {
 /// stored" (the method spawns a thread or calls something opaque).
 const char *const SmashAll = "*";
 
+/// Monitor re-entrancy counts saturate here (a lower bound stays sound).
+constexpr unsigned MaxLockCount = 4;
+/// Rounds of call-digest composition; recursion deeper than this marks the
+/// affected summaries Incomplete.
+constexpr unsigned MaxInlineRounds = 8;
+/// Cap on accesses per method summary; overflow marks it Incomplete.
+constexpr unsigned MaxAccessesPerMethod = 512;
+
 /// Abstract value of one register.  Path means: the register holds the
 /// object that sat at this entry-rooted path in the heap *as of method
 /// entry* — the same snapshot semantics the dynamic analysis uses, so a
@@ -156,21 +164,18 @@ struct IntraInfo {
   bool Incomplete = false;
 };
 
-void addLock(LockState &Locks, const AccessPath &Path, unsigned Count,
-             const SummaryOptions &Options) {
+void addLock(LockState &Locks, const AccessPath &Path, unsigned Count) {
   unsigned &Slot = Locks.Held[Path];
-  Slot = std::min(Slot + Count, Options.MaxLockCount);
+  Slot = std::min(Slot + Count, MaxLockCount);
 }
 
-void addUnknownLocks(LockState &Locks, unsigned Count,
-                     const SummaryOptions &Options) {
-  Locks.UnknownHeld = std::min(Locks.UnknownHeld + Count,
-                               Options.MaxLockCount);
+void addUnknownLocks(LockState &Locks, unsigned Count) {
+  Locks.UnknownHeld = std::min(Locks.UnknownHeld + Count, MaxLockCount);
 }
 
 /// Applies \p I to \p S.  Returns false when the transfer discovered a
 /// monitor imbalance (release with nothing matching held).
-bool transfer(AbsState &S, const Instr &I, const SummaryOptions &Options,
+bool transfer(AbsState &S, const Instr &I,
               const std::map<std::string, std::set<std::string>> *StoredTrans,
               bool *SawOpaque) {
   auto ValueOf = [&](Reg R) {
@@ -200,7 +205,7 @@ bool transfer(AbsState &S, const Instr &I, const SummaryOptions &Options,
     AbsValue Base = ValueOf(I.A);
     if (Base.K == AbsValue::Kind::Path &&
         !isSmashed(S.Smashed, I.Member) &&
-        Base.P.depth() + 1 <= Options.MaxPathDepth)
+        Base.P.depth() + 1 <= MaxPathDepth)
       SetReg(I.Dst, AbsValue::path(Base.P.appended(I.Member)));
     else
       SetReg(I.Dst, AbsValue::unknown());
@@ -238,9 +243,9 @@ bool transfer(AbsState &S, const Instr &I, const SummaryOptions &Options,
   case Opcode::MonitorEnter: {
     AbsValue V = ValueOf(I.A);
     if (V.K == AbsValue::Kind::Path)
-      addLock(S.Locks, V.P, 1, Options);
+      addLock(S.Locks, V.P, 1);
     else if (V.K != AbsValue::Kind::Fresh)
-      addUnknownLocks(S.Locks, 1, Options);
+      addUnknownLocks(S.Locks, 1);
     break;
   }
   case Opcode::MonitorExit: {
@@ -278,9 +283,9 @@ bool transfer(AbsState &S, const Instr &I, const SummaryOptions &Options,
 /// Runs the worklist fixpoint over \p F and harvests own accesses and
 /// call sites.  \p StoredTrans supplies transitive store effects per
 /// callee symbol; null selects the intra-only mode (opaque calls).
-IntraInfo
-analyzeFunction(const IRFunction &F, const SummaryOptions &Options,
-                const std::map<std::string, std::set<std::string>> *StoredTrans) {
+IntraInfo analyzeFunction(
+    const IRFunction &F,
+    const std::map<std::string, std::set<std::string>> *StoredTrans) {
   IntraInfo Out;
   const std::vector<Instr> &Body = F.instrs();
   if (Body.empty())
@@ -323,7 +328,7 @@ analyzeFunction(const IRFunction &F, const SummaryOptions &Options,
     if (!S.Reachable)
       continue;
     const Instr &I = Body[Pc];
-    if (!transfer(S, I, Options, StoredTrans, &SawOpaque))
+    if (!transfer(S, I, StoredTrans, &SawOpaque))
       Imbalanced = true;
     switch (I.Op) {
     case Opcode::Jump:
@@ -415,8 +420,7 @@ AccessPath concatPath(const AccessPath &Base,
 /// Rebases one callee access through a call site into the caller's frame.
 /// The label stays the callee's (innermost site), matching how dynamic
 /// AccessRecords label accesses observed in nested callees.
-StaticAccess rebaseAccess(const StaticAccess &A, const CallSite &CS,
-                          const SummaryOptions &Options) {
+StaticAccess rebaseAccess(const StaticAccess &A, const CallSite &CS) {
   StaticAccess Out = A;
   Out.MustLocks.clear();
   Out.UnknownLocks = 0;
@@ -430,7 +434,7 @@ StaticAccess rebaseAccess(const StaticAccess &A, const CallSite &CS,
     AbsValue V = actualForRoot(A.BasePath->Root, CS);
     if (V.K == AbsValue::Kind::Path &&
         fieldsClean(A.BasePath->Fields, CS.Smashed) &&
-        V.P.depth() + A.BasePath->depth() <= Options.MaxPathDepth) {
+        V.P.depth() + A.BasePath->depth() <= MaxPathDepth) {
       Out.Ctrl = Controllability::Param;
       Out.BasePath = concatPath(V.P, A.BasePath->Fields);
     } else if (V.K == AbsValue::Kind::Fresh && A.BasePath->Fields.empty()) {
@@ -453,34 +457,31 @@ StaticAccess rebaseAccess(const StaticAccess &A, const CallSite &CS,
   for (const auto &[Path, Count] : A.MustLocks) {
     AbsValue V = actualForRoot(Path.Root, CS);
     if (V.K == AbsValue::Kind::Path && fieldsClean(Path.Fields, CS.Smashed) &&
-        V.P.depth() + Path.depth() <= Options.MaxPathDepth) {
+        V.P.depth() + Path.depth() <= MaxPathDepth) {
       unsigned &Slot = Out.MustLocks[concatPath(V.P, Path.Fields)];
-      Slot = std::min(Slot + Count, Options.MaxLockCount);
+      Slot = std::min(Slot + Count, MaxLockCount);
     } else if (V.K == AbsValue::Kind::Fresh && Path.Fields.empty()) {
       // Monitor on a caller-fresh object: never coincides; drop.
     } else {
-      Out.UnknownLocks = std::min(Out.UnknownLocks + Count,
-                                  Options.MaxLockCount);
+      Out.UnknownLocks = std::min(Out.UnknownLocks + Count, MaxLockCount);
     }
   }
   for (const auto &[Path, Count] : CS.Locks.Held) {
     unsigned &Slot = Out.MustLocks[Path];
-    Slot = std::min(Slot + Count, Options.MaxLockCount);
+    Slot = std::min(Slot + Count, MaxLockCount);
   }
   Out.UnknownLocks = std::min(Out.UnknownLocks + CS.Locks.UnknownHeld,
-                              Options.MaxLockCount);
+                              MaxLockCount);
   if (A.UnknownLocks)
-    Out.UnknownLocks = std::min(Out.UnknownLocks + A.UnknownLocks,
-                                Options.MaxLockCount);
+    Out.UnknownLocks =
+        std::min(Out.UnknownLocks + A.UnknownLocks, MaxLockCount);
   return Out;
 }
 
 } // namespace
 
-MethodSummary
-staticrace::summarizeFunctionIntra(const IRFunction &F,
-                                   const SummaryOptions &Options) {
-  IntraInfo Info = analyzeFunction(F, Options, /*StoredTrans=*/nullptr);
+MethodSummary staticrace::summarizeFunctionIntra(const IRFunction &F) {
+  IntraInfo Info = analyzeFunction(F, /*StoredTrans=*/nullptr);
   MethodSummary Out;
   Out.Symbol = F.name();
   Out.Accesses = std::move(Info.Accesses);
@@ -511,7 +512,7 @@ struct ComposeOutcome {
 /// least-fixpoint values of an identical cone: the restricted iteration
 /// converges to the same module fixpoint (or trips PinsViolated).
 ComposeOutcome
-composeModule(const IRModule &M, const SummaryOptions &Options,
+composeModule(const IRModule &M,
               const std::map<std::string, const MethodSummary *> *Pinned) {
   ComposeOutcome Result;
   auto IsPinned = [&](const std::string &Symbol) {
@@ -566,7 +567,7 @@ composeModule(const IRModule &M, const SummaryOptions &Options,
   std::map<std::string, IntraInfo> Intra;
   for (const auto &[Symbol, F] : Methods)
     if (!IsPinned(Symbol))
-      Intra[Symbol] = analyzeFunction(*F, Options, &Stored);
+      Intra[Symbol] = analyzeFunction(*F, &Stored);
   Result.Reanalyzed = Intra.size();
 
   // Phase C: bounded call-digest composition (Jacobi rounds): each round
@@ -606,7 +607,7 @@ composeModule(const IRModule &M, const SummaryOptions &Options,
       if (It == Prev.end())
         continue;
       for (const StaticAccess &A : It->second) {
-        StaticAccess R = rebaseAccess(A, CS, Options);
+        StaticAccess R = rebaseAccess(A, CS);
         if (!Fps.count(R.fingerprint()))
           Fresh.push_back(std::move(R));
       }
@@ -616,7 +617,7 @@ composeModule(const IRModule &M, const SummaryOptions &Options,
 
   bool Converged = false;
   bool CapHit = false;
-  for (unsigned Round = 0; Round < Options.MaxInlineRounds; ++Round) {
+  for (unsigned Round = 0; Round < MaxInlineRounds; ++Round) {
     std::map<std::string, std::vector<StaticAccess>> Prev = Acc;
     bool Changed = false;
     for (const auto &[Symbol, F] : Methods) {
@@ -627,7 +628,7 @@ composeModule(const IRModule &M, const SummaryOptions &Options,
       std::set<std::string> &Fps = Seen[Symbol];
       std::vector<StaticAccess> &Mine = Acc[Symbol];
       for (StaticAccess &R : Fresh) {
-        if (Mine.size() >= Options.MaxAccessesPerMethod) {
+        if (Mine.size() >= MaxAccessesPerMethod) {
           Incomplete.insert(Symbol);
           CapHit = true;
           break;
@@ -698,9 +699,8 @@ composeModule(const IRModule &M, const SummaryOptions &Options,
 
 } // namespace
 
-ModuleSummary staticrace::summarizeModule(const IRModule &M,
-                                          const SummaryOptions &Options) {
-  ComposeOutcome R = composeModule(M, Options, /*Pinned=*/nullptr);
+ModuleSummary staticrace::summarizeModule(const IRModule &M) {
+  ComposeOutcome R = composeModule(M, /*Pinned=*/nullptr);
   obs::MetricsRegistry::global()
       .counter("staticrace.methods_summarized")
       .inc(R.Summary.Methods.size());
@@ -708,8 +708,7 @@ ModuleSummary staticrace::summarizeModule(const IRModule &M,
 }
 
 std::map<std::string, uint64_t>
-staticrace::methodConeDigests(const IRModule &M,
-                              const SummaryOptions &Options) {
+staticrace::methodConeDigests(const IRModule &M) {
   std::map<std::string, const IRFunction *> Methods;
   for (const auto &F : M.functions())
     if (F->kind() == IRFunction::Kind::Method)
@@ -746,10 +745,10 @@ staticrace::methodConeDigests(const IRModule &M,
   }
 
   uint64_t OptDigest = digest::Fnv1aOffset;
-  OptDigest = digest::updateU64(OptDigest, Options.MaxPathDepth);
-  OptDigest = digest::updateU64(OptDigest, Options.MaxLockCount);
-  OptDigest = digest::updateU64(OptDigest, Options.MaxInlineRounds);
-  OptDigest = digest::updateU64(OptDigest, Options.MaxAccessesPerMethod);
+  OptDigest = digest::updateU64(OptDigest, MaxPathDepth);
+  OptDigest = digest::updateU64(OptDigest, MaxLockCount);
+  OptDigest = digest::updateU64(OptDigest, MaxInlineRounds);
+  OptDigest = digest::updateU64(OptDigest, MaxAccessesPerMethod);
 
   std::map<std::string, uint64_t> Out;
   for (const auto &[Symbol, C] : Cone) {
@@ -765,9 +764,8 @@ staticrace::methodConeDigests(const IRModule &M,
 
 ModuleSummary
 staticrace::summarizeModuleIncremental(const IRModule &M, SummaryStore &Store,
-                                       IncrementalStats *Stats,
-                                       const SummaryOptions &Options) {
-  std::map<std::string, uint64_t> Digests = methodConeDigests(M, Options);
+                                       IncrementalStats *Stats) {
+  std::map<std::string, uint64_t> Digests = methodConeDigests(M);
 
   // Pin every method whose cone digest hits an Exact entry.  Non-Exact
   // hits are useless (their values depend on more than the cone) and are
@@ -777,10 +775,10 @@ staticrace::summarizeModuleIncremental(const IRModule &M, SummaryStore &Store,
     if (const CachedSummary *E = Store.lookup(Symbol, Digest); E && E->Exact)
       Pinned[Symbol] = &E->Summary;
 
-  ComposeOutcome R = composeModule(M, Options, &Pinned);
+  ComposeOutcome R = composeModule(M, &Pinned);
   bool Full = false;
   if (R.PinsViolated) {
-    R = composeModule(M, Options, /*Pinned=*/nullptr);
+    R = composeModule(M, /*Pinned=*/nullptr);
     Full = true;
   }
 

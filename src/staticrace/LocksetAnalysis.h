@@ -43,29 +43,18 @@ class IRFunction;
 
 namespace staticrace {
 
-/// Knobs bounding the abstraction; the defaults comfortably cover the
-/// C1–C9 corpus.
-struct SummaryOptions {
-  /// Maximum access-path depth tracked; deeper paths abstract to Unknown.
-  unsigned MaxPathDepth = 8;
-  /// Monitor re-entrancy counts saturate here (a lower bound stays sound).
-  unsigned MaxLockCount = 4;
-  /// Rounds of call-digest composition; recursion deeper than this marks
-  /// the affected summaries Incomplete.
-  unsigned MaxInlineRounds = 8;
-  /// Cap on accesses per method summary; overflow marks it Incomplete.
-  unsigned MaxAccessesPerMethod = 512;
-};
+/// Maximum access-path depth tracked; deeper paths abstract to Unknown.
+/// This and the other bounds of the abstraction (LocksetAnalysis.cpp)
+/// comfortably cover the C1–C9 corpus.
+constexpr unsigned MaxPathDepth = 8;
 
 /// Summarizes every Kind::Method function of \p M.  Bumps the
 /// "staticrace.methods_summarized" counter.
-ModuleSummary summarizeModule(const IRModule &M,
-                              const SummaryOptions &Options = {});
+ModuleSummary summarizeModule(const IRModule &M);
 
 /// Summarizes one function in isolation (no call composition beyond
 /// built-ins); exposed for unit tests over hand-built IR.
-MethodSummary summarizeFunctionIntra(const IRFunction &F,
-                                     const SummaryOptions &Options = {});
+MethodSummary summarizeFunctionIntra(const IRFunction &F);
 
 //===----------------------------------------------------------------------===//
 // Incremental summarization (serve/SummaryCache)
@@ -73,7 +62,7 @@ MethodSummary summarizeFunctionIntra(const IRFunction &F,
 //
 // A method's summary is a pure function of its *dependence cone* — its own
 // body plus the bodies of every transitively callable method — and the
-// SummaryOptions.  methodConeDigests() hashes exactly that input (printed
+// abstraction bounds.  methodConeDigests() hashes exactly that input (printed
 // IR per body, FNV-1a over the sorted cone), so equal digests imply equal
 // summaries and an edit to one method invalidates precisely the methods
 // whose cone contains it.
@@ -110,9 +99,9 @@ struct IncrementalStats {
 };
 
 /// Per-method dependence-cone digests for every Kind::Method function of
-/// \p M, folding in \p Options (a knob change invalidates everything).
-std::map<std::string, uint64_t>
-methodConeDigests(const IRModule &M, const SummaryOptions &Options = {});
+/// \p M, folding in the abstraction bounds (a bound change invalidates
+/// everything).
+std::map<std::string, uint64_t> methodConeDigests(const IRModule &M);
 
 /// summarizeModule with a memo: methods whose cone digest hits an Exact
 /// store entry are pinned to the cached summary and only the remaining
@@ -124,8 +113,7 @@ methodConeDigests(const IRModule &M, const SummaryOptions &Options = {});
 /// number of methods actually reanalyzed.
 ModuleSummary summarizeModuleIncremental(const IRModule &M,
                                          SummaryStore &Store,
-                                         IncrementalStats *Stats = nullptr,
-                                         const SummaryOptions &Options = {});
+                                         IncrementalStats *Stats = nullptr);
 
 } // namespace staticrace
 } // namespace narada

@@ -204,24 +204,6 @@ bool fault::armFromSpec(const std::string &Spec, std::string *Why) {
   return true;
 }
 
-const char *fault::modeName(Mode M) {
-  switch (M) {
-  case Mode::Throw:
-    return "throw";
-  case Mode::Timeout:
-    return "timeout";
-  case Mode::Crash:
-    return "crash";
-  case Mode::Segv:
-    return "segv";
-  case Mode::Hang:
-    return "hang";
-  case Mode::Oom:
-    return "oom";
-  }
-  return "unknown";
-}
-
 fault::ScopedUnit::ScopedUnit(uint64_t Unit) : Previous(CurrentUnit) {
   CurrentUnit = Unit;
 }

@@ -109,9 +109,6 @@ private:
 /// The current thread's logical unit, if inside a ScopedUnit.
 std::optional<uint64_t> currentUnit();
 
-/// Stable lower-case name of \p M ("throw", "timeout", "crash", ...).
-const char *modeName(Mode M);
-
 /// A throw-mode probe: registers \p Site and fires when \p Site is armed
 /// in any non-Timeout mode and the current unit matches — raising
 /// InjectedFault (Throw) or executing the armed hard fault

@@ -66,6 +66,17 @@ std::string pool::currentExecutablePath(const std::string &Fallback) {
 
 namespace {
 
+/// Seconds without a heartbeat before a busy worker is declared wedged and
+/// killed.  Generous: heartbeats flow from a monitor thread even while the
+/// unit computes, so silence means the process is gone or stuck in the
+/// kernel.
+constexpr double HeartbeatTimeoutSeconds = 10.0;
+/// Worker deaths tolerated per slot before the slot is retired.
+constexpr unsigned MaxRespawnsPerWorker = 3;
+/// Worker deaths a single unit may cause before it is poisoned
+/// (quarantined instead of re-dispatched).
+constexpr unsigned PoisonThreshold = 2;
+
 /// Deterministic names for the signals crash classification cares about;
 /// strsignal() is locale-dependent, and quarantine reasons are asserted on.
 const char *signalName(int Sig) {
@@ -159,11 +170,10 @@ struct ProcessPool::Impl {
   double now() { return Clock.seconds(); }
 
   double backoffMs(unsigned Respawns) const {
-    double Ms = Options.RespawnBackoffBaseMs;
+    double Ms = RespawnBackoffBaseMs;
     for (unsigned I = 1; I < Respawns; ++I)
       Ms *= 2.0;
-    return Ms > Options.RespawnBackoffCapMs ? Options.RespawnBackoffCapMs
-                                            : Ms;
+    return Ms > RespawnBackoffCapMs ? RespawnBackoffCapMs : Ms;
   }
 
   /// fork/execs one worker into \p S: request/response pipes, child-side
@@ -316,7 +326,7 @@ struct ProcessPool::Impl {
       Death.PartialOutput = Partial;
       ++Deaths[Unit];
       Death.WorkerDeaths = Deaths[Unit];
-      if (Deaths[Unit] >= Options.PoisonThreshold) {
+      if (Deaths[Unit] >= PoisonThreshold) {
         // Poison-task rule: this unit has now killed enough workers; it
         // is quarantined with the latest classification, never retried.
         finish(Unit, std::move(Death));
@@ -328,7 +338,7 @@ struct ProcessPool::Impl {
     }
 
     ++S.Respawns;
-    if (S.Respawns > Options.MaxRespawnsPerWorker) {
+    if (S.Respawns > MaxRespawnsPerWorker) {
       S.St = Slot::State::Retired;
       return;
     }
@@ -472,13 +482,12 @@ struct ProcessPool::Impl {
         handleDeath(S, &Death);
         continue;
       }
-      if (Options.HeartbeatTimeoutSeconds > 0.0 &&
-          Now - S.LastBeatAt > Options.HeartbeatTimeoutSeconds) {
+      if (Now - S.LastBeatAt > HeartbeatTimeoutSeconds) {
         UnitOutcome Death;
         Death.Crash = CrashKind::Timeout;
         Death.CrashDetail = formatString(
             "no heartbeat for %.1fs, worker presumed wedged and killed",
-            Options.HeartbeatTimeoutSeconds);
+            HeartbeatTimeoutSeconds);
         kill(S);
         handleDeath(S, &Death);
       }
@@ -494,7 +503,7 @@ struct ProcessPool::Impl {
           !Pending.empty()) {
         if (!spawn(S)) {
           ++S.Respawns;
-          if (S.Respawns > Options.MaxRespawnsPerWorker)
+          if (S.Respawns > MaxRespawnsPerWorker)
             S.St = Slot::State::Retired;
           else
             S.SpawnAllowedAt = Now + backoffMs(S.Respawns) / 1000.0;

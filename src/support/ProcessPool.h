@@ -74,6 +74,11 @@ struct UnitOutcome;
 /// synth and detect stages so crash records read the same everywhere.
 std::string describeCrash(const UnitOutcome &O);
 
+/// Exponential backoff before respawning a crashed worker:
+/// base * 2^(respawn-1) milliseconds, capped.
+constexpr double RespawnBackoffBaseMs = 10.0;
+constexpr double RespawnBackoffCapMs = 500.0;
+
 /// Configuration for one pool.
 struct PoolOptions {
   /// Worker subprocess argv; argv[0] is the executable path.
@@ -85,24 +90,10 @@ struct PoolOptions {
   /// Per-unit wall deadline in seconds (0 = none): a unit not answered in
   /// time has its worker killed and is classified Timeout.
   double UnitDeadlineSeconds = 60.0;
-  /// Seconds without a heartbeat before a busy worker is declared wedged
-  /// and killed (0 = none).  Generous by default: heartbeats flow from a
-  /// monitor thread even while the unit computes, so silence means the
-  /// process is gone or stuck in the kernel.
-  double HeartbeatTimeoutSeconds = 10.0;
   /// RLIMIT_CPU for each worker in seconds (0 = inherit the parent's).
   uint64_t WorkerCpuLimitSeconds = 0;
   /// RLIMIT_AS for each worker in MiB (0 = inherit the parent's).
   uint64_t WorkerMemLimitMb = 0;
-  /// Worker deaths tolerated per slot before the slot is retired.
-  unsigned MaxRespawnsPerWorker = 3;
-  /// Exponential backoff before respawning a crashed worker:
-  /// base * 2^(respawn-1) milliseconds, capped.
-  double RespawnBackoffBaseMs = 10.0;
-  double RespawnBackoffCapMs = 500.0;
-  /// Worker deaths a single unit may cause before it is poisoned
-  /// (quarantined instead of re-dispatched).
-  unsigned PoisonThreshold = 2;
 };
 
 /// The outcome of one work unit.
@@ -168,8 +159,6 @@ struct IsolateOptions {
   std::string WorkerExe;
   /// Per-unit wall deadline (seconds); contains :hang faults.
   double UnitDeadlineSeconds = 60.0;
-  /// Heartbeat watchdog (seconds); 0 disables.
-  double HeartbeatTimeoutSeconds = 10.0;
   /// --worker-cpu-limit: RLIMIT_CPU per worker in seconds (0 = inherit).
   uint64_t WorkerCpuLimitSeconds = 0;
   /// --worker-mem-limit: RLIMIT_AS per worker in MiB (0 = inherit).
@@ -183,7 +172,6 @@ struct IsolateOptions {
     Out.Workers = Workers;
     Out.SetupPayload = std::move(SetupPayload);
     Out.UnitDeadlineSeconds = UnitDeadlineSeconds;
-    Out.HeartbeatTimeoutSeconds = HeartbeatTimeoutSeconds;
     Out.WorkerCpuLimitSeconds = WorkerCpuLimitSeconds;
     Out.WorkerMemLimitMb = WorkerMemLimitMb;
     return Out;

@@ -22,8 +22,8 @@
 /// today (plain identifiers, `[]` element fields, `Class.method:pc`
 /// labels), so existing reports, goldens, and bench baselines do not
 /// drift.  parseRaceKey() inverts makeRaceKey() exactly and rejects
-/// anything ambiguous; migrateLegacyRaceKey() upgrades keys written by
-/// the pre-escaping format on a best-effort split (first `.`, first `{`,
+/// anything ambiguous; canonicalRaceKey() upgrades keys written by the
+/// pre-escaping format on a best-effort split (first `.`, first `{`,
 /// first `~`, trailing `}`) so old databases stay readable.
 ///
 //===----------------------------------------------------------------------===//

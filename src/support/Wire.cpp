@@ -287,6 +287,56 @@ ReadStatus wire::readFrame(int Fd, std::string &Payload) {
   return ReadStatus::Ok;
 }
 
+namespace {
+
+/// readSnapshot after the open: every check and handler of one load.
+Status readSnapshotFrames(
+    int Fd, const std::string &Named, const SnapshotFormat &Format,
+    const SnapshotRecordFn &OnHeader,
+    const std::map<std::string, SnapshotRecordFn> &OnEntry) {
+  std::string Payload;
+  if (readFrame(Fd, Payload) != ReadStatus::Ok)
+    return Error(Named + " has no header frame");
+  RecordReader Header(Payload);
+  if (Header.getOr("magic", "") != Format.Magic)
+    return Error(Named + " has a bad magic");
+  const uint64_t V = Header.getU64("version", 0);
+  if (V < Format.MinVersion || V > Format.MaxVersion)
+    return Error(Named + " has an unsupported version");
+  if (OnHeader)
+    if (Status S = OnHeader(Header); !S)
+      return S;
+  for (;;) {
+    ReadStatus St = readFrame(Fd, Payload);
+    if (St == ReadStatus::Eof)
+      return Status::success();
+    if (St != ReadStatus::Ok)
+      return Error(Named + " is truncated or corrupt");
+    RecordReader Entry(Payload);
+    const std::string Kind = Entry.getOr("kind", "");
+    auto It = OnEntry.find(Kind);
+    if (It == OnEntry.end())
+      return Error(Named + " has an unknown entry kind '" + Kind + "'");
+    if (Status S = It->second(Entry); !S)
+      return S;
+  }
+}
+
+} // namespace
+
+Status wire::readSnapshot(
+    const std::string &Path, const SnapshotFormat &Format,
+    const SnapshotRecordFn &OnHeader,
+    const std::map<std::string, SnapshotRecordFn> &OnEntry) {
+  const std::string Named = std::string(Format.What) + " '" + Path + "'";
+  int Fd = ::open(Path.c_str(), O_RDONLY);
+  if (Fd < 0)
+    return Error("cannot open " + Named);
+  Status Loaded = readSnapshotFrames(Fd, Named, Format, OnHeader, OnEntry);
+  ::close(Fd);
+  return Loaded;
+}
+
 bool FrameBuffer::feed(const char *Data, size_t N) {
   if (Poisoned)
     return false;

@@ -21,15 +21,19 @@
 /// a captured frame pastes straight into a bug report.
 ///
 /// The durable snapshot files (the daemon cache, the race database) are
-/// frame sequences too, saved through replaceFileDurably.
+/// frame sequences too, saved through replaceFileDurably and loaded
+/// through readSnapshot.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef NARADA_SUPPORT_WIRE_H
 #define NARADA_SUPPORT_WIRE_H
 
+#include "support/Error.h"
+
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -126,6 +130,28 @@ enum class ReadStatus {
 
 /// Blocking frame read from \p Fd.
 ReadStatus readFrame(int Fd, std::string &Payload);
+
+/// The shape of one snapshot file: a header record carrying `magic` and
+/// `version`, then entry records that each name their `kind`.
+struct SnapshotFormat {
+  std::string_view What; ///< The file's name in messages ("cache file").
+  std::string_view Magic;
+  uint64_t MinVersion = 1; ///< Accepted header versions, inclusive.
+  uint64_t MaxVersion = 1;
+};
+
+/// Handles one record of a snapshot file.
+using SnapshotRecordFn = std::function<Status(const RecordReader &Record)>;
+
+/// Reads the snapshot at \p Path all-or-nothing.  After the magic and
+/// version checks \p OnHeader (may be empty) sees the header record; every
+/// entry frame then goes to the handler \p OnEntry holds for its kind.
+/// The first failure is returned: a missing file, a missing or bad header,
+/// a truncated or oversized frame, an unknown kind, or a handler's error.
+/// The descriptor is closed on every path.
+Status readSnapshot(const std::string &Path, const SnapshotFormat &Format,
+                    const SnapshotRecordFn &OnHeader,
+                    const std::map<std::string, SnapshotRecordFn> &OnEntry);
 
 /// Incremental frame decoder for the supervisor's non-blocking reads:
 /// feed() raw bytes as they arrive, next() yields completed frames.

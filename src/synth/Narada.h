@@ -72,8 +72,6 @@ struct NaradaOptions {
   /// setter/factory derivations instead of the first one — the paper's §4
   /// "randomly selects one of the possible methods".
   std::optional<uint64_t> DerivationSeed;
-  /// Prefix for synthesized test names.
-  std::string TestNamePrefix = "narada";
   /// Worker threads for the per-pair synthesis stage (and, in the CLI, the
   /// per-test detection/confirmation stages): 1 = serial on the calling
   /// thread, 0 = one worker per hardware thread.  Output is byte-identical

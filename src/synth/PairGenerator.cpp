@@ -66,7 +66,7 @@ Admission narada::admitAccess(const AccessRecord &R,
                               const PairGenOptions &Options) {
   if (!Options.FocusClass.empty() && R.ClassName != Options.FocusClass)
     return Admission::OtherClass;
-  if (Options.DiscardConstructorAccesses && R.InConstructor)
+  if (R.InConstructor)
     return Admission::InConstructor;
   if (!R.BasePath)
     return Admission::Uncontrollable; // A client cannot stage the sharing.

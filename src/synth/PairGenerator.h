@@ -40,8 +40,6 @@ struct PairGenOptions {
   /// Restrict to accesses whose invoked method belongs to this class
   /// (empty = all classes).  Matches the paper's per-class evaluation.
   std::string FocusClass;
-  /// Drop pairs whose accesses happen inside constructors (paper §4).
-  bool DiscardConstructorAccesses = true;
 
   /// Static module summary; when set every generated pair carries a
   /// staticrace::PairVerdict.  Null leaves generation byte-identical to
@@ -71,8 +69,8 @@ enum class Admission { Admitted, OtherClass, InConstructor, Uncontrollable };
 enum class PairCheck { Forms, ReadRead, Unanchored, LocksCollide };
 
 /// The candidate-pair rule, per access: \p R enters pair generation when
-/// its invoked method belongs to the focus class, it is not a discarded
-/// constructor access, and its base is client-rooted.
+/// its invoked method belongs to the focus class, it does not happen inside
+/// a constructor (paper §4), and its base is client-rooted.
 Admission admitAccess(const AccessRecord &R, const PairGenOptions &Options);
 
 /// The field an admitted access is paired within ("FieldClass.field").

@@ -22,6 +22,9 @@ using namespace narada;
 
 namespace {
 
+/// Prefix of every synthesized test name ("narada_000", "narada_001", ...).
+constexpr const char *TestNamePrefix = "narada";
+
 /// Maps a synthesizer failure onto a skip category.  The synthesizer's
 /// message families are part of its contract (tests assert on them), so
 /// prefix matching here is the lightest classification that keeps Error
@@ -305,8 +308,8 @@ narada::runSynthesisStage(const AnalysisResult &Analysis,
     }
     case CommitDecision::Kind::NewTest: {
       SynthesizedTestInfo TestInfo;
-      TestInfo.Name = formatString("%s_%03zu", Options.TestNamePrefix.c_str(),
-                                   Out.Tests.size());
+      TestInfo.Name =
+          formatString("%s_%03zu", TestNamePrefix, Out.Tests.size());
       // Phase B printed the test under the placeholder; splice in the
       // final dense name the commit order just assigned.
       TestInfo.SourceText = std::move(Slot.Attempt->Source);

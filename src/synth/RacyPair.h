@@ -49,13 +49,6 @@ struct RacyPair {
   /// "MustRace" verdict in reports and the race database.
   bool CertifiedMustRace = false;
 
-  /// True when both sides are the same dynamic access (the "concurrent
-  /// access at the same label from a different thread" case).
-  bool sameLabel() const {
-    return First.AccessLabel == Second.AccessLabel &&
-           First.BasePath == Second.BasePath;
-  }
-
   /// Stable identity for deduplication and reporting.
   std::string key() const;
 

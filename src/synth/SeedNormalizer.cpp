@@ -11,18 +11,6 @@
 
 using namespace narada;
 
-bool narada::isAtomicOperand(const Expr *E) {
-  switch (E->kind()) {
-  case Expr::Kind::VarRef:
-  case Expr::Kind::IntLit:
-  case Expr::Kind::BoolLit:
-  case Expr::Kind::NullLit:
-    return true;
-  default:
-    return false;
-  }
-}
-
 namespace {
 
 /// Hoists non-atomic call operands into fresh temporaries.

@@ -33,9 +33,6 @@ namespace narada {
 Result<std::unique_ptr<TestDecl>> normalizeSeed(const TestDecl &Seed,
                                                 const ProgramInfo &Info);
 
-/// True when \p E needs no hoisting as a call operand.
-bool isAtomicOperand(const Expr *E);
-
 } // namespace narada
 
 #endif // NARADA_SYNTH_SEEDNORMALIZER_H

@@ -531,7 +531,6 @@ TEST(WatchdogTest, StepLimitRetriesWithEscalatedBudgetThenSucceeds) {
   Options.ConfirmAttempts = 1;
   Options.MaxSteps = 100;
   Options.StepLimitRetries = 3;
-  Options.StepBudgetEscalation = 4;
   uint64_t RetriesBefore = counterNow("detect.retries");
 
   Result<TestDetectionResult> R = detectRacesInTest(*P.Module, "t", Options);
@@ -563,6 +562,20 @@ TEST(WatchdogTest, WallClockBudgetQuarantinesWithPartialResults) {
   DetectOptions Options;
   Options.RandomRuns = 8;
   Options.WallBudgetSeconds = 1e-9; // Expires by the second run boundary.
+  Result<TestDetectionResult> R = detectRacesInTest(*P.Module, "t", Options);
+  ASSERT_TRUE(R.hasValue()) << R.error().str();
+  EXPECT_TRUE(R->Quarantined);
+  EXPECT_NE(R->QuarantineReason.find("wall-clock"), std::string::npos)
+      << R->QuarantineReason;
+}
+
+TEST(WatchdogTest, WallClockBudgetBoundsSystematicExploration) {
+  // Systematic search has no budget of its own in wall-clock time: the
+  // per-test budget is checked after every schedule it runs.
+  CompiledProgram P = compileOk(BoundedLoop);
+  DetectOptions Options;
+  Options.Mode = ExplorationMode::Systematic;
+  Options.WallBudgetSeconds = 1e-9; // Expires by the first schedule's end.
   Result<TestDetectionResult> R = detectRacesInTest(*P.Module, "t", Options);
   ASSERT_TRUE(R.hasValue()) << R.error().str();
   EXPECT_TRUE(R->Quarantined);

@@ -151,13 +151,12 @@ TEST(SeedGenTest, EveryGeneratedProgramIsWellTyped) {
     for (const auto &Class : Lib.Ast->Classes)
       LibOnly += printClass(*Class) + "\n";
     gen::ApiModel Model = modelOf(LibOnly);
-    gen::SeedGenOptions Options;
-    Options.FocusClass = Entry->ClassName;
+    const std::string &Focus = Entry->ClassName;
     for (unsigned I = 0; I < 40; ++I) {
       RNG R(gen::candidateSeed(7, 0, I));
       std::string Test =
-          I < 2 ? gen::generateSweepSeedTest(Model, Options, "t", R)
-                : gen::generateSeedTest(Model, Options, {}, "t", R);
+          I < 2 ? gen::generateSweepSeedTest(Model, Focus, "t", R)
+                : gen::generateSeedTest(Model, Focus, {}, "t", R);
       Result<CompiledProgram> Full = compileProgram(LibOnly + "\n" + Test);
       ASSERT_TRUE(Full.hasValue())
           << Id << " candidate " << I << ": " << Full.error().str() << "\n"

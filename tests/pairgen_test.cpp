@@ -222,10 +222,6 @@ TEST(PairGenTest2, ConstructorAccessesDiscardedByDefault) {
   R.InConstructor = true;
   Analysis.Accesses.push_back(R);
   EXPECT_TRUE(generatePairs(Analysis).empty());
-
-  PairGenOptions KeepCtors;
-  KeepCtors.DiscardConstructorAccesses = false;
-  EXPECT_FALSE(generatePairs(Analysis, KeepCtors).empty());
 }
 
 TEST(PairGenTest2, FocusClassFilters) {

@@ -110,13 +110,11 @@ TEST(PipelineTest, SeedOrderDoesNotChangeResults) {
 }
 
 TEST(PipelineTest, TestNamesAreUniqueAndPrefixed) {
-  NaradaOptions Options;
-  Options.TestNamePrefix = "racer";
-  Result<NaradaResult> R = runNarada(TwoClassLib, {"seedOuter"}, Options);
+  Result<NaradaResult> R = runNarada(TwoClassLib, {"seedOuter"});
   ASSERT_TRUE(R.hasValue());
   std::set<std::string> Names;
   for (const SynthesizedTestInfo &T : R->Tests) {
-    EXPECT_EQ(T.Name.rfind("racer", 0), 0u) << T.Name;
+    EXPECT_EQ(T.Name.rfind("narada_", 0), 0u) << T.Name;
     EXPECT_TRUE(Names.insert(T.Name).second) << "duplicate " << T.Name;
     EXPECT_TRUE(R->Program.Module->findTest(T.Name))
         << T.Name << " missing from final module";

@@ -510,23 +510,18 @@ TEST_F(ProcessPoolTest, RespawnBackoffStaysWithinConfiguredBounds) {
   Iso.Isolate = isolateOptions();
   Iso.LibrarySource = Entry.Source;
   Iso.SeedNames = Entry.SeedNames;
-  pool::PoolOptions PoolOptions = Iso.Isolate.poolOptions(
-      1, synthworker::encodeSetup(Iso, Options, ""));
-  PoolOptions.RespawnBackoffBaseMs = 1.0;
-  PoolOptions.RespawnBackoffCapMs = 8.0;
-
   ::setenv("NARADA_FAULT_INJECT", "synth.pair_task:0:segv", 1);
-  pool::ProcessPool Pool(PoolOptions);
+  pool::ProcessPool Pool(Iso.Isolate.poolOptions(
+      1, synthworker::encodeSetup(Iso, Options, "")));
   (void)Pool.run(
       {synthworker::encodeUnit("derive", 0, Narada.Pairs[0].key())});
 
   const pool::PoolStats &Stats = Pool.stats();
   EXPECT_GE(Stats.BackoffWaits, 1u);
-  EXPECT_GT(Stats.BackoffMsTotal, 0.0);
-  // Exponential base-1ms waits capped at 8ms can never exceed cap*waits.
-  EXPECT_LE(Stats.BackoffMsTotal,
-            PoolOptions.RespawnBackoffCapMs *
-                static_cast<double>(Stats.BackoffWaits));
+  // Each exponential wait starts at the base and is capped.
+  double Waits = static_cast<double>(Stats.BackoffWaits);
+  EXPECT_GE(Stats.BackoffMsTotal, pool::RespawnBackoffBaseMs * Waits);
+  EXPECT_LE(Stats.BackoffMsTotal, pool::RespawnBackoffCapMs * Waits);
 }
 
 } // namespace

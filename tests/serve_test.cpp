@@ -224,20 +224,33 @@ TEST(ServeProtocolTest, SubmitRoundTrips) {
   Args.Names = {"seedC9", "seedC9b"};
   Args.FocusClass = "CharArrayReader";
   Args.Seed = 7;
+  Args.Tests = 21;
   Args.Jobs = 4;
   Args.ReportPath = "/tmp/some.json"; // Becomes the want_report bit.
   Args.Stats = true;
+  Args.PolicyName = "pct";
+  Args.StaticPrefilter = true;
   Args.StaticRank = true;
+  Args.StaticOnly = true;
   Args.GenSeeds = true;
   Args.GenRounds = 3;
   Args.GenBudget = 9;
   Args.Isolate.Enabled = true;
   Args.Isolate.UnitDeadlineSeconds = 12.5;
+  Args.Isolate.WorkerCpuLimitSeconds = 17;
   Args.Isolate.WorkerMemLimitMb = 256;
+  // Every DetectOptions field the submit record carries, off its default.
   Args.Detect.RandomRuns = 5;
+  Args.Detect.ConfirmAttempts = 6;
+  Args.Detect.BaseSeed = 99;
   Args.Detect.MaxSteps = 1234;
+  Args.Detect.UseHB = false;
+  Args.Detect.UseLockSet = false;
   Args.Detect.Mode = ExplorationMode::Systematic;
   Args.Detect.Explore.MaxSchedules = 33;
+  Args.Detect.WitnessDir = "witness-out";
+  Args.Detect.StepLimitRetries = 5;
+  Args.Detect.WallBudgetSeconds = 2.5;
 
   wire::RecordWriter W;
   encodeSubmit(W, Args, "class A { }\ntest t { }\n");
@@ -252,20 +265,31 @@ TEST(ServeProtocolTest, SubmitRoundTrips) {
   EXPECT_EQ(Out.Names, Args.Names);
   EXPECT_EQ(Out.FocusClass, "CharArrayReader");
   EXPECT_EQ(Out.Seed, 7u);
+  EXPECT_EQ(Out.Tests, 21u);
   EXPECT_EQ(Out.Jobs, 4u);
   EXPECT_TRUE(Out.Stats);
+  EXPECT_EQ(Out.PolicyName, "pct");
+  EXPECT_TRUE(Out.StaticPrefilter);
   EXPECT_TRUE(Out.StaticRank);
-  EXPECT_FALSE(Out.StaticPrefilter);
+  EXPECT_TRUE(Out.StaticOnly);
   EXPECT_TRUE(Out.GenSeeds);
   EXPECT_EQ(Out.GenRounds, 3u);
   EXPECT_EQ(Out.GenBudget, 9u);
   EXPECT_TRUE(Out.Isolate.Enabled);
   EXPECT_DOUBLE_EQ(Out.Isolate.UnitDeadlineSeconds, 12.5);
+  EXPECT_EQ(Out.Isolate.WorkerCpuLimitSeconds, 17u);
   EXPECT_EQ(Out.Isolate.WorkerMemLimitMb, 256u);
   EXPECT_EQ(Out.Detect.RandomRuns, 5u);
+  EXPECT_EQ(Out.Detect.ConfirmAttempts, 6u);
+  EXPECT_EQ(Out.Detect.BaseSeed, 99u);
   EXPECT_EQ(Out.Detect.MaxSteps, 1234u);
+  EXPECT_FALSE(Out.Detect.UseHB);
+  EXPECT_FALSE(Out.Detect.UseLockSet);
   EXPECT_EQ(Out.Detect.Mode, ExplorationMode::Systematic);
   EXPECT_EQ(Out.Detect.Explore.MaxSchedules, 33u);
+  EXPECT_EQ(Out.Detect.WitnessDir, "witness-out");
+  EXPECT_EQ(Out.Detect.StepLimitRetries, 5u);
+  EXPECT_DOUBLE_EQ(Out.Detect.WallBudgetSeconds, 2.5);
   // The report path itself never crosses the wire.
   EXPECT_TRUE(Out.ReportPath.empty());
 }

@@ -31,7 +31,6 @@ using staticrace::MethodSummary;
 using staticrace::ModuleSummary;
 using staticrace::PairVerdict;
 using staticrace::StaticAccess;
-using staticrace::SummaryOptions;
 
 namespace {
 
@@ -237,17 +236,20 @@ TEST(LocksetAnalysisTest, StoreInvalidatesFutureLoadsOnly) {
 }
 
 TEST(LocksetAnalysisTest, PathDepthCapAbstractsToUnknown) {
-  SummaryOptions Options;
-  Options.MaxPathDepth = 1;
-  auto F = makeMethod({loadField(1, 0, "a"),   // 0: depth 1, tracked
-                       loadField(2, 1, "b"),   // 1: depth 2 > cap
-                       loadField(3, 2, "c"),   // 2: base unknown
-                       instr(Opcode::Ret)});
-  MethodSummary S = staticrace::summarizeFunctionIntra(*F, Options);
-  const StaticAccess *AtCap = accessAt(S, "1");
+  // pc K loads r(K+1) = r(K).fK, so r(K) sits at depth K.  The load at pc
+  // Cap reads through a base at exactly the cap; its result would be one
+  // deeper, so the load at pc Cap+1 has an unknown base.
+  const unsigned Cap = staticrace::MaxPathDepth;
+  std::vector<Instr> Body;
+  for (Reg K = 0; K <= Cap + 1; ++K)
+    Body.push_back(loadField(K + 1, K, "f" + std::to_string(K)));
+  Body.push_back(instr(Opcode::Ret));
+  auto F = makeMethod(std::move(Body), /*Params=*/1, /*Regs=*/Cap + 3);
+  MethodSummary S = staticrace::summarizeFunctionIntra(*F);
+  const StaticAccess *AtCap = accessAt(S, std::to_string(Cap));
   ASSERT_NE(AtCap, nullptr);
-  EXPECT_EQ(AtCap->Ctrl, Controllability::Param); // Base itself is depth 1.
-  const StaticAccess *Beyond = accessAt(S, "2");
+  EXPECT_EQ(AtCap->Ctrl, Controllability::Param); // Base itself is at the cap.
+  const StaticAccess *Beyond = accessAt(S, std::to_string(Cap + 1));
   ASSERT_NE(Beyond, nullptr);
   EXPECT_EQ(Beyond->Ctrl, Controllability::Unknown);
 }

@@ -39,10 +39,9 @@ ALL_CLASSES = [f"C{i}" for i in range(1, 10)]
 SMOKE_CLASSES = ["C1", "C9"]
 
 # Bench drivers (bench/*.cpp binaries) folded into the full trajectory.
-# Each accepts --report <file.json>.  The slow ablation/figure drivers and
-# the google-benchmark perf_pipeline harness are deliberately not part of
-# the pinned trajectory — their coverage is timing-only and duplicated by
-# the pipeline runs above.
+# Each accepts --report <file.json>.  The slow ablation/figure drivers are
+# deliberately not part of the pinned trajectory — their coverage is
+# duplicated by the pipeline runs above.
 DEFAULT_DRIVERS = ["table4_synthesis", "table5_detection", "gen_corpus",
                    "daemon_load", "triage_ingest"]
 
