@@ -20,9 +20,9 @@
 #include "obs/Metrics.h"
 #include "obs/RunReport.h"
 #include "support/Env.h"
+#include "support/Parallel.h"
 #include "support/ProcessPool.h"
 #include "support/StringUtils.h"
-#include "support/ThreadPool.h"
 #include "synth/Narada.h"
 
 #include <cstdio>

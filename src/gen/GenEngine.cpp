@@ -17,7 +17,7 @@
 #include "staticrace/LocksetAnalysis.h"
 #include "staticrace/PairClassifier.h"
 #include "support/FaultInjection.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 #include "synth/PairGenerator.h"
 
 #include <algorithm>
@@ -343,7 +343,7 @@ Result<GenResult> narada::gen::generateSeedCorpus(
   CorpusCoverage Cov(Options.FocusClass);
   std::set<std::string> CoveredTargets;
 
-  ThreadPool Pool(resolveJobs(Options.Jobs));
+  const unsigned Workers = resolveJobs(Options.Jobs);
 
   for (unsigned Round = 0; Round < Options.Rounds; ++Round) {
     Metrics.counter("gen.rounds").inc();
@@ -394,8 +394,8 @@ Result<GenResult> narada::gen::generateSeedCorpus(
     // below — the same fan-out/serial-commit split runSynthesisStage uses,
     // so the corpus is byte-identical at every job count.
     std::vector<Validation> Checks(Candidates.size());
-    std::vector<ThreadPool::TaskFailure> Failures =
-        Pool.parallelFor(Candidates.size(), [&](size_t Idx, unsigned) {
+    std::vector<ItemFailure> Failures =
+        parallelFor(Candidates.size(), Workers, [&](size_t Idx, unsigned) {
           const Candidate &C = Candidates[Idx];
           fault::ScopedUnit Unit(C.Global);
           fault::probe("gen.run");
@@ -422,7 +422,7 @@ Result<GenResult> narada::gen::generateSeedCorpus(
           V.Analysis = analyzeTrace(Run->TheTrace, *Compiled->Info);
           V.Valid = true;
         });
-    for (ThreadPool::TaskFailure &F : Failures) {
+    for (ItemFailure &F : Failures) {
       const Candidate &C = Candidates[F.Item];
       Checks[F.Item] = Validation{}; // Partial state is not trusted.
       Out.Quarantined.push_back(

@@ -10,9 +10,9 @@
 #include "obs/Span.h"
 #include "obs/Trace.h"
 #include "support/FaultInjection.h"
+#include "support/Parallel.h"
 #include "support/ProcessPool.h"
 #include "support/StringUtils.h"
-#include "support/ThreadPool.h"
 
 #include <numeric>
 
@@ -29,10 +29,9 @@ UnitExecutor::UnitExecutor(unsigned Jobs, const char *TraceKind,
                            std::string SetupPayload)
     : TraceKind(TraceKind), Workers(resolveJobs(Jobs)) {
   if (Isolate) {
-    Processes = std::make_unique<pool::ProcessPool>(
-        Isolate->poolOptions(Workers, std::move(SetupPayload)));
+    Processes = std::make_unique<pool::ProcessPool>(*Isolate, Workers,
+                                                    std::move(SetupPayload));
   } else if (Workers > 1) {
-    Threads = std::make_unique<ThreadPool>(Workers);
     for (unsigned W = 0; W < Workers; ++W)
       WorkerSpanNames.push_back(formatString("worker%u", W));
   }
@@ -98,33 +97,21 @@ std::vector<std::optional<UnitFault>> UnitExecutor::run(
     return Faults;
   }
 
-  // The exception barrier: a throwing unit costs its own result, never the
-  // round (let alone the process), and inline and pooled rounds degrade
-  // the same way.
-  auto RunUnit = [&](size_t K) {
-    try {
-      fault::ScopedUnit Unit(Ids[K]);
-      obs::TraceScope Scope(TraceKind, Ids[K]);
-      Local(Ids[K]);
-    } catch (...) {
-      Faults[K] = UnitFault{UnitFault::Kind::Internal,
-                            describeException(std::current_exception())};
-    }
-  };
-  if (!Threads || N <= 1) {
-    for (size_t K = 0; K < N; ++K)
-      RunUnit(K);
-    return Faults;
-  }
-  obs::SpanParent Parent{obs::Span::currentPath()};
-  std::vector<ThreadPool::TaskFailure> Failures =
-      Threads->parallelFor(N, [&](size_t K, unsigned W) {
-        obs::Span WorkerSpan(WorkerSpanNames[W], Parent);
-        RunUnit(K);
+  // A throwing unit costs its own result, never the round (let alone the
+  // process): parallelFor's barrier captures it, on the calling thread at
+  // --jobs 1 and on a worker thread at --jobs N alike.
+  const bool Fanned = !WorkerSpanNames.empty() && N > 1;
+  obs::SpanParent Parent{Fanned ? obs::Span::currentPath() : std::string()};
+  std::vector<ItemFailure> Failures =
+      parallelFor(N, Workers, [&](size_t K, unsigned W) {
+        std::optional<obs::Span> WorkerSpan;
+        if (Fanned)
+          WorkerSpan.emplace(WorkerSpanNames[W], Parent);
+        fault::ScopedUnit Unit(Ids[K]);
+        obs::TraceScope Scope(TraceKind, Ids[K]);
+        Local(Ids[K]);
       });
-  // RunUnit contains exceptions itself; the pool's barrier is the backstop
-  // for anything escaping the span bookkeeping.
-  for (ThreadPool::TaskFailure &F : Failures)
+  for (ItemFailure &F : Failures)
     Faults[F.Item] = UnitFault{UnitFault::Kind::Internal,
                                describeException(std::move(F.Error))};
   return Faults;

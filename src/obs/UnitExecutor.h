@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Runs the units of a per-unit pipeline stage (a racy pair in synthesis,
-/// a synthesized test in detection): inline at --jobs 1, on a ThreadPool
-/// at --jobs N with each task in a `worker<K>` span, or in crash-isolated
-/// worker processes (support/ProcessPool.h) under --isolate.  Every unit
-/// runs under fault::ScopedUnit and obs::TraceScope, and a unit without a
+/// a synthesized test in detection) in process through parallelFor
+/// (support/Parallel.h) — inline at --jobs 1, on worker threads at --jobs N
+/// with each unit in a `worker<K>` span — or in crash-isolated worker
+/// processes (support/ProcessPool.h) under --isolate.  Every unit runs
+/// under fault::ScopedUnit and obs::TraceScope, and a unit without a
 /// result yields one fault record, so a stage commits its units with one
 /// walk whichever way they ran.  Isolated rounds also merge each reply's
 /// metrics delta and record `pool.unit_micros`, and the pool's `pool.*`
@@ -31,7 +32,6 @@
 
 namespace narada {
 
-class ThreadPool;
 namespace pool {
 class ProcessPool;
 struct IsolateOptions;
@@ -77,8 +77,7 @@ private:
   const char *TraceKind;
   unsigned Workers;
   std::unique_ptr<pool::ProcessPool> Processes; ///< Set under --isolate.
-  std::vector<std::string> WorkerSpanNames;
-  std::unique_ptr<ThreadPool> Threads; ///< Set at --jobs N in process.
+  std::vector<std::string> WorkerSpanNames; ///< Set at --jobs N in process.
 };
 
 /// Unit ids 0 .. \p N - 1.

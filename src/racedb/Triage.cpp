@@ -7,9 +7,9 @@
 #include "racedb/Triage.h"
 
 #include "obs/Metrics.h"
+#include "support/Parallel.h"
 #include "support/RaceKey.h"
 #include "support/StringUtils.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -182,19 +182,12 @@ Result<IngestStats> racedb::ingestReportFiles(
   // contents are then independent of the worker count by construction.
   std::vector<Result<RunObservation>> Parsed(Paths.size(),
                                              Result<RunObservation>(Error("")));
-  if (Paths.size() > 1 && resolveJobs(Jobs) > 1) {
-    ThreadPool Pool(std::min<unsigned>(
-        resolveJobs(Jobs), static_cast<unsigned>(Paths.size())));
-    std::vector<ThreadPool::TaskFailure> Failures =
-        Pool.parallelFor(Paths.size(), [&](size_t I, unsigned) {
-          Parsed[I] = observationFromReportFile(Paths[I]);
-        });
-    if (!Failures.empty())
-      return Error("report parsing failed internally");
-  } else {
-    for (size_t I = 0; I < Paths.size(); ++I)
-      Parsed[I] = observationFromReportFile(Paths[I]);
-  }
+  std::vector<ItemFailure> Failures =
+      parallelFor(Paths.size(), resolveJobs(Jobs), [&](size_t I, unsigned) {
+        Parsed[I] = observationFromReportFile(Paths[I]);
+      });
+  if (!Failures.empty())
+    return Error("report parsing failed internally");
   std::vector<RunObservation> Runs;
   Runs.reserve(Paths.size());
   for (Result<RunObservation> &Obs : Parsed) {

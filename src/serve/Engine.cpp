@@ -26,8 +26,8 @@
 #include "support/Digest.h"
 #include "support/Env.h"
 #include "support/FaultInjection.h"
+#include "support/Parallel.h"
 #include "support/StringUtils.h"
-#include "support/ThreadPool.h"
 #include "support/Wire.h"
 #include "synth/Narada.h"
 #include "synth/PairGenerator.h"

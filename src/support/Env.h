@@ -18,7 +18,7 @@
 #ifndef NARADA_SUPPORT_ENV_H
 #define NARADA_SUPPORT_ENV_H
 
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 
 #include <cstdio>
 #include <cstdlib>

@@ -129,7 +129,8 @@ void closeFd(int &Fd) {
 } // namespace
 
 struct ProcessPool::Impl {
-  PoolOptions Options;
+  IsolateOptions Isolate;
+  std::string SetupPayload; ///< Sent as each fresh worker's `setup` frame.
   PoolStats *Stats = nullptr;
   Timer Clock; ///< The single monotonic time source for every watchdog.
 
@@ -162,9 +163,11 @@ struct ProcessPool::Impl {
   std::vector<double> FirstDispatchAt;
   size_t Remaining = 0;
 
-  explicit Impl(PoolOptions O) : Options(std::move(O)) {
+  Impl(const IsolateOptions &Isolate, unsigned Workers,
+       std::string SetupPayload)
+      : Isolate(Isolate), SetupPayload(std::move(SetupPayload)) {
     ignoreSigpipeOnce();
-    Slots.resize(Options.Workers ? Options.Workers : 1);
+    Slots.resize(Workers ? Workers : 1);
   }
 
   double now() { return Clock.seconds(); }
@@ -189,10 +192,8 @@ struct ProcessPool::Impl {
       return false;
     }
 
-    std::vector<char *> Argv;
-    for (const std::string &Arg : Options.WorkerArgv)
-      Argv.push_back(const_cast<char *>(Arg.c_str()));
-    Argv.push_back(nullptr);
+    char *Argv[] = {const_cast<char *>(Isolate.WorkerExe.c_str()),
+                    const_cast<char *>("worker"), nullptr};
 
     pid_t Pid = ::fork();
     if (Pid < 0) {
@@ -210,24 +211,24 @@ struct ProcessPool::Impl {
       ::close(ToChild[1]);
       ::close(FromChild[0]);
       ::close(FromChild[1]);
-      if (Options.WorkerCpuLimitSeconds > 0) {
+      if (Isolate.WorkerCpuLimitSeconds > 0) {
         // Soft limit raises SIGXCPU (classified as a cpu timeout); the
         // hard limit one second later is the SIGKILL backstop.
         struct rlimit CpuLimit;
-        CpuLimit.rlim_cur = Options.WorkerCpuLimitSeconds;
-        CpuLimit.rlim_max = Options.WorkerCpuLimitSeconds + 1;
+        CpuLimit.rlim_cur = Isolate.WorkerCpuLimitSeconds;
+        CpuLimit.rlim_max = Isolate.WorkerCpuLimitSeconds + 1;
         ::setrlimit(RLIMIT_CPU, &CpuLimit);
       }
-      if (Options.WorkerMemLimitMb > 0) {
+      if (Isolate.WorkerMemLimitMb > 0) {
         // RLIMIT_AS makes allocation fail with std::bad_alloc inside the
         // worker, which reports a graceful `crash kind=oom` frame — the
         // classification that distinguishes OOM from a segv.
         struct rlimit MemLimit;
-        MemLimit.rlim_cur = Options.WorkerMemLimitMb << 20;
-        MemLimit.rlim_max = Options.WorkerMemLimitMb << 20;
+        MemLimit.rlim_cur = Isolate.WorkerMemLimitMb << 20;
+        MemLimit.rlim_max = Isolate.WorkerMemLimitMb << 20;
         ::setrlimit(RLIMIT_AS, &MemLimit);
       }
-      ::execv(Argv[0], Argv.data());
+      ::execv(Argv[0], Argv);
       _exit(127);
     }
 
@@ -242,15 +243,15 @@ struct ProcessPool::Impl {
     S.OutFd = FromChild[0];
     S.Frames = wire::FrameBuffer();
     S.LastBeatAt = now();
-    S.DeadlineAt = Options.UnitDeadlineSeconds > 0
-                       ? now() + Options.UnitDeadlineSeconds
+    S.DeadlineAt = Isolate.UnitDeadlineSeconds > 0
+                       ? now() + Isolate.UnitDeadlineSeconds
                        : 0.0;
     S.St = Slot::State::AwaitReady;
     ++Stats->WorkersSpawned;
     if (S.Respawns > 0)
       ++Stats->WorkersRespawned;
 
-    if (!wire::writeFrame(S.InFd, Options.SetupPayload)) {
+    if (!wire::writeFrame(S.InFd, SetupPayload)) {
       // Died before reading setup; the poll loop will reap and classify.
       return true;
     }
@@ -276,12 +277,12 @@ struct ProcessPool::Impl {
     if (WIFSIGNALED(Status)) {
       int Sig = WTERMSIG(Status);
       if (Sig == SIGXCPU ||
-          (Sig == SIGKILL && Options.WorkerCpuLimitSeconds > 0)) {
+          (Sig == SIGKILL && Isolate.WorkerCpuLimitSeconds > 0)) {
         Out.Crash = CrashKind::Timeout;
         Out.RlimitCpuHit = true;
         Out.CrashDetail = formatString(
             "cpu rlimit (%llus) exhausted, worker killed by %s",
-            static_cast<unsigned long long>(Options.WorkerCpuLimitSeconds),
+            static_cast<unsigned long long>(Isolate.WorkerCpuLimitSeconds),
             describeSignal(Sig).c_str());
         return;
       }
@@ -359,8 +360,8 @@ struct ProcessPool::Impl {
   void sendUnit(Slot &S, size_t Unit) {
     S.Unit = Unit;
     S.St = Slot::State::Busy;
-    S.DeadlineAt = Options.UnitDeadlineSeconds > 0
-                       ? now() + Options.UnitDeadlineSeconds
+    S.DeadlineAt = Isolate.UnitDeadlineSeconds > 0
+                       ? now() + Isolate.UnitDeadlineSeconds
                        : 0.0;
     ++Stats->UnitsDispatched;
     if (FirstDispatchAt[Unit] == 0.0)
@@ -477,7 +478,7 @@ struct ProcessPool::Impl {
         Death.Crash = CrashKind::Timeout;
         Death.CrashDetail = formatString(
             "unit exceeded its %.1fs wall deadline, worker killed",
-            Options.UnitDeadlineSeconds);
+            Isolate.UnitDeadlineSeconds);
         kill(S);
         handleDeath(S, &Death);
         continue;
@@ -656,8 +657,9 @@ struct ProcessPool::Impl {
   }
 };
 
-ProcessPool::ProcessPool(PoolOptions Options)
-    : P(std::make_unique<Impl>(std::move(Options))) {
+ProcessPool::ProcessPool(const IsolateOptions &Isolate, unsigned Workers,
+                         std::string SetupPayload)
+    : P(std::make_unique<Impl>(Isolate, Workers, std::move(SetupPayload))) {
   P->Stats = &Stats;
 }
 

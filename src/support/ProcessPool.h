@@ -79,20 +79,21 @@ std::string describeCrash(const UnitOutcome &O);
 constexpr double RespawnBackoffBaseMs = 10.0;
 constexpr double RespawnBackoffCapMs = 500.0;
 
-/// Configuration for one pool.
-struct PoolOptions {
-  /// Worker subprocess argv; argv[0] is the executable path.
-  std::vector<std::string> WorkerArgv;
-  /// Concurrent worker subprocesses.
-  unsigned Workers = 1;
-  /// The payload of the `setup` frame each fresh worker receives.
-  std::string SetupPayload;
-  /// Per-unit wall deadline in seconds (0 = none): a unit not answered in
-  /// time has its worker killed and is classified Timeout.
+/// Caller-facing isolation configuration: what the CLI's --isolate /
+/// --worker-* flags (and the NARADA_ISOLATE env hook) select, threaded
+/// through NaradaOptions and the detect stage to wherever a pool is built.
+struct IsolateOptions {
+  bool Enabled = false;
+  /// Worker executable (normally the running narada-cli binary itself,
+  /// re-exec'd in `worker` mode).
+  std::string WorkerExe;
+  /// Per-unit wall deadline in seconds (0 = none); contains :hang faults:
+  /// a unit not answered in time has its worker killed and is classified
+  /// Timeout.
   double UnitDeadlineSeconds = 60.0;
-  /// RLIMIT_CPU for each worker in seconds (0 = inherit the parent's).
+  /// --worker-cpu-limit: RLIMIT_CPU per worker in seconds (0 = inherit).
   uint64_t WorkerCpuLimitSeconds = 0;
-  /// RLIMIT_AS for each worker in MiB (0 = inherit the parent's).
+  /// --worker-mem-limit: RLIMIT_AS per worker in MiB (0 = inherit).
   uint64_t WorkerMemLimitMb = 0;
 };
 
@@ -127,7 +128,10 @@ struct PoolStats {
 /// workers themselves provide the parallelism.
 class ProcessPool {
 public:
-  explicit ProcessPool(PoolOptions Options);
+  /// \p Workers concurrent `<Isolate.WorkerExe> worker` subprocesses, each
+  /// sent \p SetupPayload as its `setup` frame when it starts.
+  ProcessPool(const IsolateOptions &Isolate, unsigned Workers,
+              std::string SetupPayload);
   ~ProcessPool();
   ProcessPool(const ProcessPool &) = delete;
   ProcessPool &operator=(const ProcessPool &) = delete;
@@ -148,35 +152,6 @@ private:
 /// Absolute path of the running executable (/proc/self/exe), or
 /// \p Fallback when unavailable.
 std::string currentExecutablePath(const std::string &Fallback = "");
-
-/// Caller-facing isolation configuration: what the CLI's --isolate /
-/// --worker-* flags (and the NARADA_ISOLATE env hook) select, threaded
-/// through NaradaOptions and the detect stage to wherever a pool is built.
-struct IsolateOptions {
-  bool Enabled = false;
-  /// Worker executable (normally the running narada-cli binary itself,
-  /// re-exec'd in `worker` mode).
-  std::string WorkerExe;
-  /// Per-unit wall deadline (seconds); contains :hang faults.
-  double UnitDeadlineSeconds = 60.0;
-  /// --worker-cpu-limit: RLIMIT_CPU per worker in seconds (0 = inherit).
-  uint64_t WorkerCpuLimitSeconds = 0;
-  /// --worker-mem-limit: RLIMIT_AS per worker in MiB (0 = inherit).
-  uint64_t WorkerMemLimitMb = 0;
-
-  /// Materializes PoolOptions for \p Workers workers running
-  /// \p SetupPayload's stage.
-  PoolOptions poolOptions(unsigned Workers, std::string SetupPayload) const {
-    PoolOptions Out;
-    Out.WorkerArgv = {WorkerExe, "worker"};
-    Out.Workers = Workers;
-    Out.SetupPayload = std::move(SetupPayload);
-    Out.UnitDeadlineSeconds = UnitDeadlineSeconds;
-    Out.WorkerCpuLimitSeconds = WorkerCpuLimitSeconds;
-    Out.WorkerMemLimitMb = WorkerMemLimitMb;
-    return Out;
-  }
-};
 
 } // namespace pool
 } // namespace narada

@@ -45,10 +45,15 @@ std::string SkippedPair::str() const {
   return Out;
 }
 
+namespace {
+
+/// Pass 1: the library plus its normalized seeds \p SeedNames, recompiled
+/// so collectObjects is a syntactic prefix inline; their source is
+/// appended to \p NormalizedSource.
 Result<CompiledProgram>
-narada::compileNormalized(std::string_view LibrarySource,
-                          const std::vector<std::string> &SeedNames,
-                          std::string &NormalizedSource) {
+compileNormalized(std::string_view LibrarySource,
+                  const std::vector<std::string> &SeedNames,
+                  std::string &NormalizedSource) {
   Result<CompiledProgram> Original = compileProgram(LibrarySource);
   if (!Original)
     return Original;
@@ -71,25 +76,22 @@ narada::compileNormalized(std::string_view LibrarySource,
   return Recompiled;
 }
 
-Result<NaradaResult>
-narada::runNarada(std::string_view LibrarySource,
-                  const std::vector<std::string> &SeedNames,
-                  const NaradaOptions &Options) {
+} // namespace
+
+Result<NaradaFrontHalf>
+narada::runNaradaFrontHalf(std::string_view LibrarySource,
+                           const std::vector<std::string> &SeedNames,
+                           const NaradaOptions &Options) {
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-  obs::Span PipelineSpan("pipeline");
-  Metrics.counter("pipeline.runs").inc();
+  NaradaFrontHalf Out;
 
-  NaradaResult Out;
-
-  // Pass 1: compile the library + original seeds, then normalize the seeds
-  // so collectObjects is a syntactic prefix inline.
-  std::string NormalizedSource;
   Result<CompiledProgram> Normalized = [&] {
     obs::Span FrontendSpan("frontend", &Out.Stages.FrontendSeconds);
-    return compileNormalized(LibrarySource, SeedNames, NormalizedSource);
+    return compileNormalized(LibrarySource, SeedNames, Out.NormalizedSource);
   }();
   if (!Normalized)
     return Normalized.error();
+  Out.Program = Normalized.take();
 
   // Stage 1: execute the sequential seeds and analyze their traces.
   {
@@ -101,7 +103,7 @@ narada::runNarada(std::string_view LibrarySource,
           Out.Analysis.merge(*Hit);
           continue;
         }
-      Result<TestRun> Run = runTestSequential(*Normalized->Module, SeedName);
+      Result<TestRun> Run = runTestSequential(*Out.Program.Module, SeedName);
       if (!Run)
         return Run.error();
       if (Run->Result.Faulted)
@@ -109,16 +111,11 @@ narada::runNarada(std::string_view LibrarySource,
                                   SeedName.c_str(),
                                   Run->Result.FaultMessages[0].c_str()));
       Metrics.counter("analysis.seeds_executed").inc();
-      AnalysisResult One = analyzeTrace(Run->TheTrace, *Normalized->Info);
+      AnalysisResult One = analyzeTrace(Run->TheTrace, *Out.Program.Info);
       if (Caches && Caches->StoreSeedAnalysis)
         Caches->StoreSeedAnalysis(SeedName, One);
       Out.Analysis.merge(One);
     }
-    NARADA_LOG_INFO("analyze: %zu seeds -> %zu accesses, %zu setters, "
-                    "%zu returns",
-                    SeedNames.size(), Out.Analysis.Accesses.size(),
-                    Out.Analysis.Setters.size(),
-                    Out.Analysis.Returns.size());
   }
 
   // Optional static pre-analysis: per-method must-lockset summaries over
@@ -128,10 +125,8 @@ narada::runNarada(std::string_view LibrarySource,
     obs::Span StaticSpan("staticrace", &Out.Stages.StaticRaceSeconds);
     Out.Static = std::make_shared<const staticrace::ModuleSummary>(
         Options.Caches && Options.Caches->Summarize
-            ? Options.Caches->Summarize(*Normalized->Module)
-            : staticrace::summarizeModule(*Normalized->Module));
-    NARADA_LOG_INFO("staticrace: %zu method summaries",
-                    Out.Static->Methods.size());
+            ? Options.Caches->Summarize(*Out.Program.Module)
+            : staticrace::summarizeModule(*Out.Program.Module));
   }
 
   // Stage 2a: candidate racy pairs.
@@ -144,36 +139,62 @@ narada::runNarada(std::string_view LibrarySource,
     PairOptions.StaticRank = Options.StaticRank;
     Out.Pairs = generatePairs(Out.Analysis, PairOptions);
     Metrics.counter("synth.pairs_generated").inc(Out.Pairs.size());
-    NARADA_LOG_INFO("pairgen: %zu candidate racy pairs%s%s",
-                    Out.Pairs.size(),
-                    Options.FocusClass.empty() ? "" : " for class ",
-                    Options.FocusClass.c_str());
   }
+
+  std::vector<const TestDecl *> Seeds;
+  for (const std::string &SeedName : SeedNames)
+    Seeds.push_back(Out.Program.Ast->findTest(SeedName));
+  Result<SeedRegistry> Registry =
+      SeedRegistry::build(Seeds, *Out.Program.Info);
+  if (!Registry)
+    return Registry.error();
+  Out.Registry = Registry.take();
+  return Out;
+}
+
+Result<NaradaResult>
+narada::runNarada(std::string_view LibrarySource,
+                  const std::vector<std::string> &SeedNames,
+                  const NaradaOptions &Options) {
+  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
+  obs::Span PipelineSpan("pipeline");
+  Metrics.counter("pipeline.runs").inc();
+
+  Result<NaradaFrontHalf> Front =
+      runNaradaFrontHalf(LibrarySource, SeedNames, Options);
+  if (!Front)
+    return Front.error();
+  NaradaResult Out;
+  Out.Analysis = std::move(Front->Analysis);
+  Out.Static = Front->Static;
+  Out.Pairs = std::move(Front->Pairs);
+  Out.Stages = Front->Stages;
+  NARADA_LOG_INFO("analyze: %zu seeds -> %zu accesses, %zu setters, "
+                  "%zu returns",
+                  SeedNames.size(), Out.Analysis.Accesses.size(),
+                  Out.Analysis.Setters.size(), Out.Analysis.Returns.size());
+  if (Out.Static)
+    NARADA_LOG_INFO("staticrace: %zu method summaries",
+                    Out.Static->Methods.size());
+  NARADA_LOG_INFO("pairgen: %zu candidate racy pairs%s%s", Out.Pairs.size(),
+                  Options.FocusClass.empty() ? "" : " for class ",
+                  Options.FocusClass.c_str());
 
   // Stage 2b + 3: contexts and tests, fanned across pairs by the parallel
   // driver (Options.Jobs workers; byte-identical output for every count).
   std::string SynthesizedSource;
   {
     obs::Span SynthSpan("synth", &Out.Stages.SynthesisSeconds);
-    std::vector<const TestDecl *> Seeds;
-    for (const std::string &SeedName : SeedNames)
-      Seeds.push_back(Normalized->Ast->findTest(SeedName));
-    Result<SeedRegistry> Registry =
-        SeedRegistry::build(Seeds, *Normalized->Info);
-    if (!Registry)
-      return Registry.error();
-
     // Under --isolate the stage re-dispatches each unit to worker
-    // subprocesses, which rebuild this same pipeline state from the
-    // original source + seed names (all stages up to here are
-    // deterministic, so worker-side pairs match ours index for index).
+    // subprocesses, which rebuild the front half with runNaradaFrontHalf
+    // from the original source + seed names.
     SynthIsolateContext Iso;
     Iso.Isolate = Options.Isolate;
     Iso.LibrarySource = std::string(LibrarySource);
     Iso.SeedNames = SeedNames;
     SynthStageOutput Stage = runSynthesisStage(
-        Out.Analysis, *Normalized->Info, *Registry, Out.Pairs, Options,
-        Options.Isolate.Enabled ? &Iso : nullptr);
+        Out.Analysis, *Front->Program.Info, Front->Registry, Out.Pairs,
+        Options, Options.Isolate.Enabled ? &Iso : nullptr);
     Out.Tests = std::move(Stage.Tests);
     Out.Skipped = std::move(Stage.Skipped);
     SynthesizedSource = std::move(Stage.SynthesizedSource);
@@ -184,7 +205,7 @@ narada::runNarada(std::string_view LibrarySource,
   // Final pass: compile library + seeds + synthesized tests together.
   {
     obs::Span RecompileSpan("recompile", &Out.Stages.RecompileSeconds);
-    Out.FinalSource = NormalizedSource + "\n" + SynthesizedSource;
+    Out.FinalSource = Front->NormalizedSource + "\n" + SynthesizedSource;
     Result<CompiledProgram> Final = compileProgram(Out.FinalSource);
     if (!Final)
       return Error("internal: synthesized tests failed to compile: " +

@@ -22,6 +22,7 @@
 #include "synth/ContextDeriver.h"
 #include "synth/PairGenerator.h"
 #include "synth/RacyPair.h"
+#include "synth/TestSynthesizer.h"
 
 #include <functional>
 #include <memory>
@@ -181,13 +182,36 @@ struct NaradaResult {
   NaradaStageTimes Stages;
 };
 
-/// Pass 1 of runNarada, shared with the --isolate synthesis worker: the
-/// library plus its normalized seeds \p SeedNames, recompiled; their
-/// source is appended to \p NormalizedSource.
-Result<CompiledProgram>
-compileNormalized(std::string_view LibrarySource,
-                  const std::vector<std::string> &SeedNames,
-                  std::string &NormalizedSource);
+/// What the synthesis stage consumes: the pipeline's front half, built
+/// deterministically from (source, seeds, options).
+struct NaradaFrontHalf {
+  /// The library plus its normalized seeds, and the source it was
+  /// compiled from.
+  CompiledProgram Program;
+  std::string NormalizedSource;
+  AnalysisResult Analysis;
+  /// Static per-method summaries; null unless StaticPrefilter/StaticRank.
+  std::shared_ptr<const staticrace::ModuleSummary> Static;
+  std::vector<RacyPair> Pairs;
+  SeedRegistry Registry;
+  /// Frontend, analysis, static and pairgen times; the rest stay zero.
+  NaradaStageTimes Stages;
+};
+
+/// Stages 1-2a of runNarada plus the seed registry: compiles the library
+/// and normalizes the seeds, runs and analyzes the seeds, summarizes the
+/// module when StaticPrefilter or StaticRank asks (both through
+/// Options.Caches' hooks when set), generates the candidate pairs and
+/// builds the seed registry.  Each stage runs in its span (frontend,
+/// analyze, staticrace, pairgen) under the caller's innermost span; the
+/// registry is built outside them.
+/// runNarada and the --isolate synthesis worker (synth/SynthWorker.h) both
+/// start here, so the worker's pair table matches the supervisor's index
+/// for index.
+Result<NaradaFrontHalf>
+runNaradaFrontHalf(std::string_view LibrarySource,
+                   const std::vector<std::string> &SeedNames,
+                   const NaradaOptions &Options);
 
 /// Runs the full pipeline on \p LibrarySource using the tests named in
 /// \p SeedNames as the sequential seed suite.

@@ -6,9 +6,7 @@
 
 #include "synth/SynthWorker.h"
 
-#include "analysis/AccessAnalysis.h"
 #include "obs/Span.h"
-#include "staticrace/LocksetAnalysis.h"
 #include "support/Bundle.h"
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
@@ -89,14 +87,11 @@ SynthAttempt synthworker::decodeAttempt(const wire::RecordReader &Reply) {
 }
 
 /// Everything Service rebuilds from the setup record.  Heap-allocated and
-/// never moved: Deriver/Synth hold references into the earlier members.
+/// never moved: Deriver/Synth hold references into Front.
 struct Service::State {
   NaradaOptions Options;
   std::string SpanParentPath;
-  CompiledProgram Program; ///< Normalized library + seeds.
-  AnalysisResult Analysis;
-  std::vector<RacyPair> Pairs;
-  std::optional<SeedRegistry> Registry;
+  NaradaFrontHalf Front;
   std::optional<ContextDeriver> Deriver; ///< Memo-less (no threads here).
   std::optional<TestSynthesizer> Synth;
 };
@@ -115,50 +110,19 @@ Service::create(const wire::RecordReader &Setup) {
   Result<wire::ModuleBundle> Bundle = wire::readBundle(Setup, "synth setup");
   if (!Bundle)
     return Bundle.error();
-  const std::vector<std::string> &SeedNames = Bundle->Seeds;
 
-  // The front half of runNarada, replayed without spans or logs: every
-  // stage below is deterministic in (source, seeds, options), so the
-  // resulting pair table matches the supervisor's.  Setup-time metrics
-  // are discarded by the worker loop (the supervisor ran these stages
-  // itself), so none of this double-counts.
-  std::string NormalizedSource;
-  Result<CompiledProgram> Normalized =
-      compileNormalized(Bundle->Source, SeedNames, NormalizedSource);
-  if (!Normalized)
-    return Normalized.error();
-  S.Program = Normalized.take();
+  // The supervisor's own front half, rebuilt without caches.  Its spans
+  // and metrics are discarded by the worker loop's per-unit registry reset
+  // (the supervisor ran these stages itself), so none of this
+  // double-counts.
+  Result<NaradaFrontHalf> Front =
+      runNaradaFrontHalf(Bundle->Source, Bundle->Seeds, S.Options);
+  if (!Front)
+    return Front.error();
+  S.Front = Front.take();
 
-  for (const std::string &SeedName : SeedNames) {
-    Result<TestRun> Run = runTestSequential(*S.Program.Module, SeedName);
-    if (!Run)
-      return Run.error();
-    if (Run->Result.Faulted)
-      return Error(formatString("seed test '%s' faulted", SeedName.c_str()));
-    S.Analysis.merge(analyzeTrace(Run->TheTrace, *S.Program.Info));
-  }
-
-  std::optional<staticrace::ModuleSummary> Static;
-  if (S.Options.StaticPrefilter || S.Options.StaticRank)
-    Static.emplace(staticrace::summarizeModule(*S.Program.Module));
-
-  PairGenOptions PairOptions;
-  PairOptions.FocusClass = S.Options.FocusClass;
-  PairOptions.Static = Static ? &*Static : nullptr;
-  PairOptions.StaticPrefilter = S.Options.StaticPrefilter;
-  PairOptions.StaticRank = S.Options.StaticRank;
-  S.Pairs = generatePairs(S.Analysis, PairOptions);
-
-  std::vector<const TestDecl *> Seeds;
-  for (const std::string &SeedName : SeedNames)
-    Seeds.push_back(S.Program.Ast->findTest(SeedName));
-  Result<SeedRegistry> Registry = SeedRegistry::build(Seeds, *S.Program.Info);
-  if (!Registry)
-    return Registry.error();
-  S.Registry.emplace(Registry.take());
-
-  S.Deriver.emplace(S.Analysis, *S.Program.Info);
-  S.Synth.emplace(*S.Registry, *S.Program.Info);
+  S.Deriver.emplace(S.Front.Analysis, *S.Front.Program.Info);
+  S.Synth.emplace(S.Front.Registry, *S.Front.Program.Info);
   return Out;
 }
 
@@ -170,16 +134,16 @@ void Service::runUnit(const wire::RecordReader &Request,
   Reply.add("op", Op);
   Reply.add("unit", I);
 
-  if (I >= S->Pairs.size() || S->Pairs[I].key() != Key) {
+  if (I >= S->Front.Pairs.size() || S->Front.Pairs[I].key() != Key) {
     Reply.add("fault",
               formatString("unit %llu (%s) does not match this worker's "
                            "pair table (%zu pairs)",
                            static_cast<unsigned long long>(I), Key.c_str(),
-                           S->Pairs.size()));
+                           S->Front.Pairs.size()));
     return;
   }
 
-  const RacyPair &Pair = S->Pairs[I];
+  const RacyPair &Pair = S->Front.Pairs[I];
   obs::SpanParent Parent{S->SpanParentPath};
   if (Op == "derive") {
     fault::probe("synth.pair_task");

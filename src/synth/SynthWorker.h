@@ -12,10 +12,11 @@
 ///    seed names, and every option that shapes pair generation or
 ///    derivation) and per-unit requests;
 ///  - the worker side (Service, hosted by `narada-cli worker`) rebuilds
-///    the front half of the pipeline from that setup — every stage up to
-///    pair generation is deterministic, so the worker's pair table matches
-///    the supervisor's index for index, verified per unit via pair_key —
-///    and then serves `derive` and `synth` unit requests.
+///    the front half of the pipeline from that setup with the supervisor's
+///    own runNaradaFrontHalf — every stage up to pair generation is
+///    deterministic, so the worker's pair table matches the supervisor's
+///    index for index, verified per unit via pair_key — and then serves
+///    `derive` and `synth` unit requests.
 ///
 /// Unit replies carry either the result records (shape= for derive,
 /// encodeAttempt's for synth) or a fault= record for contained soft
@@ -74,8 +75,7 @@ class Service {
 public:
   ~Service();
 
-  /// Rebuilds the pipeline front half (compile, normalize, analyze,
-  /// static pre-analysis, pair generation, seed registry) from \p Setup.
+  /// Rebuilds the pipeline front half (runNaradaFrontHalf) from \p Setup.
   static Result<std::unique_ptr<Service>> create(
       const wire::RecordReader &Setup);
 

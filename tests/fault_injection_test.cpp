@@ -17,15 +17,18 @@
 #include "gen/GenEngine.h"
 #include "obs/Metrics.h"
 #include "support/FaultInjection.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 #include "synth/Narada.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 
 using namespace narada;
 
@@ -39,7 +42,7 @@ protected:
 using ScopedUnitTest = FaultInjectionTest;
 using ArmFromSpecTest = FaultInjectionTest;
 using ProbeTest = FaultInjectionTest;
-using ThreadPoolBarrierTest = FaultInjectionTest;
+using ParallelForTest = FaultInjectionTest;
 
 NaradaResult runClass(const CorpusEntry &Entry, unsigned Jobs) {
   NaradaOptions Options;
@@ -99,9 +102,8 @@ TEST_F(ScopedUnitTest, NestsAndRestores) {
 
 TEST_F(ScopedUnitTest, IsPerThread) {
   fault::ScopedUnit Unit(1);
-  ThreadPool Pool(2);
   std::atomic<unsigned> Unscoped{0};
-  auto Failures = Pool.parallelFor(8, [&](size_t, unsigned) {
+  auto Failures = parallelFor(8, 2, [&](size_t, unsigned) {
     if (!fault::currentUnit())
       Unscoped.fetch_add(1);
   });
@@ -214,15 +216,34 @@ TEST_F(ProbeTest, InjectedFaultIsAStdException) {
 }
 
 //===----------------------------------------------------------------------===//
-// ThreadPool exception barrier
+// parallelFor: serial cases and the exception barrier
 //===----------------------------------------------------------------------===//
 
-TEST_F(ThreadPoolBarrierTest, CapturesThrowsAndCompletesOtherItems) {
-  ThreadPool Pool(4);
+TEST_F(ParallelForTest, SerialCallsRunOnTheCallingThreadInIndexOrder) {
+  const std::thread::id Caller = std::this_thread::get_id();
+  // One worker, and one item at any worker count.
+  for (auto [N, Workers] : {std::pair<size_t, unsigned>{5, 1}, {1, 4}}) {
+    std::vector<size_t> Order;
+    unsigned OffCaller = 0;
+    auto Failures = parallelFor(N, Workers, [&](size_t I, unsigned W) {
+      if (std::this_thread::get_id() != Caller)
+        ++OffCaller;
+      EXPECT_EQ(W, 0u);
+      Order.push_back(I);
+    });
+    EXPECT_TRUE(Failures.empty());
+    EXPECT_EQ(OffCaller, 0u) << N << " items, " << Workers << " workers";
+    std::vector<size_t> Expected(N);
+    std::iota(Expected.begin(), Expected.end(), size_t{0});
+    EXPECT_EQ(Order, Expected);
+  }
+}
+
+TEST_F(ParallelForTest, CapturesThrowsAndCompletesOtherItems) {
   constexpr size_t N = 100;
   std::atomic<unsigned> Completed{0};
-  std::vector<ThreadPool::TaskFailure> Failures =
-      Pool.parallelFor(N, [&](size_t I, unsigned) {
+  std::vector<ItemFailure> Failures =
+      parallelFor(N, 4, [&](size_t I, unsigned) {
         if (I % 10 == 3)
           throw std::runtime_error("boom " + std::to_string(I));
         Completed.fetch_add(1, std::memory_order_relaxed);
@@ -236,24 +257,25 @@ TEST_F(ThreadPoolBarrierTest, CapturesThrowsAndCompletesOtherItems) {
               "boom " + std::to_string(K * 10 + 3));
   }
 
-  // The pool survives a failing batch: the next batch runs clean.
+  // A failing call leaves nothing behind: the next call runs clean.
   std::atomic<unsigned> Second{0};
-  auto NoFailures = Pool.parallelFor(50, [&](size_t, unsigned) {
+  auto NoFailures = parallelFor(50, 4, [&](size_t, unsigned) {
     Second.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_TRUE(NoFailures.empty());
   EXPECT_EQ(Second.load(), 50u);
 }
 
-TEST_F(ThreadPoolBarrierTest, NonExceptionThrowsAreContainedToo) {
-  ThreadPool Pool(2);
-  auto Failures = Pool.parallelFor(4, [&](size_t I, unsigned) {
-    if (I == 2)
-      throw 42; // Not a std::exception.
-  });
-  ASSERT_EQ(Failures.size(), 1u);
-  EXPECT_EQ(Failures[0].Item, 2u);
-  EXPECT_EQ(describeException(Failures[0].Error), "unknown exception type");
+TEST_F(ParallelForTest, NonExceptionThrowsAreContainedToo) {
+  for (unsigned Workers : {1u, 2u}) {
+    auto Failures = parallelFor(4, Workers, [&](size_t I, unsigned) {
+      if (I == 2)
+        throw 42; // Not a std::exception.
+    });
+    ASSERT_EQ(Failures.size(), 1u) << Workers << " workers";
+    EXPECT_EQ(Failures[0].Item, 2u);
+    EXPECT_EQ(describeException(Failures[0].Error), "unknown exception type");
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,9 +9,15 @@
 #include "obs/Metrics.h"
 #include "obs/RunReport.h"
 #include "obs/Span.h"
-#include "support/ThreadPool.h"
+#include "obs/UnitExecutor.h"
+#include "support/FaultInjection.h"
+#include "support/Parallel.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <stdexcept>
 
 using namespace narada;
 using namespace narada::obs;
@@ -246,8 +252,7 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsAndSnapshotsLoseNothing) {
   constexpr size_t Tasks = 64;
   constexpr unsigned IncsPerTask = 250;
 
-  ThreadPool Pool(4);
-  auto Failures = Pool.parallelFor(Tasks, [&](size_t I, unsigned) {
+  auto Failures = parallelFor(Tasks, 4, [&](size_t I, unsigned) {
     // Mix of one hot shared counter, per-task lazily registered counters,
     // and phase spans — the registry's three write paths.
     Counter &Hot = R.counter("stress.hot");
@@ -269,6 +274,77 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsAndSnapshotsLoseNothing) {
   for (int I = 0; I < 8; ++I)
     PerTaskSum += Final.counter("stress.task" + std::to_string(I));
   EXPECT_EQ(PerTaskSum, Tasks * IncsPerTask);
+}
+
+// In process, every --jobs value runs units through one barrier: a unit
+// that throws becomes its own Internal fault with the exception's text,
+// and every other unit still runs, once, under its own fault unit.
+TEST(UnitExecutorTest, ThrowingUnitIsAnInternalFaultAndOthersRun) {
+  const std::vector<size_t> Ids = {7, 3, 9, 0, 5, 2};
+  for (unsigned Jobs : {1u, 4u}) {
+    UnitExecutor Exec(Jobs, "unit", nullptr, "");
+    std::vector<std::atomic<unsigned>> Ran(10);
+    std::atomic<unsigned> WrongUnit{0};
+    std::vector<std::optional<UnitFault>> Faults = Exec.run(
+        Ids,
+        [&](size_t Id) {
+          if (fault::currentUnit() != std::optional<uint64_t>(Id))
+            WrongUnit.fetch_add(1);
+          if (Id == 9)
+            throw std::runtime_error("unit 9 broke");
+          Ran[Id].fetch_add(1);
+        },
+        nullptr, nullptr);
+    ASSERT_EQ(Faults.size(), Ids.size()) << "jobs " << Jobs;
+    for (size_t K = 0; K < Ids.size(); ++K) {
+      if (Ids[K] == 9) {
+        ASSERT_TRUE(Faults[K].has_value()) << "jobs " << Jobs;
+        EXPECT_EQ(Faults[K]->K, UnitFault::Kind::Internal);
+        EXPECT_EQ(Faults[K]->Message, "unit 9 broke");
+        continue;
+      }
+      EXPECT_FALSE(Faults[K].has_value()) << "jobs " << Jobs << " unit "
+                                          << Ids[K];
+      EXPECT_EQ(Ran[Ids[K]].load(), 1u) << "jobs " << Jobs << " unit "
+                                        << Ids[K];
+    }
+    EXPECT_EQ(WrongUnit.load(), 0u) << "jobs " << Jobs;
+  }
+}
+
+// worker<K> spans root each unit under the submitting thread's span only
+// when the round fans out (jobs > 1 and at least 2 units); otherwise the
+// unit's spans nest directly under the caller's, as at --jobs 1.
+TEST(UnitExecutorTest, WorkerSpansOnlyWhenARoundFansOut) {
+  struct Case {
+    unsigned Jobs;
+    size_t Units;
+    bool FansOut;
+  };
+  for (Case C : {Case{1, 4, false}, Case{4, 1, false}, Case{4, 4, true}}) {
+    const std::string Root =
+        formatString("unitexec_j%u_n%zu", C.Jobs, C.Units);
+    {
+      Span RootSpan(Root);
+      UnitExecutor Exec(C.Jobs, "unit", nullptr, "");
+      EXPECT_EQ(Exec.workers(), C.Jobs);
+      auto Faults = Exec.run(
+          unitIds(C.Units), [](size_t) { Span Leaf("leaf"); }, nullptr,
+          nullptr);
+      for (const std::optional<UnitFault> &F : Faults)
+        EXPECT_FALSE(F.has_value()) << Root;
+    }
+    MetricsSnapshot S = MetricsRegistry::global().snapshot();
+    uint64_t DirectLeaves = 0, WorkerLeaves = 0;
+    for (const auto &[Path, Stat] : S.Phases) {
+      if (Path == Root + ".leaf")
+        DirectLeaves += Stat.Count;
+      else if (startsWith(Path, Root + ".worker") && endsWith(Path, ".leaf"))
+        WorkerLeaves += Stat.Count;
+    }
+    EXPECT_EQ(DirectLeaves, C.FansOut ? 0u : C.Units) << Root;
+    EXPECT_EQ(WorkerLeaves, C.FansOut ? C.Units : 0u) << Root;
+  }
 }
 
 TEST(LogTest, LevelParsingAndMacroGating) {

@@ -143,11 +143,13 @@ pool::IsolateOptions isolateOptions() {
   return Iso;
 }
 
-NaradaResult runClass(const CorpusEntry &Entry, unsigned Jobs,
-                      bool Isolate) {
+NaradaResult runClass(const CorpusEntry &Entry, unsigned Jobs, bool Isolate,
+                      bool Static = false) {
   NaradaOptions Options;
   Options.FocusClass = Entry.ClassName;
   Options.Jobs = Jobs;
+  Options.StaticPrefilter = Static;
+  Options.StaticRank = Static;
   if (Isolate)
     Options.Isolate = isolateOptions();
   Result<NaradaResult> R = runNarada(Entry.Source, Entry.SeedNames, Options);
@@ -177,6 +179,20 @@ TEST_F(ProcessPoolTest, IsolatedSynthesisIsByteIdenticalAtJobs1And4) {
   ASSERT_FALSE(InProcess.Tests.empty());
   expectIdenticalResults(InProcess, runClass(Entry, 1, /*Isolate=*/true));
   expectIdenticalResults(InProcess, runClass(Entry, 4, /*Isolate=*/true));
+}
+
+// The static pre-analysis prunes and reorders the pair table each worker
+// rebuilds, so isolated units must still address the supervisor's pairs.
+TEST_F(ProcessPoolTest, IsolatedStaticSynthesisIsByteIdentical) {
+  for (const char *Class : {"C1", "C5", "C9"}) {
+    SCOPED_TRACE(Class);
+    const CorpusEntry &Entry = *findCorpusEntry(Class);
+    NaradaResult InProcess =
+        runClass(Entry, 1, /*Isolate=*/false, /*Static=*/true);
+    ASSERT_FALSE(InProcess.Tests.empty());
+    expectIdenticalResults(
+        InProcess, runClass(Entry, 4, /*Isolate=*/true, /*Static=*/true));
+  }
 }
 
 /// Fast detect options so the isolated/in-process sweeps stay cheap; the
@@ -469,8 +485,8 @@ TEST_F(ProcessPoolTest, PoisonRuleQuarantinesAfterTwoWorkerDeaths) {
   Iso.SeedNames = Entry.SeedNames;
 
   ::setenv("NARADA_FAULT_INJECT", "synth.pair_task:0:segv", 1);
-  pool::ProcessPool Pool(Iso.Isolate.poolOptions(
-      1, synthworker::encodeSetup(Iso, Options, "")));
+  pool::ProcessPool Pool(Iso.Isolate, 1,
+                         synthworker::encodeSetup(Iso, Options, ""));
   std::vector<pool::UnitOutcome> Outcomes = Pool.run(
       {synthworker::encodeUnit("derive", 0, Narada.Pairs[0].key()),
        synthworker::encodeUnit("derive", 1, Narada.Pairs[1].key())});
@@ -511,8 +527,8 @@ TEST_F(ProcessPoolTest, RespawnBackoffStaysWithinConfiguredBounds) {
   Iso.LibrarySource = Entry.Source;
   Iso.SeedNames = Entry.SeedNames;
   ::setenv("NARADA_FAULT_INJECT", "synth.pair_task:0:segv", 1);
-  pool::ProcessPool Pool(Iso.Isolate.poolOptions(
-      1, synthworker::encodeSetup(Iso, Options, "")));
+  pool::ProcessPool Pool(Iso.Isolate, 1,
+                         synthworker::encodeSetup(Iso, Options, ""));
   (void)Pool.run(
       {synthworker::encodeUnit("derive", 0, Narada.Pairs[0].key())});
 

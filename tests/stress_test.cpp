@@ -8,13 +8,13 @@
 // baseline.  Built into its own binary and labelled `stress` in ctest so
 // the quick suite skips it (`ctest -L stress` runs it); under
 // -DNARADA_TSAN=ON this is the test that puts ThreadSanitizer to work on
-// the pool, the memo table, and the metrics registry.
+// parallelFor, the memo table, and the metrics registry.
 //
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
 #include "detect/Detection.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 #include "synth/Narada.h"
 
 #include <gtest/gtest.h>
@@ -107,12 +107,12 @@ TEST(StressTest, ParallelConfirmationSweepsAreStable) {
   }
 }
 
-// The pool itself: many tiny batches back to back, every task exactly once.
-TEST(StressTest, ThreadPoolRunsEveryTaskExactlyOnce) {
-  ThreadPool Pool(resolveJobs(0));
+// The fan-out itself: many tiny calls back to back, every task exactly once.
+TEST(StressTest, ParallelForRunsEveryTaskExactlyOnce) {
+  const unsigned Workers = resolveJobs(0);
   for (unsigned Round = 0; Round < 200; ++Round) {
     std::vector<std::atomic<unsigned>> Hits(97);
-    auto Failures = Pool.parallelFor(Hits.size(), [&](size_t I, unsigned) {
+    auto Failures = parallelFor(Hits.size(), Workers, [&](size_t I, unsigned) {
       Hits[I].fetch_add(1, std::memory_order_relaxed);
     });
     ASSERT_TRUE(Failures.empty()) << "round " << Round;
