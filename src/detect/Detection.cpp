@@ -82,19 +82,22 @@ namespace {
 
 /// The passive detectors of one execution: HB and LockSet, each attached
 /// per Options.UseHB / UseLockSet.  Built fresh for every execution, so a
-/// retried or replayed run starts from clean detector state.
-class DetectorSet {
+/// retried or replayed run starts from clean detector state.  The set is
+/// the VM's observer and calls the detectors directly, one virtual call
+/// per event.
+class DetectorSet final : public ExecutionObserver {
 public:
-  explicit DetectorSet(const DetectOptions &Options) {
-    if (Options.UseHB)
-      Mux.add(&HB);
-    if (Options.UseLockSet)
-      Mux.add(&LockSet);
-  }
+  explicit DetectorSet(const DetectOptions &Options)
+      : UseHB(Options.UseHB), UseLockSet(Options.UseLockSet) {}
   DetectorSet(const DetectorSet &) = delete;
   DetectorSet &operator=(const DetectorSet &) = delete;
 
-  ExecutionObserver *observer() { return &Mux; }
+  void onEvent(const TraceEvent &Event) override {
+    if (UseHB)
+      HB.onEvent(Event);
+    if (UseLockSet)
+      LockSet.onEvent(Event);
+  }
 
   /// Calls \p Note on every reported race, HB's before LockSet's, so the
   /// first report per race key is HB's whenever both detectors saw it.
@@ -108,7 +111,7 @@ public:
 private:
   HBDetector HB;
   LockSetDetector LockSet;
-  ObserverMux Mux;
+  bool UseHB, UseLockSet;
 };
 
 /// Hashes the values flowing through the two candidate accesses.  A racy
@@ -337,7 +340,7 @@ Result<TestDetectionResult> narada::detectRacesInTest(
                             : Inner;
             Result<TestRun> Run = runTest(M, TestName, Policy,
                                           /*RandSeed=*/1,
-                                          Detectors.observer(), Budget);
+                                          &Detectors, Budget);
             if (!Run)
               return Run.error();
             if (!Run->Result.HitStepLimit) {
@@ -375,7 +378,7 @@ Result<TestDetectionResult> narada::detectRacesInTest(
           : Options(Options), End(std::move(End)) {}
       ExecutionObserver *beginSchedule(unsigned) override {
         Detectors.emplace(Options);
-        return Detectors->observer();
+        return &*Detectors;
       }
       bool endSchedule(const explore::ScheduleTrace &Trace,
                        const TestRun &Run) override {
@@ -448,7 +451,7 @@ Result<TestDetectionResult> narada::detectRacesInTest(
     // already fit in some budget, so there is nothing to ladder.
     Result<TestRun> Run =
         runTest(M, TestName, Policy, Options.ReplayTrace->RandSeed,
-                Detectors.observer(),
+                &Detectors,
                 escalatedBudget(Options, Options.StepLimitRetries));
     if (!Run) {
       PhaseError = Run.error();
@@ -511,7 +514,7 @@ Result<TestDetectionResult> narada::detectRacesInTest(
         explore::RecordingPolicy Recorder(Inner);
         Result<TestRun> Run =
             runTest(M, TestName, Recorder, Trace.RandSeed,
-                    Detectors.observer(), Options.MaxSteps);
+                    &Detectors, Options.MaxSteps);
         if (!Run || Run->Result.HitStepLimit)
           return std::nullopt;
         bool Seen = false;

@@ -83,7 +83,7 @@ void HBDetector::VarState::setRead(const SharedRead &R) {
 }
 
 void HBDetector::handleRead(const TraceEvent &Event) {
-  VarState &S = Vars[Event.locationKey()];
+  VarState &S = Vars.at(Event);
   VectorClock &C = clockOf(Event.Thread);
 
   // write-read race: the last write must happen-before this read.
@@ -114,7 +114,7 @@ void HBDetector::handleRead(const TraceEvent &Event) {
 }
 
 void HBDetector::handleWrite(const TraceEvent &Event) {
-  VarState &S = Vars[Event.locationKey()];
+  VarState &S = Vars.at(Event);
   VectorClock &C = clockOf(Event.Thread);
 
   // write-write race.

@@ -21,17 +21,17 @@
 #define NARADA_DETECT_HBDETECTOR_H
 
 #include "detect/RaceReport.h"
+#include "detect/ShadowTable.h"
 #include "detect/VectorClock.h"
 #include "trace/TraceEvent.h"
 
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 namespace narada {
 
 /// Happens-before (FastTrack-style) detector.
-class HBDetector : public ExecutionObserver {
+class HBDetector final : public ExecutionObserver {
 public:
   ~HBDetector();
 
@@ -88,8 +88,7 @@ private:
   std::vector<VectorClock> ThreadClocks;
   /// Indexed by lock object id; empty until the lock's first release.
   std::vector<VectorClock> LockClocks;
-  /// Keyed by TraceEvent::locationKey().
-  std::unordered_map<uint64_t, VarState> Vars;
+  ShadowTable<VarState> Vars;
   std::vector<RaceReport> Races;
   std::unordered_set<ReportKey, ReportKeyHash> Reported;
   /// Dynamic race instances, deduplicated or not.

@@ -25,7 +25,7 @@ std::vector<ObjectId> &LockSetDetector::heldBy(ThreadId T) {
 }
 
 void LockSetDetector::handleAccess(const TraceEvent &Event) {
-  VarState &S = Vars[Event.locationKey()];
+  VarState &S = Vars.at(Event);
   const std::vector<ObjectId> &Locks = heldBy(Event.Thread);
   bool IsWrite = Event.isWrite();
 

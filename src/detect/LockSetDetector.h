@@ -19,15 +19,15 @@
 #define NARADA_DETECT_LOCKSETDETECTOR_H
 
 #include "detect/RaceReport.h"
+#include "detect/ShadowTable.h"
 #include "trace/TraceEvent.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace narada {
 
 /// Eraser-style lockset detector.
-class LockSetDetector : public ExecutionObserver {
+class LockSetDetector final : public ExecutionObserver {
 public:
   ~LockSetDetector();
 
@@ -59,8 +59,7 @@ private:
 
   /// Held locks, sorted, indexed by thread id.
   std::vector<std::vector<ObjectId>> Held;
-  /// Keyed by TraceEvent::locationKey().
-  std::unordered_map<uint64_t, VarState> Vars;
+  ShadowTable<VarState> Vars;
   std::vector<RaceReport> Races;
   /// Lockset refinements performed, flushed to the metrics registry once on
   /// destruction to keep the per-access path free of atomics.

@@ -6,8 +6,6 @@
 
 #include "runtime/Scheduler.h"
 
-#include "obs/Metrics.h"
-
 #include <algorithm>
 
 using namespace narada;
@@ -126,54 +124,4 @@ const char *narada::knownPolicyNames() {
     return Out;
   }();
   return Names.c_str();
-}
-
-RunResult narada::runToCompletion(VM &M, SchedulingPolicy &Policy,
-                                  uint64_t MaxSteps) {
-  RunResult Result;
-  // Scheduling stats accumulate in locals and flush to the registry once
-  // after the loop: the step loop is the hottest path in the system and
-  // must not touch atomics per iteration.
-  uint64_t ContextSwitches = 0;
-  ThreadId Prev = NoThread;
-  std::vector<ThreadId> Runnable; // Refilled each step, allocated once.
-  while (!M.allDone()) {
-    if (Result.Steps >= MaxSteps) {
-      Result.HitStepLimit = true;
-      break;
-    }
-    M.runnableThreads(Runnable);
-    if (Runnable.empty()) {
-      Result.Deadlocked = M.deadlocked();
-      break;
-    }
-    ThreadId Chosen = Policy.pick(Runnable, M);
-    if (Prev != NoThread && Chosen != Prev)
-      ++ContextSwitches;
-    Prev = Chosen;
-    M.step(Chosen);
-    ++Result.Steps;
-  }
-  for (size_t T = 0, E = M.numThreads(); T != E; ++T) {
-    const ThreadState &Thread = M.thread(static_cast<ThreadId>(T));
-    if (Thread.Status == ThreadStatus::Faulted) {
-      Result.Faulted = true;
-      Result.FaultMessages.push_back(Thread.FaultMessage);
-    }
-  }
-
-  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-  Metrics.counter("runtime.runs").inc();
-  Metrics.counter("runtime.steps").inc(Result.Steps);
-  Metrics.counter("runtime.context_switches").inc(ContextSwitches);
-  if (Result.Deadlocked)
-    Metrics.counter("runtime.deadlocks").inc();
-  if (Result.Faulted)
-    Metrics.counter("runtime.faults").inc();
-  if (Result.HitStepLimit)
-    Metrics.counter("runtime.step_limit_hits").inc();
-  static obs::Histogram &StepsPerRun = Metrics.histogram(
-      "runtime.steps_per_run", {100, 1000, 10000, 100000, 1000000});
-  StepsPerRun.observe(Result.Steps);
-  return Result;
 }

@@ -127,7 +127,8 @@ struct RunResult {
 };
 
 /// Steps the VM under \p Policy until every thread finishes, a deadlock is
-/// reached, or \p MaxSteps instructions have executed.
+/// reached, or \p MaxSteps instructions have executed.  Defined in VM.cpp,
+/// beside VM::step.
 RunResult runToCompletion(VM &M, SchedulingPolicy &Policy,
                           uint64_t MaxSteps = 1'000'000);
 

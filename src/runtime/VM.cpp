@@ -6,6 +6,8 @@
 
 #include "runtime/VM.h"
 
+#include "obs/Metrics.h"
+#include "runtime/Scheduler.h"
 #include "support/StringUtils.h"
 
 using namespace narada;
@@ -22,11 +24,6 @@ TraceEvent VM::makeEvent(EventKind Kind, const ThreadState &T) {
     E.Pc = T.Stack.back().Pc;
   }
   return E;
-}
-
-void VM::emit(const TraceEvent &Event) {
-  if (Observer)
-    Observer->onEvent(Event);
 }
 
 ThreadId VM::spawnThread(const IRFunction *F, std::vector<Value> Args,
@@ -47,6 +44,8 @@ ThreadId VM::spawnThread(const IRFunction *F, std::vector<Value> Args,
   T.Stack.push_back(std::move(Entry));
 
   Threads.push_back(std::move(T));
+  ++LiveThreads;
+  RunnableStale = true;
   ++Stats.ThreadsSpawned;
   ThreadState &Created = Threads.back();
 
@@ -56,26 +55,20 @@ ThreadId VM::spawnThread(const IRFunction *F, std::vector<Value> Args,
   return Created.Id;
 }
 
-void VM::runnableThreads(std::vector<ThreadId> &Out) const {
-  Out.clear();
+void VM::rescanRunnable() {
+  Runnable.clear();
   for (const ThreadState &T : Threads) {
     if (T.Status == ThreadStatus::Runnable) {
-      Out.push_back(T.Id);
+      Runnable.push_back(T.Id);
       continue;
     }
     if (T.Status == ThreadStatus::Blocked) {
       const HeapObject &Obj = TheHeap.object(T.WaitingOn);
       if (Obj.MonitorOwner == NoThread || Obj.MonitorOwner == T.Id)
-        Out.push_back(T.Id);
+        Runnable.push_back(T.Id);
     }
   }
-}
-
-bool VM::allDone() const {
-  for (const ThreadState &T : Threads)
-    if (T.isLive())
-      return false;
-  return true;
+  RunnableStale = false;
 }
 
 bool VM::deadlocked() const {
@@ -181,6 +174,8 @@ void VM::fault(ThreadState &T, const std::string &Message) {
   T.Status = ThreadStatus::Faulted;
   T.FaultMessage = Message;
   T.Stack.clear();
+  --LiveThreads;
+  RunnableStale = true;
 }
 
 void VM::doReturn(ThreadState &T, Value RetVal) {
@@ -197,6 +192,8 @@ void VM::doReturn(ThreadState &T, Value RetVal) {
   if (T.Stack.empty()) {
     emit(makeEvent(EventKind::ThreadEnd, T));
     T.Status = ThreadStatus::Finished;
+    --LiveThreads;
+    RunnableStale = true;
     return;
   }
   Frame &Caller = T.Stack.back();
@@ -213,6 +210,57 @@ void VM::step(ThreadId Tid) {
   assert(F.Pc < F.Func->instrs().size() && "pc ran past function end");
   const Instr &I = F.Func->instrs()[F.Pc];
   execInstr(T, F, I);
+}
+
+// The step loop lives next to VM::step so that step, execInstr and emit
+// are calls within one translation unit.
+RunResult narada::runToCompletion(VM &M, SchedulingPolicy &Policy,
+                                  uint64_t MaxSteps) {
+  RunResult Result;
+  // Scheduling stats accumulate in locals and flush to the registry once
+  // after the loop: the step loop is the hottest path in the system and
+  // must not touch atomics per iteration.
+  uint64_t ContextSwitches = 0;
+  ThreadId Prev = NoThread;
+  while (!M.allDone()) {
+    if (Result.Steps >= MaxSteps) {
+      Result.HitStepLimit = true;
+      break;
+    }
+    const std::vector<ThreadId> &Runnable = M.runnableThreads();
+    if (Runnable.empty()) {
+      Result.Deadlocked = M.deadlocked();
+      break;
+    }
+    ThreadId Chosen = Policy.pick(Runnable, M);
+    if (Prev != NoThread && Chosen != Prev)
+      ++ContextSwitches;
+    Prev = Chosen;
+    M.step(Chosen);
+    ++Result.Steps;
+  }
+  for (size_t T = 0, E = M.numThreads(); T != E; ++T) {
+    const ThreadState &Thread = M.thread(static_cast<ThreadId>(T));
+    if (Thread.Status == ThreadStatus::Faulted) {
+      Result.Faulted = true;
+      Result.FaultMessages.push_back(Thread.FaultMessage);
+    }
+  }
+
+  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
+  Metrics.counter("runtime.runs").inc();
+  Metrics.counter("runtime.steps").inc(Result.Steps);
+  Metrics.counter("runtime.context_switches").inc(ContextSwitches);
+  if (Result.Deadlocked)
+    Metrics.counter("runtime.deadlocks").inc();
+  if (Result.Faulted)
+    Metrics.counter("runtime.faults").inc();
+  if (Result.HitStepLimit)
+    Metrics.counter("runtime.step_limit_hits").inc();
+  static obs::Histogram &StepsPerRun = Metrics.histogram(
+      "runtime.steps_per_run", {100, 1000, 10000, 100000, 1000000});
+  StepsPerRun.observe(Result.Steps);
+  return Result;
 }
 
 InstrClass narada::classifyOpcode(Opcode Op) {
@@ -450,6 +498,8 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
   }
 
   case Opcode::MonitorEnter: {
+    // Blocking, acquiring and retrying all change who can run next.
+    RunnableStale = true;
     const Value &LockVal = F.Regs[I.A];
     if (!NullCheck(LockVal, "monitor enter"))
       return;
@@ -475,6 +525,7 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
   }
 
   case Opcode::MonitorExit: {
+    RunnableStale = true;
     const Value &LockVal = F.Regs[I.A];
     if (!NullCheck(LockVal, "monitor exit"))
       return;

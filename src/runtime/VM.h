@@ -149,17 +149,22 @@ public:
   /// thread retries its monitor acquisition.
   void step(ThreadId T);
 
-  ThreadState &thread(ThreadId T) { return Threads[T]; }
   const ThreadState &thread(ThreadId T) const { return Threads[T]; }
   size_t numThreads() const { return Threads.size(); }
 
-  /// Fills \p Out with the threads that can make progress now: Runnable
-  /// ones plus Blocked ones whose awaited monitor has become available.
-  /// The scheduler loop passes one buffer for every step.
-  void runnableThreads(std::vector<ThreadId> &Out) const;
+  /// The threads that can make progress now, in id order: Runnable ones
+  /// plus Blocked ones whose awaited monitor is free or their own.  The
+  /// list is kept between steps and rescanned only after a step that can
+  /// change it: a spawn, a thread finishing or faulting (a fault releases
+  /// monitors), or any monitor enter or exit.
+  const std::vector<ThreadId> &runnableThreads() {
+    if (RunnableStale)
+      rescanRunnable();
+    return Runnable;
+  }
 
   /// True when no thread is live.
-  bool allDone() const;
+  bool allDone() const { return LiveThreads == 0; }
 
   /// True if every live thread is blocked — a deadlock.
   bool deadlocked() const;
@@ -185,7 +190,11 @@ private:
   void execBuiltinInvoke(ThreadState &T, Frame &F, const Instr &I);
   void doReturn(ThreadState &T, Value RetVal);
   void fault(ThreadState &T, const std::string &Message);
-  void emit(const TraceEvent &Event);
+  void rescanRunnable();
+  void emit(const TraceEvent &Event) {
+    if (Observer)
+      Observer->onEvent(Event);
+  }
   uint64_t nextLabel() { return ++LabelCounter; }
 
   /// Fills the static-point and thread fields of an event.
@@ -194,6 +203,9 @@ private:
   const IRModule &M;
   Heap TheHeap;
   std::vector<ThreadState> Threads;
+  std::vector<ThreadId> Runnable; ///< See runnableThreads().
+  bool RunnableStale = false;
+  size_t LiveThreads = 0;
   ExecutionObserver *Observer = nullptr;
   RNG Rand;
   uint64_t LabelCounter = 0;

@@ -39,7 +39,22 @@ public:
     assert(Bound != 0 && "nextBelow(0) is meaningless");
     // Modulo bias is negligible for the small bounds used here (thread
     // counts, method counts) and determinism matters more than uniformity.
-    return next() % Bound;
+    uint64_t X = next();
+    // A scheduler draws over 1-4 runnable threads on almost every step:
+    // those bounds take a mask or a division by a constant (a multiply)
+    // instead of a 64-bit divide, with the same result as X % Bound.
+    switch (Bound) {
+    case 1:
+      return 0;
+    case 2:
+      return X & 1;
+    case 3:
+      return X % 3;
+    case 4:
+      return X & 3;
+    default:
+      return X % Bound;
+    }
   }
 
   /// Returns true with probability Numerator/Denominator.

@@ -125,13 +125,6 @@ struct TraceEvent {
 
   std::span<const Value> args() const { return {Args, NumArgs}; }
 
-  /// The accessed location packed into one key: object, element flag and
-  /// field slot or element index.
-  uint64_t locationKey() const {
-    assert(FieldIndex < (1u << 31) && "slot does not fit the packed key");
-    return uint64_t(Obj) << 32 | uint64_t(isElemAccess()) << 31 | FieldIndex;
-  }
-
   ProgramPoint point() const { return {Func, Pc}; }
 
   /// "Class.method:pc" — the static label used to name racy accesses.

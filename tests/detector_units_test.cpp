@@ -47,6 +47,22 @@ public:
     Events.push_back(E);
     return *this;
   }
+  Stream &readElem(ThreadId T, ObjectId Obj, unsigned Index) {
+    TraceEvent E = base(EventKind::ReadElem, T);
+    E.Obj = Obj;
+    E.FieldIndex = Index;
+    E.ClassName = Names("IntArray");
+    Events.push_back(E);
+    return *this;
+  }
+  Stream &writeElem(ThreadId T, ObjectId Obj, unsigned Index) {
+    TraceEvent E = base(EventKind::WriteElem, T);
+    E.Obj = Obj;
+    E.FieldIndex = Index;
+    E.ClassName = Names("IntArray");
+    Events.push_back(E);
+    return *this;
+  }
   Stream &lock(ThreadId T, ObjectId Obj) {
     TraceEvent E = base(EventKind::Lock, T);
     E.Obj = Obj;
@@ -184,19 +200,28 @@ TEST(HBUnitTest, SameThreadNeverRaces) {
 }
 
 TEST(HBUnitTest, DistinctFieldsAreIndependent) {
-  Stream S;
-  S.start(0).start(1).write(0, 5, 0).write(1, 5, 1);
-  HBDetector HB;
-  S.feed(HB);
-  EXPECT_TRUE(HB.races().empty());
+  Stream Fields;
+  Fields.start(0).start(1).write(0, 5, 0).write(1, 5, 1);
+  // Field slot 3 and element 3 of one object are distinct locations.
+  Stream FieldAndElem;
+  FieldAndElem.start(0).start(1).write(0, 5, 3).writeElem(1, 5, 3);
+  FieldAndElem.readElem(0, 5, 2).writeElem(1, 5, 7);
+  for (const Stream *S : {&Fields, &FieldAndElem}) {
+    HBDetector HB;
+    S->feed(HB);
+    EXPECT_TRUE(HB.races().empty());
+  }
 }
 
 TEST(HBUnitTest, DistinctObjectsAreIndependent) {
-  Stream S;
-  S.start(0).start(1).write(0, 5).write(1, 6);
-  HBDetector HB;
-  S.feed(HB);
-  EXPECT_TRUE(HB.races().empty());
+  // Object 6 first touched after a much higher id, and before one.
+  for (ObjectId Other : {5u, 4000u}) {
+    Stream S;
+    S.start(0).start(1).write(0, Other).write(1, 6).write(0, Other + 10);
+    HBDetector HB;
+    S.feed(HB);
+    EXPECT_TRUE(HB.races().empty()) << Other;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -294,6 +319,29 @@ TEST(LockSetUnitTest, ScheduleInsensitivity) {
   EXPECT_GE(HB.races().size(), 1u)
       << "HB also reports here because no release->acquire edge links the "
          "sections (different locks)";
+}
+
+TEST(LockSetUnitTest, DistinctFieldsAreIndependent) {
+  // Field slot 3 and element 3 of one object are distinct locations, each
+  // touched by one thread only: both stay Exclusive.
+  Stream S;
+  S.start(0).start(1).write(0, 5, 3).writeElem(1, 5, 3);
+  S.write(0, 5, 3).readElem(1, 5, 3).writeElem(1, 5, 3);
+  LockSetDetector LS;
+  S.feed(LS);
+  EXPECT_TRUE(LS.races().empty());
+}
+
+TEST(LockSetUnitTest, DistinctObjectsAreIndependent) {
+  // Object 6 first touched after a much higher id, and before one.
+  for (ObjectId Other : {5u, 4000u}) {
+    Stream S;
+    S.start(0).start(1).write(0, Other).write(1, 6).write(0, Other);
+    S.write(1, 6).write(0, Other + 10).write(1, 6);
+    LockSetDetector LS;
+    S.feed(LS);
+    EXPECT_TRUE(LS.races().empty()) << Other;
+  }
 }
 
 TEST(LockSetUnitTest, OneReportPerVariable) {

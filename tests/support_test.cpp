@@ -14,6 +14,7 @@
 
 #include <set>
 #include <string_view>
+#include <vector>
 
 using namespace narada;
 
@@ -134,6 +135,22 @@ TEST(RNGTest, NextBelowCoversAllValues) {
   for (int I = 0; I < 500; ++I)
     Seen.insert(R.nextBelow(7));
   EXPECT_EQ(Seen.size(), 7u);
+}
+
+TEST(RNGTest, NextBelowEqualsNextModuloBound) {
+  // Small bounds take a mask or a constant divisor; every bound must still
+  // draw exactly what next() % Bound would.
+  std::vector<uint64_t> Bounds;
+  for (uint64_t B = 1; B <= 64; ++B)
+    Bounds.push_back(B);
+  for (uint64_t B : {(1ULL << 32) + 1, (1ULL << 40) + 7, ~0ULL})
+    Bounds.push_back(B);
+  for (uint64_t B : Bounds) {
+    RNG R(B);
+    RNG Reference(B);
+    for (int I = 0; I < 200; ++I)
+      ASSERT_EQ(R.nextBelow(B), Reference.next() % B) << "bound " << B;
+  }
 }
 
 TEST(RNGTest, ForkProducesIndependentStream) {
