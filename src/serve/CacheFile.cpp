@@ -23,15 +23,15 @@ using staticrace::StaticAccess;
 namespace {
 
 constexpr const char *Magic = "narada.serve_cache";
-// Version 2 added kind=detect_memo frames; version-1 files (which simply
-// lack them) are still accepted on load.
-constexpr uint64_t Version = 2;
-constexpr uint64_t MinVersion = 1;
+// Version 3 dropped the derivation memo's frames; older files fail the
+// load by version and the daemon starts cold.
+constexpr uint64_t Version = 3;
+constexpr uint64_t MinVersion = 3;
 
 // Nested records: a whole sub-record rides as one escaped value (the wire
-// escaping turns its newlines into \n), so arbitrarily deep structures —
-// summary -> access -> lock path, memo scope -> plan -> plan... — stay
-// inside the flat line-oriented format every other Narada surface uses.
+// escaping turns its newlines into \n), so nested structures — summary ->
+// access -> lock path — stay inside the flat line-oriented format every
+// other Narada surface uses.
 
 std::string encodePath(const AccessPath &Path) {
   wire::RecordWriter W;
@@ -133,64 +133,6 @@ decodeSummaryFrame(const wire::RecordReader &In) {
   return std::make_pair(*Symbol, std::move(Entry));
 }
 
-uint64_t planKindId(ProvidePlan::Kind K) {
-  return static_cast<uint64_t>(K);
-}
-
-std::string encodePlan(const ProvidePlan &Plan) {
-  wire::RecordWriter W;
-  W.add("kind", planKindId(Plan.K));
-  W.add("class", Plan.ClassName);
-  W.add("method", Plan.Method);
-  W.add("param", static_cast<int64_t>(Plan.ConstrainedParam));
-  W.addBool("complete", Plan.Complete);
-  if (Plan.Base)
-    W.add("base", encodePlan(*Plan.Base));
-  if (Plan.Value)
-    W.add("value", encodePlan(*Plan.Value));
-  return W.str();
-}
-
-Result<std::unique_ptr<ProvidePlan>> decodePlan(const std::string &Text) {
-  wire::RecordReader In(Text);
-  auto Plan = std::make_unique<ProvidePlan>();
-  uint64_t Kind = In.getU64("kind", ~0ull);
-  if (Kind > planKindId(ProvidePlan::Kind::ViaFactory))
-    return Error("cache memo plan has a bad kind");
-  Plan->K = static_cast<ProvidePlan::Kind>(Kind);
-  Plan->ClassName = In.getOr("class", "");
-  Plan->Method = In.getOr("method", "");
-  Plan->ConstrainedParam = static_cast<int>(In.getI64("param", 0));
-  Plan->Complete = In.getBool("complete", true);
-  if (std::optional<std::string> Base = In.get("base")) {
-    Result<std::unique_ptr<ProvidePlan>> Sub = decodePlan(*Base);
-    if (!Sub)
-      return Sub.error();
-    Plan->Base = Sub.take();
-  }
-  if (std::optional<std::string> Value = In.get("value")) {
-    Result<std::unique_ptr<ProvidePlan>> Sub = decodePlan(*Value);
-    if (!Sub)
-      return Sub.error();
-    Plan->Value = Sub.take();
-  }
-  return Plan;
-}
-
-void encodeMemoFrame(wire::RecordWriter &W, uint64_t Digest,
-                     const DerivationMemo &Memo) {
-  W.add("kind", std::string_view("memo_scope"));
-  W.add("digest", Digest);
-  // forEach visits in sorted key order, so identical memo contents always
-  // serialize to identical bytes.
-  Memo.forEach([&](const std::string &Key, const ProvidePlan &Plan) {
-    wire::RecordWriter Entry;
-    Entry.add("key", Key);
-    Entry.add("plan", encodePlan(Plan));
-    W.add("entry", Entry.str());
-  });
-}
-
 void encodeDetectMemoFrame(wire::RecordWriter &W, uint64_t Key,
                            const std::vector<TestDetectionResult> &Results) {
   W.add("kind", std::string_view("detect_memo"));
@@ -215,23 +157,6 @@ decodeDetectMemoFrame(const wire::RecordReader &In) {
   return std::make_pair(In.getU64("key", 0), std::move(Results));
 }
 
-Result<std::unique_ptr<DerivationMemo>>
-decodeMemoFrame(const wire::RecordReader &In) {
-  auto Memo = std::make_unique<DerivationMemo>();
-  for (const std::string &EntryText : In.all("entry")) {
-    wire::RecordReader Entry(EntryText);
-    std::optional<std::string> Key = Entry.get("key");
-    std::optional<std::string> PlanText = Entry.get("plan");
-    if (!Key || !PlanText)
-      return Error("cache memo entry has no key/plan");
-    Result<std::unique_ptr<ProvidePlan>> Plan = decodePlan(*PlanText);
-    if (!Plan)
-      return Plan.error();
-    Memo->insert(*Key, **Plan);
-  }
-  return Memo;
-}
-
 } // namespace
 
 bool serve::saveCacheFile(const std::string &Path,
@@ -251,18 +176,6 @@ bool serve::saveCacheFile(const std::string &Path,
     for (const auto &[Symbol, Entry] : Snapshot.Summaries) {
       wire::RecordWriter W;
       encodeSummaryFrame(W, Symbol, Entry);
-      Emit(W);
-    }
-    for (const auto &[Digest, Memo] : Snapshot.MemoScopes) {
-      wire::RecordWriter W;
-      encodeMemoFrame(W, Digest, *Memo);
-      Emit(W);
-    }
-    for (const auto &[Name, Digest] : Snapshot.InputDigests) {
-      wire::RecordWriter W;
-      W.add("kind", std::string_view("input"));
-      W.add("name", Name);
-      W.add("digest", Digest);
       Emit(W);
     }
     // Written in FIFO order so the eviction queue reloads exactly as it was.
@@ -291,15 +204,6 @@ Result<CacheSnapshot> serve::loadCacheFile(const std::string &Path) {
     Snapshot.Summaries[Entry->first] = std::move(Entry->second);
     return Status::success();
   };
-  auto OnMemoScope = [&](const wire::RecordReader &In) -> Status {
-    if (!In.get("digest"))
-      return Error("cache memo scope has no digest");
-    Result<std::unique_ptr<DerivationMemo>> Memo = decodeMemoFrame(In);
-    if (!Memo)
-      return Memo.error();
-    Snapshot.MemoScopes[In.getU64("digest", 0)] = Memo.take();
-    return Status::success();
-  };
   auto OnDetectMemo = [&](const wire::RecordReader &In) -> Status {
     Result<std::pair<uint64_t, std::vector<TestDetectionResult>>> Entry =
         decodeDetectMemoFrame(In);
@@ -310,19 +214,9 @@ Result<CacheSnapshot> serve::loadCacheFile(const std::string &Path) {
       Snapshot.DetectOrder.push_back(Entry->first);
     return Status::success();
   };
-  auto OnInput = [&](const wire::RecordReader &In) -> Status {
-    std::optional<std::string> Name = In.get("name");
-    if (!Name || !In.get("digest"))
-      return Error("cache input binding has no name/digest");
-    Snapshot.InputDigests[*Name] = In.getU64("digest", 0);
-    return Status::success();
-  };
   Status Loaded = wire::readSnapshot(
       Path, {"cache file", Magic, MinVersion, Version}, /*OnHeader=*/{},
-      {{"summary", OnSummary},
-       {"memo_scope", OnMemoScope},
-       {"detect_memo", OnDetectMemo},
-       {"input", OnInput}});
+      {{"summary", OnSummary}, {"detect_memo", OnDetectMemo}});
   if (!Loaded)
     return Loaded.error();
   return Snapshot;

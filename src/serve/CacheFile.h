@@ -6,19 +6,17 @@
 ///
 /// \file
 /// Serialization of the daemon's durable caches (docs/SERVING.md): the
-/// content-addressed static summary store and the per-source derivation
-/// memo scopes.  The file is a sequence of support/Wire.h frames — the
-/// same length-prefixed record format every other Narada wire surface
-/// uses — starting with a versioned header:
+/// content-addressed static summary store and the detection-stage memo.
+/// The file is a sequence of support/Wire.h frames — the same
+/// length-prefixed record format every other Narada wire surface uses —
+/// starting with a versioned header:
 ///
-///   frame 0:  magic=narada.serve_cache  version=2
+///   frame 0:  magic=narada.serve_cache  version=3
 ///   frame N:  kind=summary      one (symbol, cone digest) summary entry
-///             kind=memo_scope   one source digest's derivation memo
-///             kind=input        one input-name -> source-digest binding
-///             kind=detect_memo  one detect-stage memo entry (v2+)
+///             kind=detect_memo  one detect-stage memo entry
 ///
-/// Version 1 files (no detect_memo frames) still load; the detect memo
-/// simply starts empty.
+/// Older versions (which also held derivation memo scopes) fail the load
+/// by version, so the daemon starts cold once.
 ///
 /// Loading is all-or-nothing per file: any anomaly (bad magic, future
 /// version, truncated frame, malformed entry) fails the load and the
@@ -35,12 +33,10 @@
 #include "detect/Detection.h"
 #include "staticrace/LocksetAnalysis.h"
 #include "support/Error.h"
-#include "synth/ContextDeriver.h"
 
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,12 +54,6 @@ struct CacheSnapshot {
   /// Keyed by method symbol — the store keeps only the latest digest per
   /// symbol, so one entry per symbol is exactly its in-memory shape.
   std::map<std::string, SummaryEntry> Summaries;
-  /// Derivation memo scopes keyed by source digest.  unique_ptr because
-  /// DerivationMemo is neither copyable nor movable (sharded mutexes).
-  std::map<uint64_t, std::unique_ptr<DerivationMemo>> MemoScopes;
-  /// Input name (file path / corpus id) -> last seen source digest; the
-  /// invalidation edge that lets an edited module drop its stale scope.
-  std::map<std::string, uint64_t> InputDigests;
   /// Detect-stage memo: detect stage key (detectStageKey) -> the per-test
   /// detection results a prior identical run produced.  Bounded (the serve
   /// layer evicts FIFO via DetectOrder), and persisted so a daemon restart

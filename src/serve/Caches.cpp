@@ -66,43 +66,19 @@ ServeCaches::ServeCaches(std::string CacheFilePath)
   }
   State = Loaded.take();
   LoadedFromDisk = true;
-  NARADA_LOG_INFO("serve: cache loaded: %zu summaries, %zu memo scopes",
-                  State.Summaries.size(), State.MemoScopes.size());
+  NARADA_LOG_INFO("serve: cache loaded: %zu summaries, %zu detect results",
+                  State.Summaries.size(), State.DetectMemo.size());
 }
 
 void ServeCaches::touchInput(const std::string &InputName, uint64_t Digest) {
   if (InputName.empty())
     return;
-  auto It = State.InputDigests.find(InputName);
-  if (It != State.InputDigests.end() && It->second != Digest) {
-    // Same input, new content: the old scope's memo entries can never hit
-    // again through this name — drop them so the daemon's footprint
-    // follows the working set, and account for the invalidation.
-    auto Old = State.MemoScopes.find(It->second);
-    if (Old != State.MemoScopes.end()) {
-      counter("serve.cache.memo.invalidated").inc(Old->second->size());
-      State.MemoScopes.erase(Old);
-    }
+  auto It = InputDigests.find(InputName);
+  // Same input, new content: the old scope can never hit again through
+  // this name — drop it so the daemon's footprint follows the working set.
+  if (It != InputDigests.end() && It->second != Digest)
     SeedAnalysis.erase(It->second);
-  }
-  State.InputDigests[InputName] = Digest;
-}
-
-DerivationMemo &ServeCaches::memoScopeFor(uint64_t Digest) {
-  auto It = State.MemoScopes.find(Digest);
-  if (It != State.MemoScopes.end()) {
-    // Every pre-warmed entry is a lookup the synthesis stage will not
-    // re-derive; counting them on scope attach is what makes warm-run
-    // reports show nonzero memo hits even though the memo itself never
-    // distinguishes warm entries from ones inserted seconds ago.
-    counter("serve.cache.memo.hits").inc(It->second->size());
-    return *It->second;
-  }
-  counter("serve.cache.memo.misses").inc();
-  auto Memo = std::make_unique<DerivationMemo>();
-  DerivationMemo &Ref = *Memo;
-  State.MemoScopes[Digest] = std::move(Memo);
-  return Ref;
+  InputDigests[InputName] = Digest;
 }
 
 std::unique_ptr<ServeCaches::Request>
@@ -116,7 +92,6 @@ ServeCaches::beginRequest(const std::string &InputName) {
     touchInput(InputName, Digest);
 
     auto P = std::make_unique<PipelineCaches>();
-    P->SharedMemo = &memoScopeFor(Digest);
     P->LookupSeedAnalysis =
         [this, Digest](const std::string &SeedName) -> const AnalysisResult * {
       auto Scope = SeedAnalysis.find(Digest);

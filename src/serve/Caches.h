@@ -7,29 +7,30 @@
 /// \file
 /// The heart of `narada-cli serve` (docs/SERVING.md): content-addressed
 /// caches that survive in memory across requests and, via serve/CacheFile,
-/// on disk across restarts.  Four stores, all keyed by source digests so a
-/// resubmitted bundle hits and an edited one invalidates exactly what its
-/// edit reaches:
+/// on disk across restarts.  Three stores, all keyed by source digests so
+/// a resubmitted bundle hits and an edited one invalidates exactly what
+/// its edit reaches:
 ///
 ///  - summary store: per-method StaticSummary entries keyed by (symbol,
 ///    dependence-cone digest) — the staticrace::SummaryStore behind
 ///    summarizeModuleIncremental, so editing one method re-analyzes only
 ///    the methods whose cone contains it (persisted);
-///  - derivation memo scopes: one DerivationMemo per source digest,
-///    pre-warming Q-query results for identical resubmits (persisted);
 ///  - seed analysis: per-(source digest, seed name) AnalysisResult — a
 ///    hit skips executing that seed entirely (in-memory only);
 ///  - detection stage memo: whole detectRacesInTests result vectors keyed
-///    by the engine's stage digest (FIFO-capped, persisted since cache
-///    file version 2 so restarts keep replay-free detection warm).
+///    by the engine's stage digest (FIFO-capped, persisted so restarts
+///    keep replay-free detection warm).
+///
+/// Context derivation is not cached: its plans depend on the seed list as
+/// well as the source, and it is cheap to recompute.
 ///
 /// Correctness rests on every cached value being exactly what the cold
 /// computation would produce for the same keyed inputs; the serve tests
 /// and the CI daemon-smoke job gate warm-equals-cold byte identity.
 ///
 /// Counters (config-dependent, see tools/report-diff.py):
-/// serve.cache.{summary,memo,analysis,detect}.{hits,misses},
-/// serve.cache.{summary,memo}.invalidated, serve.cone_reanalyzed_methods.
+/// serve.cache.{summary,analysis,detect}.{hits,misses},
+/// serve.cache.summary.invalidated, serve.cone_reanalyzed_methods.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,9 +56,10 @@ namespace serve {
 /// sequentially (the parallelism lives inside a request's pipeline).
 class ServeCaches {
 public:
-  /// \p CacheFilePath: where to persist summaries/memos ("" = in-memory
-  /// only).  An existing file is loaded eagerly; corruption or a version
-  /// mismatch logs a warning and starts cold (never an error).
+  /// \p CacheFilePath: where to persist summaries and detection results
+  /// ("" = in-memory only).  An existing file is loaded eagerly;
+  /// corruption or a version mismatch logs a warning and starts cold
+  /// (never an error).
   explicit ServeCaches(std::string CacheFilePath);
 
   ServeCaches(const ServeCaches &) = delete;
@@ -92,14 +94,10 @@ private:
   /// replacements as serve.cache.summary.invalidated.
   class SummaryStoreImpl;
 
-  /// Records that \p InputName now resolves to \p Digest, dropping (and
-  /// counting as invalidated) the previous digest's memo scope when the
-  /// content changed under the same name.
+  /// Records that \p InputName now resolves to \p Digest, dropping the
+  /// previous digest's seed-analysis scope when the content changed under
+  /// the same name.
   void touchInput(const std::string &InputName, uint64_t Digest);
-
-  /// The memo scope for \p Digest, created on miss (with hit/miss
-  /// accounting: a hit pre-warms lookup with every cached entry).
-  DerivationMemo &memoScopeFor(uint64_t Digest);
 
   std::string CacheFilePath;
   bool LoadedFromDisk = false;
@@ -107,6 +105,9 @@ private:
 
   /// Seed-name -> analysis scopes keyed by source digest (volatile).
   std::map<uint64_t, std::map<std::string, AnalysisResult>> SeedAnalysis;
+  /// Input name (file path / corpus id) -> last seen source digest; the
+  /// invalidation edge that lets an edited module drop its stale scope.
+  std::map<std::string, uint64_t> InputDigests;
 
   /// FIFO cap on State.DetectMemo — result vectors for big corpora are
   /// large, and a bounded daemon must not grow without limit.

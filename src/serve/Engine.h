@@ -14,9 +14,9 @@
 /// byte-compared against a cold CLI run.
 ///
 /// EngineHooks is the daemon's seam: per-request pipeline caches (seed
-/// analysis, incremental static summaries, the derivation memo) and a
-/// whole-detection-stage memo.  Every hook is optional and a null hooks
-/// pointer (the CLI) runs everything cold.
+/// analysis and incremental static summaries) and a whole-detection-stage
+/// memo.  Every hook is optional and a null hooks pointer (the CLI) runs
+/// everything cold.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,79 +10,7 @@
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
 
-#include <functional>
-#include <map>
-
 using namespace narada;
-
-std::unique_ptr<ProvidePlan> ProvidePlan::clone() const {
-  auto Out = std::make_unique<ProvidePlan>();
-  Out->K = K;
-  Out->ClassName = ClassName;
-  Out->Method = Method;
-  Out->ConstrainedParam = ConstrainedParam;
-  Out->Complete = Complete;
-  if (Base)
-    Out->Base = Base->clone();
-  if (Value)
-    Out->Value = Value->clone();
-  return Out;
-}
-
-std::string DerivationMemo::key(const std::string &ClassName,
-                                const std::vector<std::string> &Fields,
-                                unsigned Depth) {
-  std::string Key = ClassName;
-  Key += '|';
-  for (const std::string &Field : Fields) {
-    Key += Field;
-    Key += '.';
-  }
-  Key += '|';
-  Key += std::to_string(Depth);
-  return Key;
-}
-
-DerivationMemo::Shard &DerivationMemo::shardFor(const std::string &Key) const {
-  return Shards[std::hash<std::string>{}(Key) % NumShards];
-}
-
-std::unique_ptr<ProvidePlan> DerivationMemo::lookup(const std::string &Key) const {
-  Shard &S = shardFor(Key);
-  std::lock_guard<std::mutex> Lock(S.M);
-  auto It = S.Map.find(Key);
-  if (It == S.Map.end())
-    return nullptr;
-  return It->second->clone();
-}
-
-void DerivationMemo::insert(const std::string &Key, const ProvidePlan &Plan) {
-  Shard &S = shardFor(Key);
-  std::lock_guard<std::mutex> Lock(S.M);
-  S.Map.try_emplace(Key, Plan.clone());
-}
-
-void DerivationMemo::forEach(
-    const std::function<void(const std::string &, const ProvidePlan &)> &Fn)
-    const {
-  std::map<std::string, const ProvidePlan *> Sorted;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    for (const auto &[Key, Plan] : S.Map)
-      Sorted.emplace(Key, Plan.get());
-  }
-  for (const auto &[Key, Plan] : Sorted)
-    Fn(Key, *Plan);
-}
-
-size_t DerivationMemo::size() const {
-  size_t N = 0;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    N += S.Map.size();
-  }
-  return N;
-}
 
 std::string ProvidePlan::str() const {
   switch (K) {
@@ -183,28 +111,17 @@ static bool isNonEmptyPrefix(const std::vector<std::string> &Prefix,
 std::unique_ptr<ProvidePlan>
 ContextDeriver::derive(const std::string &ClassName,
                        const std::vector<std::string> &Fields,
-                       unsigned Depth) const {
-  return deriveImpl(ClassName, Fields, Depth,
-                    SelectionRand ? &*SelectionRand : nullptr);
+                       std::optional<uint64_t> Seed) const {
+  std::optional<RNG> Rand;
+  if (Seed)
+    Rand.emplace(*Seed);
+  return deriveImpl(ClassName, Fields, 0, Rand ? &*Rand : nullptr);
 }
 
 std::unique_ptr<ProvidePlan>
 ContextDeriver::deriveImpl(const std::string &ClassName,
                            const std::vector<std::string> &Fields,
                            unsigned Depth, RNG *Rand) const {
-  // Memo hits are only sound when the derivation is deterministic: with a
-  // selection stream active the result would depend on which pair (and
-  // which draw) populated the entry.
-  std::string MemoKey;
-  if (Memo && !Rand && !Fields.empty()) {
-    MemoKey = DerivationMemo::key(ClassName, Fields, Depth);
-    if (std::unique_ptr<ProvidePlan> Hit = Memo->lookup(MemoKey)) {
-      obs::MetricsRegistry::global().counter("synth.qmemo_hits").inc();
-      return Hit;
-    }
-    obs::MetricsRegistry::global().counter("synth.qmemo_misses").inc();
-  }
-
   if (Fields.empty()) {
     auto Plan = std::make_unique<ProvidePlan>();
     Plan->K = ProvidePlan::Kind::SharedObject;
@@ -303,47 +220,31 @@ ContextDeriver::deriveImpl(const std::string &ClassName,
     }
   }
 
-  // Cache the result under the (class, path, depth) key on the way out;
-  // MemoKey is only set on the deterministic path.
-  auto Finish = [&](std::unique_ptr<ProvidePlan> Plan) {
-    if (!MemoKey.empty())
-      Memo->insert(MemoKey, *Plan);
-    return Plan;
-  };
-
   if (!CompleteCandidates.empty()) {
     // Multiple method sequences can set the same context; the paper's
     // implementation picks one at random (§4).  Without a selection seed
     // the first (setters before factories, database order) wins.
     size_t Index = Rand ? Rand->nextBelow(CompleteCandidates.size()) : 0;
-    return Finish(std::move(CompleteCandidates[Index]));
+    return std::move(CompleteCandidates[Index]);
   }
   if (BestIncomplete)
-    return Finish(std::move(BestIncomplete));
+    return BestIncomplete;
 
   // No way to reach the path: an unconstrained instance, marked incomplete.
   auto Fallback = std::make_unique<ProvidePlan>();
   Fallback->K = ProvidePlan::Kind::FromSeed;
   Fallback->ClassName = ClassName;
   Fallback->Complete = false;
-  return Finish(std::move(Fallback));
-}
-
-SharingPlan ContextDeriver::deriveSharing(const RacyPair &Pair) const {
-  return deriveSharingImpl(Pair, SelectionRand ? &*SelectionRand : nullptr);
+  return Fallback;
 }
 
 SharingPlan
 ContextDeriver::deriveSharing(const RacyPair &Pair,
-                              std::optional<uint64_t> PairSeed) const {
-  if (!PairSeed)
-    return deriveSharingImpl(Pair, nullptr);
-  RNG Rand(*PairSeed);
-  return deriveSharingImpl(Pair, &Rand);
-}
-
-SharingPlan ContextDeriver::deriveSharingImpl(const RacyPair &Pair,
-                                              RNG *Rand) const {
+                              std::optional<uint64_t> Seed) const {
+  std::optional<RNG> Stream;
+  if (Seed)
+    Stream.emplace(*Seed);
+  RNG *Rand = Stream ? &*Stream : nullptr;
   // Injection point for the containment sweep: a crash inside context
   // derivation must degrade the owning pair to internal_fault, nothing
   // more (ParallelDriver's barrier catches it).

@@ -30,12 +30,9 @@
 #include "support/RNG.h"
 #include "synth/RacyPair.h"
 
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace narada {
@@ -62,56 +59,8 @@ struct ProvidePlan {
   std::unique_ptr<ProvidePlan> Value; ///< The constrained argument.
   bool Complete = true;
 
-  /// Deep copy (plans are immutable trees once derived; the memo hands
-  /// out clones so callers can move them into SharingPlans freely).
-  std::unique_ptr<ProvidePlan> clone() const;
-
   /// "setter[A.bar(#1=plan)]" style rendering for tests and logs.
   std::string str() const;
-};
-
-/// A sharded memo table for Q-query derivations, keyed by (class,
-/// field-path, remaining depth budget).  The same (class, path) target
-/// recurs across pairs — every pair racing on C1's queue.buffer re-derives
-/// the same setter chain — and, with the parallel driver, across worker
-/// threads, so the table is shared and mutex-sharded by key hash.
-///
-/// Only *deterministic* derivations are memoized: with a selection RNG
-/// active the chosen candidate depends on the pair's private stream, and
-/// caching one pair's choice would leak it into another pair's derivation
-/// (breaking the jobs-1 == jobs-N guarantee).  Callers simply get no hits
-/// in that mode.
-class DerivationMemo {
-public:
-  /// Returns a clone of the cached plan for \p Key, or null on miss.
-  std::unique_ptr<ProvidePlan> lookup(const std::string &Key) const;
-
-  /// Caches a clone of \p Plan under \p Key (first writer wins).
-  void insert(const std::string &Key, const ProvidePlan &Plan);
-
-  /// Visits every cached (key, plan) entry in sorted key order — the
-  /// serve-layer memo persistence walks the table this way so on-disk
-  /// cache files are deterministic.  Do not call concurrently with
-  /// inserts from worker threads.
-  void forEach(const std::function<void(const std::string &,
-                                        const ProvidePlan &)> &Fn) const;
-
-  /// Number of cached entries.
-  size_t size() const;
-
-  /// Builds the canonical "class|f1.f2|depth" key.
-  static std::string key(const std::string &ClassName,
-                         const std::vector<std::string> &Fields,
-                         unsigned Depth);
-
-private:
-  static constexpr size_t NumShards = 16;
-  struct Shard {
-    mutable std::mutex M;
-    std::unordered_map<std::string, std::unique_ptr<ProvidePlan>> Map;
-  };
-  Shard &shardFor(const std::string &Key) const;
-  mutable Shard Shards[NumShards];
 };
 
 /// The object-sharing recipe for one racy pair.
@@ -137,43 +86,31 @@ struct SharingPlan {
   std::string str() const;
 };
 
-/// Derives sharing plans from the stage-1 analysis databases.
+/// Derives sharing plans from the stage-1 analysis databases.  Keeps no
+/// state between calls: every plan is computed from the run's own
+/// databases.
 class ContextDeriver {
 public:
-  /// With \p SelectionSeed unset the deriver deterministically picks the
-  /// first applicable setter; with a seed it chooses uniformly among the
-  /// complete candidate derivations — the paper's §4 behavior ("randomly
-  /// selects one of the possible methods").
-  ContextDeriver(const AnalysisResult &Analysis, const ProgramInfo &Info,
-                 std::optional<uint64_t> SelectionSeed = std::nullopt)
-      : Analysis(Analysis), Info(Info) {
-    if (SelectionSeed)
-      SelectionRand.emplace(*SelectionSeed);
-  }
+  ContextDeriver(const AnalysisResult &Analysis, const ProgramInfo &Info)
+      : Analysis(Analysis), Info(Info) {}
 
-  /// Attaches a (possibly shared, thread-safe) derivation memo; null
-  /// detaches.  Hits are only taken on the deterministic path — see
-  /// DerivationMemo.
-  void setMemo(DerivationMemo *Table) { Memo = Table; }
-
-  /// Derives the context for one racy pair using the construction-time
-  /// selection stream (serial pipeline behavior).
-  SharingPlan deriveSharing(const RacyPair &Pair) const;
-
-  /// Derives the context for one racy pair with a private selection
-  /// stream seeded by \p PairSeed (unset = deterministic first-candidate
-  /// choice).  Pair-indexed seeds are what make randomized derivation
-  /// reproducible independent of pair execution order — the parallel
-  /// driver's entry point.
+  /// Derives the context for one racy pair.  With \p Seed unset the
+  /// deriver deterministically picks the first applicable setter; with a
+  /// seed it chooses uniformly among the complete candidate derivations
+  /// on a stream private to this call — the paper's §4 behavior
+  /// ("randomly selects one of the possible methods").  Pair-indexed
+  /// seeds are what make randomized derivation reproducible independent
+  /// of pair execution order.
   SharingPlan deriveSharing(const RacyPair &Pair,
-                            std::optional<uint64_t> PairSeed) const;
+                            std::optional<uint64_t> Seed = std::nullopt) const;
 
   /// Derives a recipe for an instance of \p ClassName whose \p Fields path
-  /// resolves to the shared object.  Never returns null; incomplete plans
-  /// are marked.  Exposed for testing.
+  /// resolves to the shared object, selecting by \p Seed as deriveSharing
+  /// does.  Never returns null; incomplete plans are marked.  Exposed for
+  /// testing.
   std::unique_ptr<ProvidePlan>
-  derive(const std::string &ClassName,
-         const std::vector<std::string> &Fields, unsigned Depth = 0) const;
+  derive(const std::string &ClassName, const std::vector<std::string> &Fields,
+         std::optional<uint64_t> Seed = std::nullopt) const;
 
   /// The static type reached by walking \p Fields from \p ClassName through
   /// declared field types; empty when the walk fails.
@@ -186,20 +123,13 @@ public:
 
 private:
   /// The recursive worker behind derive(): \p Rand, when non-null, picks
-  /// among complete candidates; null picks the first (and enables memo
-  /// hits).
+  /// among complete candidates; null picks the first.
   std::unique_ptr<ProvidePlan> deriveImpl(const std::string &ClassName,
                                           const std::vector<std::string> &Fields,
                                           unsigned Depth, RNG *Rand) const;
 
-  SharingPlan deriveSharingImpl(const RacyPair &Pair, RNG *Rand) const;
-
   const AnalysisResult &Analysis;
   const ProgramInfo &Info;
-  /// Present when random setter selection is enabled; mutable because the
-  /// derivation API is logically const.
-  mutable std::optional<RNG> SelectionRand;
-  DerivationMemo *Memo = nullptr;
 
   static constexpr unsigned MaxDepth = 5;
 };

@@ -26,8 +26,6 @@ const char *narada::skipReasonId(SkipReason Reason) {
     return "no_seed_call_site";
   case SkipReason::DerivationMismatch:
     return "derivation_mismatch";
-  case SkipReason::TestBudget:
-    return "test_budget";
   case SkipReason::InternalFault:
     return "internal_fault";
   case SkipReason::WorkerCrash:

@@ -19,7 +19,6 @@
 #include "runtime/Execution.h"
 #include "staticrace/StaticSummary.h"
 #include "support/ProcessPool.h"
-#include "synth/ContextDeriver.h"
 #include "synth/PairGenerator.h"
 #include "synth/RacyPair.h"
 #include "synth/TestSynthesizer.h"
@@ -52,11 +51,6 @@ struct PipelineCaches {
   /// Replaces staticrace::summarizeModule wholesale; the daemon wires
   /// summarizeModuleIncremental (plus its serve.* counters) through here.
   std::function<staticrace::ModuleSummary(const IRModule &)> Summarize;
-  /// Derivation memo shared across runs (pre-warmed Q-query results);
-  /// null = the synthesis stage uses its own per-run memo.  Only
-  /// deterministic derivations are memoized (see ContextDeriver), so a
-  /// warm memo changes speed, never results.
-  DerivationMemo *SharedMemo = nullptr;
 };
 
 /// Pipeline options.
@@ -67,8 +61,6 @@ struct NaradaOptions {
   /// Ablation switch: with context derivation disabled every test uses
   /// fresh unconstrained instances, i.e. no object sharing is staged.
   bool EnableContextDerivation = true;
-  /// Upper bound on synthesized tests (0 = unlimited).
-  unsigned MaxTests = 0;
   /// When set, the context deriver chooses uniformly among the applicable
   /// setter/factory derivations instead of the first one — the paper's §4
   /// "randomly selects one of the possible methods".
@@ -122,7 +114,6 @@ enum class SkipReason {
   NoSeedCallSite,     ///< No seed invocation to template a required call on.
   DerivationMismatch, ///< The derived plan could not be realized on the
                       ///< seed material (parameter/normalization mismatch).
-  TestBudget,         ///< Options.MaxTests cap reached.
   InternalFault,      ///< The pair's derivation/synthesis task crashed
                       ///< (exception captured by the containment barrier);
                       ///< the rest of the run proceeded without it.
@@ -140,7 +131,7 @@ const char *skipReasonId(SkipReason Reason);
 struct SkippedPair {
   std::string PairKey;
   SkipReason Reason = SkipReason::Other;
-  std::string Message; ///< Human-readable detail (empty for TestBudget).
+  std::string Message; ///< Human-readable detail.
 
   /// "pair-key: reason-id: message" for logs and diagnostics.
   std::string str() const;

@@ -92,7 +92,7 @@ std::string narada::synthShapeKey(const RacyPair &Pair,
       Plan.SharedClassName.c_str());
 }
 
-SharingPlan narada::deriveSynthPlan(ContextDeriver &Deriver,
+SharingPlan narada::deriveSynthPlan(const ContextDeriver &Deriver,
                                     const RacyPair &Pair, size_t PairIndex,
                                     const NaradaOptions &Options) {
   std::optional<uint64_t> PairSeed;
@@ -116,8 +116,7 @@ SharingPlan narada::deriveSynthPlan(ContextDeriver &Deriver,
 
 std::vector<CommitDecision>
 narada::planCommit(const std::vector<std::string> &Shapes,
-                   const std::function<bool(size_t)> &SynthesisSucceeds,
-                   unsigned MaxTests) {
+                   const std::function<bool(size_t)> &SynthesisSucceeds) {
   std::vector<CommitDecision> Out(Shapes.size());
   std::unordered_map<std::string, size_t> TestByShape;
   size_t TestCount = 0;
@@ -125,10 +124,6 @@ narada::planCommit(const std::vector<std::string> &Shapes,
     auto Existing = TestByShape.find(Shapes[I]);
     if (Existing != TestByShape.end()) {
       Out[I] = {CommitDecision::Kind::Join, Existing->second};
-      continue;
-    }
-    if (MaxTests && TestCount >= MaxTests) {
-      Out[I] = {CommitDecision::Kind::BudgetSkip, 0};
       continue;
     }
     if (SynthesisSucceeds(I)) {
@@ -179,13 +174,6 @@ narada::runSynthesisStage(const AnalysisResult &Analysis,
                              : std::string());
   Metrics.gauge("synth.jobs").set(static_cast<int64_t>(Exec.workers()));
 
-  // The serving layer may supply a memo pre-warmed by earlier runs; memo
-  // contents only short-circuit deterministic derivations, so a warm memo
-  // is a pure speedup with byte-identical output.
-  DerivationMemo LocalMemo;
-  DerivationMemo *Memo =
-      Options.Caches && Options.Caches->SharedMemo ? Options.Caches->SharedMemo
-                                                   : &LocalMemo;
   std::vector<PairSlot> Slots(N);
 
   // Phase A: derive every pair's sharing plan and shape key.
@@ -196,7 +184,6 @@ narada::runSynthesisStage(const AnalysisResult &Analysis,
         // Derivers and synthesizers are stateless views of the shared
         // read-only databases, so each unit builds its own.
         ContextDeriver Deriver(Analysis, Info);
-        Deriver.setMemo(Memo);
         {
           obs::Span DeriveSpan("derive");
           Slots[I].Plan = deriveSynthPlan(Deriver, Pairs[I], I, Options);
@@ -263,7 +250,7 @@ narada::runSynthesisStage(const AnalysisResult &Analysis,
     return !Slots[I].Fault && Slots[I].Attempt->Ok;
   };
   std::vector<CommitDecision> Decisions =
-      planCommit(Shapes, SynthesisSucceeds, Options.MaxTests);
+      planCommit(Shapes, SynthesisSucceeds);
 
   SynthStageOutput Out;
   for (size_t I = 0; I < N; ++I) {
@@ -272,7 +259,7 @@ narada::runSynthesisStage(const AnalysisResult &Analysis,
     if (Slot.Fault) {
       // Contained fault: the pair degrades to a structured skip no matter
       // what the commit plan would have decided (its sentinel shape can
-      // only yield FailSkip or BudgetSkip anyway).
+      // only yield FailSkip anyway).
       const bool Crash = Slot.Fault->K == UnitFault::Kind::Crash;
       SkipReason Reason =
           Crash ? SkipReason::WorkerCrash : SkipReason::InternalFault;
@@ -293,10 +280,6 @@ narada::runSynthesisStage(const AnalysisResult &Analysis,
       Metrics.counter("synth.pairs_deduped").inc();
       break;
     }
-    case CommitDecision::Kind::BudgetSkip:
-      Out.Skipped.push_back({Pair.key(), SkipReason::TestBudget, ""});
-      countSkip(SkipReason::TestBudget);
-      break;
     case CommitDecision::Kind::FailSkip: {
       const Error &E = Slot.Attempt->Err;
       SkipReason Reason = classifySkip(E);

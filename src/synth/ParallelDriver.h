@@ -18,15 +18,15 @@
 ///       pair, under a placeholder name (final names depend on commit
 ///       order).
 ///   commit (serial):   walk pairs in canonical order, dedup by shape,
-///       apply the test budget, splice in final dense names, and classify
-///       failures and faults — exactly the serial loop's semantics, driven
-///       by planCommit() below.
+///       splice in final dense names, and classify failures and faults —
+///       exactly the serial loop's semantics, driven by planCommit()
+///       below.
 ///
 /// The executor decides whether units run inline, on worker threads or in
 /// --isolate worker processes (synth/SynthWorker.h); the phases, the
 /// per-pair slot and the commit walk are the same code in every mode.
 /// In-process units build their own ContextDeriver/TestSynthesizer views
-/// and share one DerivationMemo; per-worker obs::Spans
+/// and share nothing but the read-only databases; per-worker obs::Spans
 /// ("pipeline.synth.worker<K>.derive") keep the phase tree honest across
 /// threads.
 ///
@@ -47,10 +47,9 @@ namespace narada {
 /// What the commit walk decided for one canonical pair index.
 struct CommitDecision {
   enum class Kind {
-    NewTest,    ///< First successful synthesis of its shape: a new test.
-    Join,       ///< Its shape already has a test: covered by that test.
-    BudgetSkip, ///< MaxTests was reached before its shape got a test.
-    FailSkip,   ///< Synthesis failed (its shape has no test yet).
+    NewTest,  ///< First successful synthesis of its shape: a new test.
+    Join,     ///< Its shape already has a test: covered by that test.
+    FailSkip, ///< Synthesis failed (its shape has no test yet).
   };
   Kind K = Kind::FailSkip;
   size_t TestIndex = 0; ///< Index into the emitted tests (NewTest/Join).
@@ -58,8 +57,7 @@ struct CommitDecision {
 
 /// The deterministic commit step: walks \p Shapes in canonical order and
 /// replays the serial loop's bookkeeping — dedup onto the first success of
-/// each shape, budget-skip new shapes once \p MaxTests (0 = unlimited)
-/// tests exist, and re-attempt shapes whose earlier pairs all failed.
+/// each shape, and re-attempt shapes whose earlier pairs all failed.
 /// \p SynthesisSucceeds is consulted lazily, exactly for the pairs the
 /// serial loop would have attempted.  Pure apart from that callback, and
 /// independent of how phases A/B were scheduled — this is what makes the
@@ -67,8 +65,7 @@ struct CommitDecision {
 /// directly by tests/property_test.cpp on randomized shape sets).
 std::vector<CommitDecision>
 planCommit(const std::vector<std::string> &Shapes,
-           const std::function<bool(size_t)> &SynthesisSucceeds,
-           unsigned MaxTests);
+           const std::function<bool(size_t)> &SynthesisSucceeds);
 
 /// Splits the user-visible derivation seed into an independent stream
 /// seed for pair \p PairIndex (SplitMix over base xor index).
@@ -87,8 +84,9 @@ inline constexpr const char *SynthPlaceholderName = "narada_uncommitted";
 /// stage does: per-pair seed split, derivation, and the
 /// EnableContextDerivation=false ablation.  Span-free so in-process and
 /// isolated callers each wrap it in their own "derive" span.
-SharingPlan deriveSynthPlan(ContextDeriver &Deriver, const RacyPair &Pair,
-                            size_t PairIndex, const NaradaOptions &Options);
+SharingPlan deriveSynthPlan(const ContextDeriver &Deriver,
+                            const RacyPair &Pair, size_t PairIndex,
+                            const NaradaOptions &Options);
 
 /// One synthesis attempt, as the commit walk consumes it: the test printed
 /// under SynthPlaceholderName, or the synthesizer's error.

@@ -92,7 +92,7 @@ struct Service::State {
   NaradaOptions Options;
   std::string SpanParentPath;
   NaradaFrontHalf Front;
-  std::optional<ContextDeriver> Deriver; ///< Memo-less (no threads here).
+  std::optional<ContextDeriver> Deriver;
   std::optional<TestSynthesizer> Synth;
 };
 

@@ -126,17 +126,17 @@ INSTANTIATE_TEST_SUITE_P(AllClasses, CorpusTest,
 namespace {
 
 /// Full pipeline + detection; returns distinct (detected, harmful, benign)
-/// race-key counts across all synthesized tests for one class.
+/// race-key counts across the first \p TestLimit synthesized tests for one
+/// class (0 = all of them).
 struct ClassRaceCounts {
   std::set<std::string> Detected;
   std::set<std::string> Harmful;
   std::set<std::string> Benign;
 };
 
-ClassRaceCounts raceCounts(const CorpusEntry &E, unsigned MaxTests = 0) {
+ClassRaceCounts raceCounts(const CorpusEntry &E, size_t TestLimit = 0) {
   NaradaOptions Options;
   Options.FocusClass = E.ClassName;
-  Options.MaxTests = MaxTests;
   Result<NaradaResult> R = runNarada(E.Source, E.SeedNames, Options);
   EXPECT_TRUE(R.hasValue());
   ClassRaceCounts Out;
@@ -145,6 +145,8 @@ ClassRaceCounts raceCounts(const CorpusEntry &E, unsigned MaxTests = 0) {
   DetectOptions DO;
   DO.RandomRuns = 6;
   DO.ConfirmAttempts = 2;
+  if (TestLimit && R->Tests.size() > TestLimit)
+    R->Tests.resize(TestLimit);
   for (const SynthesizedTestInfo &T : R->Tests) {
     Result<TestDetectionResult> D =
         detectRacesInTest(*R->Program.Module, T.Name, DO, T.CandidateLabels);
@@ -173,7 +175,7 @@ TEST(CorpusShapeTest, C1WrapperRacesAreMostlyHarmful) {
 }
 
 TEST(CorpusShapeTest, C6HasManyBenignResetRaces) {
-  auto Counts = raceCounts(*findCorpusEntry("C6"), /*MaxTests=*/40);
+  auto Counts = raceCounts(*findCorpusEntry("C6"), /*TestLimit=*/40);
   EXPECT_GE(Counts.Benign.size(), 10u)
       << "reset() writing constants must yield many benign races";
   EXPECT_GE(Counts.Harmful.size(), 10u);

@@ -261,12 +261,11 @@ class MergeSweep : public ::testing::TestWithParam<uint64_t> {};
 } // namespace
 
 // The commit walk must be indistinguishable from the serial loop no matter
-// how shapes repeat, which shapes fail, or where the budget lands.
+// how shapes repeat or which shapes fail.
 TEST_P(MergeSweep, CommitPlanReplaysSerialLoop) {
   RNG Rand(GetParam());
   const size_t N = 20 + Rand.nextBelow(60);
   const size_t Alphabet = 1 + Rand.nextBelow(12);
-  const unsigned MaxTests = static_cast<unsigned>(Rand.nextBelow(5)); // 0 = off
 
   // Randomized pair stream: shapes repeat, some shapes always fail
   // (failures are a deterministic function of the shape, as in the real
@@ -284,7 +283,7 @@ TEST_P(MergeSweep, CommitPlanReplaysSerialLoop) {
     Attempted.push_back(I);
     return !Failing.count(Shapes[I]);
   };
-  std::vector<CommitDecision> Plan = planCommit(Shapes, Succeeds, MaxTests);
+  std::vector<CommitDecision> Plan = planCommit(Shapes, Succeeds);
 
   // Reference: the serial loop, written out independently.
   std::map<std::string, size_t> ByShape;
@@ -294,10 +293,6 @@ TEST_P(MergeSweep, CommitPlanReplaysSerialLoop) {
     if (ByShape.count(Shapes[I])) {
       EXPECT_EQ(Plan[I].K, CommitDecision::Kind::Join) << I;
       EXPECT_EQ(Plan[I].TestIndex, ByShape[Shapes[I]]) << I;
-      continue;
-    }
-    if (MaxTests && Tests >= MaxTests) {
-      EXPECT_EQ(Plan[I].K, CommitDecision::Kind::BudgetSkip) << I;
       continue;
     }
     ExpectAttempted.push_back(I);

@@ -50,7 +50,7 @@ std::string raceDbLoadError(const std::string &Path) {
 }
 
 const SnapshotKind Kinds[] = {
-    {"CacheFile", "cache file", "narada.serve_cache", 2, cacheLoadError, true},
+    {"CacheFile", "cache file", "narada.serve_cache", 3, cacheLoadError, true},
     {"RaceDb", "racedb file", "narada.racedb", 1, raceDbLoadError, false},
 };
 

@@ -3,12 +3,13 @@
 // Part of Narada-C++, a reproduction of "Synthesizing Racy Tests" (PLDI'15).
 //
 // Hammers the parallel executor: 50 back-to-back pipeline + confirmation
-// runs at the maximum job count, asserting after every run that no
-// SkippedPair entry was lost or duplicated relative to the serial
-// baseline.  Built into its own binary and labelled `stress` in ctest so
-// the quick suite skips it (`ctest -L stress` runs it); under
-// -DNARADA_TSAN=ON this is the test that puts ThreadSanitizer to work on
-// parallelFor, the memo table, and the metrics registry.
+// runs at the maximum job count, asserting after every run that no pair's
+// commit (to a test or to a SkippedPair entry) was lost, duplicated or
+// reordered relative to the serial baseline.  Built into its own binary
+// and labelled `stress` in ctest so the quick suite skips it
+// (`ctest -L stress` runs it); under -DNARADA_TSAN=ON this is the test
+// that puts ThreadSanitizer to work on parallelFor and the metrics
+// registry.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,8 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <string>
+#include <vector>
 
 using namespace narada;
 
@@ -27,47 +29,46 @@ namespace {
 
 constexpr unsigned StressRounds = 50;
 
-NaradaResult runPipeline(const CorpusEntry &Entry, unsigned Jobs,
-                         unsigned MaxTests = 0) {
+NaradaResult runPipeline(const CorpusEntry &Entry, unsigned Jobs) {
   NaradaOptions Options;
   Options.FocusClass = Entry.ClassName;
   Options.Jobs = Jobs;
-  Options.MaxTests = MaxTests;
   Result<NaradaResult> R = runNarada(Entry.Source, Entry.SeedNames, Options);
   EXPECT_TRUE(R.hasValue()) << (R ? "" : R.error().str());
   return R ? R.take() : NaradaResult{};
 }
 
-/// Pair-key -> occurrence count; the lost/duplicate check compares these.
-std::map<std::string, unsigned> skipCounts(const NaradaResult &R) {
-  std::map<std::string, unsigned> Out;
+/// Every pair's commit, in commit order: the test that covers it or its
+/// skip record.  A pair a racy merge loses, commits twice or commits out
+/// of order changes this log.
+std::vector<std::string> commitLog(const NaradaResult &R) {
+  std::vector<std::string> Out;
+  for (const SynthesizedTestInfo &T : R.Tests)
+    for (const std::string &Key : T.CoveredPairKeys)
+      Out.push_back(T.Name + " <- " + Key);
   for (const SkippedPair &S : R.Skipped)
-    ++Out[S.PairKey];
+    Out.push_back("skip " + S.str());
   return Out;
 }
 
 } // namespace
 
-// C5 has the most pairs in the corpus; a tight test budget makes every
-// pair past the cap a SkippedPair, so any entry a racy merge loses or
-// commits twice moves these counts.
-TEST(StressTest, FiftyParallelRunsLoseNoSkippedPairs) {
+// C5 has the most pairs in the corpus, and each is committed exactly once:
+// to the test that covers it or to a SkippedPair entry.
+TEST(StressTest, FiftyParallelRunsLoseNoPairs) {
   const CorpusEntry &E = *findCorpusEntry("C5");
   const unsigned MaxJobs = resolveJobs(0);
-  const unsigned MaxTests = 40;
 
-  NaradaResult Baseline = runPipeline(E, 1, MaxTests);
-  std::map<std::string, unsigned> Expected = skipCounts(Baseline);
-  ASSERT_FALSE(Expected.empty()) << "budgeted C5 should produce skips";
+  NaradaResult Baseline = runPipeline(E, 1);
+  std::vector<std::string> Expected = commitLog(Baseline);
+  ASSERT_FALSE(Baseline.Pairs.empty());
+  ASSERT_EQ(Expected.size(), Baseline.Pairs.size())
+      << "every pair is committed exactly once";
 
   for (unsigned Round = 0; Round < StressRounds; ++Round) {
-    NaradaResult R = runPipeline(E, MaxJobs, MaxTests);
+    NaradaResult R = runPipeline(E, MaxJobs);
     ASSERT_EQ(R.Skipped.size(), Baseline.Skipped.size()) << "round " << Round;
-    EXPECT_EQ(skipCounts(R), Expected) << "round " << Round;
-    // Order must match too, not just the multiset.
-    for (size_t I = 0; I < R.Skipped.size(); ++I)
-      ASSERT_EQ(R.Skipped[I].str(), Baseline.Skipped[I].str())
-          << "round " << Round << " entry " << I;
+    ASSERT_EQ(commitLog(R), Expected) << "round " << Round;
   }
 }
 

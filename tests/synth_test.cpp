@@ -377,13 +377,6 @@ TEST(SynthTest, FocusClassRestrictsPairs) {
   }
 }
 
-TEST(SynthTest, MaxTestsCapsSynthesis) {
-  NaradaOptions Options;
-  Options.MaxTests = 1;
-  auto R = runOk(Hazelcast, {"seed"}, Options);
-  EXPECT_LE(R.Tests.size(), 1u);
-}
-
 TEST(SynthTest, SynthesizedSourceIsPrintableClientProgram) {
   auto R = runOk(Figure1, {"seed"});
   ASSERT_FALSE(R.Tests.empty());

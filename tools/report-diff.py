@@ -67,19 +67,17 @@ _VARIABLE_SEGMENTS = {"explore", "schedule", "witness", "staticrace", "pool",
 # when the static pre-analysis is toggled; drift in them is annotated
 # rather than left to look like a anomaly.  lock_collision is listed
 # because a statically pruned pair skips the dynamic lock-collision check
-# it would otherwise have hit.  pool.* counters exist only under --isolate,
-# and synth.qmemo* differs there because worker subprocesses derive without
-# the shared derivation memo.  serve.* counters exist only for requests
-# executed by a narada-cli serve daemon, and their hit/miss split depends
-# on the daemon's cache temperature — a warm resubmit is byte-identical in
-# results but reports cache hits where the cold CLI run reports none.
+# it would otherwise have hit.  pool.* counters exist only under --isolate.
+# serve.* counters exist only for requests executed by a narada-cli serve
+# daemon, and their hit/miss split depends on the daemon's cache
+# temperature — a warm resubmit is byte-identical in results but reports
+# cache hits where the cold CLI run reports none.
 MODE_DEPENDENT_COUNTER_PREFIXES = (
     "explore.",
     "staticrace.",
     "pairgen.candidates_rejected.lock_collision",
     "pool.",
     "serve.",
-    "synth.qmemo",
     "synth.derivations",
 )
 

@@ -130,9 +130,9 @@ class DiffReportsTest(unittest.TestCase):
     def test_counter_drift_treats_missing_as_zero(self):
         base = report(counters={"synth.tests_synthesized": 15})
         cur = report(counters={"synth.tests_synthesized": 15,
-                               "synth.qmemo_hits": 40})
+                               "synth.pairs_deduped": 40})
         _, _, _, drifted = report_diff.diff_reports(base, cur, 10.0)
-        self.assertEqual(drifted, [("synth.qmemo_hits", 0, 40)])
+        self.assertEqual(drifted, [("synth.pairs_deduped", 0, 40)])
 
     def test_empty_reports_diff_cleanly(self):
         regressions, warnings, notes, drifted = report_diff.diff_reports(
