@@ -181,11 +181,12 @@ bool racedb::saveRaceDb(const std::string &Path, const RaceDb &Db) {
 Result<RaceDb> racedb::loadRaceDb(const std::string &Path, LoadStats *Stats) {
   RaceDb Db;
   LoadStats Local;
-  auto OnHeader = [&](const wire::RecordReader &Header) -> Status {
+  auto OnHeader = [&](const wire::RecordReader &Header,
+                      std::string_view) -> Status {
     Db.NextRunId = Header.getU64("next_run_id", 1);
     return Status::success();
   };
-  auto OnRace = [&](const wire::RecordReader &In) -> Status {
+  auto OnRace = [&](const wire::RecordReader &In, std::string_view) -> Status {
     Result<RaceRecord> R = decodeRaceFrame(In, Local);
     if (!R)
       return R.error();

@@ -95,31 +95,32 @@ Result<StaticAccess> decodeAccess(const std::string &Text) {
   return A;
 }
 
-void encodeSummaryFrame(wire::RecordWriter &W, const std::string &Symbol,
-                        const CacheSnapshot::SummaryEntry &Entry) {
+std::string encodeSummaryFrame(const std::string &Symbol, uint64_t Digest,
+                               const CachedSummary &Value) {
+  wire::RecordWriter W;
   W.add("kind", std::string_view("summary"));
   W.add("symbol", Symbol);
-  W.add("digest", Entry.Digest);
-  W.addBool("exact", Entry.Value.Exact);
-  const MethodSummary &S = Entry.Value.Summary;
+  W.add("digest", Digest);
+  W.addBool("exact", Value.Exact);
+  const MethodSummary &S = Value.Summary;
   W.add("method_symbol", S.Symbol);
   W.addBool("incomplete", S.Incomplete);
   for (const std::string &Field : S.StoredFields)
     W.add("stored_field", Field);
   for (const StaticAccess &A : S.Accesses)
     W.add("access", encodeAccess(A));
+  return W.str();
 }
 
 Result<std::pair<std::string, CacheSnapshot::SummaryEntry>>
-decodeSummaryFrame(const wire::RecordReader &In) {
+decodeSummaryFrame(const wire::RecordReader &In, std::string_view Frame) {
   std::optional<std::string> Symbol = In.get("symbol");
   std::optional<std::string> Digest = In.get("digest");
   if (!Symbol || !Digest)
     return Error("cache summary entry has no symbol/digest");
-  CacheSnapshot::SummaryEntry Entry;
-  Entry.Digest = In.getU64("digest", 0);
-  Entry.Value.Exact = In.getBool("exact", false);
-  MethodSummary &S = Entry.Value.Summary;
+  CachedSummary Value;
+  Value.Exact = In.getBool("exact", false);
+  MethodSummary &S = Value.Summary;
   S.Symbol = In.getOr("method_symbol", *Symbol);
   S.Incomplete = In.getBool("incomplete", false);
   for (const std::string &Field : In.all("stored_field"))
@@ -130,11 +131,15 @@ decodeSummaryFrame(const wire::RecordReader &In) {
       return A.error();
     S.Accesses.push_back(A.take());
   }
-  return std::make_pair(*Symbol, std::move(Entry));
+  return std::make_pair(*Symbol, CacheSnapshot::SummaryEntry(
+                                     In.getU64("digest", 0), std::move(Value),
+                                     std::string(Frame)));
 }
 
-void encodeDetectMemoFrame(wire::RecordWriter &W, uint64_t Key,
-                           const std::vector<TestDetectionResult> &Results) {
+std::string
+encodeDetectMemoFrame(uint64_t Key,
+                      const std::vector<TestDetectionResult> &Results) {
+  wire::RecordWriter W;
   W.add("kind", std::string_view("detect_memo"));
   W.add("key", Key);
   for (const TestDetectionResult &R : Results) {
@@ -142,10 +147,11 @@ void encodeDetectMemoFrame(wire::RecordWriter &W, uint64_t Key,
     detectworker::encodeDetectResult(Entry, R);
     W.add("result", Entry.str());
   }
+  return W.str();
 }
 
-Result<std::pair<uint64_t, std::vector<TestDetectionResult>>>
-decodeDetectMemoFrame(const wire::RecordReader &In) {
+Result<std::pair<uint64_t, CacheSnapshot::DetectEntry>>
+decodeDetectMemoFrame(const wire::RecordReader &In, std::string_view Frame) {
   std::optional<std::string> Key = In.get("key");
   if (!Key)
     return Error("cache detect memo entry has no key");
@@ -154,39 +160,47 @@ decodeDetectMemoFrame(const wire::RecordReader &In) {
     wire::RecordReader Entry(Text);
     Results.push_back(detectworker::decodeDetectResult(Entry));
   }
-  return std::make_pair(In.getU64("key", 0), std::move(Results));
+  return std::make_pair(
+      In.getU64("key", 0),
+      CacheSnapshot::DetectEntry(std::move(Results), std::string(Frame)));
 }
 
 } // namespace
 
+CacheSnapshot::SummaryEntry::SummaryEntry(const std::string &Symbol,
+                                          uint64_t Digest,
+                                          CachedSummary Value)
+    : Digest(Digest), Value(std::move(Value)),
+      Frame(encodeSummaryFrame(Symbol, Digest, this->Value)) {}
+
+CacheSnapshot::SummaryEntry::SummaryEntry(uint64_t Digest, CachedSummary Value,
+                                          std::string Frame)
+    : Digest(Digest), Value(std::move(Value)), Frame(std::move(Frame)) {}
+
+CacheSnapshot::DetectEntry::DetectEntry(
+    uint64_t Key, std::vector<TestDetectionResult> Results)
+    : Results(std::move(Results)),
+      Frame(encodeDetectMemoFrame(Key, this->Results)) {}
+
+CacheSnapshot::DetectEntry::DetectEntry(
+    std::vector<TestDetectionResult> Results, std::string Frame)
+    : Results(std::move(Results)), Frame(std::move(Frame)) {}
+
 bool serve::saveCacheFile(const std::string &Path,
                           const CacheSnapshot &Snapshot) {
-  // Streamed frame by frame: the snapshot is never rendered in memory.
+  // Every entry carries its frame, so only the header is encoded here.
   bool Saved = wire::replaceFileDurably(Path, [&](int Fd) {
-    bool Ok = true;
-    auto Emit = [&](const wire::RecordWriter &W) {
-      Ok = Ok && wire::writeFrame(Fd, W.str());
-    };
-    {
-      wire::RecordWriter Header;
-      Header.add("magic", std::string_view(Magic));
-      Header.add("version", Version);
-      Emit(Header);
-    }
-    for (const auto &[Symbol, Entry] : Snapshot.Summaries) {
-      wire::RecordWriter W;
-      encodeSummaryFrame(W, Symbol, Entry);
-      Emit(W);
-    }
+    wire::RecordWriter Header;
+    Header.add("magic", std::string_view(Magic));
+    Header.add("version", Version);
+    bool Ok = wire::writeFrame(Fd, Header.str());
+    for (const auto &[Symbol, Entry] : Snapshot.Summaries)
+      Ok = Ok && wire::writeFrame(Fd, Entry.Frame);
     // Written in FIFO order so the eviction queue reloads exactly as it was.
-    for (uint64_t Key : Snapshot.DetectOrder) {
-      auto It = Snapshot.DetectMemo.find(Key);
-      if (It == Snapshot.DetectMemo.end())
-        continue;
-      wire::RecordWriter W;
-      encodeDetectMemoFrame(W, Key, It->second);
-      Emit(W);
-    }
+    for (uint64_t Key : Snapshot.DetectOrder)
+      if (auto It = Snapshot.DetectMemo.find(Key);
+          It != Snapshot.DetectMemo.end())
+        Ok = Ok && wire::writeFrame(Fd, It->second.Frame);
     return Ok;
   });
   if (!Saved)
@@ -196,17 +210,19 @@ bool serve::saveCacheFile(const std::string &Path,
 
 Result<CacheSnapshot> serve::loadCacheFile(const std::string &Path) {
   CacheSnapshot Snapshot;
-  auto OnSummary = [&](const wire::RecordReader &In) -> Status {
+  auto OnSummary = [&](const wire::RecordReader &In,
+                       std::string_view Frame) -> Status {
     Result<std::pair<std::string, CacheSnapshot::SummaryEntry>> Entry =
-        decodeSummaryFrame(In);
+        decodeSummaryFrame(In, Frame);
     if (!Entry)
       return Entry.error();
-    Snapshot.Summaries[Entry->first] = std::move(Entry->second);
+    Snapshot.Summaries.insert_or_assign(Entry->first, std::move(Entry->second));
     return Status::success();
   };
-  auto OnDetectMemo = [&](const wire::RecordReader &In) -> Status {
-    Result<std::pair<uint64_t, std::vector<TestDetectionResult>>> Entry =
-        decodeDetectMemoFrame(In);
+  auto OnDetectMemo = [&](const wire::RecordReader &In,
+                          std::string_view Frame) -> Status {
+    Result<std::pair<uint64_t, CacheSnapshot::DetectEntry>> Entry =
+        decodeDetectMemoFrame(In, Frame);
     if (!Entry)
       return Entry.error();
     if (Snapshot.DetectMemo.emplace(Entry->first, std::move(Entry->second))

@@ -23,7 +23,10 @@
 /// daemon starts cold — a cache is a speedup, never a correctness input,
 /// so the only safe reaction to corruption is to ignore the file.
 /// Writing goes through a temp file + rename so a crash mid-save leaves
-/// the previous cache intact.
+/// the previous cache intact.  Every entry carries its frame, encoded
+/// once when the entry is stored (or kept as read when it is loaded), so
+/// a save writes the header plus the kept frames and encodes nothing; the
+/// serve layer saves only after a request that changed a store.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,30 +46,49 @@
 namespace narada {
 namespace serve {
 
-/// Everything the cache file holds, in load/store form.
+/// Everything the cache file holds, in load/store form.  Each entry keeps
+/// the frame it is saved as: encoded once when the entry is stored, or
+/// kept as read when it is loaded.  So a save encodes nothing.
 struct CacheSnapshot {
   /// One persisted summary-store entry: the summary plus the cone digest
   /// it was computed under (see staticrace::methodConeDigests).
   struct SummaryEntry {
-    uint64_t Digest = 0;
+    /// Encodes the entry's frame.
+    SummaryEntry(const std::string &Symbol, uint64_t Digest,
+                 staticrace::CachedSummary Value);
+    /// Keeps \p Frame, the payload the entry was decoded from.
+    SummaryEntry(uint64_t Digest, staticrace::CachedSummary Value,
+                 std::string Frame);
+    uint64_t Digest;
     staticrace::CachedSummary Value;
+    std::string Frame; ///< The `summary` frame's payload.
   };
   /// Keyed by method symbol — the store keeps only the latest digest per
   /// symbol, so one entry per symbol is exactly its in-memory shape.
   std::map<std::string, SummaryEntry> Summaries;
-  /// Detect-stage memo: detect stage key (detectStageKey) -> the per-test
-  /// detection results a prior identical run produced.  Bounded (the serve
-  /// layer evicts FIFO via DetectOrder), and persisted so a daemon restart
-  /// keeps replay-free detection hits warm.
-  std::map<uint64_t, std::vector<TestDetectionResult>> DetectMemo;
+  /// One detect-stage memo entry: the per-test detection results a prior
+  /// identical run produced.
+  struct DetectEntry {
+    /// Encodes the entry's frame.
+    DetectEntry(uint64_t Key, std::vector<TestDetectionResult> Results);
+    /// Keeps \p Frame, the payload the entry was decoded from.
+    DetectEntry(std::vector<TestDetectionResult> Results, std::string Frame);
+    std::vector<TestDetectionResult> Results;
+    std::string Frame; ///< The `detect_memo` frame's payload.
+  };
+  /// Detect-stage memo, keyed by detect stage key (detectStageKey).
+  /// Bounded (the serve layer evicts FIFO via DetectOrder), and persisted
+  /// so a daemon restart keeps replay-free detection hits warm.
+  std::map<uint64_t, DetectEntry> DetectMemo;
   /// Insertion order of DetectMemo keys — the FIFO eviction queue.  Saved
   /// and restored so eviction behaves identically across a restart.
   std::deque<uint64_t> DetectOrder;
 };
 
-/// Serializes \p Snapshot to \p Path atomically (temp file + rename).
-/// Returns false (with a warning on stderr) when the file cannot be
-/// written; the daemon keeps serving from memory.
+/// Writes \p Snapshot to \p Path atomically (temp file + rename): the
+/// header, then the entries' kept frames, summaries by symbol and the
+/// detect memo in FIFO order.  Returns false (with a warning on stderr)
+/// when the file cannot be written; the daemon keeps serving from memory.
 bool saveCacheFile(const std::string &Path, const CacheSnapshot &Snapshot);
 
 /// Loads \p Path.  Errors on any corruption or version mismatch — the

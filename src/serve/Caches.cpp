@@ -26,9 +26,8 @@ obs::Counter &counter(const char *Name) {
 
 class ServeCaches::SummaryStoreImpl : public staticrace::SummaryStore {
 public:
-  explicit SummaryStoreImpl(
-      std::map<std::string, CacheSnapshot::SummaryEntry> &Map)
-      : Map(Map) {}
+  explicit SummaryStoreImpl(ServeCaches &Caches)
+      : Map(Caches.State.Summaries), Changed(Caches.Changed) {}
 
   const staticrace::CachedSummary *lookup(const std::string &Symbol,
                                           uint64_t Digest) const override {
@@ -43,19 +42,23 @@ public:
     auto It = Map.find(Symbol);
     if (It != Map.end() && It->second.Digest != Digest)
       counter("serve.cache.summary.invalidated").inc();
-    CacheSnapshot::SummaryEntry &Entry = Map[Symbol];
-    Entry.Digest = Digest;
-    Entry.Value = std::move(Value);
+    Map.insert_or_assign(
+        Symbol, CacheSnapshot::SummaryEntry(Symbol, Digest, std::move(Value)));
+    Changed = true;
   }
 
 private:
   std::map<std::string, CacheSnapshot::SummaryEntry> &Map;
+  bool &Changed;
 };
 
 ServeCaches::ServeCaches(std::string CacheFilePath)
     : CacheFilePath(std::move(CacheFilePath)) {
   if (this->CacheFilePath.empty())
     return;
+  // Until a file loads, the first save must write one, whether none
+  // existed or the one there was refused.
+  Changed = true;
   struct stat St;
   if (::stat(this->CacheFilePath.c_str(), &St) != 0)
     return; // No file yet: a normal cold start.
@@ -66,6 +69,7 @@ ServeCaches::ServeCaches(std::string CacheFilePath)
   }
   State = Loaded.take();
   LoadedFromDisk = true;
+  Changed = false;
   NARADA_LOG_INFO("serve: cache loaded: %zu summaries, %zu detect results",
                   State.Summaries.size(), State.DetectMemo.size());
 }
@@ -110,7 +114,7 @@ ServeCaches::beginRequest(const std::string &InputName) {
       SeedAnalysis[Digest].emplace(SeedName, Analysis);
     };
     P->Summarize = [this](const IRModule &M) {
-      SummaryStoreImpl Store(State.Summaries);
+      SummaryStoreImpl Store(*this);
       staticrace::IncrementalStats Stats;
       staticrace::ModuleSummary Summary =
           staticrace::summarizeModuleIncremental(M, Store, &Stats);
@@ -131,7 +135,7 @@ ServeCaches::beginRequest(const std::string &InputName) {
       return nullptr;
     }
     counter("serve.cache.detect.hits").inc();
-    return &It->second;
+    return &It->second.Results;
   };
   Req->Hooks.StoreDetect = [this](uint64_t Key,
                                   const std::vector<TestDetectionResult> &R) {
@@ -141,14 +145,19 @@ ServeCaches::beginRequest(const std::string &InputName) {
       State.DetectMemo.erase(State.DetectOrder.front());
       State.DetectOrder.pop_front();
     }
-    State.DetectMemo.emplace(Key, R);
+    State.DetectMemo.emplace(Key, CacheSnapshot::DetectEntry(Key, R));
     State.DetectOrder.push_back(Key);
+    Changed = true;
   };
   return Req;
 }
 
-bool ServeCaches::save() const {
-  if (CacheFilePath.empty())
+bool ServeCaches::save() {
+  if (CacheFilePath.empty() || !Changed)
     return true;
-  return saveCacheFile(CacheFilePath, State);
+  // A failed save keeps Changed set, so the next request retries it.
+  if (!saveCacheFile(CacheFilePath, State))
+    return false;
+  Changed = false;
+  return true;
 }

@@ -7,9 +7,10 @@
 /// \file
 /// The heart of `narada-cli serve` (docs/SERVING.md): content-addressed
 /// caches that survive in memory across requests and, via serve/CacheFile,
-/// on disk across restarts.  Three stores, all keyed by source digests so
-/// a resubmitted bundle hits and an edited one invalidates exactly what
-/// its edit reaches:
+/// on disk across restarts (written by save() only when a request changed
+/// a persisted store).  Three stores, all keyed by source digests so a
+/// resubmitted bundle hits and an edited one invalidates exactly what its
+/// edit reaches:
 ///
 ///  - summary store: per-method StaticSummary entries keyed by (symbol,
 ///    dependence-cone digest) — the staticrace::SummaryStore behind
@@ -78,9 +79,11 @@ public:
   /// corpus id — the invalidation edge for renamed-content detection).
   std::unique_ptr<Request> beginRequest(const std::string &InputName);
 
-  /// Persists the durable stores to the cache file; no-op (true) when no
-  /// path was configured, false on write failure (daemon keeps serving).
-  bool save() const;
+  /// Persists the durable stores to the cache file when they changed
+  /// since the last successful save; no-op (true) when nothing changed or
+  /// no path was configured, false on write failure (the daemon keeps
+  /// serving, and the next save() retries).
+  bool save();
 
   /// True when construction found and loaded a valid cache file.
   bool loadedFromDisk() const { return LoadedFromDisk; }
@@ -91,7 +94,8 @@ public:
 
 private:
   /// staticrace::SummaryStore over State.Summaries, counting digest
-  /// replacements as serve.cache.summary.invalidated.
+  /// replacements as serve.cache.summary.invalidated and marking every
+  /// store as a change.
   class SummaryStoreImpl;
 
   /// Records that \p InputName now resolves to \p Digest, dropping the
@@ -102,6 +106,10 @@ private:
   std::string CacheFilePath;
   bool LoadedFromDisk = false;
   CacheSnapshot State; ///< The durable stores, in persistable form.
+  /// True while State holds a change the cache file lacks: a new or
+  /// replaced summary, a detect-memo insert (with its eviction), or a
+  /// cold start on a configured path.  Cleared by a successful save().
+  bool Changed = false;
 
   /// Seed-name -> analysis scopes keyed by source digest (volatile).
   std::map<uint64_t, std::map<std::string, AnalysisResult>> SeedAnalysis;

@@ -281,8 +281,11 @@ int serve::runServe(int Argc, char **Argv) {
         Resp = handleSubmit(Request.take(), FaultArmed ? nullptr : &Caches,
                             WorkerExe, RequestIndex++,
                             HaveDb ? &Db : nullptr);
-        // Persist after every request: a daemon kill never costs more
-        // than the entries of the request in flight.
+        // Persist after every request that changed a store (save() skips
+        // the cache file otherwise, and retries one that failed), so a
+        // daemon kill never costs more than the entries of the request in
+        // flight.  The race database is saved every time: each ingest
+        // bumps its next run id.
         if (!FaultArmed)
           Caches.save();
         if (HaveDb)

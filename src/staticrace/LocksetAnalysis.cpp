@@ -782,9 +782,13 @@ staticrace::summarizeModuleIncremental(const IRModule &M, SummaryStore &Store,
     Full = true;
   }
 
+  // Store back what this run computed: the methods it analyzed, or every
+  // method after a full recompute.  A pinned hit is already in the store
+  // at the same digest.
   if (R.Exact)
     for (const auto &[Symbol, S] : R.Summary.Methods)
-      Store.store(Symbol, Digests[Symbol], CachedSummary{S, /*Exact=*/true});
+      if (Full || !Pinned.count(Symbol))
+        Store.store(Symbol, Digests[Symbol], CachedSummary{S, /*Exact=*/true});
 
   size_t Reanalyzed = Full ? R.Summary.Methods.size() : R.Reanalyzed;
   if (Stats) {

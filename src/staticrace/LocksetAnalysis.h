@@ -108,9 +108,11 @@ std::map<std::string, uint64_t> methodConeDigests(const IRModule &M);
 /// methods re-run analysis and composition (consuming pinned finals).
 /// Falls back to a full recompute — still through this call, still byte-
 /// identical to summarizeModule — when the restricted composition hits the
-/// access cap or fails to converge.  Stores every method's summary back
-/// when the run was Exact.  Bumps "staticrace.methods_summarized" by the
-/// number of methods actually reanalyzed.
+/// access cap or fails to converge.  When the run was Exact, stores back
+/// the summaries it computed: the reanalyzed methods, or every method
+/// after a full recompute, so a warm run on an unchanged module stores
+/// nothing.  Bumps "staticrace.methods_summarized" by the number of
+/// methods actually reanalyzed.
 ModuleSummary summarizeModuleIncremental(const IRModule &M,
                                          SummaryStore &Store,
                                          IncrementalStats *Stats = nullptr);

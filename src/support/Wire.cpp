@@ -304,7 +304,7 @@ Status readSnapshotFrames(
   if (V < Format.MinVersion || V > Format.MaxVersion)
     return Error(Named + " has an unsupported version");
   if (OnHeader)
-    if (Status S = OnHeader(Header); !S)
+    if (Status S = OnHeader(Header, Payload); !S)
       return S;
   for (;;) {
     ReadStatus St = readFrame(Fd, Payload);
@@ -317,7 +317,7 @@ Status readSnapshotFrames(
     auto It = OnEntry.find(Kind);
     if (It == OnEntry.end())
       return Error(Named + " has an unknown entry kind '" + Kind + "'");
-    if (Status S = It->second(Entry); !S)
+    if (Status S = It->second(Entry, Payload); !S)
       return S;
   }
 }

@@ -140,8 +140,10 @@ struct SnapshotFormat {
   uint64_t MaxVersion = 1;
 };
 
-/// Handles one record of a snapshot file.
-using SnapshotRecordFn = std::function<Status(const RecordReader &Record)>;
+/// Handles one record of a snapshot file: the parsed \p Record and the
+/// frame \p Payload it was parsed from (valid for the call only).
+using SnapshotRecordFn = std::function<Status(const RecordReader &Record,
+                                              std::string_view Payload)>;
 
 /// Reads the snapshot at \p Path all-or-nothing.  After the magic and
 /// version checks \p OnHeader (may be empty) sees the header record; every

@@ -6,16 +6,20 @@
 //
 //  1. Incremental summarize: a warm summarizeModuleIncremental is
 //     byte-identical to cold summarizeModule, hits skip exactly the
-//     methods whose dependence cone is unchanged, and an edited method
-//     re-analyzes only its cone.
+//     methods whose dependence cone is unchanged, an edited method
+//     re-analyzes only its cone, and only re-analyzed methods are stored.
 //  2. Codecs: submit requests, responses, and the on-disk cache file all
 //     round-trip; corrupted or version-mismatched cache files fail the
-//     load cleanly (cold start, never a crash).
+//     load cleanly (cold start, never a crash); every kept frame equals a
+//     fresh encoding of its entry.
 //  3. Daemon loopback: a warm handleSubmit answer is byte-identical to a
 //     cold engine run — for identical resubmits, across --jobs values,
 //     after editing a method body and after changing the seed list — and
 //     warm requests report cache hits.  An injected serve.request fault
 //     quarantines one request without taking the handler down.
+//  4. Saves: the cache file is written after a request that changed a
+//     store or a cold start, not after a warm resubmit, and a failed save
+//     is retried by the next one.
 //
 //===----------------------------------------------------------------------===//
 
@@ -79,7 +83,7 @@ class Other {
 }
 )";
 
-/// In-memory SummaryStore mirroring the daemon's shape.
+/// In-memory SummaryStore mirroring the daemon's shape, counting stores.
 class TestStore : public staticrace::SummaryStore {
 public:
   const CachedSummary *lookup(const std::string &Symbol,
@@ -92,9 +96,11 @@ public:
   void store(const std::string &Symbol, uint64_t Digest,
              CachedSummary Value) override {
     Map[Symbol] = {Digest, std::move(Value)};
+    ++Stores;
   }
 
   std::map<std::string, std::pair<uint64_t, CachedSummary>> Map;
+  size_t Stores = 0;
 };
 
 CompiledProgram compile(const std::string &Source) {
@@ -157,6 +163,33 @@ TEST(IncrementalSummarizeTest, IslandEditReanalyzesOnlyItsOwnCone) {
   EXPECT_EQ(render(Warm), render(staticrace::summarizeModule(*Next.Module)));
   EXPECT_EQ(Stats.Reanalyzed, 1u);
   EXPECT_EQ(Stats.Hits, Stats.Methods - 1);
+}
+
+TEST(IncrementalSummarizeTest, StoresOnlyTheMethodsItAnalyzed) {
+  // A pinned hit is already in the store at its digest, so storing it
+  // again would only mark the daemon's cache file as changed.
+  std::string Edited = ConeSource;
+  const std::string From = "this.y = this.y + 1;";
+  Edited.replace(Edited.find(From), From.size(), "this.y = this.y + 2;");
+  CompiledProgram Base = compile(ConeSource);
+  CompiledProgram Next = compile(Edited);
+
+  TestStore Store;
+  IncrementalStats Cold;
+  staticrace::summarizeModuleIncremental(*Base.Module, Store, &Cold);
+  EXPECT_EQ(Store.Stores, Cold.Methods);
+
+  Store.Stores = 0;
+  IncrementalStats Warm;
+  staticrace::summarizeModuleIncremental(*Base.Module, Store, &Warm);
+  EXPECT_EQ(Warm.Hits, Warm.Methods);
+  EXPECT_EQ(Store.Stores, 0u);
+
+  Store.Stores = 0;
+  IncrementalStats Island;
+  staticrace::summarizeModuleIncremental(*Next.Module, Store, &Island);
+  EXPECT_EQ(Island.Reanalyzed, 1u);
+  EXPECT_EQ(Store.Stores, Island.Reanalyzed);
 }
 
 TEST(IncrementalSummarizeTest, CalleeEditDirtiesCallerCones) {
@@ -337,12 +370,9 @@ TEST(CacheFileTest, SnapshotRoundTrips) {
   ASSERT_FALSE(Store.Map.empty());
 
   CacheSnapshot Snapshot;
-  for (const auto &[Symbol, Entry] : Store.Map) {
-    CacheSnapshot::SummaryEntry E;
-    E.Digest = Entry.first;
-    E.Value = Entry.second;
-    Snapshot.Summaries[Symbol] = std::move(E);
-  }
+  for (const auto &[Symbol, Entry] : Store.Map)
+    Snapshot.Summaries.emplace(
+        Symbol, CacheSnapshot::SummaryEntry(Symbol, Entry.first, Entry.second));
 
   const std::string Path = tempPath("roundtrip");
   ASSERT_TRUE(saveCacheFile(Path, Snapshot));
@@ -436,7 +466,8 @@ std::string fileBytes(const std::string &Path) {
 
 TEST(CacheFileTest, FailedSaveKeepsThePreviousFile) {
   CacheSnapshot Snapshot;
-  Snapshot.Summaries["Leaf.setX"].Digest = 42;
+  Snapshot.Summaries.emplace("Leaf.setX",
+                             CacheSnapshot::SummaryEntry("Leaf.setX", 42, {}));
   const std::string Path = tempPath("durable");
   const std::string TempPath = Path + ".tmp";
   ASSERT_TRUE(saveCacheFile(Path, Snapshot));
@@ -446,7 +477,8 @@ TEST(CacheFileTest, FailedSaveKeepsThePreviousFile) {
 
   // A directory in the temp file's place: the save cannot even begin.
   ASSERT_EQ(::mkdir(TempPath.c_str(), 0755), 0);
-  Snapshot.Summaries["Leaf.getX"].Digest = 7;
+  Snapshot.Summaries.emplace("Leaf.getX",
+                             CacheSnapshot::SummaryEntry("Leaf.getX", 7, {}));
   EXPECT_FALSE(saveCacheFile(Path, Snapshot));
   ::rmdir(TempPath.c_str());
 
@@ -544,18 +576,27 @@ TEST(DaemonLoopbackTest, DetectMemoSurvivesARestart) {
   ::unlink(Path.c_str());
 }
 
+/// c9Request(1) with one method body edited.
+SubmitRequest editedC9Request() {
+  SubmitRequest Edited = c9Request(1);
+  const std::string From = "method mark() { this.markedPos = this.pos; }";
+  size_t At = Edited.Source.find(From);
+  EXPECT_NE(At, std::string::npos);
+  if (At != std::string::npos)
+    Edited.Source.replace(At, From.size(),
+                          "method mark() { var p: int = this.pos; "
+                          "this.markedPos = p; }");
+  return Edited;
+}
+
 TEST(DaemonLoopbackTest, EditedModuleWarmEqualsItsOwnCold) {
   ServeCaches Caches("");
   ASSERT_TRUE(handleSubmit(c9Request(1), &Caches, "", 0).Ok);
 
   // Edit one method body; the warm answer must match a cold run of the
   // *edited* source, not resurrect stale cached results.
-  SubmitRequest Edited = c9Request(1);
-  const std::string From = "method mark() { this.markedPos = this.pos; }";
-  ASSERT_NE(Edited.Source.find(From), std::string::npos);
-  Edited.Source.replace(Edited.Source.find(From), From.size(),
-                        "method mark() { var p: int = this.pos; "
-                        "this.markedPos = p; }");
+  SubmitRequest Edited = editedC9Request();
+  ASSERT_NE(Edited.Source, c9Request(1).Source);
   const std::string ColdEdited = coldStdout(Edited);
 
   SubmitResponse Warm = handleSubmit(Edited, &Caches, "", 1);
@@ -567,6 +608,218 @@ TEST(DaemonLoopbackTest, EditedModuleWarmEqualsItsOwnCold) {
                 .counter("serve.cache.summary.hits")
                 .value(),
             0u);
+}
+
+//===----------------------------------------------------------------------===//
+// When the cache file is written: after a request that changed a store.
+//===----------------------------------------------------------------------===//
+
+ino_t inodeOf(const std::string &Path) {
+  struct stat St;
+  return ::stat(Path.c_str(), &St) == 0 ? St.st_ino : 0;
+}
+
+uint64_t counterValue(const char *Name) {
+  return obs::MetricsRegistry::global().counter(Name).value();
+}
+
+TEST(CacheSaveTest, WarmResubmitLeavesTheFileAlone) {
+  const std::string Path = tempPath("warmsave");
+  ServeCaches Caches(Path);
+  ASSERT_TRUE(handleSubmit(c9Request(1), &Caches, "", 0).Ok);
+  ASSERT_TRUE(Caches.save());
+  const ino_t Inode = inodeOf(Path);
+  const std::string Bytes = fileBytes(Path);
+  ASSERT_NE(Inode, 0u);
+
+  // Every store hits, so nothing changed and the save writes nothing (a
+  // rewrite renames a new inode into place).
+  ASSERT_TRUE(handleSubmit(c9Request(1), &Caches, "", 1).Ok);
+  EXPECT_GT(counterValue("serve.cache.summary.hits"), 0u);
+  EXPECT_GE(counterValue("serve.cache.detect.hits"), 1u);
+  ASSERT_TRUE(Caches.save());
+  EXPECT_EQ(inodeOf(Path), Inode);
+  EXPECT_EQ(fileBytes(Path), Bytes);
+  ::unlink(Path.c_str());
+}
+
+TEST(CacheSaveTest, EditedResubmitReplacesTheFile) {
+  const std::string Path = tempPath("editsave");
+  std::vector<std::string> Answers;
+  {
+    ServeCaches Caches(Path);
+    SubmitResponse First = handleSubmit(c9Request(1), &Caches, "", 0);
+    ASSERT_TRUE(First.Ok) << First.ErrorMessage;
+    ASSERT_TRUE(Caches.save());
+    const ino_t Inode = inodeOf(Path);
+    const std::string Bytes = fileBytes(Path);
+
+    SubmitResponse Edited = handleSubmit(editedC9Request(), &Caches, "", 1);
+    ASSERT_TRUE(Edited.Ok) << Edited.ErrorMessage;
+    ASSERT_TRUE(Caches.save());
+    EXPECT_NE(inodeOf(Path), Inode);
+    EXPECT_NE(fileBytes(Path), Bytes);
+    Answers = {First.Stdout, Edited.Stdout};
+  }
+
+  // A restart on the replaced file hits both stores for both sources.
+  ServeCaches Restarted(Path);
+  ASSERT_TRUE(Restarted.loadedFromDisk());
+  const std::vector<SubmitRequest> Requests = {c9Request(1),
+                                               editedC9Request()};
+  for (size_t I = 0; I < Requests.size(); ++I) {
+    SubmitResponse Warm = handleSubmit(Requests[I], &Restarted, "", I);
+    ASSERT_TRUE(Warm.Ok) << Warm.ErrorMessage;
+    EXPECT_EQ(Warm.Stdout, Answers[I]) << "request " << I;
+    EXPECT_GT(counterValue("serve.cache.summary.hits"), 0u) << "request " << I;
+    EXPECT_GE(counterValue("serve.cache.detect.hits"), 1u) << "request " << I;
+  }
+  ::unlink(Path.c_str());
+}
+
+TEST(CacheSaveTest, DetectMemoInsertAloneReplacesTheFile) {
+  const std::string Path = tempPath("memosave");
+  ServeCaches Caches(Path);
+  ASSERT_TRUE(handleSubmit(c9Request(1), &Caches, "", 0).Ok);
+  ASSERT_TRUE(Caches.save());
+  const ino_t Inode = inodeOf(Path);
+
+  // Another detect seed: every summary hits, but the detection stage is
+  // new, so its memo entry alone must reach the file.
+  SubmitRequest Reseeded = c9Request(1);
+  Reseeded.Args.Detect.BaseSeed += 1;
+  ASSERT_TRUE(handleSubmit(Reseeded, &Caches, "", 1).Ok);
+  EXPECT_EQ(counterValue("serve.cache.summary.misses"), 0u);
+  EXPECT_EQ(counterValue("serve.cache.detect.misses"), 1u);
+  ASSERT_TRUE(Caches.save());
+  EXPECT_NE(inodeOf(Path), Inode);
+  Result<CacheSnapshot> Loaded = loadCacheFile(Path);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.error().str();
+  EXPECT_EQ(Loaded->DetectMemo.size(), 2u);
+  ::unlink(Path.c_str());
+}
+
+TEST(CacheSaveTest, FailedSaveIsRetriedAfterARequestThatChangesNothing) {
+  const std::string Path = tempPath("retrysave");
+  const std::string TempPath = Path + ".tmp";
+  ServeCaches Caches(Path);
+  ASSERT_TRUE(handleSubmit(c9Request(1), &Caches, "", 0).Ok);
+  ASSERT_GT(Caches.summaryCount(), 0u);
+  ASSERT_GT(Caches.detectMemoCount(), 0u);
+
+  // A directory in the temp file's place: the save cannot even begin.
+  ASSERT_EQ(::mkdir(TempPath.c_str(), 0755), 0);
+  EXPECT_FALSE(Caches.save());
+  ::rmdir(TempPath.c_str());
+  EXPECT_NE(::access(Path.c_str(), F_OK), 0);
+
+  // The warm resubmit changes no store; its save still owes the entries.
+  ASSERT_TRUE(handleSubmit(c9Request(1), &Caches, "", 1).Ok);
+  ASSERT_TRUE(Caches.save());
+  Result<CacheSnapshot> Loaded = loadCacheFile(Path);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.error().str();
+  EXPECT_EQ(Loaded->Summaries.size(), Caches.summaryCount());
+  EXPECT_EQ(Loaded->DetectMemo.size(), Caches.detectMemoCount());
+  ::unlink(Path.c_str());
+}
+
+TEST(CacheSaveTest, ColdStartWritesTheFileAtTheFirstSave) {
+  // No file yet: the first save creates one.
+  const std::string Missing = tempPath("missing");
+  {
+    ServeCaches Caches(Missing);
+    EXPECT_FALSE(Caches.loadedFromDisk());
+    ASSERT_TRUE(Caches.save());
+  }
+  EXPECT_TRUE(loadCacheFile(Missing).hasValue());
+  ::unlink(Missing.c_str());
+
+  // A version-2 file is refused, and the first save replaces it.
+  const std::string Old = tempPath("version2");
+  {
+    int Fd = ::open(Old.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ASSERT_GE(Fd, 0);
+    wire::RecordWriter Header;
+    Header.add("magic", std::string_view("narada.serve_cache"));
+    Header.add("version", static_cast<uint64_t>(2));
+    ASSERT_TRUE(wire::writeFrame(Fd, Header.str()));
+    ::close(Fd);
+  }
+  ASSERT_FALSE(loadCacheFile(Old).hasValue());
+  {
+    ServeCaches Caches(Old);
+    EXPECT_FALSE(Caches.loadedFromDisk());
+    ASSERT_TRUE(Caches.save());
+  }
+  Result<CacheSnapshot> Loaded = loadCacheFile(Old);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.error().str();
+  EXPECT_TRUE(Loaded->Summaries.empty());
+  EXPECT_TRUE(ServeCaches(Old).loadedFromDisk());
+  ::unlink(Old.c_str());
+}
+
+/// The payloads of the frames in \p Path, header first.
+std::vector<std::string> framesOf(const std::string &Path) {
+  std::vector<std::string> Frames;
+  int Fd = ::open(Path.c_str(), O_RDONLY);
+  EXPECT_GE(Fd, 0);
+  std::string Payload;
+  while (Fd >= 0 && wire::readFrame(Fd, Payload) == wire::ReadStatus::Ok)
+    Frames.push_back(Payload);
+  if (Fd >= 0)
+    ::close(Fd);
+  return Frames;
+}
+
+TEST(CacheFileTest, KeptFramesEqualAFreshEncoding) {
+  const std::string Path = tempPath("frames");
+  {
+    ServeCaches Caches(Path);
+    ASSERT_TRUE(handleSubmit(c9Request(1), &Caches, "", 0).Ok);
+    ASSERT_TRUE(handleSubmit(editedC9Request(), &Caches, "", 1).Ok);
+    ASSERT_TRUE(Caches.save());
+  }
+  Result<CacheSnapshot> Loaded = loadCacheFile(Path);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.error().str();
+  ASSERT_EQ(Loaded->DetectOrder.size(), 2u);
+
+  // After the header: summaries by symbol, then the memo in FIFO order,
+  // each frame what encoding its decoded entry afresh produces.
+  std::vector<std::string> Fresh;
+  for (const auto &[Symbol, Entry] : Loaded->Summaries)
+    Fresh.push_back(
+        CacheSnapshot::SummaryEntry(Symbol, Entry.Digest, Entry.Value).Frame);
+  for (uint64_t Key : Loaded->DetectOrder)
+    Fresh.push_back(
+        CacheSnapshot::DetectEntry(Key, Loaded->DetectMemo.at(Key).Results)
+            .Frame);
+  const std::vector<std::string> Frames = framesOf(Path);
+  ASSERT_EQ(Frames.size(), Fresh.size() + 1);
+  for (size_t I = 0; I < Fresh.size(); ++I)
+    EXPECT_EQ(Frames[I + 1], Fresh[I]) << "frame " << I + 1;
+
+  // The summary frames hold what a cold analysis of the edited module
+  // computes, so no kept frame is stale.
+  CompiledProgram P = compile(editedC9Request().Source);
+  const ModuleSummary Cold = staticrace::summarizeModule(*P.Module);
+  const auto Digests = staticrace::methodConeDigests(*P.Module);
+  ASSERT_FALSE(Cold.Methods.empty());
+  for (const auto &[Symbol, Summary] : Cold.Methods) {
+    auto It = Loaded->Summaries.find(Symbol);
+    ASSERT_NE(It, Loaded->Summaries.end()) << Symbol;
+    EXPECT_EQ(It->second.Frame,
+              CacheSnapshot::SummaryEntry(Symbol, Digests.at(Symbol),
+                                          CachedSummary{Summary, true})
+                  .Frame)
+        << Symbol;
+  }
+
+  // Loading the file and saving it again reproduces it byte for byte.
+  const std::string Copy = tempPath("frames_copy");
+  ASSERT_TRUE(saveCacheFile(Copy, *Loaded));
+  EXPECT_EQ(fileBytes(Copy), fileBytes(Path));
+  ::unlink(Copy.c_str());
+  ::unlink(Path.c_str());
 }
 
 /// C1 plus a factory that wires a fresh queue into a wrapper, and a seed
