@@ -199,7 +199,8 @@ Result<ContegeResult> narada::runContege(std::string_view LibrarySource,
   obs::Span ContegeSpan("contege");
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
   Timer Clock;
-  // Compile once up front for the symbol tables the generator needs.
+  // Compiled once: the symbol tables the generator needs, and the module
+  // every batch's tests are added to.
   Result<CompiledProgram> Base = compileProgram(LibrarySource);
   if (!Base)
     return Base.error();
@@ -214,10 +215,10 @@ Result<ContegeResult> narada::runContege(std::string_view LibrarySource,
   while (Generated < Options.MaxTests) {
     unsigned Batch = std::min(BatchSize, Options.MaxTests - Generated);
 
-    // Generate a batch and compile it together with the library.
+    // Generate a batch and add its tests to the library's module.
     std::vector<std::string> Names;
     std::vector<std::string> Sources;
-    std::string BatchSource(LibrarySource);
+    std::string BatchSource;
     for (unsigned I = 0; I < Batch; ++I) {
       TestGenerator Gen(*Base->Info, CutClass, Rand);
       std::string Name = formatString("ctg_%u", Generated + I);
@@ -226,14 +227,14 @@ Result<ContegeResult> narada::runContege(std::string_view LibrarySource,
       Sources.push_back(TestSource);
       BatchSource += "\n" + TestSource;
     }
-    Result<CompiledProgram> Compiled = [&]() {
+    Status Added = [&]() {
       obs::Span CompileSpan("compile_batch");
-      return compileProgram(BatchSource);
+      return compileTestsInto(*Base, BatchSource);
     }();
     Metrics.counter("contege.batches_compiled").inc();
-    if (!Compiled)
+    if (!Added)
       return Error("internal: generated ConTeGe batch failed to compile: " +
-                   Compiled.error().str());
+                   Added.error().str());
 
     for (unsigned I = 0; I < Batch; ++I) {
       const std::string &Name = Names[I];
@@ -251,7 +252,7 @@ Result<ContegeResult> narada::runContege(std::string_view LibrarySource,
         HBDetector HB;
         RandomPolicy Policy(Options.Seed * 7919 + Generated + I + Sched);
         Result<TestRun> Run =
-            runTest(*Compiled->Module, Name, Policy, /*RandSeed=*/1, &HB);
+            runTest(*Base->Module, Name, Policy, /*RandSeed=*/1, &HB);
         if (!Run)
           return Run.error();
         Misbehaved = Run->Result.Faulted || Run->Result.Deadlocked;
@@ -264,7 +265,7 @@ Result<ContegeResult> narada::runContege(std::string_view LibrarySource,
         for (const char *Suffix : {"_lin1", "_lin2"}) {
           Metrics.counter("contege.linearization_runs").inc();
           Result<TestRun> Run =
-              runTestSequential(*Compiled->Module, Name + Suffix);
+              runTestSequential(*Base->Module, Name + Suffix);
           if (!Run)
             return Run.error();
           if (Run->Result.Faulted || Run->Result.Deadlocked)

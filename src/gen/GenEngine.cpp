@@ -324,15 +324,16 @@ Result<GenResult> narada::gen::generateSeedCorpus(
   for (const auto &Class : Initial->Ast->Classes)
     LibOnly += printClass(*Class) + "\n";
 
-  Result<CompiledProgram> Lib = compileProgram(LibOnly);
-  if (!Lib)
+  // Compiled once: every candidate is added to this module's tests.
+  Result<CompiledProgram> Compiled = compileProgram(LibOnly);
+  if (!Compiled)
     return Error("gen: internal: stripped library failed to recompile: " +
-                 Lib.error().str());
-  const ProgramInfo &Info = *Lib->Info;
+                 Compiled.error().str());
+  CompiledProgram &Lib = *Compiled;
+  const ProgramInfo &Info = *Lib.Info;
 
   // Static steering: target the suspicious pairs no generated pair covers.
-  staticrace::ModuleSummary Summary =
-      staticrace::summarizeModule(*Lib->Module);
+  staticrace::ModuleSummary Summary = staticrace::summarizeModule(*Lib.Module);
   std::vector<SteerTarget> Targets =
       collectSteerTargets(Summary, Options.FocusClass);
   Metrics.counter("gen.static_targets").inc(Targets.size());
@@ -390,24 +391,25 @@ Result<GenResult> narada::gen::generateSeedCorpus(
       Candidates.push_back(std::move(C));
     }
 
-    // Validate phase: parallel compile+run, committed in candidate order
-    // below — the same fan-out/serial-commit split runSynthesisStage uses,
-    // so the corpus is byte-identical at every job count.
+    // Validate phase: each candidate is added to the library module here,
+    // serially, so the parallel runs below only read the module; they are
+    // committed in candidate order — the same fan-out/serial-commit split
+    // runSynthesisStage uses, so the corpus is byte-identical at every job
+    // count.
     std::vector<Validation> Checks(Candidates.size());
+    for (size_t Idx = 0; Idx < Candidates.size(); ++Idx)
+      if (Status Added = compileTestsInto(Lib, Candidates[Idx].Source); !Added)
+        Checks[Idx].Error = "does not compile: " + Added.error().str();
     std::vector<ItemFailure> Failures =
         parallelFor(Candidates.size(), Workers, [&](size_t Idx, unsigned) {
           const Candidate &C = Candidates[Idx];
           fault::ScopedUnit Unit(C.Global);
           fault::probe("gen.run");
           Validation &V = Checks[Idx];
-          Result<CompiledProgram> Compiled =
-              compileProgram(LibOnly + "\n" + C.Source);
-          if (!Compiled) {
-            V.Error = "does not compile: " + Compiled.error().str();
+          if (!V.Error.empty())
             return;
-          }
           Result<TestRun> Run = runTestSequential(
-              *Compiled->Module, C.Name, /*RandSeed=*/1, ValidationStepBudget);
+              *Lib.Module, C.Name, /*RandSeed=*/1, ValidationStepBudget);
           if (!Run) {
             V.Error = "failed to run: " + Run.error().str();
             return;
@@ -419,7 +421,7 @@ Result<GenResult> narada::gen::generateSeedCorpus(
                                                : "hit step limit";
             return;
           }
-          V.Analysis = analyzeTrace(Run->TheTrace, *Compiled->Info);
+          V.Analysis = analyzeTrace(Run->TheTrace, Info);
           V.Valid = true;
         });
     for (ItemFailure &F : Failures) {
@@ -498,8 +500,9 @@ Result<GenResult> narada::gen::generateSeedCorpus(
   Metrics.counter("gen.static_targets_covered").inc(Out.StaticTargetsCovered);
   Metrics.counter("gen.quarantined").inc(Out.Quarantined.size());
 
-  // The kept candidates compiled individually; one final compile of the
-  // assembled corpus keeps the contract airtight before runNarada sees it.
+  // The kept candidates were added to the library one text at a time; one
+  // final compile of the assembled corpus keeps the contract airtight
+  // before runNarada sees it.
   if (!Out.Seeds.empty()) {
     Result<CompiledProgram> Final = compileProgram(Out.CorpusSource);
     if (!Final)

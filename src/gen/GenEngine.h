@@ -14,9 +14,11 @@
 ///   emit    (serial)  : Budget candidates from split RNGs
 ///                       (candidateSeed(Seed, Round, Index), the
 ///                       pairDerivationSeed discipline),
-///   validate(parallel): compile library+candidate, run it sequentially on
-///                       a fixed step budget, discard faulting/deadlocking/
-///                       diverging (step-limited) candidates,
+///   validate(parallel): run each candidate sequentially on a fixed step
+///                       budget, after the serial part of the round added
+///                       it to the library compiled once per call
+///                       (compileTestsInto); discard candidates that do not
+///                       compile, fault, deadlock or diverge (step-limited),
 ///   commit  (serial)  : keep a candidate iff its stage-1 analysis adds a
 ///                       new candidate-pair key or new setter/return
 ///                       summary to the corpus built so far,

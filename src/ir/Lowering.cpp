@@ -6,6 +6,7 @@
 
 #include "ir/Lowering.h"
 
+#include "ir/Verifier.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -22,11 +23,12 @@ public:
                   std::vector<std::unique_ptr<IRFunction>> &PendingSpawns)
       : M(M), F(F), PendingSpawns(PendingSpawns) {}
 
-  /// Introduces a parameter register bound to \p Name.
-  void addParam(const std::string &Name, Type Ty) {
+  /// Introduces a parameter register bound to \p Name; \p Name and \p Ty
+  /// must outlive the lowerer.
+  void addParam(std::string_view Name, const Type &Ty) {
     Reg R = allocReg();
     assert(R + 1 == NextReg && "params must be allocated first");
-    Scopes.back().emplace(Name, Local{R, std::move(Ty)});
+    declare(Name, R, Ty);
   }
 
   Status lowerBody(const BlockStmt *Body, bool Synchronized);
@@ -36,22 +38,37 @@ public:
   void finish() { F.setNumRegs(NextReg); }
 
 private:
+  /// A local in scope: its name and type point into the AST or the
+  /// symbol tables.
   struct Local {
+    std::string_view Name;
     Reg R;
-    Type Ty;
+    const Type *Ty;
   };
 
   Reg allocReg() { return NextReg++; }
 
-  void pushScope() { Scopes.emplace_back(); }
-  void popScope() { Scopes.pop_back(); }
+  void pushScope() { ScopeStarts.push_back(Locals.size()); }
+  void popScope() {
+    Locals.resize(ScopeStarts.back());
+    ScopeStarts.pop_back();
+  }
 
-  const Local *lookup(const std::string &Name) const {
-    for (auto It = Scopes.rbegin(), E = Scopes.rend(); It != E; ++It) {
-      auto Found = It->find(Name);
-      if (Found != It->end())
-        return &Found->second;
-    }
+  /// Binds \p Name in the innermost scope unless that scope already binds
+  /// it; the first binding wins.  The body's top level shares the
+  /// parameters' scope, so a top-level local named like a parameter reads
+  /// the parameter.
+  void declare(std::string_view Name, Reg R, const Type &Ty) {
+    for (size_t I = ScopeStarts.back(); I < Locals.size(); ++I)
+      if (Locals[I].Name == Name)
+        return;
+    Locals.push_back({Name, R, &Ty});
+  }
+
+  const Local *lookup(std::string_view Name) const {
+    for (auto It = Locals.rbegin(), E = Locals.rend(); It != E; ++It)
+      if (It->Name == Name)
+        return &*It;
     return nullptr;
   }
 
@@ -64,7 +81,7 @@ private:
       Instr Exit;
       Exit.Op = Opcode::MonitorExit;
       Exit.A = *It;
-      emit(Exit);
+      emit(std::move(Exit));
     }
   }
 
@@ -93,7 +110,10 @@ private:
   IRFunction &F;
   std::vector<std::unique_ptr<IRFunction>> &PendingSpawns;
   Reg NextReg = 0;
-  std::vector<std::map<std::string, Local>> Scopes{1};
+  /// Every local in scope, innermost last, and where each open scope's
+  /// locals start.
+  std::vector<Local> Locals;
+  std::vector<size_t> ScopeStarts{0};
   std::vector<Reg> ActiveSyncRegs;
   unsigned SpawnCounter = 0;
 };
@@ -109,7 +129,7 @@ Status FunctionLowerer::lowerBody(const BlockStmt *Body, bool Synchronized) {
     Enter.Op = Opcode::MonitorEnter;
     Enter.A = ThisReg;
     Enter.Loc = Body->loc();
-    emit(Enter);
+    emit(std::move(Enter));
     ActiveSyncRegs.push_back(ThisReg);
   }
 
@@ -122,7 +142,7 @@ Status FunctionLowerer::lowerBody(const BlockStmt *Body, bool Synchronized) {
     Exit.Op = Opcode::MonitorExit;
     Exit.A = ThisReg;
     Exit.Loc = Body->loc();
-    emit(Exit);
+    emit(std::move(Exit));
     ActiveSyncRegs.pop_back();
   }
 
@@ -130,7 +150,7 @@ Status FunctionLowerer::lowerBody(const BlockStmt *Body, bool Synchronized) {
   Instr Ret;
   Ret.Op = Opcode::Ret;
   Ret.Loc = Body->loc();
-  emit(Ret);
+  emit(std::move(Ret));
   return Status::success();
 }
 
@@ -160,7 +180,7 @@ Status FunctionLowerer::lowerStmt(const Stmt *S) {
       Move.Dst = R;
       Move.A = *Init;
       Move.Loc = S->loc();
-      emit(Move);
+      emit(std::move(Move));
     } else {
       R = allocReg();
       Instr Zero;
@@ -173,9 +193,9 @@ Status FunctionLowerer::lowerStmt(const Stmt *S) {
       } else {
         Zero.Op = Opcode::ConstNull;
       }
-      emit(Zero);
+      emit(std::move(Zero));
     }
-    Scopes.back().emplace(Decl->name(), Local{R, Decl->declaredType()});
+    declare(Decl->name(), R, Decl->declaredType());
     return Status::success();
   }
 
@@ -193,7 +213,7 @@ Status FunctionLowerer::lowerStmt(const Stmt *S) {
       Move.Dst = L->R;
       Move.A = *Value;
       Move.Loc = S->loc();
-      emit(Move);
+      emit(std::move(Move));
       return Status::success();
     }
     const auto *Access = cast<FieldAccessExpr>(Target);
@@ -212,7 +232,7 @@ Status FunctionLowerer::lowerStmt(const Stmt *S) {
     Store.Member = Access->field();
     Store.FieldIndex = *Index;
     Store.Loc = S->loc();
-    emit(Store);
+    emit(std::move(Store));
     return Status::success();
   }
 
@@ -230,7 +250,7 @@ Status FunctionLowerer::lowerStmt(const Stmt *S) {
     BranchInstr.Op = Opcode::Branch;
     BranchInstr.A = *Cond;
     BranchInstr.Loc = S->loc();
-    uint32_t BranchIdx = emit(BranchInstr);
+    uint32_t BranchIdx = emit(std::move(BranchInstr));
     if (Status St = lowerStmt(If->thenBranch()); !St)
       return St;
     if (!If->elseBranch()) {
@@ -241,7 +261,7 @@ Status FunctionLowerer::lowerStmt(const Stmt *S) {
     Instr JumpInstr;
     JumpInstr.Op = Opcode::Jump;
     JumpInstr.Loc = S->loc();
-    uint32_t JumpIdx = emit(JumpInstr);
+    uint32_t JumpIdx = emit(std::move(JumpInstr));
     F.instrs()[BranchIdx].Target = static_cast<uint32_t>(F.instrs().size());
     if (Status St = lowerStmt(If->elseBranch()); !St)
       return St;
@@ -259,14 +279,14 @@ Status FunctionLowerer::lowerStmt(const Stmt *S) {
     BranchInstr.Op = Opcode::Branch;
     BranchInstr.A = *Cond;
     BranchInstr.Loc = S->loc();
-    uint32_t BranchIdx = emit(BranchInstr);
+    uint32_t BranchIdx = emit(std::move(BranchInstr));
     if (Status St = lowerStmt(While->body()); !St)
       return St;
     Instr Back;
     Back.Op = Opcode::Jump;
     Back.Target = Head;
     Back.Loc = S->loc();
-    emit(Back);
+    emit(std::move(Back));
     F.instrs()[BranchIdx].Target = static_cast<uint32_t>(F.instrs().size());
     return Status::success();
   }
@@ -285,7 +305,7 @@ Status FunctionLowerer::lowerStmt(const Stmt *S) {
     RetInstr.Op = Opcode::Ret;
     RetInstr.A = ValueReg;
     RetInstr.Loc = S->loc();
-    emit(RetInstr);
+    emit(std::move(RetInstr));
     return Status::success();
   }
 
@@ -303,12 +323,12 @@ Status FunctionLowerer::lowerStmt(const Stmt *S) {
     Pin.Dst = LockReg;
     Pin.A = *Lock;
     Pin.Loc = S->loc();
-    emit(Pin);
+    emit(std::move(Pin));
     Instr Enter;
     Enter.Op = Opcode::MonitorEnter;
     Enter.A = LockReg;
     Enter.Loc = S->loc();
-    emit(Enter);
+    emit(std::move(Enter));
     ActiveSyncRegs.push_back(LockReg);
     if (Status St = lowerStmt(Sync->body()); !St)
       return St;
@@ -317,7 +337,7 @@ Status FunctionLowerer::lowerStmt(const Stmt *S) {
     Exit.Op = Opcode::MonitorExit;
     Exit.A = LockReg;
     Exit.Loc = S->loc();
-    emit(Exit);
+    emit(std::move(Exit));
     return Status::success();
   }
 
@@ -328,15 +348,16 @@ Status FunctionLowerer::lowerStmt(const Stmt *S) {
 }
 
 /// Collects the names referenced by \p S that are not declared within it.
-static void collectFreeVars(const Stmt *S, std::set<std::string> &Declared,
-                            std::vector<std::string> &Free);
+static void collectFreeVars(const Stmt *S,
+                            std::set<std::string_view> &Declared,
+                            std::vector<std::string_view> &Free);
 
 static void collectFreeVarsExpr(const Expr *E,
-                                const std::set<std::string> &Declared,
-                                std::vector<std::string> &Free) {
+                                const std::set<std::string_view> &Declared,
+                                std::vector<std::string_view> &Free) {
   switch (E->kind()) {
   case Expr::Kind::VarRef: {
-    const std::string &Name = cast<VarRefExpr>(E)->name();
+    std::string_view Name = cast<VarRefExpr>(E)->name();
     if (!Declared.count(Name) &&
         std::find(Free.begin(), Free.end(), Name) == Free.end())
       Free.push_back(Name);
@@ -370,8 +391,9 @@ static void collectFreeVarsExpr(const Expr *E,
   }
 }
 
-static void collectFreeVars(const Stmt *S, std::set<std::string> &Declared,
-                            std::vector<std::string> &Free) {
+static void collectFreeVars(const Stmt *S,
+                            std::set<std::string_view> &Declared,
+                            std::vector<std::string_view> &Free) {
   switch (S->kind()) {
   case Stmt::Kind::Block:
     for (const StmtPtr &Child : cast<BlockStmt>(S)->stmts())
@@ -428,26 +450,26 @@ static void collectFreeVars(const Stmt *S, std::set<std::string> &Declared,
 
 Status FunctionLowerer::lowerSpawn(const SpawnStmt *Spawn) {
   // Determine the locals the spawned block captures from this function.
-  std::set<std::string> Declared;
-  std::vector<std::string> Free;
+  std::set<std::string_view> Declared;
+  std::vector<std::string_view> Free;
   collectFreeVars(Spawn->body(), Declared, Free);
 
   std::vector<Reg> CaptureRegs;
-  std::vector<std::pair<std::string, Type>> Captures;
-  for (const std::string &Name : Free) {
+  std::vector<Local> Captures;
+  for (std::string_view Name : Free) {
     const Local *L = lookup(Name);
     if (!L)
       continue; // Not a local of this function (cannot happen after Sema).
     CaptureRegs.push_back(L->R);
-    Captures.emplace_back(Name, L->Ty);
+    Captures.push_back(*L);
   }
 
   auto Closure = std::make_unique<IRFunction>(
       formatString("%s$spawn%u", F.name().c_str(), SpawnCounter++),
       IRFunction::Kind::Spawn);
   FunctionLowerer Inner(M, *Closure, PendingSpawns);
-  for (auto &[Name, Ty] : Captures)
-    Inner.addParam(Name, Ty);
+  for (const Local &Capture : Captures)
+    Inner.addParam(Capture.Name, *Capture.Ty);
   const auto *Body = cast<BlockStmt>(Spawn->body());
   if (Status St = Inner.lowerBody(Body, /*Synchronized=*/false); !St)
     return St;
@@ -455,11 +477,11 @@ Status FunctionLowerer::lowerSpawn(const SpawnStmt *Spawn) {
 
   Instr SpawnInstr;
   SpawnInstr.Op = Opcode::SpawnThread;
-  SpawnInstr.Args = CaptureRegs;
+  SpawnInstr.Args = std::move(CaptureRegs);
   SpawnInstr.Member = Closure->name();
   SpawnInstr.Callee = Closure.get();
   SpawnInstr.Loc = Spawn->loc();
-  emit(SpawnInstr);
+  emit(std::move(SpawnInstr));
 
   PendingSpawns.push_back(std::move(Closure));
   return Status::success();
@@ -474,7 +496,7 @@ Result<Reg> FunctionLowerer::lowerExpr(const Expr *E) {
     I.Dst = R;
     I.Imm = cast<IntLitExpr>(E)->value();
     I.Loc = E->loc();
-    emit(I);
+    emit(std::move(I));
     return R;
   }
   case Expr::Kind::BoolLit: {
@@ -484,7 +506,7 @@ Result<Reg> FunctionLowerer::lowerExpr(const Expr *E) {
     I.Dst = R;
     I.Imm = cast<BoolLitExpr>(E)->value() ? 1 : 0;
     I.Loc = E->loc();
-    emit(I);
+    emit(std::move(I));
     return R;
   }
   case Expr::Kind::NullLit: {
@@ -493,7 +515,7 @@ Result<Reg> FunctionLowerer::lowerExpr(const Expr *E) {
     I.Op = Opcode::ConstNull;
     I.Dst = R;
     I.Loc = E->loc();
-    emit(I);
+    emit(std::move(I));
     return R;
   }
   case Expr::Kind::This:
@@ -504,7 +526,7 @@ Result<Reg> FunctionLowerer::lowerExpr(const Expr *E) {
     I.Op = Opcode::RandInt;
     I.Dst = R;
     I.Loc = E->loc();
-    emit(I);
+    emit(std::move(I));
     return R;
   }
   case Expr::Kind::VarRef: {
@@ -530,7 +552,7 @@ Result<Reg> FunctionLowerer::lowerExpr(const Expr *E) {
     Load.Member = Access->field();
     Load.FieldIndex = *Index;
     Load.Loc = E->loc();
-    emit(Load);
+    emit(std::move(Load));
     return R;
   }
   case Expr::Kind::Call:
@@ -549,7 +571,7 @@ Result<Reg> FunctionLowerer::lowerExpr(const Expr *E) {
     I.A = *Operand;
     I.UnaryOperator = Unary->op();
     I.Loc = E->loc();
-    emit(I);
+    emit(std::move(I));
     return R;
   }
   case Expr::Kind::Binary: {
@@ -570,7 +592,7 @@ Result<Reg> FunctionLowerer::lowerExpr(const Expr *E) {
     I.B = *RHS;
     I.BinaryOperator = Binary->op();
     I.Loc = E->loc();
-    emit(I);
+    emit(std::move(I));
     return R;
   }
   }
@@ -588,7 +610,7 @@ Result<Reg> FunctionLowerer::lowerShortCircuit(const BinaryExpr *Binary) {
   CopyLHS.Dst = R;
   CopyLHS.A = *LHS;
   CopyLHS.Loc = Binary->loc();
-  emit(CopyLHS);
+  emit(std::move(CopyLHS));
 
   // For '&&': skip the RHS when LHS is false.  For '||': skip when true —
   // implemented by branching on the negation.
@@ -601,13 +623,13 @@ Result<Reg> FunctionLowerer::lowerShortCircuit(const BinaryExpr *Binary) {
     Not.A = R;
     Not.UnaryOperator = UnaryOp::Not;
     Not.Loc = Binary->loc();
-    emit(Not);
+    emit(std::move(Not));
   }
   Instr Skip;
   Skip.Op = Opcode::Branch;
   Skip.A = CondReg;
   Skip.Loc = Binary->loc();
-  uint32_t SkipIdx = emit(Skip);
+  uint32_t SkipIdx = emit(std::move(Skip));
 
   Result<Reg> RHS = lowerExpr(Binary->rhs());
   if (!RHS)
@@ -617,7 +639,7 @@ Result<Reg> FunctionLowerer::lowerShortCircuit(const BinaryExpr *Binary) {
   CopyRHS.Dst = R;
   CopyRHS.A = *RHS;
   CopyRHS.Loc = Binary->loc();
-  emit(CopyRHS);
+  emit(std::move(CopyRHS));
   F.instrs()[SkipIdx].Target = static_cast<uint32_t>(F.instrs().size());
   return R;
 }
@@ -642,7 +664,7 @@ Result<Reg> FunctionLowerer::lowerCall(const CallExpr *Call) {
   I.ClassName = Call->base()->type().className();
   I.Member = Call->method();
   I.Loc = Call->loc();
-  emit(I);
+  emit(std::move(I));
   return Dst == NoReg ? Reg(0) : Dst;
 }
 
@@ -653,7 +675,7 @@ Result<Reg> FunctionLowerer::lowerNew(const NewExpr *New) {
   Alloc.Dst = R;
   Alloc.ClassName = New->className();
   Alloc.Loc = New->loc();
-  emit(Alloc);
+  emit(std::move(Alloc));
 
   const ClassInfo *Class = M.programInfo().findClass(New->className());
   assert(Class && "Sema validated the class");
@@ -674,32 +696,31 @@ Result<Reg> FunctionLowerer::lowerNew(const NewExpr *New) {
     Init.ClassName = New->className();
     Init.Member = ConstructorName;
     Init.Loc = New->loc();
-    emit(Init);
+    emit(std::move(Init));
   }
   return R;
 }
 
-/// Resolves Invoke callees after all functions are lowered.  Builtin-class
-/// methods keep a null callee: the VM dispatches them natively.
-static Status linkModule(IRModule &M) {
-  for (const auto &F : M.functions()) {
-    for (Instr &I : F->instrs()) {
-      if (I.Op != Opcode::Invoke)
-        continue;
-      const ClassInfo *Class = M.programInfo().findClass(I.ClassName);
-      if (!Class)
-        return Error(formatString("link: unknown class '%s'",
-                                  I.ClassName.c_str()));
-      if (Class->IsBuiltin) {
-        I.Callee = nullptr;
-        continue;
-      }
-      const IRFunction *Callee = M.findMethod(I.ClassName, I.Member);
-      if (!Callee)
-        return Error(formatString("link: no body for method '%s.%s'",
-                                  I.ClassName.c_str(), I.Member.c_str()));
-      I.Callee = Callee;
+/// Resolves the Invoke callees of \p F against the methods of \p M.
+/// Builtin-class methods keep a null callee: the VM dispatches them
+/// natively.
+static Status linkFunction(const IRModule &M, IRFunction &F) {
+  for (Instr &I : F.instrs()) {
+    if (I.Op != Opcode::Invoke)
+      continue;
+    const ClassInfo *Class = M.programInfo().findClass(I.ClassName);
+    if (!Class)
+      return Error(formatString("link: unknown class '%s'",
+                                I.ClassName.c_str()));
+    if (Class->IsBuiltin) {
+      I.Callee = nullptr;
+      continue;
     }
+    const IRFunction *Callee = M.findMethod(I.ClassName, I.Member);
+    if (!Callee)
+      return Error(formatString("link: no body for method '%s.%s'",
+                                I.ClassName.c_str(), I.Member.c_str()));
+    I.Callee = Callee;
   }
   return Status::success();
 }
@@ -713,7 +734,8 @@ lowerMethod(IRModule &M, const ClassInfo &Class, const MethodInfo &Method,
   F->setSynchronized(Method.IsSynchronized);
 
   FunctionLowerer Lowerer(M, *F, PendingSpawns);
-  Lowerer.addParam("this", Type::classTy(Class.Name));
+  const Type ThisType = Type::classTy(Class.Name);
+  Lowerer.addParam("this", ThisType);
   for (size_t I = 0, N = Method.ParamNames.size(); I != N; ++I)
     Lowerer.addParam(Method.ParamNames[I], Method.ParamTypes[I]);
   if (Status St = Lowerer.lowerBody(Method.Decl->Body.get(),
@@ -764,8 +786,9 @@ narada::lower(const Program &Prog, std::shared_ptr<ProgramInfo> Info) {
   for (auto &Spawn : PendingSpawns)
     M->addFunction(std::move(Spawn));
 
-  if (Status St = linkModule(*M); !St)
-    return St.error();
+  for (const auto &F : M->functions())
+    if (Status St = linkFunction(*M, *F); !St)
+      return St.error();
   return M;
 }
 
@@ -776,34 +799,19 @@ Result<const IRFunction *> narada::lowerTestInto(IRModule &M,
   if (!F)
     return F.error();
 
-  // Resolve Invokes in the new functions against the existing module.
-  auto LinkOne = [&M](IRFunction &Fn) -> Status {
-    for (Instr &I : Fn.instrs()) {
-      if (I.Op != Opcode::Invoke)
-        continue;
-      const ClassInfo *Class = M.programInfo().findClass(I.ClassName);
-      if (!Class)
-        return Error(formatString("link: unknown class '%s'",
-                                  I.ClassName.c_str()));
-      if (Class->IsBuiltin)
-        continue;
-      const IRFunction *Callee = M.findMethod(I.ClassName, I.Member);
-      if (!Callee)
-        return Error(formatString("link: no body for method '%s.%s'",
-                                  I.ClassName.c_str(), I.Member.c_str()));
-      I.Callee = Callee;
-    }
-    return Status::success();
-  };
-
-  if (Status St = LinkOne(**F); !St)
-    return St.error();
+  // Link and verify every new function before the module takes any.
+  std::vector<std::unique_ptr<IRFunction>> New;
+  New.push_back(F.take());
   for (auto &Spawn : PendingSpawns)
-    if (Status St = LinkOne(*Spawn); !St)
+    New.push_back(std::move(Spawn));
+  for (const auto &Fn : New) {
+    if (Status St = linkFunction(M, *Fn); !St)
       return St.error();
-
-  const IRFunction *Out = M.addFunction(F.take());
-  for (auto &Spawn : PendingSpawns)
-    M.addFunction(std::move(Spawn));
+    if (Status St = verifyFunction(*Fn); !St)
+      return St.error();
+  }
+  const IRFunction *Out = New.front().get();
+  for (auto &Fn : New)
+    M.addFunction(std::move(Fn));
   return Out;
 }

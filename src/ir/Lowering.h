@@ -32,9 +32,12 @@ namespace narada {
 Result<std::shared_ptr<IRModule>> lower(const Program &Prog,
                                         std::shared_ptr<ProgramInfo> Info);
 
-/// Lowers one additional test into an existing module.  Used by the test
-/// synthesizer, which constructs racy test ASTs against an already-lowered
-/// library.  The test's name must be fresh within the module.
+/// Lowers one additional test, checked against the module's symbol tables
+/// (analyzeTests), into an existing module: links its invokes against the
+/// module's methods and verifies it and its spawn closures
+/// (verifyFunction) before adding them, so on error \p M is unchanged.
+/// The test's name must be fresh within the module.  compileTestsInto
+/// (runtime/Execution.h) adds the tests of a source text this way.
 Result<const IRFunction *> lowerTestInto(IRModule &M, const TestDecl &Test);
 
 } // namespace narada

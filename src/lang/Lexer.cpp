@@ -6,8 +6,9 @@
 
 #include "lang/Lexer.h"
 
-#include <cctype>
-#include <unordered_map>
+#include <algorithm>
+#include <array>
+#include <cstdint>
 
 using namespace narada;
 
@@ -111,210 +112,264 @@ const char *narada::tokenKindName(TokenKind Kind) {
   narada_unreachable("unknown token kind");
 }
 
-static const std::unordered_map<std::string_view, TokenKind> &keywordTable() {
-  static const std::unordered_map<std::string_view, TokenKind> Table = {
-      {"class", TokenKind::KwClass},
-      {"field", TokenKind::KwField},
-      {"method", TokenKind::KwMethod},
-      {"var", TokenKind::KwVar},
-      {"test", TokenKind::KwTest},
-      {"if", TokenKind::KwIf},
-      {"else", TokenKind::KwElse},
-      {"while", TokenKind::KwWhile},
-      {"return", TokenKind::KwReturn},
-      {"synchronized", TokenKind::KwSynchronized},
-      {"spawn", TokenKind::KwSpawn},
-      {"new", TokenKind::KwNew},
-      {"this", TokenKind::KwThis},
-      {"null", TokenKind::KwNull},
-      {"true", TokenKind::KwTrue},
-      {"false", TokenKind::KwFalse},
-      {"int", TokenKind::KwInt},
-      {"bool", TokenKind::KwBool},
-      {"rand", TokenKind::KwRand},
-  };
+namespace {
+
+/// The character classes the lexer tests, as the C locale defines them
+/// (the program never changes its locale).
+enum CharClass : uint8_t {
+  Space = 1,      ///< ' ', '\t', '\n', '\v', '\f', '\r'
+  IdentStart = 2, ///< ASCII letters and '_'
+  Digit = 4,      ///< '0'-'9'
+};
+
+constexpr std::array<uint8_t, 256> CharClasses = [] {
+  std::array<uint8_t, 256> Table{};
+  for (unsigned char C : {' ', '\t', '\n', '\v', '\f', '\r'})
+    Table[C] = Space;
+  for (unsigned C = 'a'; C <= 'z'; ++C)
+    Table[C] = IdentStart;
+  for (unsigned C = 'A'; C <= 'Z'; ++C)
+    Table[C] = IdentStart;
+  Table['_'] = IdentStart;
+  for (unsigned C = '0'; C <= '9'; ++C)
+    Table[C] = Digit;
   return Table;
+}();
+
+bool is(char C, uint8_t Classes) {
+  return CharClasses[static_cast<unsigned char>(C)] & Classes;
 }
 
-char Lexer::peek(size_t Ahead) const {
-  if (Pos + Ahead >= Source.size())
-    return '\0';
-  return Source[Pos + Ahead];
-}
-
-char Lexer::advance() {
-  char C = Source[Pos++];
-  if (C == '\n') {
-    ++Line;
-    Column = 1;
-  } else {
-    ++Column;
+/// The keyword spelled \p Text, or Identifier.  Keywords are 2 to 12
+/// lowercase letters, and their length and first one or two letters pick
+/// the one keyword to compare against.
+TokenKind keywordKind(std::string_view Text) {
+  if (Text[0] < 'a' || Text[0] > 'z')
+    return TokenKind::Identifier;
+  auto Match = [&](std::string_view Keyword, TokenKind Kind) {
+    return Text == Keyword ? Kind : TokenKind::Identifier;
+  };
+  switch (Text.size()) {
+  case 2:
+    return Match("if", TokenKind::KwIf);
+  case 3:
+    switch (Text[0]) {
+    case 'v':
+      return Match("var", TokenKind::KwVar);
+    case 'n':
+      return Match("new", TokenKind::KwNew);
+    case 'i':
+      return Match("int", TokenKind::KwInt);
+    }
+    break;
+  case 4:
+    switch (Text[0]) {
+    case 't':
+      return Text[1] == 'e'   ? Match("test", TokenKind::KwTest)
+             : Text[1] == 'h' ? Match("this", TokenKind::KwThis)
+                              : Match("true", TokenKind::KwTrue);
+    case 'e':
+      return Match("else", TokenKind::KwElse);
+    case 'n':
+      return Match("null", TokenKind::KwNull);
+    case 'b':
+      return Match("bool", TokenKind::KwBool);
+    case 'r':
+      return Match("rand", TokenKind::KwRand);
+    }
+    break;
+  case 5:
+    switch (Text[0]) {
+    case 'c':
+      return Match("class", TokenKind::KwClass);
+    case 'f':
+      return Text[1] == 'i' ? Match("field", TokenKind::KwField)
+                            : Match("false", TokenKind::KwFalse);
+    case 'w':
+      return Match("while", TokenKind::KwWhile);
+    case 's':
+      return Match("spawn", TokenKind::KwSpawn);
+    }
+    break;
+  case 6:
+    switch (Text[0]) {
+    case 'm':
+      return Match("method", TokenKind::KwMethod);
+    case 'r':
+      return Match("return", TokenKind::KwReturn);
+    }
+    break;
+  case 12:
+    return Match("synchronized", TokenKind::KwSynchronized);
   }
-  return C;
+  return TokenKind::Identifier;
 }
+
+} // namespace
 
 void Lexer::skipWhitespaceAndComments() {
-  while (!atEnd()) {
-    char C = peek();
-    if (std::isspace(static_cast<unsigned char>(C))) {
-      advance();
+  const size_t End = Source.size();
+  while (Pos < End) {
+    const char C = Source[Pos];
+    if (C == '\n') {
+      ++Line;
+      LineStart = ++Pos;
       continue;
     }
-    if (C == '/' && peek(1) == '/') {
-      while (!atEnd() && peek() != '\n')
-        advance();
+    if (is(C, Space)) {
+      ++Pos;
       continue;
     }
-    if (C == '/' && peek(1) == '*') {
-      advance();
-      advance();
-      while (!atEnd() && !(peek() == '*' && peek(1) == '/'))
-        advance();
-      if (!atEnd()) {
-        advance();
-        advance();
+    if (C != '/' || Pos + 1 == End)
+      return;
+    if (Source[Pos + 1] == '/') {
+      // The newline is left for the loop, which counts the line.
+      Pos = std::min(Source.find('\n', Pos + 2), End);
+      continue;
+    }
+    if (Source[Pos + 1] != '*')
+      return;
+    // An unterminated block comment runs to the end of the input.
+    for (Pos += 2; Pos < End; ++Pos) {
+      if (Source[Pos] == '*' && Pos + 1 < End && Source[Pos + 1] == '/') {
+        Pos += 2;
+        break;
       }
-      continue;
+      if (Source[Pos] == '\n') {
+        ++Line;
+        LineStart = Pos + 1;
+      }
     }
-    return;
   }
 }
 
-Result<Token> Lexer::lexToken() {
-  skipWhitespaceAndComments();
-  SourceLoc Loc = currentLoc();
-  if (atEnd()) {
-    Token T;
-    T.Kind = TokenKind::Eof;
-    T.Loc = Loc;
-    return T;
+bool Lexer::lexToken(Token &T, Error &Failure) {
+  const size_t Begin = Pos;
+  const size_t End = Source.size();
+  const char C = Source[Pos++];
+
+  if (is(C, IdentStart)) {
+    while (Pos < End && is(Source[Pos], IdentStart | Digit))
+      ++Pos;
+    T.Text = Source.substr(Begin, Pos - Begin);
+    T.Kind = keywordKind(T.Text);
+    return true;
   }
 
-  size_t Begin = Pos;
-  char C = advance();
-
-  auto Simple = [&](TokenKind Kind) {
-    Token T;
-    T.Kind = Kind;
-    T.Text = std::string(Source.substr(Begin, Pos - Begin));
-    T.Loc = Loc;
-    return T;
-  };
-
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-    while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                        peek() == '_'))
-      advance();
-    Token T;
-    T.Text = std::string(Source.substr(Begin, Pos - Begin));
-    T.Loc = Loc;
-    auto It = keywordTable().find(T.Text);
-    T.Kind = It == keywordTable().end() ? TokenKind::Identifier : It->second;
-    return T;
-  }
-
-  if (std::isdigit(static_cast<unsigned char>(C))) {
-    while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
-      advance();
-    Token T;
+  if (is(C, Digit)) {
+    while (Pos < End && is(Source[Pos], Digit))
+      ++Pos;
     T.Kind = TokenKind::IntLiteral;
-    T.Text = std::string(Source.substr(Begin, Pos - Begin));
-    T.Loc = Loc;
+    T.Text = Source.substr(Begin, Pos - Begin);
     // Accumulate with an explicit overflow check: library code must not
     // throw, and a 20-digit literal is a program error, not a crash.
     int64_t Value = 0;
     for (char Digit : T.Text) {
       int64_t Unit = Digit - '0';
-      if (Value > (INT64_MAX - Unit) / 10)
-        return Error("integer literal too large", Loc.str());
+      if (Value > (INT64_MAX - Unit) / 10) {
+        Failure = Error("integer literal too large", T.Loc.str());
+        return false;
+      }
       Value = Value * 10 + Unit;
     }
     T.IntValue = Value;
-    return T;
+    return true;
   }
 
+  // Consumes a second character \p Next when it follows.
+  auto Then = [&](char Next) {
+    if (Pos == End || Source[Pos] != Next)
+      return false;
+    ++Pos;
+    return true;
+  };
   switch (C) {
   case '{':
-    return Simple(TokenKind::LBrace);
+    T.Kind = TokenKind::LBrace;
+    break;
   case '}':
-    return Simple(TokenKind::RBrace);
+    T.Kind = TokenKind::RBrace;
+    break;
   case '(':
-    return Simple(TokenKind::LParen);
+    T.Kind = TokenKind::LParen;
+    break;
   case ')':
-    return Simple(TokenKind::RParen);
+    T.Kind = TokenKind::RParen;
+    break;
   case '[':
-    return Simple(TokenKind::LBracket);
+    T.Kind = TokenKind::LBracket;
+    break;
   case ']':
-    return Simple(TokenKind::RBracket);
+    T.Kind = TokenKind::RBracket;
+    break;
   case ';':
-    return Simple(TokenKind::Semicolon);
+    T.Kind = TokenKind::Semicolon;
+    break;
   case ':':
-    return Simple(TokenKind::Colon);
+    T.Kind = TokenKind::Colon;
+    break;
   case ',':
-    return Simple(TokenKind::Comma);
+    T.Kind = TokenKind::Comma;
+    break;
   case '.':
-    return Simple(TokenKind::Dot);
+    T.Kind = TokenKind::Dot;
+    break;
   case '+':
-    return Simple(TokenKind::Plus);
+    T.Kind = TokenKind::Plus;
+    break;
   case '-':
-    return Simple(TokenKind::Minus);
+    T.Kind = TokenKind::Minus;
+    break;
   case '*':
-    return Simple(TokenKind::Star);
+    T.Kind = TokenKind::Star;
+    break;
   case '/':
-    return Simple(TokenKind::Slash);
+    T.Kind = TokenKind::Slash;
+    break;
   case '%':
-    return Simple(TokenKind::Percent);
+    T.Kind = TokenKind::Percent;
+    break;
   case '=':
-    if (peek() == '=') {
-      advance();
-      return Simple(TokenKind::EqEq);
-    }
-    return Simple(TokenKind::Assign);
+    T.Kind = Then('=') ? TokenKind::EqEq : TokenKind::Assign;
+    break;
   case '!':
-    if (peek() == '=') {
-      advance();
-      return Simple(TokenKind::BangEq);
-    }
-    return Simple(TokenKind::Bang);
+    T.Kind = Then('=') ? TokenKind::BangEq : TokenKind::Bang;
+    break;
   case '<':
-    if (peek() == '=') {
-      advance();
-      return Simple(TokenKind::LessEq);
-    }
-    return Simple(TokenKind::Less);
+    T.Kind = Then('=') ? TokenKind::LessEq : TokenKind::Less;
+    break;
   case '>':
-    if (peek() == '=') {
-      advance();
-      return Simple(TokenKind::GreaterEq);
-    }
-    return Simple(TokenKind::Greater);
+    T.Kind = Then('=') ? TokenKind::GreaterEq : TokenKind::Greater;
+    break;
   case '&':
-    if (peek() == '&') {
-      advance();
-      return Simple(TokenKind::AmpAmp);
-    }
-    break;
   case '|':
-    if (peek() == '|') {
-      advance();
-      return Simple(TokenKind::PipePipe);
+    if (Then(C)) {
+      T.Kind = C == '&' ? TokenKind::AmpAmp : TokenKind::PipePipe;
+      break;
     }
-    break;
+    [[fallthrough]];
   default:
-    break;
+    Failure =
+        Error(formatString("unexpected character '%c'", C), T.Loc.str());
+    return false;
   }
-  return Error(formatString("unexpected character '%c'", C), Loc.str());
+  T.Text = Source.substr(Begin, Pos - Begin);
+  return true;
 }
 
 Result<std::vector<Token>> Lexer::lexAll() {
   std::vector<Token> Tokens;
+  // MiniJava sources run about four bytes per token; a third leaves room
+  // for dense text without a second allocation.
+  Tokens.reserve(Source.size() / 3 + 1);
+  Error Failure;
   while (true) {
-    Result<Token> T = lexToken();
-    if (!T)
-      return T.error();
-    bool IsEof = T->is(TokenKind::Eof);
-    Tokens.push_back(T.take());
-    if (IsEof)
-      return Tokens;
+    skipWhitespaceAndComments();
+    Token &T = Tokens.emplace_back();
+    T.Loc = currentLoc();
+    if (atEnd())
+      return Tokens; // T stays the Eof token.
+    if (!lexToken(T, Failure))
+      return Failure;
   }
 }

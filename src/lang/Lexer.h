@@ -28,21 +28,24 @@ public:
   explicit Lexer(std::string_view Source) : Source(Source) {}
 
   /// Lexes the entire buffer.  On success the returned vector always ends
-  /// with an Eof token.
+  /// with an Eof token; token texts are views into the buffer.
   Result<std::vector<Token>> lexAll();
 
 private:
-  Result<Token> lexToken();
+  /// Lexes the token that starts at Pos into \p T, whose Loc is set;
+  /// false, with \p Failure set, on a character no token starts with or
+  /// an integer literal that does not fit in 64 bits.
+  bool lexToken(Token &T, Error &Failure);
   void skipWhitespaceAndComments();
-  char peek(size_t Ahead = 0) const;
-  char advance();
   bool atEnd() const { return Pos >= Source.size(); }
-  SourceLoc currentLoc() const { return SourceLoc{Line, Column}; }
+  SourceLoc currentLoc() const {
+    return SourceLoc{Line, static_cast<int>(Pos - LineStart) + 1};
+  }
 
   std::string_view Source;
   size_t Pos = 0;
   int Line = 1;
-  int Column = 1;
+  size_t LineStart = 0; ///< Offset of the current line's first character.
 };
 
 } // namespace narada

@@ -52,13 +52,6 @@ const char *narada::unaryOpSpelling(UnaryOp Op) {
   narada_unreachable("unknown unary op");
 }
 
-const Token &Parser::peek(size_t Ahead) const {
-  size_t Index = Pos + Ahead;
-  if (Index >= Tokens.size())
-    Index = Tokens.size() - 1; // Eof token.
-  return Tokens[Index];
-}
-
 const Token &Parser::advance() {
   const Token &T = Tokens[Pos];
   if (Pos + 1 < Tokens.size())
@@ -73,9 +66,9 @@ bool Parser::match(TokenKind Kind) {
   return true;
 }
 
-Result<Token> Parser::expect(TokenKind Kind, const char *Context) {
+Result<const Token *> Parser::expect(TokenKind Kind, const char *Context) {
   if (check(Kind))
-    return advance();
+    return &advance();
   return errorHere(formatString("expected %s %s, found %s",
                                 tokenKindName(Kind), Context,
                                 tokenKindName(peek().Kind)));
@@ -119,15 +112,16 @@ Result<std::unique_ptr<Program>> Parser::parseProgram() {
 }
 
 Result<std::unique_ptr<ClassDecl>> Parser::parseClass() {
-  Token ClassTok = advance(); // 'class'
-  Result<Token> Name = expect(TokenKind::Identifier, "after 'class'");
+  const Token &ClassTok = advance(); // 'class'
+  Result<const Token *> Name =
+      expect(TokenKind::Identifier, "after 'class'");
   if (!Name)
     return Name.error();
   if (auto R = expect(TokenKind::LBrace, "to open class body"); !R)
     return R.error();
 
   auto Class = std::make_unique<ClassDecl>();
-  Class->Name = Name->Text;
+  Class->Name = (*Name)->Text;
   Class->Loc = ClassTok.Loc;
 
   while (!check(TokenKind::RBrace)) {
@@ -152,8 +146,9 @@ Result<std::unique_ptr<ClassDecl>> Parser::parseClass() {
 }
 
 Result<FieldDecl> Parser::parseField() {
-  Token FieldTok = advance(); // 'field'
-  Result<Token> Name = expect(TokenKind::Identifier, "after 'field'");
+  const Token &FieldTok = advance(); // 'field'
+  Result<const Token *> Name =
+      expect(TokenKind::Identifier, "after 'field'");
   if (!Name)
     return Name.error();
   if (auto R = expect(TokenKind::Colon, "after field name"); !R)
@@ -164,27 +159,28 @@ Result<FieldDecl> Parser::parseField() {
   if (auto R = expect(TokenKind::Semicolon, "after field declaration"); !R)
     return R.error();
   FieldDecl F;
-  F.Name = Name->Text;
+  F.Name = (*Name)->Text;
   F.DeclaredType = Ty.take();
   F.Loc = FieldTok.Loc;
   return F;
 }
 
 Result<std::unique_ptr<MethodDecl>> Parser::parseMethod() {
-  Token MethodTok = advance(); // 'method'
-  Result<Token> Name = expect(TokenKind::Identifier, "after 'method'");
+  const Token &MethodTok = advance(); // 'method'
+  Result<const Token *> Name =
+      expect(TokenKind::Identifier, "after 'method'");
   if (!Name)
     return Name.error();
   if (auto R = expect(TokenKind::LParen, "to open parameter list"); !R)
     return R.error();
 
   auto Method = std::make_unique<MethodDecl>();
-  Method->Name = Name->Text;
+  Method->Name = (*Name)->Text;
   Method->Loc = MethodTok.Loc;
 
   if (!check(TokenKind::RParen)) {
     while (true) {
-      Result<Token> ParamName =
+      Result<const Token *> ParamName =
           expect(TokenKind::Identifier, "as parameter name");
       if (!ParamName)
         return ParamName.error();
@@ -194,7 +190,8 @@ Result<std::unique_ptr<MethodDecl>> Parser::parseMethod() {
       if (!Ty)
         return Ty.error();
       Method->Params.push_back(
-          ParamDecl{ParamName->Text, Ty.take(), ParamName->Loc});
+          ParamDecl{std::string((*ParamName)->Text), Ty.take(),
+                    (*ParamName)->Loc});
       if (!match(TokenKind::Comma))
         break;
     }
@@ -218,15 +215,16 @@ Result<std::unique_ptr<MethodDecl>> Parser::parseMethod() {
 }
 
 Result<std::unique_ptr<TestDecl>> Parser::parseTest() {
-  Token TestTok = advance(); // 'test'
-  Result<Token> Name = expect(TokenKind::Identifier, "after 'test'");
+  const Token &TestTok = advance(); // 'test'
+  Result<const Token *> Name =
+      expect(TokenKind::Identifier, "after 'test'");
   if (!Name)
     return Name.error();
   Result<std::unique_ptr<BlockStmt>> Body = parseBlock();
   if (!Body)
     return Body.error();
   auto Test = std::make_unique<TestDecl>();
-  Test->Name = Name->Text;
+  Test->Name = (*Name)->Text;
   Test->Body = Body.take();
   Test->Loc = TestTok.Loc;
   return Test;
@@ -237,16 +235,14 @@ Result<Type> Parser::parseType() {
     return Type::intTy();
   if (match(TokenKind::KwBool))
     return Type::boolTy();
-  if (check(TokenKind::Identifier)) {
-    Token T = advance();
-    return Type::classTy(T.Text);
-  }
+  if (check(TokenKind::Identifier))
+    return Type::classTy(std::string(advance().Text));
   return errorHere(formatString("expected a type, found %s",
                                 tokenKindName(peek().Kind)));
 }
 
 Result<std::unique_ptr<BlockStmt>> Parser::parseBlock() {
-  Result<Token> Open = expect(TokenKind::LBrace, "to open block");
+  Result<const Token *> Open = expect(TokenKind::LBrace, "to open block");
   if (!Open)
     return Open.error();
   std::vector<StmtPtr> Stmts;
@@ -259,7 +255,7 @@ Result<std::unique_ptr<BlockStmt>> Parser::parseBlock() {
     Stmts.push_back(S.take());
   }
   advance(); // '}'
-  return std::make_unique<BlockStmt>(std::move(Stmts), Open->Loc);
+  return std::make_unique<BlockStmt>(std::move(Stmts), (*Open)->Loc);
 }
 
 Result<StmtPtr> Parser::parseStmt() {
@@ -288,8 +284,9 @@ Result<StmtPtr> Parser::parseStmt() {
 }
 
 Result<StmtPtr> Parser::parseVarDecl() {
-  Token VarTok = advance(); // 'var'
-  Result<Token> Name = expect(TokenKind::Identifier, "after 'var'");
+  const Token &VarTok = advance(); // 'var'
+  Result<const Token *> Name =
+      expect(TokenKind::Identifier, "after 'var'");
   if (!Name)
     return Name.error();
   if (auto R = expect(TokenKind::Colon, "after variable name"); !R)
@@ -306,12 +303,13 @@ Result<StmtPtr> Parser::parseVarDecl() {
   }
   if (auto R = expect(TokenKind::Semicolon, "after variable declaration"); !R)
     return R.error();
-  return StmtPtr(std::make_unique<VarDeclStmt>(Name->Text, Ty.take(),
-                                               std::move(Init), VarTok.Loc));
+  return StmtPtr(std::make_unique<VarDeclStmt>(std::string((*Name)->Text),
+                                               Ty.take(), std::move(Init),
+                                               VarTok.Loc));
 }
 
 Result<StmtPtr> Parser::parseIf() {
-  Token IfTok = advance(); // 'if'
+  const Token &IfTok = advance(); // 'if'
   if (auto R = expect(TokenKind::LParen, "after 'if'"); !R)
     return R.error();
   Result<ExprPtr> Cond = parseExpr();
@@ -341,7 +339,7 @@ Result<StmtPtr> Parser::parseIf() {
 }
 
 Result<StmtPtr> Parser::parseWhile() {
-  Token WhileTok = advance(); // 'while'
+  const Token &WhileTok = advance(); // 'while'
   if (auto R = expect(TokenKind::LParen, "after 'while'"); !R)
     return R.error();
   Result<ExprPtr> Cond = parseExpr();
@@ -358,7 +356,7 @@ Result<StmtPtr> Parser::parseWhile() {
 }
 
 Result<StmtPtr> Parser::parseReturn() {
-  Token RetTok = advance(); // 'return'
+  const Token &RetTok = advance(); // 'return'
   ExprPtr Value;
   if (!check(TokenKind::Semicolon)) {
     Result<ExprPtr> E = parseExpr();
@@ -372,7 +370,7 @@ Result<StmtPtr> Parser::parseReturn() {
 }
 
 Result<StmtPtr> Parser::parseSynchronized() {
-  Token SyncTok = advance(); // 'synchronized'
+  const Token &SyncTok = advance(); // 'synchronized'
   if (auto R = expect(TokenKind::LParen, "after 'synchronized'"); !R)
     return R.error();
   Result<ExprPtr> LockExpr = parseExpr();
@@ -389,7 +387,7 @@ Result<StmtPtr> Parser::parseSynchronized() {
 }
 
 Result<StmtPtr> Parser::parseSpawn() {
-  Token SpawnTok = advance(); // 'spawn'
+  const Token &SpawnTok = advance(); // 'spawn'
   Result<std::unique_ptr<BlockStmt>> Body = parseBlock();
   if (!Body)
     return Body.error();
@@ -492,7 +490,7 @@ Result<ExprPtr> Parser::parseBinaryRHS(int MinPrec, ExprPtr LHS) {
     int Prec = binaryPrecedence(peek().Kind);
     if (Prec < MinPrec)
       return LHS;
-    Token OpTok = advance();
+    const Token &OpTok = advance();
     Result<ExprPtr> RHS = parseUnary();
     if (!RHS)
       return RHS.error();
@@ -511,7 +509,7 @@ Result<ExprPtr> Parser::parseBinaryRHS(int MinPrec, ExprPtr LHS) {
 
 Result<ExprPtr> Parser::parseUnary() {
   if (check(TokenKind::Minus)) {
-    Token OpTok = advance();
+    const Token &OpTok = advance();
     Result<ExprPtr> Operand = parseUnary();
     if (!Operand)
       return Operand.error();
@@ -519,7 +517,7 @@ Result<ExprPtr> Parser::parseUnary() {
                                                OpTok.Loc));
   }
   if (check(TokenKind::Bang)) {
-    Token OpTok = advance();
+    const Token &OpTok = advance();
     Result<ExprPtr> Operand = parseUnary();
     if (!Operand)
       return Operand.error();
@@ -535,18 +533,21 @@ Result<ExprPtr> Parser::parsePostfix() {
     return E.error();
   ExprPtr Node = E.take();
   while (check(TokenKind::Dot)) {
-    Token DotTok = advance();
-    Result<Token> Member = expect(TokenKind::Identifier, "after '.'");
+    const Token &DotTok = advance();
+    Result<const Token *> Member =
+        expect(TokenKind::Identifier, "after '.'");
     if (!Member)
       return Member.error();
     if (check(TokenKind::LParen)) {
       Result<std::vector<ExprPtr>> Args = parseArgs();
       if (!Args)
         return Args.error();
-      Node = std::make_unique<CallExpr>(std::move(Node), Member->Text,
+      Node = std::make_unique<CallExpr>(std::move(Node),
+                                        std::string((*Member)->Text),
                                         Args.take(), DotTok.Loc);
     } else {
-      Node = std::make_unique<FieldAccessExpr>(std::move(Node), Member->Text,
+      Node = std::make_unique<FieldAccessExpr>(std::move(Node),
+                                               std::string((*Member)->Text),
                                                DotTok.Loc);
     }
   }
@@ -573,7 +574,7 @@ Result<std::vector<ExprPtr>> Parser::parseArgs() {
 }
 
 Result<ExprPtr> Parser::parsePrimary() {
-  Token T = peek();
+  const Token &T = peek();
   switch (T.Kind) {
   case TokenKind::IntLiteral:
     advance();
@@ -600,7 +601,8 @@ Result<ExprPtr> Parser::parsePrimary() {
   }
   case TokenKind::KwNew: {
     advance();
-    Result<Token> ClassName = expect(TokenKind::Identifier, "after 'new'");
+    Result<const Token *> ClassName =
+        expect(TokenKind::Identifier, "after 'new'");
     if (!ClassName)
       return ClassName.error();
     std::vector<ExprPtr> Args;
@@ -610,12 +612,13 @@ Result<ExprPtr> Parser::parsePrimary() {
         return Parsed.error();
       Args = Parsed.take();
     }
-    return ExprPtr(std::make_unique<NewExpr>(ClassName->Text, std::move(Args),
+    return ExprPtr(std::make_unique<NewExpr>(std::string((*ClassName)->Text),
+                                             std::move(Args),
                                              T.Loc));
   }
   case TokenKind::Identifier:
     advance();
-    return ExprPtr(std::make_unique<VarRefExpr>(T.Text, T.Loc));
+    return ExprPtr(std::make_unique<VarRefExpr>(std::string(T.Text), T.Loc));
   case TokenKind::LParen: {
     advance();
     Result<ExprPtr> Inner = parseExpr();

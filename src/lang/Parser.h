@@ -34,10 +34,14 @@
 
 namespace narada {
 
-/// Parses a token stream into a Program.
+/// Parses a token stream into a Program.  The tokens view the lexed
+/// buffer, which must outlive the parser.
 class Parser {
 public:
-  explicit Parser(std::vector<Token> Tokens) : Tokens(std::move(Tokens)) {}
+  explicit Parser(std::vector<Token> Tokens) : Tokens(std::move(Tokens)) {
+    assert(!this->Tokens.empty() && this->Tokens.back().is(TokenKind::Eof) &&
+           "a token stream ends with Eof");
+  }
 
   /// Parses a whole compilation unit.
   Result<std::unique_ptr<Program>> parseProgram();
@@ -68,13 +72,16 @@ private:
   Result<ExprPtr> parsePrimary();
   Result<std::vector<ExprPtr>> parseArgs();
 
-  const Token &peek(size_t Ahead = 0) const;
+  const Token &peek() const { return Tokens[Pos]; }
   const Token &advance();
   bool check(TokenKind Kind) const { return peek().is(Kind); }
   bool match(TokenKind Kind);
-  Result<Token> expect(TokenKind Kind, const char *Context);
+  /// Consumes and returns the next token if it is a \p Kind; the pointer
+  /// stays valid as long as the parser.
+  Result<const Token *> expect(TokenKind Kind, const char *Context);
   Error errorHere(const std::string &Message) const;
 
+  /// Ends with an Eof token, which advance() never moves past.
   std::vector<Token> Tokens;
   size_t Pos = 0;
 };

@@ -9,6 +9,7 @@
 #include "support/StringUtils.h"
 
 #include <set>
+#include <string_view>
 
 using namespace narada;
 
@@ -20,65 +21,50 @@ ClassInfo &ProgramInfo::addClass(ClassInfo Info) {
 
 namespace {
 
-/// A lexical scope mapping local variable names to types.
-class Scope {
-public:
-  explicit Scope(Scope *Parent = nullptr) : Parent(Parent) {}
+Error errorAt(SourceLoc Loc, const std::string &Message) {
+  return Error(Message, Loc.str());
+}
 
-  bool declare(const std::string &Name, Type Ty) {
-    return Locals.emplace(Name, std::move(Ty)).second;
+/// The locals in scope while checking one body: a flat stack of
+/// declarations plus where each open block's declarations start.  Lookups
+/// scan from the innermost declaration outwards, so an inner block's local
+/// shadows an outer one.  Names and types point into the checked AST.
+class Scopes {
+public:
+  void open() { Starts.push_back(Locals.size()); }
+  void close() {
+    Locals.resize(Starts.back());
+    Starts.pop_back();
   }
 
-  const Type *lookup(const std::string &Name) const {
-    auto It = Locals.find(Name);
-    if (It != Locals.end())
-      return &It->second;
-    return Parent ? Parent->lookup(Name) : nullptr;
+  /// Declares \p Name in the innermost block; false if that block already
+  /// declares it.
+  bool declare(std::string_view Name, const Type &Ty) {
+    for (size_t I = Starts.back(); I < Locals.size(); ++I)
+      if (Locals[I].Name == Name)
+        return false;
+    Locals.push_back({Name, &Ty});
+    return true;
+  }
+
+  const Type *lookup(std::string_view Name) const {
+    for (auto It = Locals.rbegin(), E = Locals.rend(); It != E; ++It)
+      if (It->Name == Name)
+        return It->Ty;
+    return nullptr;
   }
 
 private:
-  Scope *Parent;
-  std::map<std::string, Type> Locals;
+  struct Local {
+    std::string_view Name;
+    const Type *Ty;
+  };
+  std::vector<Local> Locals;
+  std::vector<size_t> Starts;
 };
 
-/// The type checker.  Walks declarations, then every statement/expression.
-class SemaChecker {
-public:
-  SemaChecker(Program &Prog, ProgramInfo &Info) : Prog(Prog), Info(Info) {}
-
-  Status run();
-
-private:
-  Status registerBuiltins();
-  Status registerClass(const ClassDecl &Class);
-  Status checkClassBodies(const ClassDecl &Class);
-  Status checkMethod(const ClassInfo &Class, const MethodDecl &Method);
-  Status checkTest(const TestDecl &Test);
-
-  Status checkStmt(Stmt *S, Scope &Sc);
-  Status checkBlock(BlockStmt *Block, Scope &Sc);
-  Result<Type> checkExpr(Expr *E, Scope &Sc);
-  Result<Type> checkCall(CallExpr *Call, Scope &Sc);
-  Result<Type> checkNew(NewExpr *New, Scope &Sc);
-
-  Status validateType(const Type &Ty, SourceLoc Loc);
-  Error errorAt(SourceLoc Loc, const std::string &Message) {
-    return Error(Message, Loc.str());
-  }
-
-  Program &Prog;
-  ProgramInfo &Info;
-
-  /// Context while checking a body.
-  const ClassInfo *CurrentClass = nullptr; ///< Null inside tests.
-  Type CurrentReturnType = Type::voidTy();
-  bool InTest = false;
-  bool SawSpawn = false;
-};
-
-} // namespace
-
-Status SemaChecker::registerBuiltins() {
+/// Registers the builtin IntArray class.
+void registerBuiltins(ProgramInfo &Info) {
   ClassInfo Arr;
   Arr.Name = IntArrayClassName;
   Arr.IsBuiltin = true;
@@ -114,17 +100,10 @@ Status SemaChecker::registerBuiltins() {
   Arr.Methods.push_back(Length);
 
   Info.addClass(std::move(Arr));
-  return Status::success();
 }
 
-Status SemaChecker::validateType(const Type &Ty, SourceLoc Loc) {
-  if (Ty.isClass() && !Info.findClass(Ty.className()))
-    return errorAt(Loc, formatString("unknown class '%s'",
-                                     Ty.className().c_str()));
-  return Status::success();
-}
-
-Status SemaChecker::registerClass(const ClassDecl &Class) {
+/// Registers the field layout and method signatures of \p Class.
+Status registerClass(ProgramInfo &Info, const ClassDecl &Class) {
   if (Info.findClass(Class.Name))
     return errorAt(Class.Loc,
                    formatString("duplicate class '%s'", Class.Name.c_str()));
@@ -133,9 +112,8 @@ Status SemaChecker::registerClass(const ClassDecl &Class) {
   CI.Name = Class.Name;
   CI.Decl = &Class;
 
-  std::set<std::string> FieldNames;
   for (const FieldDecl &F : Class.Fields) {
-    if (!FieldNames.insert(F.Name).second)
+    if (CI.findField(F.Name))
       return errorAt(F.Loc, formatString("duplicate field '%s' in class '%s'",
                                          F.Name.c_str(), Class.Name.c_str()));
     FieldInfo FI;
@@ -145,9 +123,8 @@ Status SemaChecker::registerClass(const ClassDecl &Class) {
     CI.Fields.push_back(std::move(FI));
   }
 
-  std::set<std::string> MethodNames;
   for (const auto &M : Class.Methods) {
-    if (!MethodNames.insert(M->Name).second)
+    if (CI.findMethod(M->Name))
       return errorAt(M->Loc,
                      formatString("duplicate method '%s' in class '%s'",
                                   M->Name.c_str(), Class.Name.c_str()));
@@ -166,6 +143,47 @@ Status SemaChecker::registerClass(const ClassDecl &Class) {
   }
 
   Info.addClass(std::move(CI));
+  return Status::success();
+}
+
+/// The type checker of method and test bodies, over the registered classes
+/// in \p Info, which it only reads.
+class SemaChecker {
+public:
+  explicit SemaChecker(const ProgramInfo &Info) : Info(Info) {}
+
+  Status checkClassBodies(const ClassDecl &Class);
+  /// Checks every test body and that no two tests share a name.
+  Status checkTests(const std::vector<std::unique_ptr<TestDecl>> &Tests);
+
+private:
+  Status checkMethod(const ClassInfo &Class, const MethodDecl &Method);
+  Status checkTest(const TestDecl &Test);
+
+  Status checkStmt(Stmt *S);
+  Status checkBlock(BlockStmt *Block);
+  Result<Type> checkExpr(Expr *E);
+  Result<Type> checkCall(CallExpr *Call);
+  Result<Type> checkNew(NewExpr *New);
+
+  Status validateType(const Type &Ty, SourceLoc Loc);
+
+  const ProgramInfo &Info;
+
+  /// Context while checking a body.
+  Scopes Sc;
+  const ClassInfo *CurrentClass = nullptr; ///< Null inside tests.
+  Type CurrentReturnType = Type::voidTy();
+  bool InTest = false;
+  bool SawSpawn = false;
+};
+
+} // namespace
+
+Status SemaChecker::validateType(const Type &Ty, SourceLoc Loc) {
+  if (Ty.isClass() && !Info.findClass(Ty.className()))
+    return errorAt(Loc, formatString("unknown class '%s'",
+                                     Ty.className().c_str()));
   return Status::success();
 }
 
@@ -198,14 +216,17 @@ Status SemaChecker::checkMethod(const ClassInfo &Class,
   CurrentReturnType = Method.ReturnType;
   InTest = false;
 
-  Scope Params;
+  Sc.open();
+  Status S = Status::success();
   for (const ParamDecl &P : Method.Params)
-    if (!Params.declare(P.Name, P.DeclaredType))
-      return errorAt(P.Loc, formatString("duplicate parameter '%s'",
-                                         P.Name.c_str()));
-
-  Scope Body(&Params);
-  Status S = checkBlock(Method.Body.get(), Body);
+    if (!Sc.declare(P.Name, P.DeclaredType)) {
+      S = errorAt(P.Loc,
+                  formatString("duplicate parameter '%s'", P.Name.c_str()));
+      break;
+    }
+  if (S)
+    S = checkBlock(Method.Body.get());
+  Sc.close();
   CurrentClass = nullptr;
   return S;
 }
@@ -214,31 +235,32 @@ Status SemaChecker::checkTest(const TestDecl &Test) {
   CurrentClass = nullptr;
   CurrentReturnType = Type::voidTy();
   InTest = true;
-  Scope Sc;
-  Status S = checkBlock(Test.Body.get(), Sc);
+  Status S = checkBlock(Test.Body.get());
   InTest = false;
   return S;
 }
 
-Status SemaChecker::checkBlock(BlockStmt *Block, Scope &Sc) {
-  Scope Inner(&Sc);
+Status SemaChecker::checkBlock(BlockStmt *Block) {
+  Sc.open();
+  Status St = Status::success();
   for (const StmtPtr &S : Block->stmts())
-    if (Status St = checkStmt(S.get(), Inner); !St)
-      return St;
-  return Status::success();
+    if (St = checkStmt(S.get()); !St)
+      break;
+  Sc.close();
+  return St;
 }
 
-Status SemaChecker::checkStmt(Stmt *S, Scope &Sc) {
+Status SemaChecker::checkStmt(Stmt *S) {
   switch (S->kind()) {
   case Stmt::Kind::Block:
-    return checkBlock(cast<BlockStmt>(S), Sc);
+    return checkBlock(cast<BlockStmt>(S));
 
   case Stmt::Kind::VarDecl: {
     auto *Decl = cast<VarDeclStmt>(S);
     if (Status St = validateType(Decl->declaredType(), Decl->loc()); !St)
       return St;
     if (Decl->init()) {
-      Result<Type> InitTy = checkExpr(Decl->init(), Sc);
+      Result<Type> InitTy = checkExpr(Decl->init());
       if (!InitTy)
         return InitTy.error();
       if (!Decl->declaredType().acceptsValueOf(*InitTy))
@@ -258,10 +280,10 @@ Status SemaChecker::checkStmt(Stmt *S, Scope &Sc) {
 
   case Stmt::Kind::Assign: {
     auto *Assign = cast<AssignStmt>(S);
-    Result<Type> TargetTy = checkExpr(Assign->target(), Sc);
+    Result<Type> TargetTy = checkExpr(Assign->target());
     if (!TargetTy)
       return TargetTy.error();
-    Result<Type> ValueTy = checkExpr(Assign->value(), Sc);
+    Result<Type> ValueTy = checkExpr(Assign->value());
     if (!ValueTy)
       return ValueTy.error();
     if (!TargetTy->acceptsValueOf(*ValueTy))
@@ -274,32 +296,32 @@ Status SemaChecker::checkStmt(Stmt *S, Scope &Sc) {
   }
 
   case Stmt::Kind::ExprStmt:
-    if (Result<Type> Ty = checkExpr(cast<ExprStmt>(S)->expr(), Sc); !Ty)
+    if (Result<Type> Ty = checkExpr(cast<ExprStmt>(S)->expr()); !Ty)
       return Ty.error();
     return Status::success();
 
   case Stmt::Kind::If: {
     auto *If = cast<IfStmt>(S);
-    Result<Type> CondTy = checkExpr(If->cond(), Sc);
+    Result<Type> CondTy = checkExpr(If->cond());
     if (!CondTy)
       return CondTy.error();
     if (!CondTy->isBool())
       return errorAt(If->loc(), "if condition must be bool");
-    if (Status St = checkStmt(If->thenBranch(), Sc); !St)
+    if (Status St = checkStmt(If->thenBranch()); !St)
       return St;
     if (If->elseBranch())
-      return checkStmt(If->elseBranch(), Sc);
+      return checkStmt(If->elseBranch());
     return Status::success();
   }
 
   case Stmt::Kind::While: {
     auto *While = cast<WhileStmt>(S);
-    Result<Type> CondTy = checkExpr(While->cond(), Sc);
+    Result<Type> CondTy = checkExpr(While->cond());
     if (!CondTy)
       return CondTy.error();
     if (!CondTy->isBool())
       return errorAt(While->loc(), "while condition must be bool");
-    return checkStmt(While->body(), Sc);
+    return checkStmt(While->body());
   }
 
   case Stmt::Kind::Return: {
@@ -311,7 +333,7 @@ Status SemaChecker::checkStmt(Stmt *S, Scope &Sc) {
         return errorAt(Ret->loc(), "non-void method must return a value");
       return Status::success();
     }
-    Result<Type> ValueTy = checkExpr(Ret->value(), Sc);
+    Result<Type> ValueTy = checkExpr(Ret->value());
     if (!ValueTy)
       return ValueTy.error();
     if (!CurrentReturnType.acceptsValueOf(*ValueTy))
@@ -324,13 +346,13 @@ Status SemaChecker::checkStmt(Stmt *S, Scope &Sc) {
 
   case Stmt::Kind::Sync: {
     auto *Sync = cast<SyncStmt>(S);
-    Result<Type> LockTy = checkExpr(Sync->lockExpr(), Sc);
+    Result<Type> LockTy = checkExpr(Sync->lockExpr());
     if (!LockTy)
       return LockTy.error();
     if (!LockTy->isClass())
       return errorAt(Sync->loc(),
                      "synchronized requires an object expression");
-    return checkStmt(Sync->body(), Sc);
+    return checkStmt(Sync->body());
   }
 
   case Stmt::Kind::Spawn: {
@@ -342,7 +364,7 @@ Status SemaChecker::checkStmt(Stmt *S, Scope &Sc) {
       // InTest; keep tests simple and flat.
       return errorAt(Spawn->loc(), "nested 'spawn' is not supported");
     SawSpawn = true;
-    Status St = checkStmt(Spawn->body(), Sc);
+    Status St = checkStmt(Spawn->body());
     SawSpawn = false;
     return St;
   }
@@ -350,7 +372,7 @@ Status SemaChecker::checkStmt(Stmt *S, Scope &Sc) {
   narada_unreachable("unknown statement kind");
 }
 
-Result<Type> SemaChecker::checkExpr(Expr *E, Scope &Sc) {
+Result<Type> SemaChecker::checkExpr(Expr *E) {
   auto SetAndReturn = [E](Type Ty) -> Result<Type> {
     E->setType(Ty);
     return Ty;
@@ -380,7 +402,7 @@ Result<Type> SemaChecker::checkExpr(Expr *E, Scope &Sc) {
 
   case Expr::Kind::FieldAccess: {
     auto *Access = cast<FieldAccessExpr>(E);
-    Result<Type> BaseTy = checkExpr(Access->base(), Sc);
+    Result<Type> BaseTy = checkExpr(Access->base());
     if (!BaseTy)
       return BaseTy.error();
     if (!BaseTy->isClass())
@@ -399,13 +421,13 @@ Result<Type> SemaChecker::checkExpr(Expr *E, Scope &Sc) {
   }
 
   case Expr::Kind::Call:
-    return checkCall(cast<CallExpr>(E), Sc);
+    return checkCall(cast<CallExpr>(E));
   case Expr::Kind::New:
-    return checkNew(cast<NewExpr>(E), Sc);
+    return checkNew(cast<NewExpr>(E));
 
   case Expr::Kind::Unary: {
     auto *Unary = cast<UnaryExpr>(E);
-    Result<Type> OperandTy = checkExpr(Unary->operand(), Sc);
+    Result<Type> OperandTy = checkExpr(Unary->operand());
     if (!OperandTy)
       return OperandTy.error();
     if (Unary->op() == UnaryOp::Neg) {
@@ -420,10 +442,10 @@ Result<Type> SemaChecker::checkExpr(Expr *E, Scope &Sc) {
 
   case Expr::Kind::Binary: {
     auto *Binary = cast<BinaryExpr>(E);
-    Result<Type> LHS = checkExpr(Binary->lhs(), Sc);
+    Result<Type> LHS = checkExpr(Binary->lhs());
     if (!LHS)
       return LHS.error();
-    Result<Type> RHS = checkExpr(Binary->rhs(), Sc);
+    Result<Type> RHS = checkExpr(Binary->rhs());
     if (!RHS)
       return RHS.error();
     switch (Binary->op()) {
@@ -463,8 +485,8 @@ Result<Type> SemaChecker::checkExpr(Expr *E, Scope &Sc) {
   narada_unreachable("unknown expression kind");
 }
 
-Result<Type> SemaChecker::checkCall(CallExpr *Call, Scope &Sc) {
-  Result<Type> BaseTy = checkExpr(Call->base(), Sc);
+Result<Type> SemaChecker::checkCall(CallExpr *Call) {
+  Result<Type> BaseTy = checkExpr(Call->base());
   if (!BaseTy)
     return BaseTy.error();
   if (!BaseTy->isClass())
@@ -488,7 +510,7 @@ Result<Type> SemaChecker::checkCall(CallExpr *Call, Scope &Sc) {
                               Method->ParamTypes.size(), Call->args().size()),
                  Call->loc().str());
   for (size_t I = 0, N = Call->args().size(); I != N; ++I) {
-    Result<Type> ArgTy = checkExpr(Call->args()[I].get(), Sc);
+    Result<Type> ArgTy = checkExpr(Call->args()[I].get());
     if (!ArgTy)
       return ArgTy.error();
     if (!Method->ParamTypes[I].acceptsValueOf(*ArgTy))
@@ -504,7 +526,7 @@ Result<Type> SemaChecker::checkCall(CallExpr *Call, Scope &Sc) {
   return Method->ReturnType;
 }
 
-Result<Type> SemaChecker::checkNew(NewExpr *New, Scope &Sc) {
+Result<Type> SemaChecker::checkNew(NewExpr *New) {
   const ClassInfo *Class = Info.findClass(New->className());
   if (!Class)
     return Error(formatString("unknown class '%s'", New->className().c_str()),
@@ -523,7 +545,7 @@ Result<Type> SemaChecker::checkNew(NewExpr *New, Scope &Sc) {
                                 New->args().size()),
                    New->loc().str());
     for (size_t I = 0, N = New->args().size(); I != N; ++I) {
-      Result<Type> ArgTy = checkExpr(New->args()[I].get(), Sc);
+      Result<Type> ArgTy = checkExpr(New->args()[I].get());
       if (!ArgTy)
         return ArgTy.error();
       if (!Ctor->ParamTypes[I].acceptsValueOf(*ArgTy))
@@ -540,20 +562,13 @@ Result<Type> SemaChecker::checkNew(NewExpr *New, Scope &Sc) {
   return Ty;
 }
 
-Status SemaChecker::run() {
-  if (Status S = registerBuiltins(); !S)
-    return S;
-  for (const auto &Class : Prog.Classes)
-    if (Status S = registerClass(*Class); !S)
-      return S;
-  for (const auto &Class : Prog.Classes)
-    if (Status S = checkClassBodies(*Class); !S)
-      return S;
-  std::set<std::string> TestNames;
-  for (const auto &Test : Prog.Tests) {
-    if (!TestNames.insert(Test->Name).second)
-      return Error(formatString("duplicate test '%s'", Test->Name.c_str()),
-                   Test->Loc.str());
+Status SemaChecker::checkTests(
+    const std::vector<std::unique_ptr<TestDecl>> &Tests) {
+  std::set<std::string_view> Names;
+  for (const auto &Test : Tests) {
+    if (!Names.insert(Test->Name).second)
+      return errorAt(Test->Loc, formatString("duplicate test '%s'",
+                                             Test->Name.c_str()));
     if (Status S = checkTest(*Test); !S)
       return S;
   }
@@ -562,8 +577,21 @@ Status SemaChecker::run() {
 
 Result<std::shared_ptr<ProgramInfo>> narada::analyze(Program &Prog) {
   auto Info = std::make_shared<ProgramInfo>();
-  SemaChecker Checker(Prog, *Info);
-  if (Status S = Checker.run(); !S)
+  registerBuiltins(*Info);
+  for (const auto &Class : Prog.Classes)
+    if (Status S = registerClass(*Info, *Class); !S)
+      return S.error();
+  SemaChecker Checker(*Info);
+  for (const auto &Class : Prog.Classes)
+    if (Status S = Checker.checkClassBodies(*Class); !S)
+      return S.error();
+  if (Status S = Checker.checkTests(Prog.Tests); !S)
     return S.error();
   return Info;
+}
+
+Status
+narada::analyzeTests(const std::vector<std::unique_ptr<TestDecl>> &Tests,
+                     const ProgramInfo &Info) {
+  return SemaChecker(Info).checkTests(Tests);
 }

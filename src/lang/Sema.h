@@ -96,6 +96,12 @@ private:
 /// returns the symbol tables.
 Result<std::shared_ptr<ProgramInfo>> analyze(Program &Prog);
 
+/// Checks \p Tests against the classes of an already checked program,
+/// whose symbol tables \p Info it only reads: every body, and that no two
+/// of \p Tests share a name.  Annotates expressions like analyze().
+Status analyzeTests(const std::vector<std::unique_ptr<TestDecl>> &Tests,
+                    const ProgramInfo &Info);
+
 } // namespace narada
 
 #endif // NARADA_LANG_SEMA_H

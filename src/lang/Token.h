@@ -15,7 +15,7 @@
 #include "lang/SourceLoc.h"
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace narada {
 
@@ -80,10 +80,11 @@ enum class TokenKind {
 const char *tokenKindName(TokenKind Kind);
 
 /// A single lexed token: kind, source text, position, and (for integer
-/// literals) the decoded value.
+/// literals) the decoded value.  Text is a view into the lexed buffer, so
+/// a token is valid only while that buffer is.
 struct Token {
   TokenKind Kind = TokenKind::Eof;
-  std::string Text;
+  std::string_view Text;
   SourceLoc Loc;
   int64_t IntValue = 0;
 

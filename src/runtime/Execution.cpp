@@ -37,6 +37,29 @@ Result<CompiledProgram> narada::compileProgram(std::string_view Source) {
   return Out;
 }
 
+Status narada::compileTestsInto(CompiledProgram &Library,
+                                std::string_view TestSource) {
+  Result<std::unique_ptr<Program>> Parsed = Parser::parse(TestSource);
+  if (!Parsed)
+    return Parsed.error();
+  std::unique_ptr<Program> Tests = Parsed.take();
+  if (!Tests->Classes.empty())
+    return Error("expected only tests, found a class",
+                 Tests->Classes.front()->Loc.str());
+  for (const auto &Test : Tests->Tests)
+    if (Library.Module->findTest(Test->Name))
+      return Error(formatString("duplicate test '%s'", Test->Name.c_str()),
+                   Test->Loc.str());
+  if (Status Checked = analyzeTests(Tests->Tests, *Library.Info); !Checked)
+    return Checked;
+  for (const std::unique_ptr<TestDecl> &Test : Tests->Tests) {
+    Result<const IRFunction *> Lowered = lowerTestInto(*Library.Module, *Test);
+    if (!Lowered)
+      return Lowered.error();
+  }
+  return Status::success();
+}
+
 Result<TestRun> narada::runTest(const IRModule &M,
                                 const std::string &TestName,
                                 SchedulingPolicy &Policy, uint64_t RandSeed,

@@ -39,6 +39,17 @@ struct CompiledProgram {
 /// Lex + parse + check + lower + verify \p Source.
 Result<CompiledProgram> compileProgram(std::string_view Source);
 
+/// Adds the tests of \p TestSource, a text of tests only, to the module of
+/// the compiled \p Library without compiling the library again: parses the
+/// text, checks it against Library.Info (analyzeTests), and lowers and
+/// verifies each test into Library.Module (lowerTestInto), whose IR then
+/// equals that of compiling the library and the tests as one source.  The
+/// names must be new to the module.  The tests' ASTs are dropped once
+/// lowered (the IR keeps no reference to them), so Library.Ast still holds
+/// the library's source alone.  On a parse or check error \p Library is
+/// unchanged.  Nothing may run on the module while tests are added.
+Status compileTestsInto(CompiledProgram &Library, std::string_view TestSource);
+
 /// The outcome of one test execution.
 struct TestRun {
   Trace TheTrace; ///< Filled by runTestSequential() only.

@@ -19,6 +19,7 @@
 #include <exception>
 #include <fcntl.h>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -173,6 +174,15 @@ SubmitResponse serve::handleSubmit(SubmitRequest Request, ServeCaches *Caches,
   return Resp;
 }
 
+bool RaceDbFile::save() {
+  if (!pending())
+    return true;
+  if (!racedb::saveRaceDb(Path, Db))
+    return false;
+  SavedRunId = Db.NextRunId;
+  return true;
+}
+
 int serve::runServe(int Argc, char **Argv) {
   std::string SocketPath, CachePath, RaceDbPath;
   for (int I = 2; I < Argc; ++I) {
@@ -212,9 +222,9 @@ int serve::runServe(int Argc, char **Argv) {
   // silently dropping triage history would turn every tracked race into
   // an untracked one.  A missing file is a normal fresh start.  Armed
   // fault injection withholds the database just like the caches.
-  racedb::RaceDb Db;
-  bool HaveDb = false;
+  std::optional<RaceDbFile> Db;
   if (!RaceDbPath.empty() && !FaultArmed) {
+    racedb::RaceDb Initial;
     struct stat St;
     if (::stat(RaceDbPath.c_str(), &St) == 0) {
       Result<racedb::RaceDb> Loaded = racedb::loadRaceDb(RaceDbPath);
@@ -223,9 +233,9 @@ int serve::runServe(int Argc, char **Argv) {
                      Loaded.error().str().c_str());
         return 1;
       }
-      Db = Loaded.take();
+      Initial = Loaded.take();
     }
-    HaveDb = true;
+    Db.emplace(RaceDbPath, std::move(Initial));
   } else if (!RaceDbPath.empty()) {
     NARADA_LOG_WARN("serve: fault injection armed; race database disabled");
   }
@@ -280,16 +290,15 @@ int serve::runServe(int Argc, char **Argv) {
       } else {
         Resp = handleSubmit(Request.take(), FaultArmed ? nullptr : &Caches,
                             WorkerExe, RequestIndex++,
-                            HaveDb ? &Db : nullptr);
-        // Persist after every request that changed a store (save() skips
-        // the cache file otherwise, and retries one that failed), so a
-        // daemon kill never costs more than the entries of the request in
-        // flight.  The race database is saved every time: each ingest
-        // bumps its next run id.
+                            Db ? &Db->db() : nullptr);
+        // Persist after every request that changed a store or ingested a
+        // run (each save() skips its file otherwise, and retries one that
+        // failed), so a daemon kill never costs more than the entries of
+        // the request in flight.
         if (!FaultArmed)
           Caches.save();
-        if (HaveDb)
-          racedb::saveRaceDb(RaceDbPath, Db);
+        if (Db)
+          Db->save();
       }
       encodeResponse(Reply, Resp);
     } else {

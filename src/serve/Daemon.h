@@ -35,8 +35,10 @@
 #include "serve/Caches.h"
 #include "serve/Protocol.h"
 
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 
 namespace narada {
 namespace serve {
@@ -63,6 +65,35 @@ SubmitResponse handleSubmit(SubmitRequest Request, ServeCaches *Caches,
                             const std::string &WorkerExe,
                             uint64_t RequestIndex,
                             racedb::RaceDb *Db = nullptr);
+
+/// The daemon's race database and the file it persists to.  Every ingest
+/// moves the database's NextRunId, so the database owes its file a save
+/// while NextRunId differs from the value the file holds.  save() writes
+/// only then: a request that ingested nothing (a synthesize, a failed run)
+/// leaves the file alone, a fresh database's file appears with the first
+/// detection, and a failed write stays owed until a later save() succeeds,
+/// as with ServeCaches::save().
+class RaceDbFile {
+public:
+  /// \p Db is what \p Path holds, or a fresh database for a missing file.
+  RaceDbFile(std::string Path, racedb::RaceDb Db)
+      : Path(std::move(Path)), Db(std::move(Db)),
+        SavedRunId(this->Db.NextRunId) {}
+
+  racedb::RaceDb &db() { return Db; }
+
+  /// True while the database holds an ingest its file lacks.
+  bool pending() const { return Db.NextRunId != SavedRunId; }
+
+  /// Writes the file when pending(); true when nothing was owed or the
+  /// write succeeded.
+  bool save();
+
+private:
+  std::string Path;
+  racedb::RaceDb Db;
+  uint64_t SavedRunId; ///< NextRunId of the database the file holds.
+};
 
 /// The `narada-cli serve` entrypoint: Argv past the subcommand, i.e.
 /// "--socket <path> [--cache <file>] [--racedb <file>]".  Returns the

@@ -30,6 +30,8 @@
 #include "gen/GenEngine.h"
 #include "ir/IRPrinter.h"
 #include "runtime/Execution.h"
+#include "support/Digest.h"
+#include "support/StringUtils.h"
 #include "synth/Narada.h"
 
 #include <gtest/gtest.h>
@@ -78,13 +80,19 @@ void checkGolden(const std::string &Name, const std::string &Actual) {
                                  " (NARADA_REGEN_GOLDEN=1 to accept)";
 }
 
-/// First synthesized test of \p CorpusId, the class's representative pair.
-SynthesizedTestInfo firstTest(const std::string &CorpusId) {
+/// runNarada on \p CorpusId with its hand seeds, focused on its class.
+Result<NaradaResult> synthesize(const std::string &CorpusId) {
   const CorpusEntry &E = *findCorpusEntry(CorpusId);
   NaradaOptions Options;
   Options.FocusClass = E.ClassName;
   Result<NaradaResult> R = runNarada(E.Source, E.SeedNames, Options);
   EXPECT_TRUE(R.hasValue()) << (R ? "" : R.error().str());
+  return R;
+}
+
+/// First synthesized test of \p CorpusId, the class's representative pair.
+SynthesizedTestInfo firstTest(const std::string &CorpusId) {
+  Result<NaradaResult> R = synthesize(CorpusId);
   if (!R || R->Tests.empty())
     return {};
   return R->Tests[0];
@@ -207,4 +215,18 @@ TEST(GoldenTest, C5GeneratedSeeds) {
   std::string Text = generatedSeeds("C5");
   ASSERT_FALSE(Text.empty());
   checkGolden("gen_c5_seed1", Text);
+}
+
+TEST(GoldenTest, FinalModuleDigests) {
+  std::string Text;
+  for (const char *Id :
+       {"C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9"}) {
+    Result<NaradaResult> R = synthesize(Id);
+    ASSERT_TRUE(R.hasValue());
+    const std::string IR = printModule(*R->Program.Module);
+    Text += formatString("%s %s %zu functions %zu bytes\n", Id,
+                         digest::hex(digest::of(IR)).c_str(),
+                         R->Program.Module->functions().size(), IR.size());
+  }
+  checkGolden("final_module_digests", Text);
 }

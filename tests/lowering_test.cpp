@@ -196,6 +196,28 @@ TEST(LoweringTest, ShortCircuitAndEmitsBranch) {
   EXPECT_GE(countOps(*F, Opcode::Branch), 1u);
 }
 
+TEST(LoweringTest, BlockLocalsEndWithTheirBlock) {
+  // Names do not reach the IR, so a block local that shadows an outer one
+  // lowers exactly like a fresh name, and after the block the outer
+  // local's register is read again.
+  const char *Shadowing = "class Box { field v: int; }\n"
+                          "test t {\n"
+                          "  var b: Box = new Box; var x: int = 1;\n"
+                          "  if (true) { var x: int = 2; b.v = x; }\n"
+                          "  b.v = x;\n"
+                          "}\n";
+  const char *Fresh = "class Box { field v: int; }\n"
+                      "test t {\n"
+                      "  var b: Box = new Box; var x: int = 1;\n"
+                      "  if (true) { var y: int = 2; b.v = y; }\n"
+                      "  b.v = x;\n"
+                      "}\n";
+  auto A = lowerOk(Shadowing);
+  auto B = lowerOk(Fresh);
+  ASSERT_TRUE(A && B);
+  EXPECT_EQ(printFunction(*A->findTest("t")), printFunction(*B->findTest("t")));
+}
+
 TEST(LoweringTest, SpawnBlocksBecomeClosures) {
   auto M = lowerOk("class A { method m() { } }\n"
                    "test t {\n"

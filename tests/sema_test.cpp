@@ -240,6 +240,20 @@ TEST(SemaTest, AllowsShadowingInNestedBlock) {
           "} }");
 }
 
+TEST(SemaTest, BlockLocalsEndWithTheirBlock) {
+  // Once its block closes, a local's name is free to declare again and a
+  // use of it is undeclared.
+  checkOk("test t {\n"
+          "  { var x: int = 1; }\n"
+          "  var x: bool = true;\n"
+          "}");
+  EXPECT_EQ(checkFail("test t {\n"
+                      "  if (true) { var y: int = 1; }\n"
+                      "  var z: int = y;\n"
+                      "}"),
+            "use of undeclared variable 'y'");
+}
+
 TEST(SemaTest, RejectsDuplicateTest) {
   checkFail("test t { } test t { }");
 }

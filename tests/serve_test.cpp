@@ -19,7 +19,9 @@
 //     quarantines one request without taking the handler down.
 //  4. Saves: the cache file is written after a request that changed a
 //     store or a cold start, not after a warm resubmit, and a failed save
-//     is retried by the next one.
+//     is retried by the next one.  The race database file is written
+//     after a request that ingested a run, not after a synthesize, and a
+//     failed save is retried the same way.
 //
 //===----------------------------------------------------------------------===//
 
@@ -756,6 +758,78 @@ TEST(CacheSaveTest, ColdStartWritesTheFileAtTheFirstSave) {
   EXPECT_TRUE(Loaded->Summaries.empty());
   EXPECT_TRUE(ServeCaches(Old).loadedFromDisk());
   ::unlink(Old.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// When the race database file is written: after a request that ingested.
+//===----------------------------------------------------------------------===//
+
+SubmitRequest c9SynthesizeRequest() {
+  SubmitRequest Req = c9Request(1);
+  Req.Args.Command = "synthesize";
+  Req.Args.StaticRank = false;
+  return Req;
+}
+
+TEST(RaceDbSaveTest, SynthesizeAfterDetectLeavesTheFileAlone) {
+  const std::string Path = tempPath("racedbsave");
+  RaceDbFile Db(Path, {});
+  // Nothing ingested yet: no file until the first detection.
+  ASSERT_TRUE(Db.save());
+  EXPECT_NE(::access(Path.c_str(), F_OK), 0);
+
+  ASSERT_TRUE(handleSubmit(c9Request(1), nullptr, "", 0, &Db.db()).Ok);
+  EXPECT_TRUE(Db.pending());
+  ASSERT_TRUE(Db.save());
+  EXPECT_FALSE(Db.pending());
+  const ino_t Inode = inodeOf(Path);
+  const std::string Bytes = fileBytes(Path);
+  ASSERT_NE(Inode, 0u);
+
+  // A synthesize runs no detection, so it ingests nothing and the save
+  // writes nothing (a rewrite renames a new inode into place).
+  SubmitResponse Synth = handleSubmit(c9SynthesizeRequest(), nullptr, "", 1,
+                                      &Db.db());
+  ASSERT_TRUE(Synth.Ok) << Synth.ErrorMessage;
+  EXPECT_EQ(Synth.Exit, 0);
+  EXPECT_FALSE(Db.pending());
+  ASSERT_TRUE(Db.save());
+  EXPECT_EQ(inodeOf(Path), Inode);
+  EXPECT_EQ(fileBytes(Path), Bytes);
+
+  // The next detection is a new run: the file is replaced.
+  ASSERT_TRUE(handleSubmit(c9Request(1), nullptr, "", 2, &Db.db()).Ok);
+  ASSERT_TRUE(Db.save());
+  EXPECT_NE(inodeOf(Path), Inode);
+  Result<racedb::RaceDb> Loaded = racedb::loadRaceDb(Path);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.error().str();
+  EXPECT_EQ(Loaded->NextRunId, 3u);
+  ::unlink(Path.c_str());
+}
+
+TEST(RaceDbSaveTest, FailedSaveIsRetriedAfterARequestThatIngestsNothing) {
+  const std::string Path = tempPath("racedbretry");
+  const std::string TempPath = Path + ".tmp";
+  RaceDbFile Db(Path, {});
+  ASSERT_TRUE(handleSubmit(c9Request(1), nullptr, "", 0, &Db.db()).Ok);
+  ASSERT_FALSE(Db.db().Races.empty());
+
+  // A directory in the temp file's place: the save cannot even begin.
+  ASSERT_EQ(::mkdir(TempPath.c_str(), 0755), 0);
+  EXPECT_FALSE(Db.save());
+  ::rmdir(TempPath.c_str());
+  EXPECT_NE(::access(Path.c_str(), F_OK), 0);
+  EXPECT_TRUE(Db.pending());
+
+  // The synthesize ingests nothing; its save still owes the detection.
+  ASSERT_TRUE(handleSubmit(c9SynthesizeRequest(), nullptr, "", 1, &Db.db()).Ok);
+  ASSERT_TRUE(Db.save());
+  EXPECT_FALSE(Db.pending());
+  Result<racedb::RaceDb> Loaded = racedb::loadRaceDb(Path);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.error().str();
+  EXPECT_EQ(Loaded->NextRunId, 2u);
+  EXPECT_EQ(Loaded->Races.size(), Db.db().Races.size());
+  ::unlink(Path.c_str());
 }
 
 /// The payloads of the frames in \p Path, header first.
