@@ -3,8 +3,8 @@
 // Part of Narada-C++, a reproduction of "Synthesizing Racy Tests" (PLDI'15).
 //
 // Measures what `narada-cli serve` exists for (docs/SERVING.md): the
-// latency gap between a cold request — full pipeline, every cache empty —
-// and a warm one answered from the daemon's content-addressed caches.
+// latency gap between a cold request — full pipeline, empty memo —
+// and a warm one answered from the daemon's detection-stage memo.
 // The driver spawns a real daemon on a Unix-domain socket, primes it with
 // one cold detect submit per class, measures warm/edited latency with
 // sequential resubmits (the daemon serves requests one at a time, so only
@@ -14,15 +14,14 @@
 //   unchanged  the exact cold bundle again (full warm: detection-stage
 //              memo hit, the request barely computes);
 //   edited     the same module with one method body changed per round (a
-//              distinct source digest: the summary store re-analyzes only
-//              the edited cone, everything downstream of the new digest
-//              runs cold).
+//              distinct final source, so the memo misses and the whole
+//              request runs cold).
 //
 // Reported per class: cold latency, warm (unchanged) latency, the
 // cold/warm speedup, edited latency, and the warm request throughput.
 // The driver fails (exit 1) when a warm request's run report shows zero
-// serve.cache hits — speed without the caches proving they answered is a
-// measurement of nothing.
+// serve.cache.detect hits — speed without the memo proving it answered is
+// a measurement of nothing.
 //
 // Knobs: --clients N (default 4), --rounds N (requests per category per
 // class, default 3), --classes C5,C9, --report <file.json>.
@@ -109,7 +108,7 @@ serve::CliArgs detectArgs(const CorpusEntry &Entry, bool WantReport) {
   Args.Input = "corpus:" + Entry.Id;
   Args.Names = Entry.SeedNames;
   Args.FocusClass = Entry.ClassName;
-  Args.StaticRank = true; // Exercise the summary store on every request.
+  Args.StaticRank = true; // Every request also summarizes the module.
   if (WantReport)
     Args.ReportPath = "daemon_load"; // Presence = want_report bit.
   return Args;
@@ -233,7 +232,7 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Cold phase: the first submit of each class fills every cache.
+  // Cold phase: the first submit of each class fills the memo.
   std::vector<PhaseStats> Cold(Entries.size());
   for (size_t I = 0; I < Entries.size(); ++I)
     Cold[I].add(submit(SocketPath, detectArgs(*Entries[I], false),
@@ -249,15 +248,12 @@ int main(int Argc, char **Argv) {
       Unchanged[I].add(submit(SocketPath, detectArgs(*Entries[I], false),
                               Entries[I]->Source));
 
-  // A warm resubmit with a report, while every cache is hot: the caches
-  // must visibly answer, or the latency gap proves nothing.
+  // A warm resubmit with a report, while the memo is hot: it must visibly
+  // answer, or the latency gap proves nothing.
   std::string Report;
   submit(SocketPath, detectArgs(*Entries.front(), true),
          Entries.front()->Source, &Report);
-  const uint64_t SummaryHits = reportCounter(Report, "serve.cache.summary.hits");
   const uint64_t DetectHits = reportCounter(Report, "serve.cache.detect.hits");
-  const uint64_t AnalysisHits =
-      reportCounter(Report, "serve.cache.analysis.hits");
 
   for (unsigned Round = 0; Round < Rounds; ++Round)
     for (size_t I = 0; I < Entries.size(); ++I)
@@ -322,26 +318,23 @@ int main(int Argc, char **Argv) {
               fmtMs(Edited[I].avgMs())},
              Widths);
   }
-  std::printf("\nWarm report cache hits: summary=%llu analysis=%llu "
-              "detect=%llu\n",
-              static_cast<unsigned long long>(SummaryHits),
-              static_cast<unsigned long long>(AnalysisHits),
+  std::printf("\nWarm report cache hits: detect=%llu\n",
               static_cast<unsigned long long>(DetectHits));
 
   // The pinned (deterministic) part of the trajectory: request counts and
-  // the did-the-caches-answer bit.  Latencies stay advisory prose above.
+  // the did-the-memo-answer bit.  Latencies stay advisory prose above.
   obs::MetricsRegistry &Registry = obs::MetricsRegistry::global();
   Registry.counter("daemon_load.classes").inc(Entries.size());
   Registry.counter("daemon_load.cold_requests").inc(Entries.size());
   Registry.counter("daemon_load.warm_requests").inc(Work.size());
   Registry.counter("daemon_load.warm_cache_hits_nonzero")
-      .inc((SummaryHits + DetectHits + AnalysisHits) > 0 ? 1 : 0);
+      .inc(DetectHits > 0 ? 1 : 0);
   Reporter.Meta.addOption("clients", std::to_string(Clients));
   Reporter.Meta.addOption("rounds", std::to_string(Rounds));
 
-  if (SummaryHits + DetectHits + AnalysisHits == 0) {
+  if (DetectHits == 0) {
     std::fprintf(stderr, "daemon_load: FAIL: warm request reported zero "
-                         "serve.cache hits\n");
+                         "serve.cache.detect hits\n");
     return 1;
   }
   return 0;

@@ -33,22 +33,27 @@ void detectworker::encodeDetectOptions(wire::RecordWriter &W,
 
 Result<DetectOptions> detectworker::decodeDetectOptions(
     const wire::RecordReader &In) {
+  // Every field falls back to its DetectOptions default.
   DetectOptions O;
-  O.RandomRuns = static_cast<unsigned>(In.getU64("random_runs", 12));
+  O.RandomRuns =
+      static_cast<unsigned>(In.getU64("random_runs", O.RandomRuns));
   O.ConfirmAttempts =
-      static_cast<unsigned>(In.getU64("confirm_attempts", 4));
-  O.BaseSeed = In.getU64("base_seed", 1);
-  O.MaxSteps = In.getU64("max_steps", 400000);
-  O.UseHB = In.getBool("use_hb", true);
-  O.UseLockSet = In.getBool("use_lockset", true);
-  if (!parseExplorationMode(In.getOr("explore_mode", "random"), O.Mode))
+      static_cast<unsigned>(In.getU64("confirm_attempts", O.ConfirmAttempts));
+  O.BaseSeed = In.getU64("base_seed", O.BaseSeed);
+  O.MaxSteps = In.getU64("max_steps", O.MaxSteps);
+  O.UseHB = In.getBool("use_hb", O.UseHB);
+  O.UseLockSet = In.getBool("use_lockset", O.UseLockSet);
+  const std::string Mode =
+      In.getOr("explore_mode", explorationModeName(O.Mode));
+  if (!parseExplorationMode(Mode, O.Mode))
     return Error("detect setup record has an unknown exploration mode");
-  O.Explore.MaxSchedules =
-      static_cast<unsigned>(In.getU64("explore_max_schedules", 256));
-  O.WitnessDir = In.getOr("witness_dir", "");
-  O.StepLimitRetries =
-      static_cast<unsigned>(In.getU64("step_limit_retries", 2));
-  O.WallBudgetSeconds = In.getDouble("wall_budget_seconds", 0.0);
+  O.Explore.MaxSchedules = static_cast<unsigned>(
+      In.getU64("explore_max_schedules", O.Explore.MaxSchedules));
+  O.WitnessDir = In.getOr("witness_dir", O.WitnessDir);
+  O.StepLimitRetries = static_cast<unsigned>(
+      In.getU64("step_limit_retries", O.StepLimitRetries));
+  O.WallBudgetSeconds =
+      In.getDouble("wall_budget_seconds", O.WallBudgetSeconds);
   return O;
 }
 

@@ -130,28 +130,15 @@ public:
     if (!MatchA.matches(Event.Func, Event.Pc) &&
         !MatchB.matches(Event.Func, Event.Pc))
       return;
-    mix(static_cast<uint64_t>(Event.Val.kind()));
-    if (Event.Val.isInt())
-      mix(static_cast<uint64_t>(Event.Val.asInt()));
-    else if (Event.Val.isBool())
-      mix(Event.Val.asBool() ? 1 : 0);
-    else if (Event.Val.isRef())
-      mix(Event.Val.asRef());
+    Hash = digestValue(Hash, Event.Val);
   }
 
   uint64_t hash() const { return Hash; }
 
 private:
-  void mix(uint64_t V) {
-    for (int Shift = 0; Shift < 64; Shift += 8) {
-      Hash ^= (V >> Shift) & 0xff;
-      Hash *= 0x100000001b3ULL;
-    }
-  }
-
   LabelMatcher MatchA;
   LabelMatcher MatchB;
-  uint64_t Hash = 0xcbf29ce484222325ULL;
+  uint64_t Hash = digest::Fnv1aBasis;
 };
 
 /// One confirmation execution; returns the policy (confirmed or not) plus

@@ -55,9 +55,9 @@ private:
   }
 
   /// Binds \p Name in the innermost scope unless that scope already binds
-  /// it; the first binding wins.  The body's top level shares the
-  /// parameters' scope, so a top-level local named like a parameter reads
-  /// the parameter.
+  /// it; the first binding wins.  The body's statements open their own
+  /// scope inside the parameters' one, as in Sema's checkMethod, so a
+  /// top-level local named like a parameter shadows it.
   void declare(std::string_view Name, Reg R, const Type &Ty) {
     for (size_t I = ScopeStarts.back(); I < Locals.size(); ++I)
       if (Locals[I].Name == Name)
@@ -133,9 +133,13 @@ Status FunctionLowerer::lowerBody(const BlockStmt *Body, bool Synchronized) {
     ActiveSyncRegs.push_back(ThisReg);
   }
 
+  pushScope();
   for (const StmtPtr &S : Body->stmts())
-    if (Status St = lowerStmt(S.get()); !St)
+    if (Status St = lowerStmt(S.get()); !St) {
+      popScope();
       return St;
+    }
+  popScope();
 
   if (Synchronized) {
     Instr Exit;

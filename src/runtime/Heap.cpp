@@ -37,26 +37,13 @@ ObjectId Heap::allocateArray(const ClassInfo *ArrayClass, size_t Size) {
 
 uint64_t Heap::stateHash() const {
   // FNV-1a over a canonical serialization of the heap.
-  uint64_t Hash = 0xcbf29ce484222325ULL;
-  auto Mix = [&Hash](uint64_t V) {
-    for (int Shift = 0; Shift < 64; Shift += 8) {
-      Hash ^= (V >> Shift) & 0xff;
-      Hash *= 0x100000001b3ULL;
-    }
-  };
+  uint64_t Hash = digest::Fnv1aBasis;
   for (const HeapObject &Obj : Objects) {
-    for (const Value &V : Obj.Fields) {
-      Mix(static_cast<uint64_t>(V.kind()));
-      if (V.isInt())
-        Mix(static_cast<uint64_t>(V.asInt()));
-      else if (V.isBool())
-        Mix(V.asBool() ? 1 : 0);
-      else if (V.isRef())
-        Mix(V.asRef());
-    }
+    for (const Value &V : Obj.Fields)
+      Hash = digestValue(Hash, V);
     for (int64_t E : Obj.Elems)
-      Mix(static_cast<uint64_t>(E));
-    Mix(Obj.Elems.size());
+      Hash = digest::updateU64(Hash, static_cast<uint64_t>(E));
+    Hash = digest::updateU64(Hash, Obj.Elems.size());
   }
   return Hash;
 }

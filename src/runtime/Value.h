@@ -13,6 +13,8 @@
 #ifndef NARADA_RUNTIME_VALUE_H
 #define NARADA_RUNTIME_VALUE_H
 
+#include "support/Digest.h"
+
 #include <cassert>
 #include <cstdint>
 #include <string>
@@ -120,6 +122,20 @@ private:
 };
 
 static_assert(sizeof(Value) == 16, "Value is copied into every trace event");
+
+/// Extends digest \p H with \p V: its kind, then its payload (null has
+/// none), each as one digest::updateU64 word.  Heap::stateHash and the
+/// confirmation's observed-value hash both digest values this way.
+inline uint64_t digestValue(uint64_t H, const Value &V) {
+  H = digest::updateU64(H, static_cast<uint64_t>(V.kind()));
+  if (V.isInt())
+    return digest::updateU64(H, static_cast<uint64_t>(V.asInt()));
+  if (V.isBool())
+    return digest::updateU64(H, V.asBool() ? 1 : 0);
+  if (V.isRef())
+    return digest::updateU64(H, V.asRef());
+  return H;
+}
 
 } // namespace narada
 

@@ -5,20 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Serialization of the daemon's durable caches (docs/SERVING.md): the
-/// content-addressed static summary store and the detection-stage memo.
-/// The file is a sequence of support/Wire.h frames — the same
-/// length-prefixed record format every other Narada wire surface uses —
-/// starting with a versioned header:
+/// Serialization of the daemon's one durable cache (docs/SERVING.md):
+/// the detection-stage memo.  The file is a sequence of support/Wire.h
+/// frames — the same length-prefixed record format every other Narada
+/// wire surface uses — starting with a versioned header:
 ///
-///   frame 0:  magic=narada.serve_cache  version=3
-///   frame N:  kind=summary      one (symbol, cone digest) summary entry
-///             kind=detect_memo  one detect-stage memo entry
+///   frame 0:  magic=narada.serve_cache  version=4
+///   frame N:  kind=detect_memo  one detect-stage memo entry
 ///
-/// Older versions (which also held derivation memo scopes) fail the load
-/// by version, so the daemon starts cold once.
+/// Older versions (which also held static summaries or derivation memo
+/// scopes) fail the load by version, so the daemon starts cold once.
 ///
-/// Loading is all-or-nothing per file: any anomaly (bad magic, future
+/// Loading is all-or-nothing per file: any anomaly (bad magic, other
 /// version, truncated frame, malformed entry) fails the load and the
 /// daemon starts cold — a cache is a speedup, never a correctness input,
 /// so the only safe reaction to corruption is to ignore the file.
@@ -26,7 +24,7 @@
 /// the previous cache intact.  Every entry carries its frame, encoded
 /// once when the entry is stored (or kept as read when it is loaded), so
 /// a save writes the header plus the kept frames and encodes nothing; the
-/// serve layer saves only after a request that changed a store.
+/// serve layer saves only after a request that changed the memo.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +32,6 @@
 #define NARADA_SERVE_CACHEFILE_H
 
 #include "detect/Detection.h"
-#include "staticrace/LocksetAnalysis.h"
 #include "support/Error.h"
 
 #include <cstdint>
@@ -50,22 +47,6 @@ namespace serve {
 /// the frame it is saved as: encoded once when the entry is stored, or
 /// kept as read when it is loaded.  So a save encodes nothing.
 struct CacheSnapshot {
-  /// One persisted summary-store entry: the summary plus the cone digest
-  /// it was computed under (see staticrace::methodConeDigests).
-  struct SummaryEntry {
-    /// Encodes the entry's frame.
-    SummaryEntry(const std::string &Symbol, uint64_t Digest,
-                 staticrace::CachedSummary Value);
-    /// Keeps \p Frame, the payload the entry was decoded from.
-    SummaryEntry(uint64_t Digest, staticrace::CachedSummary Value,
-                 std::string Frame);
-    uint64_t Digest;
-    staticrace::CachedSummary Value;
-    std::string Frame; ///< The `summary` frame's payload.
-  };
-  /// Keyed by method symbol — the store keeps only the latest digest per
-  /// symbol, so one entry per symbol is exactly its in-memory shape.
-  std::map<std::string, SummaryEntry> Summaries;
   /// One detect-stage memo entry: the per-test detection results a prior
   /// identical run produced.
   struct DetectEntry {
@@ -86,9 +67,9 @@ struct CacheSnapshot {
 };
 
 /// Writes \p Snapshot to \p Path atomically (temp file + rename): the
-/// header, then the entries' kept frames, summaries by symbol and the
-/// detect memo in FIFO order.  Returns false (with a warning on stderr)
-/// when the file cannot be written; the daemon keeps serving from memory.
+/// header, then the memo entries' kept frames in FIFO order.  Returns
+/// false (with a warning on stderr) when the file cannot be written; the
+/// daemon keeps serving from memory.
 bool saveCacheFile(const std::string &Path, const CacheSnapshot &Snapshot);
 
 /// Loads \p Path.  Errors on any corruption or version mismatch — the

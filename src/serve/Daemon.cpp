@@ -133,23 +133,19 @@ SubmitResponse serve::handleSubmit(SubmitRequest Request, ServeCaches *Caches,
     Args.ReportPath = ReportPath;
   }
 
-  std::unique_ptr<ServeCaches::Request> Hooks;
-  if (Caches)
-    Hooks = Caches->beginRequest(Args.Input);
-
   try {
     fault::ScopedUnit Unit(RequestIndex);
     fault::probe("serve.request");
     Resp.Exit = captureRun(
         [&] {
           return runCommandAndReport(Args, std::move(Request.Source),
-                                     Hooks ? &Hooks->Hooks : nullptr);
+                                     Caches ? &Caches->hooks() : nullptr);
         },
         Resp.Stdout, Resp.Stderr);
     Resp.Ok = true;
   } catch (const std::exception &E) {
     // Quarantine: this request is answered with an error, the daemon —
-    // and every cache (hooks are withheld while injection is armed) —
+    // and its memo (hooks are withheld while injection is armed) —
     // is untouched for the next client.
     Resp.Ok = false;
     Resp.Exit = 1;

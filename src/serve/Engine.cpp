@@ -4,7 +4,7 @@
 //
 // Moved essentially verbatim from tools/narada-cli.cpp so the daemon can
 // execute the same commands in-process; behavior changes are limited to
-// the EngineHooks cache seams (inert when no hooks are installed).
+// the EngineHooks detection memo (inert when no hooks are installed).
 //
 //===----------------------------------------------------------------------===//
 
@@ -154,25 +154,20 @@ int cmdTrace(CliArgs &Args, const std::string &Source) {
   return 0;
 }
 
-/// Builds the NaradaOptions shared by analyze/synthesize/detect, wiring
-/// the daemon's pipeline caches through when hooks are installed.
-NaradaOptions pipelineOptions(const CliArgs &Args, const std::string &Source,
-                              const EngineHooks *Hooks) {
+/// Builds the NaradaOptions shared by analyze/synthesize/detect.
+NaradaOptions pipelineOptions(const CliArgs &Args) {
   NaradaOptions Options;
   Options.FocusClass = Args.FocusClass;
   Options.Jobs = Args.Jobs;
   Options.StaticPrefilter = Args.StaticPrefilter;
   Options.StaticRank = Args.StaticRank;
   Options.Isolate = Args.Isolate;
-  if (Hooks && Hooks->PipelineFor)
-    Options.Caches = Hooks->PipelineFor(Source);
   return Options;
 }
 
-int cmdAnalyze(CliArgs &Args, const std::string &Source,
-               const EngineHooks *Hooks) {
-  NaradaOptions Options = pipelineOptions(Args, Source, Hooks);
-  Result<NaradaResult> R = runNarada(Source, Args.Names, Options);
+int cmdAnalyze(CliArgs &Args, const std::string &Source) {
+  Result<NaradaResult> R =
+      runNarada(Source, Args.Names, pipelineOptions(Args));
   if (!R) {
     std::fprintf(stderr, "error: %s\n", R.error().str().c_str());
     return 1;
@@ -215,10 +210,9 @@ int cmdStaticTriage(CliArgs &Args, const std::string &Source) {
   return 0;
 }
 
-int cmdSynthesize(CliArgs &Args, const std::string &Source,
-                  const EngineHooks *Hooks) {
-  NaradaOptions Options = pipelineOptions(Args, Source, Hooks);
-  Result<NaradaResult> R = runNarada(Source, Args.Names, Options);
+int cmdSynthesize(CliArgs &Args, const std::string &Source) {
+  Result<NaradaResult> R =
+      runNarada(Source, Args.Names, pipelineOptions(Args));
   if (!R) {
     std::fprintf(stderr, "error: %s\n", R.error().str().c_str());
     return 1;
@@ -289,8 +283,8 @@ int cmdDetect(CliArgs &Args, const std::string &Source,
     }
   }
 
-  NaradaOptions Options = pipelineOptions(Args, Source, Hooks);
-  Result<NaradaResult> R = runNarada(Source, Args.Names, Options);
+  Result<NaradaResult> R =
+      runNarada(Source, Args.Names, pipelineOptions(Args));
   if (!R) {
     std::fprintf(stderr, "error: %s\n", R.error().str().c_str());
     return 1;
@@ -610,9 +604,9 @@ int runCommandImpl(CliArgs &Args, std::string Source,
   if (Args.Command == "trace")
     return cmdTrace(Args, Source);
   if (Args.Command == "analyze")
-    return cmdAnalyze(Args, Source, Hooks);
+    return cmdAnalyze(Args, Source);
   if (Args.Command == "synthesize")
-    return cmdSynthesize(Args, Source, Hooks);
+    return cmdSynthesize(Args, Source);
   if (Args.Command == "detect")
     return cmdDetect(Args, Source, Hooks, State);
   if (Args.Command == "contege")

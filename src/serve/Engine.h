@@ -13,10 +13,9 @@
 /// through runCommandAndReport(), which is why a warm daemon answer can be
 /// byte-compared against a cold CLI run.
 ///
-/// EngineHooks is the daemon's seam: per-request pipeline caches (seed
-/// analysis and incremental static summaries) and a whole-detection-stage
-/// memo.  Every hook is optional and a null hooks pointer (the CLI) runs
-/// everything cold.
+/// EngineHooks is the daemon's seam: a whole-detection-stage memo.  Every
+/// other stage runs afresh on each request, as in the CLI, which passes
+/// no hooks and so runs detection afresh too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,9 +33,6 @@
 #include <vector>
 
 namespace narada {
-
-struct PipelineCaches;
-
 namespace serve {
 
 /// Parsed command line (or decoded submit request).
@@ -63,13 +59,8 @@ struct CliArgs {
   pool::IsolateOptions Isolate;      ///< --isolate / --worker-* flags.
 };
 
-/// The daemon's cache seam into the engine.  All members optional.
+/// The daemon's cache seam into the engine.
 struct EngineHooks {
-  /// Returns request-scoped PipelineCaches for the source a pipeline
-  /// command is about to run on (called *after* --gen-seeds replaced the
-  /// source, so cache keys always cover the exact pipeline input), or
-  /// null to run cold.  The pointee must outlive the command.
-  std::function<const PipelineCaches *(const std::string &Source)> PipelineFor;
   /// Whole-detection-stage memo, keyed by a digest of (final source,
   /// detect options, job list).  Lookup returns null on miss; the pointee
   /// must stay valid until the command returns.  Consulted only for

@@ -49,29 +49,35 @@ Result<SubmitRequest> serve::decodeSubmit(const wire::RecordReader &In) {
   Req.Source = std::move(Bundle->Source);
   Req.Args.Names = std::move(Bundle->Seeds);
 
+  // Every field falls back to its CliArgs default, so a record that omits
+  // a key decodes as the CLI would parse a command line without the flag.
   CliArgs &Args = Req.Args;
   Args.Command = In.getOr("command", "");
   if (Args.Command.empty())
     return Error("submit record has no command");
-  Args.Input = In.getOr("input", "");
-  Args.FocusClass = In.getOr("class", "");
-  Args.Seed = In.getU64("rng_seed", 1);
-  Args.Tests = static_cast<unsigned>(In.getU64("tests", 400));
-  Req.WantReport = In.getBool("want_report", false);
-  Args.Stats = In.getBool("stats", false);
-  Args.Jobs = static_cast<unsigned>(In.getU64("jobs", 1));
-  Args.PolicyName = In.getOr("policy", "random");
-  Args.StaticPrefilter = In.getBool("static_prefilter", false);
-  Args.StaticRank = In.getBool("static_rank", false);
-  Args.StaticOnly = In.getBool("static_only", false);
-  Args.GenSeeds = In.getBool("gen_seeds", false);
-  Args.GenRounds = static_cast<unsigned>(In.getU64("gen_rounds", 2));
-  Args.GenBudget = static_cast<unsigned>(In.getU64("gen_budget", 16));
-  Args.Isolate.Enabled = In.getBool("isolate", false);
-  Args.Isolate.UnitDeadlineSeconds =
-      In.getDouble("worker_deadline", Args.Isolate.UnitDeadlineSeconds);
-  Args.Isolate.WorkerCpuLimitSeconds = In.getU64("worker_cpu_limit", 0);
-  Args.Isolate.WorkerMemLimitMb = In.getU64("worker_mem_limit", 0);
+  Args.Input = In.getOr("input", Args.Input);
+  Args.FocusClass = In.getOr("class", Args.FocusClass);
+  Args.Seed = In.getU64("rng_seed", Args.Seed);
+  Args.Tests = static_cast<unsigned>(In.getU64("tests", Args.Tests));
+  Req.WantReport = In.getBool("want_report", Req.WantReport);
+  Args.Stats = In.getBool("stats", Args.Stats);
+  Args.Jobs = static_cast<unsigned>(In.getU64("jobs", Args.Jobs));
+  Args.PolicyName = In.getOr("policy", Args.PolicyName);
+  Args.StaticPrefilter = In.getBool("static_prefilter", Args.StaticPrefilter);
+  Args.StaticRank = In.getBool("static_rank", Args.StaticRank);
+  Args.StaticOnly = In.getBool("static_only", Args.StaticOnly);
+  Args.GenSeeds = In.getBool("gen_seeds", Args.GenSeeds);
+  Args.GenRounds =
+      static_cast<unsigned>(In.getU64("gen_rounds", Args.GenRounds));
+  Args.GenBudget =
+      static_cast<unsigned>(In.getU64("gen_budget", Args.GenBudget));
+  pool::IsolateOptions &Iso = Args.Isolate;
+  Iso.Enabled = In.getBool("isolate", Iso.Enabled);
+  Iso.UnitDeadlineSeconds =
+      In.getDouble("worker_deadline", Iso.UnitDeadlineSeconds);
+  Iso.WorkerCpuLimitSeconds =
+      In.getU64("worker_cpu_limit", Iso.WorkerCpuLimitSeconds);
+  Iso.WorkerMemLimitMb = In.getU64("worker_mem_limit", Iso.WorkerMemLimitMb);
   Result<DetectOptions> Detect = detectworker::decodeDetectOptions(In);
   if (!Detect)
     return Detect.error();

@@ -7,10 +7,8 @@
 #include "staticrace/LocksetAnalysis.h"
 
 #include "ir/IR.h"
-#include "ir/IRPrinter.h"
 #include "lang/Sema.h"
 #include "obs/Metrics.h"
-#include "support/Digest.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -492,37 +490,10 @@ MethodSummary staticrace::summarizeFunctionIntra(const IRFunction &F) {
 
 namespace {
 
-/// What one composition pass produced.  Exact certifies the true least
-/// fixpoint (converged, no access cap hit) — the precondition for caching
-/// the per-method summaries.  PinsViolated means a pinned (incremental)
-/// pass could not finish soundly and the caller must fall back to a full
-/// recompute; Summary is empty in that case.
-struct ComposeOutcome {
-  ModuleSummary Summary;
-  bool Exact = false;
-  bool PinsViolated = false;
-  size_t Reanalyzed = 0; ///< Methods that ran analysis (non-pinned).
-};
-
-/// The whole-module summarization pipeline (phases A–C), optionally with
-/// \p Pinned methods held fixed at cached finals.  With Pinned == null
-/// this *is* summarizeModule, byte for byte; with pins, only non-pinned
-/// methods run the intra fixpoint and the Jacobi rounds, consuming pinned
-/// finals as callee values.  Pinning is sound because pinned entries are
-/// least-fixpoint values of an identical cone: the restricted iteration
-/// converges to the same module fixpoint (or trips PinsViolated).
-ComposeOutcome
-composeModule(const IRModule &M,
-              const std::map<std::string, const MethodSummary *> *Pinned) {
-  ComposeOutcome Result;
-  auto IsPinned = [&](const std::string &Symbol) {
-    return Pinned && Pinned->count(Symbol) != 0;
-  };
-
+/// The whole-module summarization pipeline (phases A–C).
+ModuleSummary composeModule(const IRModule &M) {
   // Phase A: transitive store effects per method (union closure over the
-  // call graph; monotone, so plain iteration converges).  Runs over every
-  // method even when pinned — it is cheap, and the Jacobi restriction
-  // below needs the full smash sets and call graph anyway.
+  // call graph; monotone, so plain iteration converges).
   std::map<std::string, const IRFunction *> Methods;
   for (const auto &F : M.functions())
     if (F->kind() == IRFunction::Kind::Method)
@@ -562,13 +533,10 @@ composeModule(const IRModule &M,
   }
 
   // Phase B: intra-procedural fixpoint per method, with call effects
-  // approximated by the Phase A sets.  Pinned methods skip it — their
-  // finals are already known.
+  // approximated by the Phase A sets.
   std::map<std::string, IntraInfo> Intra;
   for (const auto &[Symbol, F] : Methods)
-    if (!IsPinned(Symbol))
-      Intra[Symbol] = analyzeFunction(*F, &Stored);
-  Result.Reanalyzed = Intra.size();
+    Intra[Symbol] = analyzeFunction(*F, &Stored);
 
   // Phase C: bounded call-digest composition (Jacobi rounds): each round
   // rebases the previous round's callee accesses through every call site.
@@ -585,16 +553,6 @@ composeModule(const IRModule &M,
     Acc[Symbol] = std::move(Init);
     if (Info.Incomplete)
       Incomplete.insert(Symbol);
-  }
-  if (Pinned) {
-    for (const auto &[Symbol, S] : *Pinned) {
-      std::set<std::string> &Fps = Seen[Symbol];
-      for (const StaticAccess &A : S->Accesses)
-        Fps.insert(A.fingerprint());
-      Acc[Symbol] = S->Accesses;
-      if (S->Incomplete)
-        Incomplete.insert(Symbol);
-    }
   }
 
   auto GrowthOf = [&](const std::string &Symbol,
@@ -616,21 +574,17 @@ composeModule(const IRModule &M,
   };
 
   bool Converged = false;
-  bool CapHit = false;
   for (unsigned Round = 0; Round < MaxInlineRounds; ++Round) {
     std::map<std::string, std::vector<StaticAccess>> Prev = Acc;
     bool Changed = false;
     for (const auto &[Symbol, F] : Methods) {
       (void)F;
-      if (IsPinned(Symbol))
-        continue; // Already at the fixpoint; cannot grow.
       std::vector<StaticAccess> Fresh = GrowthOf(Symbol, Prev);
       std::set<std::string> &Fps = Seen[Symbol];
       std::vector<StaticAccess> &Mine = Acc[Symbol];
       for (StaticAccess &R : Fresh) {
         if (Mine.size() >= MaxAccessesPerMethod) {
           Incomplete.insert(Symbol);
-          CapHit = true;
           break;
         }
         if (Fps.insert(R.fingerprint()).second) {
@@ -643,14 +597,6 @@ composeModule(const IRModule &M,
       Converged = true;
       break;
     }
-  }
-  if (Pinned && (CapHit || !Converged)) {
-    // A capped or non-converged composition is sensitive to insertion
-    // order, so finishing from pins could diverge (bytewise) from what a
-    // cold run would produce.  Hand the whole module back for a full
-    // recompute instead — correctness first, cache second.
-    Result.PinsViolated = true;
-    return Result;
   }
   if (!Converged) {
     // A probe round identifies the methods that would still grow — those
@@ -679,7 +625,7 @@ composeModule(const IRModule &M,
     }
   }
 
-  ModuleSummary &Out = Result.Summary;
+  ModuleSummary Out;
   for (const auto &[Symbol, F] : Methods) {
     (void)F;
     MethodSummary S;
@@ -693,112 +639,15 @@ composeModule(const IRModule &M,
     S.Incomplete = Incomplete.count(Symbol) != 0;
     Out.Methods.emplace(Symbol, std::move(S));
   }
-  Result.Exact = Converged && !CapHit;
-  return Result;
+  return Out;
 }
 
 } // namespace
 
 ModuleSummary staticrace::summarizeModule(const IRModule &M) {
-  ComposeOutcome R = composeModule(M, /*Pinned=*/nullptr);
+  ModuleSummary Summary = composeModule(M);
   obs::MetricsRegistry::global()
       .counter("staticrace.methods_summarized")
-      .inc(R.Summary.Methods.size());
-  return std::move(R.Summary);
-}
-
-std::map<std::string, uint64_t>
-staticrace::methodConeDigests(const IRModule &M) {
-  std::map<std::string, const IRFunction *> Methods;
-  for (const auto &F : M.functions())
-    if (F->kind() == IRFunction::Kind::Method)
-      Methods[F->name()] = F.get();
-
-  // Per-body digest over the printed IR: the printer covers every field
-  // the analysis reads (opcodes, operands, members, callee symbols), so
-  // equal prints imply equal transfer behavior.
-  std::map<std::string, uint64_t> Own;
-  std::map<std::string, std::set<std::string>> CalleeSets;
-  for (const auto &[Symbol, F] : Methods) {
-    Own[Symbol] = digest::of(printFunction(*F));
-    std::set<std::string> &Out = CalleeSets[Symbol];
-    for (const Instr &I : F->instrs())
-      if (I.Op == Opcode::Invoke && I.Callee &&
-          I.Callee->kind() == IRFunction::Kind::Method)
-        Out.insert(I.Callee->name());
-  }
-
-  // Dependence cone (self + transitive method callees) per method.
-  std::map<std::string, std::set<std::string>> Cone;
-  for (const auto &[Symbol, F] : Methods) {
-    (void)F;
-    std::set<std::string> &C = Cone[Symbol];
-    std::vector<std::string> Work{Symbol};
-    C.insert(Symbol);
-    while (!Work.empty()) {
-      std::string Cur = std::move(Work.back());
-      Work.pop_back();
-      for (const std::string &Next : CalleeSets[Cur])
-        if (C.insert(Next).second)
-          Work.push_back(Next);
-    }
-  }
-
-  uint64_t OptDigest = digest::Fnv1aOffset;
-  OptDigest = digest::updateU64(OptDigest, MaxPathDepth);
-  OptDigest = digest::updateU64(OptDigest, MaxLockCount);
-  OptDigest = digest::updateU64(OptDigest, MaxInlineRounds);
-  OptDigest = digest::updateU64(OptDigest, MaxAccessesPerMethod);
-
-  std::map<std::string, uint64_t> Out;
-  for (const auto &[Symbol, C] : Cone) {
-    uint64_t H = digest::updateU64(digest::Fnv1aOffset, OptDigest);
-    for (const std::string &Sym : C) { // Sorted: std::set iteration order.
-      H = digest::update(H, Sym);
-      H = digest::updateU64(H, Own[Sym]);
-    }
-    Out[Symbol] = H;
-  }
-  return Out;
-}
-
-ModuleSummary
-staticrace::summarizeModuleIncremental(const IRModule &M, SummaryStore &Store,
-                                       IncrementalStats *Stats) {
-  std::map<std::string, uint64_t> Digests = methodConeDigests(M);
-
-  // Pin every method whose cone digest hits an Exact entry.  Non-Exact
-  // hits are useless (their values depend on more than the cone) and are
-  // treated as misses.
-  std::map<std::string, const MethodSummary *> Pinned;
-  for (const auto &[Symbol, Digest] : Digests)
-    if (const CachedSummary *E = Store.lookup(Symbol, Digest); E && E->Exact)
-      Pinned[Symbol] = &E->Summary;
-
-  ComposeOutcome R = composeModule(M, &Pinned);
-  bool Full = false;
-  if (R.PinsViolated) {
-    R = composeModule(M, /*Pinned=*/nullptr);
-    Full = true;
-  }
-
-  // Store back what this run computed: the methods it analyzed, or every
-  // method after a full recompute.  A pinned hit is already in the store
-  // at the same digest.
-  if (R.Exact)
-    for (const auto &[Symbol, S] : R.Summary.Methods)
-      if (Full || !Pinned.count(Symbol))
-        Store.store(Symbol, Digests[Symbol], CachedSummary{S, /*Exact=*/true});
-
-  size_t Reanalyzed = Full ? R.Summary.Methods.size() : R.Reanalyzed;
-  if (Stats) {
-    Stats->Methods = R.Summary.Methods.size();
-    Stats->Hits = Full ? 0 : Pinned.size();
-    Stats->Reanalyzed = Reanalyzed;
-    Stats->FullRecompute = Full;
-  }
-  obs::MetricsRegistry::global()
-      .counter("staticrace.methods_summarized")
-      .inc(Reanalyzed);
-  return std::move(R.Summary);
+      .inc(Summary.Methods.size());
+  return Summary;
 }

@@ -32,10 +32,6 @@
 
 #include "staticrace/StaticSummary.h"
 
-#include <cstdint>
-#include <map>
-#include <string>
-
 namespace narada {
 
 class IRModule;
@@ -55,67 +51,6 @@ ModuleSummary summarizeModule(const IRModule &M);
 /// Summarizes one function in isolation (no call composition beyond
 /// built-ins); exposed for unit tests over hand-built IR.
 MethodSummary summarizeFunctionIntra(const IRFunction &F);
-
-//===----------------------------------------------------------------------===//
-// Incremental summarization (serve/SummaryCache)
-//===----------------------------------------------------------------------===//
-//
-// A method's summary is a pure function of its *dependence cone* — its own
-// body plus the bodies of every transitively callable method — and the
-// abstraction bounds.  methodConeDigests() hashes exactly that input (printed
-// IR per body, FNV-1a over the sorted cone), so equal digests imply equal
-// summaries and an edit to one method invalidates precisely the methods
-// whose cone contains it.
-
-/// One cached per-method summary.  Exact records that the producing run
-/// reached the true least fixpoint module-wide (composition converged and
-/// no method hit MaxAccessesPerMethod); only Exact entries may seed an
-/// incremental run — a capped or non-converged summary depends on
-/// insertion order, not just on the cone.
-struct CachedSummary {
-  MethodSummary Summary;
-  bool Exact = false;
-};
-
-/// Abstract persistent store keyed by (method symbol, cone digest).
-/// Implementations live in serve/; the analysis only reads and writes.
-class SummaryStore {
-public:
-  virtual ~SummaryStore() = default;
-  /// Returns the entry for \p Symbol at exactly \p ConeDigest, or null.
-  /// The pointer stays valid until the next store() call.
-  virtual const CachedSummary *lookup(const std::string &Symbol,
-                                      uint64_t ConeDigest) const = 0;
-  virtual void store(const std::string &Symbol, uint64_t ConeDigest,
-                     CachedSummary Entry) = 0;
-};
-
-/// What an incremental run did, for cache counters and tests.
-struct IncrementalStats {
-  size_t Methods = 0;    ///< Methods in the module.
-  size_t Hits = 0;       ///< Pinned straight from the store.
-  size_t Reanalyzed = 0; ///< Analyzed and composed this run.
-  bool FullRecompute = false; ///< Pins were abandoned (cap/non-convergence).
-};
-
-/// Per-method dependence-cone digests for every Kind::Method function of
-/// \p M, folding in the abstraction bounds (a bound change invalidates
-/// everything).
-std::map<std::string, uint64_t> methodConeDigests(const IRModule &M);
-
-/// summarizeModule with a memo: methods whose cone digest hits an Exact
-/// store entry are pinned to the cached summary and only the remaining
-/// methods re-run analysis and composition (consuming pinned finals).
-/// Falls back to a full recompute — still through this call, still byte-
-/// identical to summarizeModule — when the restricted composition hits the
-/// access cap or fails to converge.  When the run was Exact, stores back
-/// the summaries it computed: the reanalyzed methods, or every method
-/// after a full recompute, so a warm run on an unchanged module stores
-/// nothing.  Bumps "staticrace.methods_summarized" by the number of
-/// methods actually reanalyzed.
-ModuleSummary summarizeModuleIncremental(const IRModule &M,
-                                         SummaryStore &Store,
-                                         IncrementalStats *Stats = nullptr);
 
 } // namespace staticrace
 } // namespace narada

@@ -5,17 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one content-digest primitive behind every content-addressed cache in
-/// the tree (serve/SummaryCache, serve/MemoCache, the daemon's seed and
-/// detection caches): 64-bit FNV-1a over byte strings, with a combinator
-/// for multi-part keys.  Digests are cache keys, not security boundaries —
-/// a collision costs a stale-but-plausible cache hit on adversarial input,
-/// which the daemon does not defend against (its clients are trusted CI
-/// fleets; see docs/SERVING.md).
+/// The one digest primitive in the tree: 64-bit FNV-1a over byte strings
+/// and 8-byte words.  It keys the serve daemon's detection memo
+/// (serve/Engine's stage key), names each run's final source in reports
+/// and the race database (`source_digest`), and, through digestValue
+/// (runtime/Value.h), hashes heaps (Heap::stateHash) and the values seen
+/// at racy accesses during confirmation.  Digests are cache keys, not
+/// security boundaries — a collision costs a stale-but-plausible cache hit
+/// on adversarial input, which the daemon does not defend against (its
+/// clients are trusted CI fleets; see docs/SERVING.md).
 ///
-/// The function is fixed forever: digests are persisted in the daemon's
-/// on-disk cache file, so changing it requires bumping the cache schema
-/// version (serve/CacheFile.h) to force a cold fallback.
+/// Fnv1aOffset (1469598103934665603) is not FNV-1a's offset basis
+/// (14695981039346656037, Fnv1aBasis): it lacks the basis's last digit.
+/// It stays, because the race database's `source_digest` and
+/// tests/golden/final_module_digests.golden were recorded with it.  The
+/// heap and observed-value hashes start from Fnv1aBasis.
+///
+/// The functions are fixed forever: memo keys are persisted in the
+/// daemon's on-disk cache file, so changing them requires bumping the
+/// cache schema version (serve/CacheFile.h) to force a cold fallback.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +38,7 @@ namespace narada {
 namespace digest {
 
 inline constexpr uint64_t Fnv1aOffset = 1469598103934665603ull;
+inline constexpr uint64_t Fnv1aBasis = 0xcbf29ce484222325ull;
 inline constexpr uint64_t Fnv1aPrime = 1099511628211ull;
 
 /// Extends digest \p H with the bytes of \p Data.

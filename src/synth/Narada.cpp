@@ -94,13 +94,7 @@ narada::runNaradaFrontHalf(std::string_view LibrarySource,
   // Stage 1: execute the sequential seeds and analyze their traces.
   {
     obs::Span AnalyzeSpan("analyze", &Out.Stages.AnalysisSeconds);
-    const PipelineCaches *Caches = Options.Caches;
     for (const std::string &SeedName : SeedNames) {
-      if (Caches && Caches->LookupSeedAnalysis)
-        if (const AnalysisResult *Hit = Caches->LookupSeedAnalysis(SeedName)) {
-          Out.Analysis.merge(*Hit);
-          continue;
-        }
       Result<TestRun> Run = runTestSequential(*Out.Program.Module, SeedName);
       if (!Run)
         return Run.error();
@@ -109,10 +103,7 @@ narada::runNaradaFrontHalf(std::string_view LibrarySource,
                                   SeedName.c_str(),
                                   Run->Result.FaultMessages[0].c_str()));
       Metrics.counter("analysis.seeds_executed").inc();
-      AnalysisResult One = analyzeTrace(Run->TheTrace, *Out.Program.Info);
-      if (Caches && Caches->StoreSeedAnalysis)
-        Caches->StoreSeedAnalysis(SeedName, One);
-      Out.Analysis.merge(One);
+      Out.Analysis.merge(analyzeTrace(Run->TheTrace, *Out.Program.Info));
     }
   }
 
@@ -122,9 +113,7 @@ narada::runNaradaFrontHalf(std::string_view LibrarySource,
   if (Options.StaticPrefilter || Options.StaticRank) {
     obs::Span StaticSpan("staticrace", &Out.Stages.StaticRaceSeconds);
     Out.Static = std::make_shared<const staticrace::ModuleSummary>(
-        Options.Caches && Options.Caches->Summarize
-            ? Options.Caches->Summarize(*Out.Program.Module)
-            : staticrace::summarizeModule(*Out.Program.Module));
+        staticrace::summarizeModule(*Out.Program.Module));
   }
 
   // Stage 2a: candidate racy pairs.

@@ -23,35 +23,12 @@
 #include "synth/RacyPair.h"
 #include "synth/TestSynthesizer.h"
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace narada {
-
-class IRModule;
-
-/// Cross-run caches the serving layer (src/serve/) threads through the
-/// pipeline.  Every hook is optional (unset = cold behavior); all are keyed
-/// and invalidated by the caller — the pipeline only consults and feeds
-/// them.  Correctness contract: a cached value must be exactly what the
-/// cold computation would produce for the same inputs, so a warm run stays
-/// byte-identical to a cold one.
-struct PipelineCaches {
-  /// Per-seed dynamic analysis: returns the cached AnalysisResult for a
-  /// seed test name (the caller scopes keys by source digest), or null.
-  /// On a hit the seed is not executed.
-  std::function<const AnalysisResult *(const std::string &SeedName)>
-      LookupSeedAnalysis;
-  /// Called with the freshly computed per-seed analysis on a miss.
-  std::function<void(const std::string &SeedName, const AnalysisResult &)>
-      StoreSeedAnalysis;
-  /// Replaces staticrace::summarizeModule wholesale; the daemon wires
-  /// summarizeModuleIncremental (plus its serve.* counters) through here.
-  std::function<staticrace::ModuleSummary(const IRModule &)> Summarize;
-};
 
 /// Pipeline options.
 struct NaradaOptions {
@@ -86,10 +63,6 @@ struct NaradaOptions {
   /// abort, OOM kill, hang) costs exactly the faulting unit, which lands
   /// in Skipped as a worker_crash record.
   pool::IsolateOptions Isolate;
-  /// Cross-run caches supplied by the serving layer; null (the default,
-  /// and the only value the CLI ever passes) runs everything cold.  Not
-  /// serialized to isolation workers — workers always rebuild cold.
-  const PipelineCaches *Caches = nullptr;
 };
 
 /// Metadata for one synthesized multithreaded test.
@@ -191,8 +164,8 @@ struct NaradaFrontHalf {
 
 /// Stages 1-2a of runNarada plus the seed registry: compiles the library
 /// and normalizes the seeds, runs and analyzes the seeds, summarizes the
-/// module when StaticPrefilter or StaticRank asks (both through
-/// Options.Caches' hooks when set), generates the candidate pairs and
+/// module when StaticPrefilter or StaticRank asks, generates the
+/// candidate pairs and
 /// builds the seed registry.  Each stage runs in its span (frontend,
 /// analyze, staticrace, pairgen) under the caller's innermost span; the
 /// registry is built outside them.

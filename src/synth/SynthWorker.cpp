@@ -30,11 +30,12 @@ void synthworker::encodeSynthOptions(wire::RecordWriter &W,
 
 void synthworker::decodeSynthOptions(const wire::RecordReader &In,
                                      NaradaOptions &Options) {
-  Options.FocusClass = In.getOr("focus_class", "");
+  Options.FocusClass = In.getOr("focus_class", Options.FocusClass);
   Options.EnableContextDerivation =
-      In.getBool("enable_context_derivation", true);
-  Options.StaticPrefilter = In.getBool("static_prefilter", false);
-  Options.StaticRank = In.getBool("static_rank", false);
+      In.getBool("enable_context_derivation", Options.EnableContextDerivation);
+  Options.StaticPrefilter =
+      In.getBool("static_prefilter", Options.StaticPrefilter);
+  Options.StaticRank = In.getBool("static_rank", Options.StaticRank);
   if (In.getBool("derivation_seed_set", false))
     Options.DerivationSeed = In.getU64("derivation_seed");
 }
@@ -111,10 +112,9 @@ Service::create(const wire::RecordReader &Setup) {
   if (!Bundle)
     return Bundle.error();
 
-  // The supervisor's own front half, rebuilt without caches.  Its spans
-  // and metrics are discarded by the worker loop's per-unit registry reset
-  // (the supervisor ran these stages itself), so none of this
-  // double-counts.
+  // The supervisor's own front half, rebuilt.  Its spans and metrics are
+  // discarded by the worker loop's per-unit registry reset (the supervisor
+  // ran these stages itself), so none of this double-counts.
   Result<NaradaFrontHalf> Front =
       runNaradaFrontHalf(Bundle->Source, Bundle->Seeds, S.Options);
   if (!Front)

@@ -44,7 +44,7 @@ namespace synthworker {
 /// serialization of these knobs.
 void encodeSynthOptions(wire::RecordWriter &W, const NaradaOptions &Options);
 
-/// Inverse of encodeSynthOptions; absent keys keep the defaults.
+/// Inverse of encodeSynthOptions; absent keys keep \p Options' values.
 void decodeSynthOptions(const wire::RecordReader &In, NaradaOptions &Options);
 
 /// Encodes the `setup` frame payload for an isolated synthesis stage.

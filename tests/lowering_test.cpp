@@ -218,6 +218,27 @@ TEST(LoweringTest, BlockLocalsEndWithTheirBlock) {
   EXPECT_EQ(printFunction(*A->findTest("t")), printFunction(*B->findTest("t")));
 }
 
+TEST(LoweringTest, LocalShadowingAParameterLowersLikeAFreshName) {
+  // As in Sema, a method body's statements sit in a scope inside the
+  // parameters' one, so a top-level local named like a parameter shadows
+  // it: the method returns 5, not its argument.
+  const char *Shadowing =
+      "class Box {\n"
+      "  method m(x: int): int { var x: int = 5; return x; }\n"
+      "}\n";
+  const char *Fresh =
+      "class Box {\n"
+      "  method m(x: int): int { var y: int = 5; return y; }\n"
+      "}\n";
+  auto A = lowerOk(Shadowing);
+  auto B = lowerOk(Fresh);
+  ASSERT_TRUE(A && B);
+  const IRFunction *MA = A->findMethod("Box", "m");
+  const IRFunction *MB = B->findMethod("Box", "m");
+  ASSERT_TRUE(MA && MB);
+  EXPECT_EQ(printFunction(*MA), printFunction(*MB));
+}
+
 TEST(LoweringTest, SpawnBlocksBecomeClosures) {
   auto M = lowerOk("class A { method m() { } }\n"
                    "test t {\n"

@@ -4,24 +4,23 @@
 //
 // The daemon's correctness contract (src/serve/, docs/SERVING.md):
 //
-//  1. Incremental summarize: a warm summarizeModuleIncremental is
-//     byte-identical to cold summarizeModule, hits skip exactly the
-//     methods whose dependence cone is unchanged, an edited method
-//     re-analyzes only its cone, and only re-analyzed methods are stored.
-//  2. Codecs: submit requests, responses, and the on-disk cache file all
-//     round-trip; corrupted or version-mismatched cache files fail the
-//     load cleanly (cold start, never a crash); every kept frame equals a
-//     fresh encoding of its entry.
-//  3. Daemon loopback: a warm handleSubmit answer is byte-identical to a
+//  1. Codecs: submit requests, responses, and the on-disk cache file all
+//     round-trip, and a bare submit decodes to the CLI's defaults;
+//     corrupted or version-mismatched cache files fail the load cleanly
+//     (cold start, never a crash); every kept frame equals a fresh
+//     encoding of its entry.
+//  2. Daemon loopback: a warm handleSubmit answer is byte-identical to a
 //     cold engine run — for identical resubmits, across --jobs values,
 //     after editing a method body and after changing the seed list — and
-//     warm requests report cache hits.  An injected serve.request fault
-//     quarantines one request without taking the handler down.
-//  4. Saves: the cache file is written after a request that changed a
-//     store or a cold start, not after a warm resubmit, and a failed save
-//     is retried by the next one.  The race database file is written
-//     after a request that ingested a run, not after a synthesize, and a
-//     failed save is retried the same way.
+//     warm requests report detection memo hits.  An injected
+//     serve.request fault quarantines one request without taking the
+//     handler down.
+//  3. Saves: the cache file is written after a request that changed the
+//     detection memo or a cold start, not after a warm resubmit (also one
+//     that returns to a module after its edit), and a failed save is
+//     retried by the next one.  The race database file is written after a
+//     request that ingested a run, not after a synthesize, and a failed
+//     save is retried the same way.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,11 +31,8 @@
 #include "serve/Daemon.h"
 #include "serve/Engine.h"
 #include "serve/Protocol.h"
-#include "staticrace/LocksetAnalysis.h"
-#include "staticrace/PairClassifier.h"
 #include "support/FaultInjection.h"
 #include "support/Wire.h"
-#include "synth/Narada.h"
 
 #include <gtest/gtest.h>
 
@@ -44,7 +40,6 @@
 #include <fcntl.h>
 #include <fstream>
 #include <iterator>
-#include <map>
 #include <string>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -53,200 +48,8 @@
 
 using namespace narada;
 using namespace narada::serve;
-using staticrace::CachedSummary;
-using staticrace::IncrementalStats;
-using staticrace::ModuleSummary;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Incremental summarize: hits, cone invalidation, byte identity.
-//===----------------------------------------------------------------------===//
-
-/// Three classes with a known call structure: Mid.touch -> Leaf.setX, and
-/// Other is an island.  Editing Other.bump must leave the Leaf/Mid cones
-/// untouched; editing Leaf.setX must dirty Mid.touch's cone too.
-const char *ConeSource = R"(
-class Leaf {
-  field x: int;
-  method setX(v: int) { this.x = v; }
-  method getX(): int { return this.x; }
-}
-
-class Mid {
-  field leaf: Leaf;
-  method init(l: Leaf) { this.leaf = l; }
-  method touch() { this.leaf.setX(1); }
-}
-
-class Other {
-  field y: int;
-  method bump() { this.y = this.y + 1; }
-}
-)";
-
-/// In-memory SummaryStore mirroring the daemon's shape, counting stores.
-class TestStore : public staticrace::SummaryStore {
-public:
-  const CachedSummary *lookup(const std::string &Symbol,
-                              uint64_t Digest) const override {
-    auto It = Map.find(Symbol);
-    if (It == Map.end() || It->second.first != Digest)
-      return nullptr;
-    return &It->second.second;
-  }
-  void store(const std::string &Symbol, uint64_t Digest,
-             CachedSummary Value) override {
-    Map[Symbol] = {Digest, std::move(Value)};
-    ++Stores;
-  }
-
-  std::map<std::string, std::pair<uint64_t, CachedSummary>> Map;
-  size_t Stores = 0;
-};
-
-CompiledProgram compile(const std::string &Source) {
-  Result<CompiledProgram> P = compileProgram(Source);
-  EXPECT_TRUE(P.hasValue()) << (P ? "" : P.error().str());
-  return P.take();
-}
-
-/// Canonical byte rendering of a module summary (the same renderer the
-/// --static-only CLI path prints).
-std::string render(const ModuleSummary &S) {
-  return staticrace::renderStaticTriage(S, "");
-}
-
-TEST(IncrementalSummarizeTest, WarmRunIsByteIdenticalAndAllHits) {
-  CompiledProgram P = compile(ConeSource);
-  const ModuleSummary Cold = staticrace::summarizeModule(*P.Module);
-
-  TestStore Store;
-  IncrementalStats First;
-  ModuleSummary Warm0 =
-      staticrace::summarizeModuleIncremental(*P.Module, Store, &First);
-  EXPECT_EQ(render(Warm0), render(Cold));
-  EXPECT_EQ(First.Hits, 0u);
-  EXPECT_EQ(First.Reanalyzed, First.Methods);
-  EXPECT_GT(First.Methods, 0u);
-
-  IncrementalStats Second;
-  ModuleSummary Warm1 =
-      staticrace::summarizeModuleIncremental(*P.Module, Store, &Second);
-  EXPECT_EQ(render(Warm1), render(Cold));
-  EXPECT_EQ(Second.Hits, Second.Methods);
-  EXPECT_EQ(Second.Reanalyzed, 0u);
-}
-
-TEST(IncrementalSummarizeTest, IslandEditReanalyzesOnlyItsOwnCone) {
-  std::string Edited = ConeSource;
-  const std::string From = "this.y = this.y + 1;";
-  Edited.replace(Edited.find(From), From.size(), "this.y = this.y + 2;");
-
-  CompiledProgram Base = compile(ConeSource);
-  CompiledProgram Next = compile(Edited);
-
-  // Only the island method's cone digest moves.
-  auto BaseDigests = staticrace::methodConeDigests(*Base.Module);
-  auto NextDigests = staticrace::methodConeDigests(*Next.Module);
-  ASSERT_EQ(BaseDigests.size(), NextDigests.size());
-  for (const auto &[Symbol, Digest] : BaseDigests) {
-    if (Symbol == "Other.bump")
-      EXPECT_NE(NextDigests.at(Symbol), Digest) << Symbol;
-    else
-      EXPECT_EQ(NextDigests.at(Symbol), Digest) << Symbol;
-  }
-
-  TestStore Store;
-  staticrace::summarizeModuleIncremental(*Base.Module, Store);
-  IncrementalStats Stats;
-  ModuleSummary Warm =
-      staticrace::summarizeModuleIncremental(*Next.Module, Store, &Stats);
-  EXPECT_EQ(render(Warm), render(staticrace::summarizeModule(*Next.Module)));
-  EXPECT_EQ(Stats.Reanalyzed, 1u);
-  EXPECT_EQ(Stats.Hits, Stats.Methods - 1);
-}
-
-TEST(IncrementalSummarizeTest, StoresOnlyTheMethodsItAnalyzed) {
-  // A pinned hit is already in the store at its digest, so storing it
-  // again would only mark the daemon's cache file as changed.
-  std::string Edited = ConeSource;
-  const std::string From = "this.y = this.y + 1;";
-  Edited.replace(Edited.find(From), From.size(), "this.y = this.y + 2;");
-  CompiledProgram Base = compile(ConeSource);
-  CompiledProgram Next = compile(Edited);
-
-  TestStore Store;
-  IncrementalStats Cold;
-  staticrace::summarizeModuleIncremental(*Base.Module, Store, &Cold);
-  EXPECT_EQ(Store.Stores, Cold.Methods);
-
-  Store.Stores = 0;
-  IncrementalStats Warm;
-  staticrace::summarizeModuleIncremental(*Base.Module, Store, &Warm);
-  EXPECT_EQ(Warm.Hits, Warm.Methods);
-  EXPECT_EQ(Store.Stores, 0u);
-
-  Store.Stores = 0;
-  IncrementalStats Island;
-  staticrace::summarizeModuleIncremental(*Next.Module, Store, &Island);
-  EXPECT_EQ(Island.Reanalyzed, 1u);
-  EXPECT_EQ(Store.Stores, Island.Reanalyzed);
-}
-
-TEST(IncrementalSummarizeTest, CalleeEditDirtiesCallerCones) {
-  std::string Edited = ConeSource;
-  const std::string From = "method setX(v: int) { this.x = v; }";
-  Edited.replace(Edited.find(From), From.size(),
-                 "method setX(v: int) { this.x = v + 0; }");
-
-  CompiledProgram Base = compile(ConeSource);
-  CompiledProgram Next = compile(Edited);
-
-  auto BaseDigests = staticrace::methodConeDigests(*Base.Module);
-  auto NextDigests = staticrace::methodConeDigests(*Next.Module);
-  // The edited method and its (transitive) caller both re-key; the rest
-  // of the module keeps its digests.
-  EXPECT_NE(NextDigests.at("Leaf.setX"), BaseDigests.at("Leaf.setX"));
-  EXPECT_NE(NextDigests.at("Mid.touch"), BaseDigests.at("Mid.touch"));
-  EXPECT_EQ(NextDigests.at("Leaf.getX"), BaseDigests.at("Leaf.getX"));
-  EXPECT_EQ(NextDigests.at("Other.bump"), BaseDigests.at("Other.bump"));
-
-  TestStore Store;
-  staticrace::summarizeModuleIncremental(*Base.Module, Store);
-  IncrementalStats Stats;
-  ModuleSummary Warm =
-      staticrace::summarizeModuleIncremental(*Next.Module, Store, &Stats);
-  EXPECT_EQ(render(Warm), render(staticrace::summarizeModule(*Next.Module)));
-  EXPECT_EQ(Stats.Reanalyzed, 2u);
-  EXPECT_EQ(Stats.Hits, Stats.Methods - 2);
-}
-
-TEST(IncrementalSummarizeTest, CorpusClassEditStaysByteIdentical) {
-  // The satellite acceptance case on a real corpus class: prime with C9,
-  // edit one method body, and the warm summary of the edited module must
-  // be byte-identical to its cold summary with only the cone recomputed.
-  const CorpusEntry *Entry = findCorpusEntry("C9");
-  ASSERT_NE(Entry, nullptr);
-  std::string Edited = Entry->Source;
-  const std::string From = "method mark() { this.markedPos = this.pos; }";
-  ASSERT_NE(Edited.find(From), std::string::npos);
-  Edited.replace(Edited.find(From), From.size(),
-                 "method mark() { var p: int = this.pos; "
-                 "this.markedPos = p; }");
-
-  CompiledProgram Base = compile(Entry->Source);
-  CompiledProgram Next = compile(Edited);
-
-  TestStore Store;
-  staticrace::summarizeModuleIncremental(*Base.Module, Store);
-  IncrementalStats Stats;
-  ModuleSummary Warm =
-      staticrace::summarizeModuleIncremental(*Next.Module, Store, &Stats);
-  EXPECT_EQ(render(Warm), render(staticrace::summarizeModule(*Next.Module)));
-  EXPECT_GT(Stats.Hits, 0u);
-  EXPECT_LT(Stats.Reanalyzed, Stats.Methods);
-}
 
 //===----------------------------------------------------------------------===//
 // Protocol codec round trips.
@@ -336,6 +139,64 @@ TEST(ServeProtocolTest, SubmitWithoutCommandIsRejected) {
   EXPECT_FALSE(decodeSubmit(wire::RecordReader(W.str())).hasValue());
 }
 
+TEST(ServeProtocolTest, BareSubmitDecodesToTheDefaults) {
+  // Every key the record omits takes the default a CLI command line
+  // without the flag would have.
+  wire::RecordWriter W;
+  W.add("verb", std::string_view("submit"));
+  W.add("command", std::string_view("detect"));
+  W.add("source", std::string_view("class A { }"));
+  Result<SubmitRequest> Decoded = decodeSubmit(wire::RecordReader(W.str()));
+  ASSERT_TRUE(Decoded.hasValue()) << Decoded.error().str();
+  EXPECT_EQ(Decoded->Source, "class A { }");
+  EXPECT_FALSE(Decoded->WantReport);
+
+  const CliArgs Want;
+  const CliArgs &Out = Decoded->Args;
+  EXPECT_EQ(Out.Command, "detect");
+  EXPECT_EQ(Out.Input, Want.Input);
+  EXPECT_EQ(Out.Names, Want.Names);
+  EXPECT_EQ(Out.FocusClass, Want.FocusClass);
+  EXPECT_EQ(Out.Seed, Want.Seed);
+  EXPECT_EQ(Out.Tests, Want.Tests);
+  EXPECT_EQ(Out.ReportPath, Want.ReportPath);
+  EXPECT_EQ(Out.TracePath, Want.TracePath);
+  EXPECT_EQ(Out.Stats, Want.Stats);
+  EXPECT_EQ(Out.Jobs, Want.Jobs);
+  EXPECT_EQ(Out.PolicyName, Want.PolicyName);
+  EXPECT_EQ(Out.ReplayPath, Want.ReplayPath);
+  EXPECT_EQ(Out.StaticPrefilter, Want.StaticPrefilter);
+  EXPECT_EQ(Out.StaticRank, Want.StaticRank);
+  EXPECT_EQ(Out.StaticOnly, Want.StaticOnly);
+  EXPECT_EQ(Out.GenSeeds, Want.GenSeeds);
+  EXPECT_EQ(Out.GenRounds, Want.GenRounds);
+  EXPECT_EQ(Out.GenBudget, Want.GenBudget);
+  EXPECT_EQ(Out.Isolate.Enabled, Want.Isolate.Enabled);
+  EXPECT_EQ(Out.Isolate.WorkerExe, Want.Isolate.WorkerExe);
+  EXPECT_DOUBLE_EQ(Out.Isolate.UnitDeadlineSeconds,
+                   Want.Isolate.UnitDeadlineSeconds);
+  EXPECT_EQ(Out.Isolate.WorkerCpuLimitSeconds,
+            Want.Isolate.WorkerCpuLimitSeconds);
+  EXPECT_EQ(Out.Isolate.WorkerMemLimitMb, Want.Isolate.WorkerMemLimitMb);
+
+  const DetectOptions WantDetect;
+  const DetectOptions &D = Out.Detect;
+  EXPECT_EQ(D.RandomRuns, WantDetect.RandomRuns);
+  EXPECT_EQ(D.ConfirmAttempts, WantDetect.ConfirmAttempts);
+  EXPECT_EQ(D.BaseSeed, WantDetect.BaseSeed);
+  EXPECT_EQ(D.MaxSteps, WantDetect.MaxSteps);
+  EXPECT_EQ(D.UseHB, WantDetect.UseHB);
+  EXPECT_EQ(D.UseLockSet, WantDetect.UseLockSet);
+  EXPECT_EQ(D.Mode, WantDetect.Mode);
+  EXPECT_EQ(D.Explore.MaxSchedules, WantDetect.Explore.MaxSchedules);
+  EXPECT_EQ(D.Explore.MaxSteps, WantDetect.Explore.MaxSteps);
+  EXPECT_EQ(D.Explore.RandSeed, WantDetect.Explore.RandSeed);
+  EXPECT_EQ(D.WitnessDir, WantDetect.WitnessDir);
+  EXPECT_EQ(D.ReplayTrace, WantDetect.ReplayTrace);
+  EXPECT_EQ(D.StepLimitRetries, WantDetect.StepLimitRetries);
+  EXPECT_DOUBLE_EQ(D.WallBudgetSeconds, WantDetect.WallBudgetSeconds);
+}
+
 TEST(ServeProtocolTest, ResponseRoundTrips) {
   SubmitResponse R;
   R.Ok = true;
@@ -365,37 +226,68 @@ std::string tempPath(const char *Tag) {
   return Path;
 }
 
-TEST(CacheFileTest, SnapshotRoundTrips) {
-  CompiledProgram P = compile(ConeSource);
-  TestStore Store;
-  staticrace::summarizeModuleIncremental(*P.Module, Store);
-  ASSERT_FALSE(Store.Map.empty());
+/// A detection result that sets a little of everything a memo frame
+/// carries.
+TestDetectionResult sampleResult(const std::string &Field) {
+  RaceReport Report;
+  Report.Detector = "hb";
+  Report.ClassName = "Box";
+  Report.Field = Field;
+  Report.FirstLabel = "Box.set:3";
+  Report.SecondLabel = "Box.get:1";
+  Report.FirstIsWrite = true;
+  TestDetectionResult R;
+  R.Detected.push_back(Report);
+  ConfirmedRace Race;
+  Race.Report = Report;
+  Race.Reproduced = true;
+  Race.Harmful = true;
+  Race.HashFirstOrder = 11;
+  Race.HashSecondOrder = 12;
+  R.Races.push_back(Race);
+  R.SawStepLimit = true;
+  R.SchedulesRun = 12;
+  return R;
+}
 
+/// Adds a memo entry to \p Snapshot at the back of its FIFO order.
+void addEntry(CacheSnapshot &Snapshot, uint64_t Key,
+              std::vector<TestDetectionResult> Results) {
+  Snapshot.DetectMemo.emplace(
+      Key, CacheSnapshot::DetectEntry(Key, std::move(Results)));
+  Snapshot.DetectOrder.push_back(Key);
+}
+
+TEST(CacheFileTest, SnapshotRoundTrips) {
+  // Inserted out of key order, so the FIFO order is not the map's.
   CacheSnapshot Snapshot;
-  for (const auto &[Symbol, Entry] : Store.Map)
-    Snapshot.Summaries.emplace(
-        Symbol, CacheSnapshot::SummaryEntry(Symbol, Entry.first, Entry.second));
+  addEntry(Snapshot, 9, {sampleResult("v"), sampleResult("w")});
+  addEntry(Snapshot, 3, {sampleResult("x")});
 
   const std::string Path = tempPath("roundtrip");
   ASSERT_TRUE(saveCacheFile(Path, Snapshot));
   Result<CacheSnapshot> Loaded = loadCacheFile(Path);
   ASSERT_TRUE(Loaded.hasValue()) << Loaded.error().str();
 
-  ASSERT_EQ(Loaded->Summaries.size(), Snapshot.Summaries.size());
-  for (const auto &[Symbol, Entry] : Snapshot.Summaries) {
-    auto It = Loaded->Summaries.find(Symbol);
-    ASSERT_NE(It, Loaded->Summaries.end()) << Symbol;
-    EXPECT_EQ(It->second.Digest, Entry.Digest);
-    EXPECT_EQ(It->second.Value.Exact, Entry.Value.Exact);
-    ASSERT_EQ(It->second.Value.Summary.Accesses.size(),
-              Entry.Value.Summary.Accesses.size());
-    for (size_t I = 0; I < Entry.Value.Summary.Accesses.size(); ++I)
-      EXPECT_EQ(It->second.Value.Summary.Accesses[I].fingerprint(),
-                Entry.Value.Summary.Accesses[I].fingerprint());
-    EXPECT_EQ(It->second.Value.Summary.StoredFields,
-              Entry.Value.Summary.StoredFields);
-    EXPECT_EQ(It->second.Value.Summary.Incomplete,
-              Entry.Value.Summary.Incomplete);
+  EXPECT_EQ(Loaded->DetectOrder, Snapshot.DetectOrder);
+  ASSERT_EQ(Loaded->DetectMemo.size(), 2u);
+  for (const auto &[Key, Entry] : Snapshot.DetectMemo) {
+    auto It = Loaded->DetectMemo.find(Key);
+    ASSERT_NE(It, Loaded->DetectMemo.end()) << Key;
+    const std::vector<TestDetectionResult> &Got = It->second.Results;
+    ASSERT_EQ(Got.size(), Entry.Results.size()) << Key;
+    for (size_t I = 0; I < Got.size(); ++I) {
+      const TestDetectionResult &Want = Entry.Results[I];
+      ASSERT_EQ(Got[I].Detected.size(), 1u);
+      EXPECT_EQ(Got[I].Detected[0].key(), Want.Detected[0].key());
+      ASSERT_EQ(Got[I].Races.size(), 1u);
+      EXPECT_TRUE(Got[I].Races[0].Harmful);
+      EXPECT_EQ(Got[I].Races[0].HashSecondOrder, 12u);
+      EXPECT_TRUE(Got[I].SawStepLimit);
+      EXPECT_EQ(Got[I].SchedulesRun, 12u);
+    }
+    // The decoded results encode to the frame they were saved from.
+    EXPECT_EQ(CacheSnapshot::DetectEntry(Key, Got).Frame, Entry.Frame);
   }
   ::unlink(Path.c_str());
 }
@@ -416,7 +308,7 @@ TEST(CacheFileTest, CorruptFileFailsTheLoadCleanly) {
   // The caches layer turns that into a cold start, not a crash.
   ServeCaches Caches(Path);
   EXPECT_FALSE(Caches.loadedFromDisk());
-  EXPECT_EQ(Caches.summaryCount(), 0u);
+  EXPECT_EQ(Caches.detectMemoCount(), 0u);
   ::unlink(Path.c_str());
 }
 
@@ -446,7 +338,7 @@ TEST(CacheFileTest, TruncatedEntryFrameFailsTheLoad) {
     ASSERT_GE(Fd, 0);
     wire::RecordWriter Header;
     Header.add("magic", std::string_view("narada.serve_cache"));
-    Header.add("version", static_cast<uint64_t>(3));
+    Header.add("version", static_cast<uint64_t>(4));
     ASSERT_TRUE(wire::writeFrame(Fd, Header.str()));
     // A frame that promises more bytes than the file holds.
     const unsigned char Partial[] = {0x40, 0x00, 0x00, 0x00, 'k'};
@@ -468,8 +360,7 @@ std::string fileBytes(const std::string &Path) {
 
 TEST(CacheFileTest, FailedSaveKeepsThePreviousFile) {
   CacheSnapshot Snapshot;
-  Snapshot.Summaries.emplace("Leaf.setX",
-                             CacheSnapshot::SummaryEntry("Leaf.setX", 42, {}));
+  addEntry(Snapshot, 42, {sampleResult("x")});
   const std::string Path = tempPath("durable");
   const std::string TempPath = Path + ".tmp";
   ASSERT_TRUE(saveCacheFile(Path, Snapshot));
@@ -479,15 +370,14 @@ TEST(CacheFileTest, FailedSaveKeepsThePreviousFile) {
 
   // A directory in the temp file's place: the save cannot even begin.
   ASSERT_EQ(::mkdir(TempPath.c_str(), 0755), 0);
-  Snapshot.Summaries.emplace("Leaf.getX",
-                             CacheSnapshot::SummaryEntry("Leaf.getX", 7, {}));
+  addEntry(Snapshot, 7, {});
   EXPECT_FALSE(saveCacheFile(Path, Snapshot));
   ::rmdir(TempPath.c_str());
 
   EXPECT_EQ(fileBytes(Path), Before);
   Result<CacheSnapshot> Loaded = loadCacheFile(Path);
   ASSERT_TRUE(Loaded.hasValue()) << Loaded.error().str();
-  EXPECT_EQ(Loaded->Summaries.size(), 1u);
+  EXPECT_EQ(Loaded->DetectMemo.size(), 1u);
   ::unlink(Path.c_str());
 }
 
@@ -538,10 +428,6 @@ TEST(DaemonLoopbackTest, WarmSubmitsAreByteIdenticalToCold) {
   // show the detection-stage memo hitting.
   EXPECT_GE(obs::MetricsRegistry::global()
                 .counter("serve.cache.detect.hits")
-                .value(),
-            1u);
-  EXPECT_GE(obs::MetricsRegistry::global()
-                .counter("serve.cache.analysis.hits")
                 .value(),
             1u);
 
@@ -604,16 +490,10 @@ TEST(DaemonLoopbackTest, EditedModuleWarmEqualsItsOwnCold) {
   SubmitResponse Warm = handleSubmit(Edited, &Caches, "", 1);
   ASSERT_TRUE(Warm.Ok) << Warm.ErrorMessage;
   EXPECT_EQ(Warm.Stdout, ColdEdited);
-  // The unchanged methods' summaries were reused: some hits, and fewer
-  // cone re-analyses than a cold module-wide pass.
-  EXPECT_GT(obs::MetricsRegistry::global()
-                .counter("serve.cache.summary.hits")
-                .value(),
-            0u);
 }
 
 //===----------------------------------------------------------------------===//
-// When the cache file is written: after a request that changed a store.
+// When the cache file is written: after a request that changed the memo.
 //===----------------------------------------------------------------------===//
 
 ino_t inodeOf(const std::string &Path) {
@@ -634,10 +514,9 @@ TEST(CacheSaveTest, WarmResubmitLeavesTheFileAlone) {
   const std::string Bytes = fileBytes(Path);
   ASSERT_NE(Inode, 0u);
 
-  // Every store hits, so nothing changed and the save writes nothing (a
+  // The memo hits, so nothing changed and the save writes nothing (a
   // rewrite renames a new inode into place).
   ASSERT_TRUE(handleSubmit(c9Request(1), &Caches, "", 1).Ok);
-  EXPECT_GT(counterValue("serve.cache.summary.hits"), 0u);
   EXPECT_GE(counterValue("serve.cache.detect.hits"), 1u);
   ASSERT_TRUE(Caches.save());
   EXPECT_EQ(inodeOf(Path), Inode);
@@ -664,7 +543,7 @@ TEST(CacheSaveTest, EditedResubmitReplacesTheFile) {
     Answers = {First.Stdout, Edited.Stdout};
   }
 
-  // A restart on the replaced file hits both stores for both sources.
+  // A restart on the replaced file hits the memo for both sources.
   ServeCaches Restarted(Path);
   ASSERT_TRUE(Restarted.loadedFromDisk());
   const std::vector<SubmitRequest> Requests = {c9Request(1),
@@ -673,9 +552,29 @@ TEST(CacheSaveTest, EditedResubmitReplacesTheFile) {
     SubmitResponse Warm = handleSubmit(Requests[I], &Restarted, "", I);
     ASSERT_TRUE(Warm.Ok) << Warm.ErrorMessage;
     EXPECT_EQ(Warm.Stdout, Answers[I]) << "request " << I;
-    EXPECT_GT(counterValue("serve.cache.summary.hits"), 0u) << "request " << I;
     EXPECT_GE(counterValue("serve.cache.detect.hits"), 1u) << "request " << I;
   }
+  ::unlink(Path.c_str());
+}
+
+TEST(CacheSaveTest, WarmResubmitAfterAnEditLeavesTheFileAlone) {
+  // Returning to a module after serving its edit: both detection stages
+  // are in the memo, so nothing changed and the save writes nothing.
+  const std::string Path = tempPath("backsave");
+  ServeCaches Caches(Path);
+  ASSERT_TRUE(handleSubmit(c9Request(1), &Caches, "", 0).Ok);
+  ASSERT_TRUE(Caches.save());
+  ASSERT_TRUE(handleSubmit(editedC9Request(), &Caches, "", 1).Ok);
+  ASSERT_TRUE(Caches.save());
+  const ino_t Inode = inodeOf(Path);
+  const std::string Bytes = fileBytes(Path);
+  ASSERT_NE(Inode, 0u);
+
+  ASSERT_TRUE(handleSubmit(c9Request(1), &Caches, "", 2).Ok);
+  EXPECT_GE(counterValue("serve.cache.detect.hits"), 1u);
+  ASSERT_TRUE(Caches.save());
+  EXPECT_EQ(inodeOf(Path), Inode);
+  EXPECT_EQ(fileBytes(Path), Bytes);
   ::unlink(Path.c_str());
 }
 
@@ -686,12 +585,11 @@ TEST(CacheSaveTest, DetectMemoInsertAloneReplacesTheFile) {
   ASSERT_TRUE(Caches.save());
   const ino_t Inode = inodeOf(Path);
 
-  // Another detect seed: every summary hits, but the detection stage is
-  // new, so its memo entry alone must reach the file.
+  // Another detect seed: the same source, but the detection stage is new,
+  // so its memo entry alone must reach the file.
   SubmitRequest Reseeded = c9Request(1);
   Reseeded.Args.Detect.BaseSeed += 1;
   ASSERT_TRUE(handleSubmit(Reseeded, &Caches, "", 1).Ok);
-  EXPECT_EQ(counterValue("serve.cache.summary.misses"), 0u);
   EXPECT_EQ(counterValue("serve.cache.detect.misses"), 1u);
   ASSERT_TRUE(Caches.save());
   EXPECT_NE(inodeOf(Path), Inode);
@@ -706,7 +604,6 @@ TEST(CacheSaveTest, FailedSaveIsRetriedAfterARequestThatChangesNothing) {
   const std::string TempPath = Path + ".tmp";
   ServeCaches Caches(Path);
   ASSERT_TRUE(handleSubmit(c9Request(1), &Caches, "", 0).Ok);
-  ASSERT_GT(Caches.summaryCount(), 0u);
   ASSERT_GT(Caches.detectMemoCount(), 0u);
 
   // A directory in the temp file's place: the save cannot even begin.
@@ -715,12 +612,11 @@ TEST(CacheSaveTest, FailedSaveIsRetriedAfterARequestThatChangesNothing) {
   ::rmdir(TempPath.c_str());
   EXPECT_NE(::access(Path.c_str(), F_OK), 0);
 
-  // The warm resubmit changes no store; its save still owes the entries.
+  // The warm resubmit changes nothing; its save still owes the entry.
   ASSERT_TRUE(handleSubmit(c9Request(1), &Caches, "", 1).Ok);
   ASSERT_TRUE(Caches.save());
   Result<CacheSnapshot> Loaded = loadCacheFile(Path);
   ASSERT_TRUE(Loaded.hasValue()) << Loaded.error().str();
-  EXPECT_EQ(Loaded->Summaries.size(), Caches.summaryCount());
   EXPECT_EQ(Loaded->DetectMemo.size(), Caches.detectMemoCount());
   ::unlink(Path.c_str());
 }
@@ -736,14 +632,15 @@ TEST(CacheSaveTest, ColdStartWritesTheFileAtTheFirstSave) {
   EXPECT_TRUE(loadCacheFile(Missing).hasValue());
   ::unlink(Missing.c_str());
 
-  // A version-2 file is refused, and the first save replaces it.
-  const std::string Old = tempPath("version2");
+  // A version-3 file (it held static summaries) is refused, and the first
+  // save replaces it.
+  const std::string Old = tempPath("version3");
   {
     int Fd = ::open(Old.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     ASSERT_GE(Fd, 0);
     wire::RecordWriter Header;
     Header.add("magic", std::string_view("narada.serve_cache"));
-    Header.add("version", static_cast<uint64_t>(2));
+    Header.add("version", static_cast<uint64_t>(3));
     ASSERT_TRUE(wire::writeFrame(Fd, Header.str()));
     ::close(Fd);
   }
@@ -755,7 +652,7 @@ TEST(CacheSaveTest, ColdStartWritesTheFileAtTheFirstSave) {
   }
   Result<CacheSnapshot> Loaded = loadCacheFile(Old);
   ASSERT_TRUE(Loaded.hasValue()) << Loaded.error().str();
-  EXPECT_TRUE(Loaded->Summaries.empty());
+  EXPECT_TRUE(Loaded->DetectMemo.empty());
   EXPECT_TRUE(ServeCaches(Old).loadedFromDisk());
   ::unlink(Old.c_str());
 }
@@ -857,12 +754,9 @@ TEST(CacheFileTest, KeptFramesEqualAFreshEncoding) {
   ASSERT_TRUE(Loaded.hasValue()) << Loaded.error().str();
   ASSERT_EQ(Loaded->DetectOrder.size(), 2u);
 
-  // After the header: summaries by symbol, then the memo in FIFO order,
-  // each frame what encoding its decoded entry afresh produces.
+  // After the header: the memo in FIFO order, each frame what encoding
+  // its decoded entry afresh produces.
   std::vector<std::string> Fresh;
-  for (const auto &[Symbol, Entry] : Loaded->Summaries)
-    Fresh.push_back(
-        CacheSnapshot::SummaryEntry(Symbol, Entry.Digest, Entry.Value).Frame);
   for (uint64_t Key : Loaded->DetectOrder)
     Fresh.push_back(
         CacheSnapshot::DetectEntry(Key, Loaded->DetectMemo.at(Key).Results)
@@ -871,22 +765,6 @@ TEST(CacheFileTest, KeptFramesEqualAFreshEncoding) {
   ASSERT_EQ(Frames.size(), Fresh.size() + 1);
   for (size_t I = 0; I < Fresh.size(); ++I)
     EXPECT_EQ(Frames[I + 1], Fresh[I]) << "frame " << I + 1;
-
-  // The summary frames hold what a cold analysis of the edited module
-  // computes, so no kept frame is stale.
-  CompiledProgram P = compile(editedC9Request().Source);
-  const ModuleSummary Cold = staticrace::summarizeModule(*P.Module);
-  const auto Digests = staticrace::methodConeDigests(*P.Module);
-  ASSERT_FALSE(Cold.Methods.empty());
-  for (const auto &[Symbol, Summary] : Cold.Methods) {
-    auto It = Loaded->Summaries.find(Symbol);
-    ASSERT_NE(It, Loaded->Summaries.end()) << Symbol;
-    EXPECT_EQ(It->second.Frame,
-              CacheSnapshot::SummaryEntry(Symbol, Digests.at(Symbol),
-                                          CachedSummary{Summary, true})
-                  .Frame)
-        << Symbol;
-  }
 
   // Loading the file and saving it again reproduces it byte for byte.
   const std::string Copy = tempPath("frames_copy");

@@ -50,7 +50,7 @@ std::string raceDbLoadError(const std::string &Path) {
 }
 
 const SnapshotKind Kinds[] = {
-    {"CacheFile", "cache file", "narada.serve_cache", 3, cacheLoadError, true},
+    {"CacheFile", "cache file", "narada.serve_cache", 4, cacheLoadError, true},
     {"RaceDb", "racedb file", "narada.racedb", 1, raceDbLoadError, false},
 };
 
@@ -137,7 +137,6 @@ TEST_P(SnapshotAnomalyTest, LoadFailsWithItsMessage) {
   if (Kind.IsServeCache) {
     serve::ServeCaches Caches(Path);
     EXPECT_FALSE(Caches.loadedFromDisk());
-    EXPECT_EQ(Caches.summaryCount(), 0u);
     EXPECT_EQ(Caches.detectMemoCount(), 0u);
   }
   ::unlink(Path.c_str());
