@@ -256,7 +256,7 @@ Result<ContegeResult> narada::runContege(std::string_view LibrarySource,
         if (!Run)
           return Run.error();
         Misbehaved = Run->Result.Faulted || Run->Result.Deadlocked;
-        SilentRace = SilentRace || !HB.races().empty();
+        SilentRace = SilentRace || !HB.records().empty();
       }
 
       if (Misbehaved) {

@@ -19,9 +19,11 @@
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
+#include <unordered_set>
 
 using namespace narada;
 
@@ -99,19 +101,58 @@ public:
       LockSet.onEvent(Event);
   }
 
-  /// Calls \p Note on every reported race, HB's before LockSet's, so the
-  /// first report per race key is HB's whenever both detectors saw it.
+  /// Calls \p Note(Record, Detector) on every race of the run, HB's before
+  /// LockSet's, so the first report per race key is HB's whenever both
+  /// detectors saw it.
   template <typename NoteFn> void forEachRace(NoteFn Note) const {
-    for (const RaceReport &R : HB.races())
-      Note(R);
-    for (const RaceReport &R : LockSet.races())
-      Note(R);
+    for (const CompactRace &R : HB.records())
+      Note(R, "hb");
+    for (const CompactRace &R : LockSet.records())
+      Note(R, "lockset");
   }
 
 private:
   HBDetector HB;
   LockSetDetector LockSet;
   bool UseHB, UseLockSet;
+};
+
+/// A race's identity across the runs of one test: the raced class, its
+/// field slot (all elements of an array are one location), and the
+/// unordered pair of program points.  It is equivalent to
+/// RaceReport::key(), which names the same three things, because class
+/// names, function names and a class's field slots are unique within a
+/// module.
+struct RaceIdentity {
+  static constexpr unsigned ElemSlot = ~0u;
+
+  const std::string *ClassName = nullptr;
+  unsigned Slot = 0; ///< Field slot, or ElemSlot.
+  ProgramPoint Low, High;
+
+  static RaceIdentity of(const CompactRace &R) {
+    auto Before = [](const ProgramPoint &A, const ProgramPoint &B) {
+      return std::less<const IRFunction *>()(A.Func, B.Func) ||
+             (A.Func == B.Func && A.Pc < B.Pc);
+    };
+    bool Swap = Before(R.Second, R.First);
+    return {R.ClassName, R.IsElem ? ElemSlot : R.Slot,
+            Swap ? R.Second : R.First, Swap ? R.First : R.Second};
+  }
+  bool operator==(const RaceIdentity &) const = default;
+};
+
+struct RaceIdentityHash {
+  size_t operator()(const RaceIdentity &Id) const {
+    uint64_t H = 0;
+    for (uint64_t Part :
+         {uint64_t(reinterpret_cast<uintptr_t>(Id.ClassName)),
+          uint64_t(reinterpret_cast<uintptr_t>(Id.Low.Func)),
+          uint64_t(reinterpret_cast<uintptr_t>(Id.High.Func)),
+          uint64_t(Id.Low.Pc) << 32 | Id.High.Pc, uint64_t(Id.Slot)})
+      H = (H ^ Part) * 0x9e3779b97f4a7c15ULL;
+    return H ^ (H >> 29);
+  }
 };
 
 /// Hashes the values flowing through the two candidate accesses.  A racy
@@ -257,6 +298,9 @@ Result<TestDetectionResult> narada::detectRacesInTest(
 
   TestDetectionResult Out;
   std::map<std::string, RaceReport> ByKey;
+  // The identities of the races in ByKey: a run's race is rendered and
+  // keyed only when it is new to the test.
+  std::unordered_set<RaceIdentity, RaceIdentityHash> Noted;
 
   // Watchdog: per-test wall-clock budget (0 = unlimited), checked at run
   // boundaries — a runaway single run is bounded by the step budget below.
@@ -276,16 +320,32 @@ Result<TestDetectionResult> narada::detectRacesInTest(
   // attached.  First-witness traces are kept per race key so witness
   // emission works uniformly across modes.
   const bool WantWitness = !Options.WitnessDir.empty();
-  std::map<std::string, explore::ScheduleTrace> WitnessTraces;
+  struct Witness {
+    explore::ScheduleTrace Trace;
+    RaceIdentity Race;
+  };
+  std::map<std::string, Witness> WitnessTraces;
   std::optional<Error> PhaseError;
 
-  auto NoteRace = [&](const RaceReport &R,
+  // Adds a race new to the test to ByKey and returns its key; null for a
+  // race already noted.
+  auto NoteNew = [&](const CompactRace &Rec,
+                     const char *Detector) -> const std::string * {
+    if (!Noted.insert(RaceIdentity::of(Rec)).second)
+      return nullptr;
+    RaceReport R = Rec.render(Detector);
+    auto [It, Inserted] = ByKey.emplace(R.key(), std::move(R));
+    assert(Inserted && "a new race identity has a new key");
+    return &It->first;
+  };
+  auto NoteRace = [&](const CompactRace &Rec, const char *Detector,
                       const explore::ScheduleTrace &Trace) {
-    if (!ByKey.emplace(R.key(), R).second || !WantWitness)
+    const std::string *Key = NoteNew(Rec, Detector);
+    if (!Key || !WantWitness)
       return;
-    explore::ScheduleTrace T = Trace;
-    T.RaceKeys = {R.key()};
-    WitnessTraces.emplace(R.key(), std::move(T));
+    Witness W{Trace, RaceIdentity::of(Rec)};
+    W.Trace.RaceKeys = {*Key};
+    WitnessTraces.emplace(*Key, std::move(W));
   };
 
   // The randomized loop (modes Random and PCT, and the Systematic
@@ -335,7 +395,9 @@ Result<TestDetectionResult> narada::detectRacesInTest(
               if (WantWitness)
                 Trace = Recorder.trace(TestName, /*RandSeed=*/1);
               Detectors.forEachRace(
-                  [&](const RaceReport &R) { NoteRace(R, Trace); });
+                  [&](const CompactRace &R, const char *Detector) {
+                    NoteRace(R, Detector, Trace);
+                  });
             }
             return std::move(Run->Result);
           });
@@ -383,7 +445,9 @@ Result<TestDetectionResult> narada::detectRacesInTest(
         Out.SawStepLimit = true;
         Metrics.counter("detect.step_limit_runs").inc();
       }
-      Detectors.forEachRace([&](const RaceReport &R) { NoteRace(R, Trace); });
+      Detectors.forEachRace([&](const CompactRace &R, const char *Detector) {
+        NoteRace(R, Detector, Trace);
+      });
       return !WallExpired();
     });
 
@@ -451,8 +515,9 @@ Result<TestDetectionResult> narada::detectRacesInTest(
     Out.SawFault = Out.SawFault || Run->Result.Faulted;
     Out.SawDeadlock = Out.SawDeadlock || Run->Result.Deadlocked;
     Out.SawStepLimit = Out.SawStepLimit || Run->Result.HitStepLimit;
-    Detectors.forEachRace(
-        [&](const RaceReport &R) { ByKey.emplace(R.key(), R); });
+    Detectors.forEachRace([&](const CompactRace &R, const char *Detector) {
+      NoteNew(R, Detector);
+    });
     return true;
   };
 
@@ -489,11 +554,12 @@ Result<TestDetectionResult> narada::detectRacesInTest(
   if (WantWitness && !WitnessTraces.empty()) {
     obs::Span WitnessSpan("witness");
     unsigned Index = 0;
-    for (auto &[Key, Trace] : WitnessTraces) {
+    for (auto &[Key, W] : WitnessTraces) {
+      const explore::ScheduleTrace &Trace = W.Trace;
       // The oracle replays a relaxed segment candidate and hands back the
-      // exact re-recorded schedule iff this race key still manifests.
+      // exact re-recorded schedule iff this race still manifests.
       explore::MinimizeOracle Oracle =
-          [&, &Key = Key, &Trace = Trace](
+          [&, &Race = W.Race](
               const std::vector<explore::SegmentReplayPolicy::Segment>
                   &Candidate) -> std::optional<explore::ScheduleTrace> {
         DetectorSet Detectors(Options);
@@ -505,8 +571,9 @@ Result<TestDetectionResult> narada::detectRacesInTest(
         if (!Run || Run->Result.HitStepLimit)
           return std::nullopt;
         bool Seen = false;
-        Detectors.forEachRace(
-            [&](const RaceReport &R) { Seen = Seen || R.key() == Key; });
+        Detectors.forEachRace([&](const CompactRace &R, const char *) {
+          Seen = Seen || RaceIdentity::of(R) == Race;
+        });
         if (!Seen)
           return std::nullopt;
         return Recorder.trace(TestName, Trace.RandSeed);

@@ -56,20 +56,8 @@ void HBDetector::report(const TraceEvent &Event, ProgramPoint Prior,
                     Event.isWrite()})
            .second)
     return;
-  RaceReport R;
-  R.Detector = "hb";
-  R.ClassName = *Event.ClassName;
-  R.Field = IsElem ? "[]" : *Event.Member;
-  R.Obj = Event.Obj;
-  R.IsElem = IsElem;
-  R.ElemIndex = IsElem ? Event.FieldIndex : 0;
-  R.FirstLabel = Prior.label();
-  R.SecondLabel = Event.staticLabel();
-  R.FirstThread = PriorThread;
-  R.SecondThread = Event.Thread;
-  R.FirstIsWrite = PriorIsWrite;
-  R.SecondIsWrite = Event.isWrite();
-  Races.push_back(std::move(R));
+  Records.push_back(
+      CompactRace::between(Prior, PriorThread, PriorIsWrite, Event));
 }
 
 void HBDetector::VarState::setRead(const SharedRead &R) {

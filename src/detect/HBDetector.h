@@ -11,9 +11,10 @@
 /// design.  Synchronization edges: monitor release->acquire and thread
 /// spawn.  Precise: every report is a real race of the observed execution.
 ///
-/// races() keeps the first dynamic instance of each distinct race, in
+/// records() keeps the first dynamic instance of each distinct race, in
 /// first-seen order, so memory is bounded by distinct races; the
 /// detect.hb_reports counter still counts every dynamic instance.
+/// races() renders the records as reports when asked.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +38,11 @@ public:
 
   void onEvent(const TraceEvent &Event) override;
 
-  const std::vector<RaceReport> &races() const { return Races; }
+  /// The distinct races seen so far, in first-seen order.
+  const std::vector<CompactRace> &records() const { return Records; }
+
+  /// records() rendered as reports.
+  std::vector<RaceReport> races() const { return renderRaces(Records, "hb"); }
 
 private:
   /// One reader's entry in the inflated read map.
@@ -89,7 +94,7 @@ private:
   /// Indexed by lock object id; empty until the lock's first release.
   std::vector<VectorClock> LockClocks;
   ShadowTable<VarState> Vars;
-  std::vector<RaceReport> Races;
+  std::vector<CompactRace> Records;
   std::unordered_set<ReportKey, ReportKeyHash> Reported;
   /// Dynamic race instances, deduplicated or not.
   uint64_t InstanceCount = 0;

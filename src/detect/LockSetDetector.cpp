@@ -15,7 +15,7 @@ using namespace narada;
 LockSetDetector::~LockSetDetector() {
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
   Metrics.counter("detect.lockset_intersections").inc(IntersectionCount);
-  Metrics.counter("detect.lockset_reports").inc(Races.size());
+  Metrics.counter("detect.lockset_reports").inc(Records.size());
 }
 
 std::vector<ObjectId> &LockSetDetector::heldBy(ThreadId T) {
@@ -65,22 +65,10 @@ void LockSetDetector::handleAccess(const TraceEvent &Event) {
 
   if (S.Phase == VarPhase::SharedModified && S.Candidates.empty() &&
       S.CandidatesInitialized && !S.Reported) {
-    RaceReport R;
-    R.Detector = "lockset";
-    R.ClassName = *Event.ClassName;
-    R.Field = Event.isElemAccess() ? "[]" : *Event.Member;
-    R.Obj = Event.Obj;
-    R.IsElem = Event.isElemAccess();
-    R.ElemIndex = Event.isElemAccess() ? Event.FieldIndex : 0;
     // The first access leaves the variable Exclusive, so a prior access
     // always exists here.
-    R.FirstLabel = S.LastPoint.label();
-    R.SecondLabel = Event.staticLabel();
-    R.FirstThread = S.LastThread;
-    R.SecondThread = Event.Thread;
-    R.FirstIsWrite = S.LastIsWrite;
-    R.SecondIsWrite = IsWrite;
-    Races.push_back(std::move(R));
+    Records.push_back(
+        CompactRace::between(S.LastPoint, S.LastThread, S.LastIsWrite, Event));
     S.Reported = true; // One report per variable, like Eraser.
   }
 

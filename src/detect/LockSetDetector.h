@@ -33,7 +33,13 @@ public:
 
   void onEvent(const TraceEvent &Event) override;
 
-  const std::vector<RaceReport> &races() const { return Races; }
+  /// One race per reported variable, in report order.
+  const std::vector<CompactRace> &records() const { return Records; }
+
+  /// records() rendered as reports.
+  std::vector<RaceReport> races() const {
+    return renderRaces(Records, "lockset");
+  }
 
 private:
   enum class VarPhase {
@@ -60,7 +66,7 @@ private:
   /// Held locks, sorted, indexed by thread id.
   std::vector<std::vector<ObjectId>> Held;
   ShadowTable<VarState> Vars;
-  std::vector<RaceReport> Races;
+  std::vector<CompactRace> Records;
   /// Lockset refinements performed, flushed to the metrics registry once on
   /// destruction to keep the per-access path free of atomics.
   uint64_t IntersectionCount = 0;

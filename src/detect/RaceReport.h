@@ -7,6 +7,8 @@
 /// \file
 /// The report format shared by all detectors: which field of which object
 /// raced, at which pair of static program points, from which threads.
+/// Detectors keep each race as a CompactRace, which holds points and name
+/// pointers, and render a RaceReport only when one is asked for.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,8 +18,10 @@
 #include "runtime/Heap.h"
 #include "runtime/Value.h"
 #include "support/RaceKey.h"
+#include "trace/TraceEvent.h"
 
 #include <string>
+#include <vector>
 
 namespace narada {
 
@@ -58,6 +62,70 @@ struct RaceReport {
            SecondLabel + (SecondIsWrite ? " (write)" : " (read)");
   }
 };
+
+/// One race as a detector keeps it: what a RaceReport says, with the
+/// class and field names borrowed from the module (see TraceEvent) and
+/// the labels left as program points.
+struct CompactRace {
+  ProgramPoint First;  ///< The earlier access.
+  ProgramPoint Second; ///< The later access.
+  const std::string *ClassName = nullptr; ///< Dynamic class of Obj.
+  const std::string *Field = nullptr;     ///< Null for array elements.
+  ObjectId Obj = NoObject;
+  unsigned Slot = 0; ///< Field slot, or element index for elements.
+  ThreadId FirstThread = 0;
+  ThreadId SecondThread = 0;
+  bool IsElem = false;
+  bool FirstIsWrite = false;
+  bool SecondIsWrite = false;
+
+  /// The record of a race between an earlier access at \p Prior by
+  /// \p PriorThread and the access \p Current.
+  static CompactRace between(ProgramPoint Prior, ThreadId PriorThread,
+                            bool PriorIsWrite, const TraceEvent &Current) {
+    CompactRace R;
+    R.First = Prior;
+    R.Second = Current.point();
+    R.ClassName = Current.ClassName;
+    R.IsElem = Current.isElemAccess();
+    R.Field = R.IsElem ? nullptr : Current.Member;
+    R.Obj = Current.Obj;
+    R.Slot = Current.FieldIndex;
+    R.FirstThread = PriorThread;
+    R.SecondThread = Current.Thread;
+    R.FirstIsWrite = PriorIsWrite;
+    R.SecondIsWrite = Current.isWrite();
+    return R;
+  }
+
+  /// The report of this race by detector \p Detector.
+  RaceReport render(const char *Detector) const {
+    RaceReport R;
+    R.Detector = Detector;
+    R.ClassName = *ClassName;
+    R.Field = IsElem ? "[]" : *Field;
+    R.Obj = Obj;
+    R.IsElem = IsElem;
+    R.ElemIndex = IsElem ? Slot : 0;
+    R.FirstLabel = First.label();
+    R.SecondLabel = Second.label();
+    R.FirstThread = FirstThread;
+    R.SecondThread = SecondThread;
+    R.FirstIsWrite = FirstIsWrite;
+    R.SecondIsWrite = SecondIsWrite;
+    return R;
+  }
+};
+
+/// The reports of \p Records by detector \p Detector, in order.
+inline std::vector<RaceReport>
+renderRaces(const std::vector<CompactRace> &Records, const char *Detector) {
+  std::vector<RaceReport> Reports;
+  Reports.reserve(Records.size());
+  for (const CompactRace &R : Records)
+    Reports.push_back(R.render(Detector));
+  return Reports;
+}
 
 } // namespace narada
 

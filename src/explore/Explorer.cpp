@@ -54,12 +54,19 @@ constexpr unsigned MaxPreemptions = 2;
 
 /// One run of the DFS: replays \p Forced, then continues non-preemptively
 /// (keep the running thread; at yields, lowest thread id first), creating
-/// Branch records for every decision point past the forced prefix.
+/// Branch records for every decision point past the forced prefix.  It
+/// records its picks straight into the trace handed to the visitor.
 class DfsPolicy : public SchedulingPolicy {
 public:
-  explicit DfsPolicy(const std::vector<ThreadId> &Forced) : Forced(Forced) {}
+  DfsPolicy(const std::vector<ThreadId> &Forced, const std::string &TestName,
+            uint64_t RandSeed)
+      : Forced(Forced) {
+    Trace.TestName = TestName;
+    Trace.RandSeed = RandSeed;
+  }
 
   ThreadId pick(const std::vector<ThreadId> &Runnable, VM &M) override {
+    std::vector<ThreadId> &Picks = Trace.Picks;
     uint64_t Step = Picks.size();
     ThreadId Chosen;
     if (Step < Forced.size()) {
@@ -115,7 +122,7 @@ public:
       Chosen = Default;
     }
     if (Prev != NoThread && Chosen != Prev && contains(Runnable, Prev)) {
-      PreemptSteps.push_back(Step);
+      Trace.PreemptSteps.push_back(Step);
       ++Preemptions;
     }
     Prev = Chosen;
@@ -123,25 +130,18 @@ public:
     return Chosen;
   }
 
-  const std::vector<ThreadId> &picks() const { return Picks; }
+  const std::vector<ThreadId> &picks() const { return Trace.Picks; }
   std::vector<Branch> takeNewBranches() { return std::move(NewBranches); }
   uint64_t pruned() const { return Pruned; }
   bool diverged() const { return Diverged; }
 
-  ScheduleTrace trace(const std::string &TestName, uint64_t RandSeed) const {
-    ScheduleTrace Out;
-    Out.TestName = TestName;
-    Out.RandSeed = RandSeed;
-    Out.Picks = Picks;
-    Out.PreemptSteps = PreemptSteps;
-    return Out;
-  }
+  /// The schedule run so far.
+  const ScheduleTrace &trace() const { return Trace; }
 
 private:
   const std::vector<ThreadId> &Forced;
 
-  std::vector<ThreadId> Picks;
-  std::vector<uint64_t> PreemptSteps;
+  ScheduleTrace Trace;
   std::vector<Branch> NewBranches;
   ThreadId Prev = NoThread;
   unsigned Preemptions = 0;
@@ -174,7 +174,7 @@ narada::explore::exploreSchedules(const IRModule &M,
     // whole exploration and is quarantined per test by detectRacesInTests,
     // never aborting sibling tests (see support/FaultInjection.h).
     fault::probe("explore.schedule");
-    DfsPolicy Policy(Forced);
+    DfsPolicy Policy(Forced, TestName, Options.RandSeed);
     ExecutionObserver *Observer =
         Visitor.beginSchedule(Outcome.SchedulesRun);
     Result<TestRun> Run = runTest(M, TestName, Policy, Options.RandSeed,
@@ -199,8 +199,7 @@ narada::explore::exploreSchedules(const IRModule &M,
       Pending += B.Untried.size();
     Metrics.gauge("explore.sleepset_peak").max(static_cast<int64_t>(Pending));
 
-    if (!Visitor.endSchedule(Policy.trace(TestName, Options.RandSeed),
-                             *Run)) {
+    if (!Visitor.endSchedule(Policy.trace(), *Run)) {
       Outcome.Stopped = true;
       break;
     }

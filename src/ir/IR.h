@@ -64,6 +64,16 @@ const char *opcodeName(Opcode Op);
 
 class IRFunction;
 
+/// The IntArray method a builtin Invoke calls, resolved at link time so
+/// the VM dispatches on it without comparing method names.
+enum class ArrayBuiltin : uint8_t {
+  None,   ///< Not a builtin call.
+  Init,   ///< IntArray(n): sizes the array.
+  Get,    ///< a.get(i): element read.
+  Set,    ///< a.set(i, v): element write.
+  Length, ///< a.length().
+};
+
 /// One IR instruction.  Fields are used according to the opcode; unused
 /// fields hold default values.
 struct Instr {
@@ -80,6 +90,8 @@ struct Instr {
   unsigned FieldIndex = 0;     ///< Resolved field slot (Load/StoreField).
   std::vector<Reg> Args;       ///< Invoke/SpawnThread argument registers.
   const IRFunction *Callee = nullptr; ///< Resolved by Linker; null=builtin.
+  const ClassInfo *Class = nullptr; ///< NewObject's class, set by lowering.
+  ArrayBuiltin Builtin = ArrayBuiltin::None; ///< Resolved by Linker.
   SourceLoc Loc;               ///< Originating source location.
 };
 

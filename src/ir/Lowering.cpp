@@ -673,16 +673,17 @@ Result<Reg> FunctionLowerer::lowerCall(const CallExpr *Call) {
 }
 
 Result<Reg> FunctionLowerer::lowerNew(const NewExpr *New) {
+  const ClassInfo *Class = M.programInfo().findClass(New->className());
+  assert(Class && "Sema validated the class");
   Reg R = allocReg();
   Instr Alloc;
   Alloc.Op = Opcode::NewObject;
   Alloc.Dst = R;
   Alloc.ClassName = New->className();
+  Alloc.Class = Class;
   Alloc.Loc = New->loc();
   emit(std::move(Alloc));
 
-  const ClassInfo *Class = M.programInfo().findClass(New->className());
-  assert(Class && "Sema validated the class");
   const MethodInfo *Ctor = Class->findMethod(ConstructorName);
   if (Ctor) {
     std::vector<Reg> ArgRegs;
@@ -705,9 +706,22 @@ Result<Reg> FunctionLowerer::lowerNew(const NewExpr *New) {
   return R;
 }
 
+/// The IntArray method named \p Name, or None.
+static ArrayBuiltin arrayBuiltin(const std::string &Name) {
+  if (Name == ConstructorName)
+    return ArrayBuiltin::Init;
+  if (Name == "get")
+    return ArrayBuiltin::Get;
+  if (Name == "set")
+    return ArrayBuiltin::Set;
+  if (Name == "length")
+    return ArrayBuiltin::Length;
+  return ArrayBuiltin::None;
+}
+
 /// Resolves the Invoke callees of \p F against the methods of \p M.
-/// Builtin-class methods keep a null callee: the VM dispatches them
-/// natively.
+/// Builtin-class methods keep a null callee and record which builtin they
+/// call: the VM dispatches them natively.
 static Status linkFunction(const IRModule &M, IRFunction &F) {
   for (Instr &I : F.instrs()) {
     if (I.Op != Opcode::Invoke)
@@ -718,6 +732,10 @@ static Status linkFunction(const IRModule &M, IRFunction &F) {
                                 I.ClassName.c_str()));
     if (Class->IsBuiltin) {
       I.Callee = nullptr;
+      I.Builtin = arrayBuiltin(I.Member);
+      if (I.Builtin == ArrayBuiltin::None)
+        return Error(formatString("link: no builtin method '%s.%s'",
+                                  I.ClassName.c_str(), I.Member.c_str()));
       continue;
     }
     const IRFunction *Callee = M.findMethod(I.ClassName, I.Member);

@@ -128,7 +128,7 @@ struct RunResult {
 
 /// Steps the VM under \p Policy until every thread finishes, a deadlock is
 /// reached, or \p MaxSteps instructions have executed.  Defined in VM.cpp,
-/// beside VM::step.
+/// beside the VM's dispatch loop.
 RunResult runToCompletion(VM &M, SchedulingPolicy &Policy,
                           uint64_t MaxSteps = 1'000'000);
 

@@ -118,12 +118,10 @@ std::optional<PendingAccess> VM::peekAccess(ThreadId Tid) const {
   }
   case Opcode::Invoke: {
     // Builtin array accesses surface as element accesses.
-    if (I->Callee)
+    if (I->Builtin != ArrayBuiltin::Get && I->Builtin != ArrayBuiltin::Set)
       return std::nullopt;
     const Value &Base = F.Regs[I->A];
     if (!Base.isRef())
-      return std::nullopt;
-    if (I->Member != "get" && I->Member != "set")
       return std::nullopt;
     const Value &Index = F.Regs[I->Args[0]];
     if (!Index.isInt())
@@ -131,7 +129,7 @@ std::optional<PendingAccess> VM::peekAccess(ThreadId Tid) const {
     Out.Obj = Base.asRef();
     Out.IsElem = true;
     Out.ElemIndex = static_cast<unsigned>(Index.asInt());
-    Out.IsWrite = I->Member == "set";
+    Out.IsWrite = I->Builtin == ArrayBuiltin::Set;
     return Out;
   }
   default:
@@ -178,6 +176,18 @@ void VM::fault(ThreadState &T, const std::string &Message) {
   RunnableStale = true;
 }
 
+void VM::faultNull(ThreadState &T, const Frame &F, const char *What,
+                   const std::string *Member) {
+  std::string Subject =
+      Member ? formatString("%s '%s'", What, Member->c_str()) : What;
+  fault(T, formatString("null dereference: %s at %s:%u", Subject.c_str(),
+                        F.Func->name().c_str(), F.Pc));
+}
+
+void VM::faultAt(ThreadState &T, const Frame &F, const char *What) {
+  fault(T, formatString("%s at %s:%u", What, F.Func->name().c_str(), F.Pc));
+}
+
 void VM::doReturn(ThreadState &T, Value RetVal) {
   Frame Done = std::move(T.Stack.back());
   T.Stack.pop_back();
@@ -201,19 +211,390 @@ void VM::doReturn(ThreadState &T, Value RetVal) {
     Caller.Regs[Done.RetDst] = RetVal;
 }
 
-void VM::step(ThreadId Tid) {
-  ThreadState &T = Threads[Tid];
-  assert(T.isLive() && "stepping a dead thread");
-  assert(!T.Stack.empty() && "live thread with empty stack");
+void VM::invoke(ThreadState &T, Frame &F, const Instr &I) {
+  if (!I.Callee) {
+    execBuiltinInvoke(T, F, I);
+    return;
+  }
 
-  Frame &F = T.Stack.back();
-  assert(F.Pc < F.Func->instrs().size() && "pc ran past function end");
-  const Instr &I = F.Func->instrs()[F.Pc];
-  execInstr(T, F, I);
+  // The callee's parameter registers double as the ClientCall's
+  // argument list: receiver first, then the arguments.
+  const Value &Receiver = F.Regs[I.A];
+  Frame Callee;
+  Callee.Func = I.Callee;
+  Callee.Regs.resize(I.Callee->numRegs());
+  Callee.Regs[0] = Receiver;
+  for (size_t ArgIdx = 0; ArgIdx != I.Args.size(); ++ArgIdx)
+    Callee.Regs[ArgIdx + 1] = F.Regs[I.Args[ArgIdx]];
+  Callee.RetDst = I.Dst;
+  Callee.IsClientBoundary = F.Func->kind() != IRFunction::Kind::Method;
+
+  if (Callee.IsClientBoundary) {
+    TraceEvent E = eventAt(EventKind::ClientCall, T.Id, F);
+    E.Member = &I.Member;
+    E.ClassName = &I.ClassName;
+    E.Receiver = Receiver.asRef();
+    E.Args = Callee.Regs.data();
+    E.NumArgs = static_cast<uint32_t>(I.Args.size() + 1);
+    emit(E);
+  }
+
+  ++F.Pc; // Resume after the call upon return.
+
+  if (T.Stack.size() >= MaxCallDepth) {
+    fault(T, formatString("call stack overflow (depth %zu) invoking "
+                          "'%s.%s'",
+                          T.Stack.size(), I.ClassName.c_str(),
+                          I.Member.c_str()));
+    return;
+  }
+  T.Stack.push_back(std::move(Callee));
 }
 
-// The step loop lives next to VM::step so that step, execInstr and emit
-// are calls within one translation unit.
+void VM::execBuiltinInvoke(ThreadState &T, Frame &F, const Instr &I) {
+  const Value &Receiver = F.Regs[I.A];
+  HeapObject &Obj = TheHeap.object(Receiver.asRef());
+  assert(Obj.Class && Obj.Class->IsBuiltin && "builtin call on user object");
+
+  auto BoundsCheck = [&](int64_t Index) -> bool {
+    if (Index >= 0 && static_cast<size_t>(Index) < Obj.Elems.size())
+      return true;
+    fault(T, formatString("array index %lld out of bounds (size %zu) at "
+                          "%s:%u",
+                          static_cast<long long>(Index), Obj.Elems.size(),
+                          F.Func->name().c_str(), F.Pc));
+    return false;
+  };
+
+  switch (I.Builtin) {
+  case ArrayBuiltin::Init: {
+    int64_t Size = F.Regs[I.Args[0]].asInt();
+    if (Size < 0) {
+      fault(T, formatString("negative array size %lld at %s:%u",
+                            static_cast<long long>(Size),
+                            F.Func->name().c_str(), F.Pc));
+      return;
+    }
+    Obj.Elems.assign(static_cast<size_t>(Size), 0);
+    ++F.Pc;
+    return;
+  }
+  case ArrayBuiltin::Get: {
+    int64_t Index = F.Regs[I.Args[0]].asInt();
+    if (!BoundsCheck(Index))
+      return;
+    int64_t Read = Obj.Elems[static_cast<size_t>(Index)];
+    F.Regs[I.Dst] = Value::makeInt(Read);
+
+    TraceEvent E = eventAt(EventKind::ReadElem, T.Id, F);
+    E.Obj = Receiver.asRef();
+    E.ClassName = &Obj.Class->Name;
+    E.FieldIndex = static_cast<unsigned>(Index);
+    E.Val = Value::makeInt(Read);
+    emit(E);
+    ++F.Pc;
+    return;
+  }
+  case ArrayBuiltin::Set: {
+    int64_t Index = F.Regs[I.Args[0]].asInt();
+    if (!BoundsCheck(Index))
+      return;
+    int64_t NewVal = F.Regs[I.Args[1]].asInt();
+    Obj.Elems[static_cast<size_t>(Index)] = NewVal;
+
+    TraceEvent E = eventAt(EventKind::WriteElem, T.Id, F);
+    E.Obj = Receiver.asRef();
+    E.ClassName = &Obj.Class->Name;
+    E.FieldIndex = static_cast<unsigned>(Index);
+    E.Val = Value::makeInt(NewVal);
+    emit(E);
+    ++F.Pc;
+    return;
+  }
+  case ArrayBuiltin::Length:
+    F.Regs[I.Dst] = Value::makeInt(static_cast<int64_t>(Obj.Elems.size()));
+    ++F.Pc;
+    return;
+  case ArrayBuiltin::None:
+    break;
+  }
+  narada_unreachable("unresolved builtin method");
+}
+
+void VM::blockOn(ThreadState &T, ObjectId Lock) {
+  if (T.Status != ThreadStatus::Blocked)
+    ++Stats.MonitorBlocks;
+  T.Status = ThreadStatus::Blocked;
+  T.WaitingOn = Lock;
+}
+
+void VM::spawnFrom(ThreadState &T, Frame &F, const Instr &I) {
+  std::vector<Value> Args;
+  for (Reg R : I.Args)
+    Args.push_back(F.Regs[R]);
+  ++F.Pc;
+  spawnThread(I.Callee, std::move(Args), T.Id);
+}
+
+void VM::run(SchedulingPolicy &Policy, uint64_t MaxSteps, RunResult &Result,
+             uint64_t &ContextSwitches) {
+  ThreadId Prev = NoThread;
+  uint64_t Steps = 0;
+  while (LiveThreads != 0) {
+    if (Steps >= MaxSteps) {
+      Result.HitStepLimit = true;
+      break;
+    }
+    if (RunnableStale)
+      rescanRunnable();
+    if (Runnable.empty()) {
+      Result.Deadlocked = deadlocked();
+      break;
+    }
+    ThreadId Tid = Policy.pick(Runnable, *this);
+    if (Prev != NoThread && Tid != Prev)
+      ++ContextSwitches;
+    Prev = Tid;
+    ++Steps;
+
+    // One step: the chosen thread's next instruction.  Every case ends the
+    // step with `continue`; a case that faults the thread leaves F and T's
+    // stack cleared, and one that spawns may move T.
+    ThreadState &T = Threads[Tid];
+    assert(T.isLive() && "stepping a dead thread");
+    assert(!T.Stack.empty() && "live thread with empty stack");
+    Frame &F = T.Stack.back();
+    assert(F.Pc < F.Func->instrs().size() && "pc ran past function end");
+    const Instr &I = F.Func->instrs()[F.Pc];
+    Value *Regs = F.Regs.data();
+    ++Stats.InstrByOp[static_cast<unsigned>(I.Op)];
+
+    switch (I.Op) {
+    case Opcode::ConstInt:
+      Regs[I.Dst] = Value::makeInt(I.Imm);
+      ++F.Pc;
+      continue;
+    case Opcode::ConstBool:
+      Regs[I.Dst] = Value::makeBool(I.Imm != 0);
+      ++F.Pc;
+      continue;
+    case Opcode::ConstNull:
+      Regs[I.Dst] = Value::makeNull();
+      ++F.Pc;
+      continue;
+    case Opcode::Move:
+      Regs[I.Dst] = Regs[I.A];
+      ++F.Pc;
+      continue;
+    case Opcode::RandInt:
+      Regs[I.Dst] =
+          Value::makeInt(static_cast<int64_t>(Rand.nextBelow(1u << 30)));
+      ++F.Pc;
+      continue;
+
+    case Opcode::UnOp: {
+      const Value &A = Regs[I.A];
+      if (I.UnaryOperator == UnaryOp::Neg)
+        Regs[I.Dst] = Value::makeInt(-A.asInt());
+      else
+        Regs[I.Dst] = Value::makeBool(!A.asBool());
+      ++F.Pc;
+      continue;
+    }
+
+    case Opcode::BinOp: {
+      const Value &A = Regs[I.A];
+      const Value &B = Regs[I.B];
+      Value Out;
+      switch (I.BinaryOperator) {
+      case BinaryOp::Add:
+        Out = Value::makeInt(A.asInt() + B.asInt());
+        break;
+      case BinaryOp::Sub:
+        Out = Value::makeInt(A.asInt() - B.asInt());
+        break;
+      case BinaryOp::Mul:
+        Out = Value::makeInt(A.asInt() * B.asInt());
+        break;
+      case BinaryOp::Div:
+      case BinaryOp::Rem:
+        if (B.asInt() == 0) {
+          faultAt(T, F, "division by zero");
+          continue;
+        }
+        Out = Value::makeInt(I.BinaryOperator == BinaryOp::Div
+                                 ? A.asInt() / B.asInt()
+                                 : A.asInt() % B.asInt());
+        break;
+      case BinaryOp::Eq:
+        Out = Value::makeBool(A == B);
+        break;
+      case BinaryOp::Ne:
+        Out = Value::makeBool(A != B);
+        break;
+      case BinaryOp::Lt:
+        Out = Value::makeBool(A.asInt() < B.asInt());
+        break;
+      case BinaryOp::Le:
+        Out = Value::makeBool(A.asInt() <= B.asInt());
+        break;
+      case BinaryOp::Gt:
+        Out = Value::makeBool(A.asInt() > B.asInt());
+        break;
+      case BinaryOp::Ge:
+        Out = Value::makeBool(A.asInt() >= B.asInt());
+        break;
+      case BinaryOp::And:
+        Out = Value::makeBool(A.asBool() && B.asBool());
+        break;
+      case BinaryOp::Or:
+        Out = Value::makeBool(A.asBool() || B.asBool());
+        break;
+      }
+      Regs[I.Dst] = Out;
+      ++F.Pc;
+      continue;
+    }
+
+    case Opcode::LoadField: {
+      const Value &Base = Regs[I.A];
+      if (!Base.isRef()) {
+        faultNull(T, F, "read of field", &I.Member);
+        continue;
+      }
+      HeapObject &Obj = TheHeap.object(Base.asRef());
+      assert(I.FieldIndex < Obj.Fields.size() && "field index out of layout");
+      Value Read = Obj.Fields[I.FieldIndex];
+      Regs[I.Dst] = Read;
+
+      TraceEvent E = eventAt(EventKind::ReadField, Tid, F);
+      E.Obj = Base.asRef();
+      E.ClassName = &Obj.Class->Name;
+      E.Member = &I.Member;
+      E.FieldIndex = I.FieldIndex;
+      E.Val = Read;
+      emit(E);
+      ++F.Pc;
+      continue;
+    }
+
+    case Opcode::StoreField: {
+      const Value &Base = Regs[I.A];
+      if (!Base.isRef()) {
+        faultNull(T, F, "write of field", &I.Member);
+        continue;
+      }
+      HeapObject &Obj = TheHeap.object(Base.asRef());
+      assert(I.FieldIndex < Obj.Fields.size() && "field index out of layout");
+      Value NewVal = Regs[I.B];
+      Obj.Fields[I.FieldIndex] = NewVal;
+
+      TraceEvent E = eventAt(EventKind::WriteField, Tid, F);
+      E.Obj = Base.asRef();
+      E.ClassName = &Obj.Class->Name;
+      E.Member = &I.Member;
+      E.FieldIndex = I.FieldIndex;
+      E.Val = NewVal;
+      emit(E);
+      ++F.Pc;
+      continue;
+    }
+
+    case Opcode::NewObject: {
+      const ClassInfo *Class = I.Class;
+      assert(Class && "lowering resolved the class");
+      ObjectId Id = Class->IsBuiltin ? TheHeap.allocateArray(Class, 0)
+                                     : TheHeap.allocate(Class);
+      Regs[I.Dst] = Value::makeRef(Id);
+
+      TraceEvent E = eventAt(EventKind::Alloc, Tid, F);
+      E.Obj = Id;
+      E.ClassName = &Class->Name;
+      emit(E);
+      ++F.Pc;
+      continue;
+    }
+
+    case Opcode::Invoke:
+      if (!Regs[I.A].isRef()) {
+        faultNull(T, F, "call of", &I.Member);
+        continue;
+      }
+      invoke(T, F, I);
+      continue;
+
+    case Opcode::MonitorEnter: {
+      // Blocking, acquiring and retrying all change who can run next.
+      RunnableStale = true;
+      const Value &Lock = Regs[I.A];
+      if (!Lock.isRef()) {
+        faultNull(T, F, "monitor enter", nullptr);
+        continue;
+      }
+      HeapObject &Obj = TheHeap.object(Lock.asRef());
+      if (Obj.MonitorOwner != NoThread && Obj.MonitorOwner != Tid) {
+        blockOn(T, Lock.asRef());
+        continue; // Pc unchanged: the acquisition is retried when picked.
+      }
+      T.Status = ThreadStatus::Runnable;
+      T.WaitingOn = NoObject;
+      Obj.MonitorOwner = Tid;
+      if (++Obj.MonitorDepth == 1) {
+        ++Stats.MonitorAcquires;
+        TraceEvent E = eventAt(EventKind::Lock, Tid, F);
+        E.Obj = Lock.asRef();
+        emit(E);
+      }
+      ++F.Pc;
+      continue;
+    }
+
+    case Opcode::MonitorExit: {
+      RunnableStale = true;
+      const Value &Lock = Regs[I.A];
+      if (!Lock.isRef()) {
+        faultNull(T, F, "monitor exit", nullptr);
+        continue;
+      }
+      HeapObject &Obj = TheHeap.object(Lock.asRef());
+      if (Obj.MonitorOwner != Tid) {
+        faultAt(T, F, "monitor exit without ownership");
+        continue;
+      }
+      if (--Obj.MonitorDepth == 0) {
+        Obj.MonitorOwner = NoThread;
+        TraceEvent E = eventAt(EventKind::Unlock, Tid, F);
+        E.Obj = Lock.asRef();
+        emit(E);
+      }
+      ++F.Pc;
+      continue;
+    }
+
+    case Opcode::Jump:
+      F.Pc = I.Target;
+      continue;
+
+    case Opcode::Branch:
+      if (!Regs[I.A].asBool())
+        F.Pc = I.Target;
+      else
+        ++F.Pc;
+      continue;
+
+    case Opcode::Ret:
+      doReturn(T, I.A == NoReg ? Value::makeNull() : Regs[I.A]);
+      continue;
+
+    case Opcode::SpawnThread:
+      spawnFrom(T, F, I);
+      continue;
+    }
+    narada_unreachable("unknown opcode");
+  }
+  Result.Steps = Steps;
+}
+
 RunResult narada::runToCompletion(VM &M, SchedulingPolicy &Policy,
                                   uint64_t MaxSteps) {
   RunResult Result;
@@ -221,26 +602,8 @@ RunResult narada::runToCompletion(VM &M, SchedulingPolicy &Policy,
   // after the loop: the step loop is the hottest path in the system and
   // must not touch atomics per iteration.
   uint64_t ContextSwitches = 0;
-  ThreadId Prev = NoThread;
-  while (!M.allDone()) {
-    if (Result.Steps >= MaxSteps) {
-      Result.HitStepLimit = true;
-      break;
-    }
-    const std::vector<ThreadId> &Runnable = M.runnableThreads();
-    if (Runnable.empty()) {
-      Result.Deadlocked = M.deadlocked();
-      break;
-    }
-    ThreadId Chosen = Policy.pick(Runnable, M);
-    if (Prev != NoThread && Chosen != Prev)
-      ++ContextSwitches;
-    Prev = Chosen;
-    M.step(Chosen);
-    ++Result.Steps;
-  }
-  for (size_t T = 0, E = M.numThreads(); T != E; ++T) {
-    const ThreadState &Thread = M.thread(static_cast<ThreadId>(T));
+  M.run(Policy, MaxSteps, Result, ContextSwitches);
+  for (const ThreadState &Thread : M.Threads) {
     if (Thread.Status == ThreadStatus::Faulted) {
       Result.Faulted = true;
       Result.FaultMessages.push_back(Thread.FaultMessage);
@@ -290,357 +653,4 @@ InstrClass narada::classifyOpcode(Opcode Op) {
     return InstrClass::Thread;
   }
   narada_unreachable("unknown opcode");
-}
-
-void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
-  ++Stats.InstrByOp[static_cast<unsigned>(I.Op)];
-
-  // Runs on every field access and call: the message is built only when
-  // the check fails.
-  auto NullCheck = [&](const Value &V, const char *What,
-                       const std::string *Member = nullptr) -> bool {
-    if (V.isRef())
-      return true;
-    std::string Subject =
-        Member ? formatString("%s '%s'", What, Member->c_str()) : What;
-    fault(T, formatString("null dereference: %s at %s:%u", Subject.c_str(),
-                          F.Func->name().c_str(), F.Pc));
-    return false;
-  };
-
-  switch (I.Op) {
-  case Opcode::ConstInt:
-    F.Regs[I.Dst] = Value::makeInt(I.Imm);
-    ++F.Pc;
-    return;
-  case Opcode::ConstBool:
-    F.Regs[I.Dst] = Value::makeBool(I.Imm != 0);
-    ++F.Pc;
-    return;
-  case Opcode::ConstNull:
-    F.Regs[I.Dst] = Value::makeNull();
-    ++F.Pc;
-    return;
-  case Opcode::Move:
-    F.Regs[I.Dst] = F.Regs[I.A];
-    ++F.Pc;
-    return;
-  case Opcode::RandInt:
-    F.Regs[I.Dst] = Value::makeInt(
-        static_cast<int64_t>(Rand.nextBelow(1u << 30)));
-    ++F.Pc;
-    return;
-
-  case Opcode::UnOp: {
-    const Value &A = F.Regs[I.A];
-    if (I.UnaryOperator == UnaryOp::Neg)
-      F.Regs[I.Dst] = Value::makeInt(-A.asInt());
-    else
-      F.Regs[I.Dst] = Value::makeBool(!A.asBool());
-    ++F.Pc;
-    return;
-  }
-
-  case Opcode::BinOp: {
-    const Value &A = F.Regs[I.A];
-    const Value &B = F.Regs[I.B];
-    switch (I.BinaryOperator) {
-    case BinaryOp::Add:
-      F.Regs[I.Dst] = Value::makeInt(A.asInt() + B.asInt());
-      break;
-    case BinaryOp::Sub:
-      F.Regs[I.Dst] = Value::makeInt(A.asInt() - B.asInt());
-      break;
-    case BinaryOp::Mul:
-      F.Regs[I.Dst] = Value::makeInt(A.asInt() * B.asInt());
-      break;
-    case BinaryOp::Div:
-      if (B.asInt() == 0) {
-        fault(T, formatString("division by zero at %s:%u",
-                              F.Func->name().c_str(), F.Pc));
-        return;
-      }
-      F.Regs[I.Dst] = Value::makeInt(A.asInt() / B.asInt());
-      break;
-    case BinaryOp::Rem:
-      if (B.asInt() == 0) {
-        fault(T, formatString("division by zero at %s:%u",
-                              F.Func->name().c_str(), F.Pc));
-        return;
-      }
-      F.Regs[I.Dst] = Value::makeInt(A.asInt() % B.asInt());
-      break;
-    case BinaryOp::Eq:
-      F.Regs[I.Dst] = Value::makeBool(A == B);
-      break;
-    case BinaryOp::Ne:
-      F.Regs[I.Dst] = Value::makeBool(A != B);
-      break;
-    case BinaryOp::Lt:
-      F.Regs[I.Dst] = Value::makeBool(A.asInt() < B.asInt());
-      break;
-    case BinaryOp::Le:
-      F.Regs[I.Dst] = Value::makeBool(A.asInt() <= B.asInt());
-      break;
-    case BinaryOp::Gt:
-      F.Regs[I.Dst] = Value::makeBool(A.asInt() > B.asInt());
-      break;
-    case BinaryOp::Ge:
-      F.Regs[I.Dst] = Value::makeBool(A.asInt() >= B.asInt());
-      break;
-    case BinaryOp::And:
-      F.Regs[I.Dst] = Value::makeBool(A.asBool() && B.asBool());
-      break;
-    case BinaryOp::Or:
-      F.Regs[I.Dst] = Value::makeBool(A.asBool() || B.asBool());
-      break;
-    }
-    ++F.Pc;
-    return;
-  }
-
-  case Opcode::LoadField: {
-    const Value &Base = F.Regs[I.A];
-    if (!NullCheck(Base, "read of field", &I.Member))
-      return;
-    HeapObject &Obj = TheHeap.object(Base.asRef());
-    assert(I.FieldIndex < Obj.Fields.size() && "field index out of layout");
-    Value Read = Obj.Fields[I.FieldIndex];
-    F.Regs[I.Dst] = Read;
-
-    TraceEvent E = makeEvent(EventKind::ReadField, T);
-    E.Obj = Base.asRef();
-    E.ClassName = &Obj.Class->Name;
-    E.Member = &I.Member;
-    E.FieldIndex = I.FieldIndex;
-    E.Val = Read;
-    emit(E);
-    ++F.Pc;
-    return;
-  }
-
-  case Opcode::StoreField: {
-    const Value &Base = F.Regs[I.A];
-    if (!NullCheck(Base, "write of field", &I.Member))
-      return;
-    HeapObject &Obj = TheHeap.object(Base.asRef());
-    assert(I.FieldIndex < Obj.Fields.size() && "field index out of layout");
-    Value NewVal = F.Regs[I.B];
-    Obj.Fields[I.FieldIndex] = NewVal;
-
-    TraceEvent E = makeEvent(EventKind::WriteField, T);
-    E.Obj = Base.asRef();
-    E.ClassName = &Obj.Class->Name;
-    E.Member = &I.Member;
-    E.FieldIndex = I.FieldIndex;
-    E.Val = NewVal;
-    emit(E);
-    ++F.Pc;
-    return;
-  }
-
-  case Opcode::NewObject: {
-    const ClassInfo *Class = M.programInfo().findClass(I.ClassName);
-    assert(Class && "lowering validated the class");
-    ObjectId Id = Class->IsBuiltin ? TheHeap.allocateArray(Class, 0)
-                                   : TheHeap.allocate(Class);
-    F.Regs[I.Dst] = Value::makeRef(Id);
-
-    TraceEvent E = makeEvent(EventKind::Alloc, T);
-    E.Obj = Id;
-    E.ClassName = &Class->Name;
-    emit(E);
-    ++F.Pc;
-    return;
-  }
-
-  case Opcode::Invoke: {
-    const Value &Receiver = F.Regs[I.A];
-    if (!NullCheck(Receiver, "call of", &I.Member))
-      return;
-    if (!I.Callee) {
-      execBuiltinInvoke(T, F, I);
-      return;
-    }
-
-    // The callee's parameter registers double as the ClientCall's
-    // argument list: receiver first, then the arguments.
-    Frame Callee;
-    Callee.Func = I.Callee;
-    Callee.Regs.resize(I.Callee->numRegs());
-    Callee.Regs[0] = Receiver;
-    for (size_t ArgIdx = 0; ArgIdx != I.Args.size(); ++ArgIdx)
-      Callee.Regs[ArgIdx + 1] = F.Regs[I.Args[ArgIdx]];
-    Callee.RetDst = I.Dst;
-    Callee.IsClientBoundary = F.Func->kind() != IRFunction::Kind::Method;
-
-    if (Callee.IsClientBoundary) {
-      TraceEvent E = makeEvent(EventKind::ClientCall, T);
-      E.Member = &I.Member;
-      E.ClassName = &I.ClassName;
-      E.Receiver = Receiver.asRef();
-      E.Args = Callee.Regs.data();
-      E.NumArgs = static_cast<uint32_t>(I.Args.size() + 1);
-      emit(E);
-    }
-
-    ++F.Pc; // Resume after the call upon return.
-
-    if (T.Stack.size() >= MaxCallDepth) {
-      fault(T, formatString("call stack overflow (depth %zu) invoking "
-                            "'%s.%s'",
-                            T.Stack.size(), I.ClassName.c_str(),
-                            I.Member.c_str()));
-      return;
-    }
-    T.Stack.push_back(std::move(Callee));
-    return;
-  }
-
-  case Opcode::MonitorEnter: {
-    // Blocking, acquiring and retrying all change who can run next.
-    RunnableStale = true;
-    const Value &LockVal = F.Regs[I.A];
-    if (!NullCheck(LockVal, "monitor enter"))
-      return;
-    HeapObject &Obj = TheHeap.object(LockVal.asRef());
-    if (Obj.MonitorOwner != NoThread && Obj.MonitorOwner != T.Id) {
-      if (T.Status != ThreadStatus::Blocked)
-        ++Stats.MonitorBlocks;
-      T.Status = ThreadStatus::Blocked;
-      T.WaitingOn = LockVal.asRef();
-      return; // Pc unchanged: the acquisition is retried when scheduled.
-    }
-    T.Status = ThreadStatus::Runnable;
-    T.WaitingOn = NoObject;
-    Obj.MonitorOwner = T.Id;
-    if (++Obj.MonitorDepth == 1) {
-      ++Stats.MonitorAcquires;
-      TraceEvent E = makeEvent(EventKind::Lock, T);
-      E.Obj = LockVal.asRef();
-      emit(E);
-    }
-    ++F.Pc;
-    return;
-  }
-
-  case Opcode::MonitorExit: {
-    RunnableStale = true;
-    const Value &LockVal = F.Regs[I.A];
-    if (!NullCheck(LockVal, "monitor exit"))
-      return;
-    HeapObject &Obj = TheHeap.object(LockVal.asRef());
-    if (Obj.MonitorOwner != T.Id) {
-      fault(T, formatString("monitor exit without ownership at %s:%u",
-                            F.Func->name().c_str(), F.Pc));
-      return;
-    }
-    if (--Obj.MonitorDepth == 0) {
-      Obj.MonitorOwner = NoThread;
-      TraceEvent E = makeEvent(EventKind::Unlock, T);
-      E.Obj = LockVal.asRef();
-      emit(E);
-    }
-    ++F.Pc;
-    return;
-  }
-
-  case Opcode::Jump:
-    F.Pc = I.Target;
-    return;
-
-  case Opcode::Branch:
-    if (!F.Regs[I.A].asBool())
-      F.Pc = I.Target;
-    else
-      ++F.Pc;
-    return;
-
-  case Opcode::Ret: {
-    Value RetVal = I.A == NoReg ? Value::makeNull() : F.Regs[I.A];
-    doReturn(T, RetVal);
-    return;
-  }
-
-  case Opcode::SpawnThread: {
-    std::vector<Value> Args;
-    for (Reg R : I.Args)
-      Args.push_back(F.Regs[R]);
-    ++F.Pc;
-    spawnThread(I.Callee, std::move(Args), T.Id);
-    return;
-  }
-  }
-  narada_unreachable("unknown opcode");
-}
-
-void VM::execBuiltinInvoke(ThreadState &T, Frame &F, const Instr &I) {
-  const Value &Receiver = F.Regs[I.A];
-  HeapObject &Obj = TheHeap.object(Receiver.asRef());
-  assert(Obj.Class && Obj.Class->IsBuiltin && "builtin call on user object");
-
-  auto BoundsCheck = [&](int64_t Index) -> bool {
-    if (Index >= 0 && static_cast<size_t>(Index) < Obj.Elems.size())
-      return true;
-    fault(T, formatString("array index %lld out of bounds (size %zu) at "
-                          "%s:%u",
-                          static_cast<long long>(Index), Obj.Elems.size(),
-                          F.Func->name().c_str(), F.Pc));
-    return false;
-  };
-
-  if (I.Member == ConstructorName) {
-    int64_t Size = F.Regs[I.Args[0]].asInt();
-    if (Size < 0) {
-      fault(T, formatString("negative array size %lld at %s:%u",
-                            static_cast<long long>(Size),
-                            F.Func->name().c_str(), F.Pc));
-      return;
-    }
-    Obj.Elems.assign(static_cast<size_t>(Size), 0);
-    ++F.Pc;
-    return;
-  }
-
-  if (I.Member == "get") {
-    int64_t Index = F.Regs[I.Args[0]].asInt();
-    if (!BoundsCheck(Index))
-      return;
-    int64_t Read = Obj.Elems[static_cast<size_t>(Index)];
-    F.Regs[I.Dst] = Value::makeInt(Read);
-
-    TraceEvent E = makeEvent(EventKind::ReadElem, T);
-    E.Obj = Receiver.asRef();
-    E.ClassName = &Obj.Class->Name;
-    E.FieldIndex = static_cast<unsigned>(Index);
-    E.Val = Value::makeInt(Read);
-    emit(E);
-    ++F.Pc;
-    return;
-  }
-
-  if (I.Member == "set") {
-    int64_t Index = F.Regs[I.Args[0]].asInt();
-    if (!BoundsCheck(Index))
-      return;
-    int64_t NewVal = F.Regs[I.Args[1]].asInt();
-    Obj.Elems[static_cast<size_t>(Index)] = NewVal;
-
-    TraceEvent E = makeEvent(EventKind::WriteElem, T);
-    E.Obj = Receiver.asRef();
-    E.ClassName = &Obj.Class->Name;
-    E.FieldIndex = static_cast<unsigned>(Index);
-    E.Val = Value::makeInt(NewVal);
-    emit(E);
-    ++F.Pc;
-    return;
-  }
-
-  if (I.Member == "length") {
-    F.Regs[I.Dst] = Value::makeInt(static_cast<int64_t>(Obj.Elems.size()));
-    ++F.Pc;
-    return;
-  }
-
-  narada_unreachable("unknown builtin method");
 }

@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small-step interpreter over the register IR.  Each step() executes one
-/// instruction of one thread, so a scheduler can interleave threads at the
-/// granularity of individual heap accesses — the granularity at which data
-/// races manifest.  All heap accesses, monitor transitions and client→library
-/// invocations are reported to an ExecutionObserver; that event stream is
-/// both the sequential trace Narada analyzes and the multithreaded trace the
-/// race detectors consume.
+/// A small-step interpreter over the register IR.  Each step of the loop
+/// in runToCompletion() executes one instruction of one thread, so a
+/// scheduler can interleave threads at the granularity of individual heap
+/// accesses — the granularity at which data races manifest.  All heap
+/// accesses, monitor transitions and client→library invocations are
+/// reported to an ExecutionObserver; that event stream is both the
+/// sequential trace Narada analyzes and the multithreaded trace the race
+/// detectors consume.
 ///
 /// Faults (null dereference, division by zero, array bounds, monitor misuse)
 /// terminate the faulting thread like an uncaught Java exception: its frames
@@ -33,6 +34,9 @@
 #include <vector>
 
 namespace narada {
+
+class SchedulingPolicy;
+struct RunResult;
 
 /// One activation record.
 struct Frame {
@@ -145,23 +149,8 @@ public:
   ThreadId spawnThread(const IRFunction *F, std::vector<Value> Args,
                        ThreadId Parent = NoThread);
 
-  /// Executes one instruction of thread \p T.  \p T must be live; a blocked
-  /// thread retries its monitor acquisition.
-  void step(ThreadId T);
-
   const ThreadState &thread(ThreadId T) const { return Threads[T]; }
   size_t numThreads() const { return Threads.size(); }
-
-  /// The threads that can make progress now, in id order: Runnable ones
-  /// plus Blocked ones whose awaited monitor is free or their own.  The
-  /// list is kept between steps and rescanned only after a step that can
-  /// change it: a spawn, a thread finishing or faulting (a fault releases
-  /// monitors), or any monitor enter or exit.
-  const std::vector<ThreadId> &runnableThreads() {
-    if (RunnableStale)
-      rescanRunnable();
-    return Runnable;
-  }
 
   /// True when no thread is live.
   bool allDone() const { return LiveThreads == 0; }
@@ -186,9 +175,26 @@ public:
   const VMStats &stats() const { return Stats; }
 
 private:
-  void execInstr(ThreadState &T, Frame &F, const Instr &I);
+  friend RunResult runToCompletion(VM &M, SchedulingPolicy &Policy,
+                                   uint64_t MaxSteps);
+
+  /// The step loop behind runToCompletion(): picks a thread, then
+  /// dispatches its next instruction through one switch.  A blocked
+  /// thread retries its monitor acquisition.  Counts steps into \p Result
+  /// and context switches into \p ContextSwitches.
+  void run(SchedulingPolicy &Policy, uint64_t MaxSteps, RunResult &Result,
+           uint64_t &ContextSwitches);
+
+  // The step loop's out-of-line paths: calls, builtins, returns, monitor
+  // blocking, spawns and faults.
+  void invoke(ThreadState &T, Frame &F, const Instr &I);
   void execBuiltinInvoke(ThreadState &T, Frame &F, const Instr &I);
   void doReturn(ThreadState &T, Value RetVal);
+  void blockOn(ThreadState &T, ObjectId Lock);
+  void spawnFrom(ThreadState &T, Frame &F, const Instr &I);
+  void faultNull(ThreadState &T, const Frame &F, const char *What,
+                 const std::string *Member);
+  void faultAt(ThreadState &T, const Frame &F, const char *What);
   void fault(ThreadState &T, const std::string &Message);
   void rescanRunnable();
   void emit(const TraceEvent &Event) {
@@ -197,13 +203,29 @@ private:
   }
   uint64_t nextLabel() { return ++LabelCounter; }
 
-  /// Fills the static-point and thread fields of an event.
+  /// An event of thread \p Tid at frame \p F's current instruction.
+  TraceEvent eventAt(EventKind Kind, ThreadId Tid, const Frame &F) {
+    TraceEvent E;
+    E.Kind = Kind;
+    E.Label = nextLabel();
+    E.Thread = Tid;
+    E.Func = F.Func;
+    E.Pc = F.Pc;
+    return E;
+  }
+  /// An event of thread \p T at its top frame, or at no point when its
+  /// stack is empty.
   TraceEvent makeEvent(EventKind Kind, const ThreadState &T);
 
   const IRModule &M;
   Heap TheHeap;
   std::vector<ThreadState> Threads;
-  std::vector<ThreadId> Runnable; ///< See runnableThreads().
+  /// The threads that can make progress now, in id order: Runnable ones
+  /// plus Blocked ones whose awaited monitor is free or their own.  The
+  /// list is kept between steps and rescanned only after a step that can
+  /// change it: a spawn, a thread finishing or faulting (a fault releases
+  /// monitors), or any monitor enter or exit.
+  std::vector<ThreadId> Runnable;
   bool RunnableStale = false;
   size_t LiveThreads = 0;
   ExecutionObserver *Observer = nullptr;

@@ -7,9 +7,9 @@
 #include "serve/CacheFile.h"
 
 #include "detect/DetectWorker.h"
-#include "obs/Log.h"
 #include "support/Wire.h"
 
+#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -83,8 +83,9 @@ bool serve::saveCacheFile(const std::string &Path,
         Ok = Ok && wire::writeFrame(Fd, It->second.Frame);
     return Ok;
   });
-  if (!Saved)
-    NARADA_LOG_WARN("serve: failed to persist cache file '%s'", Path.c_str());
+  if (!Saved) // At every log level: the next restart would start cold.
+    std::fprintf(stderr, "serve: failed to persist cache file '%s'\n",
+                 Path.c_str());
   return Saved;
 }
 

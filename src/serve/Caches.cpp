@@ -9,6 +9,7 @@
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 
+#include <cstdio>
 #include <sys/stat.h>
 #include <utility>
 
@@ -58,7 +59,10 @@ ServeCaches::ServeCaches(std::string CacheFilePath)
     return; // No file yet: a normal cold start.
   Result<CacheSnapshot> Loaded = loadCacheFile(this->CacheFilePath);
   if (!Loaded) {
-    NARADA_LOG_WARN("serve: starting cold: %s", Loaded.error().str().c_str());
+    // Printed at every log level, like the daemon's refusal to start: an
+    // operator must learn that the cache was dropped.
+    std::fprintf(stderr, "serve: starting cold: %s\n",
+                 Loaded.error().str().c_str());
     return;
   }
   State = Loaded.take();

@@ -139,9 +139,7 @@ bool fieldsClean(const std::vector<std::string> &Fields,
 }
 
 bool isBuiltinArrayAccess(const Instr &I) {
-  return I.Op == Opcode::Invoke && !I.Callee &&
-         I.ClassName == IntArrayClassName &&
-         (I.Member == "get" || I.Member == "set");
+  return I.Builtin == ArrayBuiltin::Get || I.Builtin == ArrayBuiltin::Set;
 }
 
 /// A non-builtin call site with everything needed to rebase the callee's
@@ -215,7 +213,7 @@ bool transfer(AbsState &S, const Instr &I,
   case Opcode::Invoke:
     if (!I.Callee) {
       // Built-in (IntArray).  set mutates elements; nothing else stores.
-      if (I.Member == "set")
+      if (I.Builtin == ArrayBuiltin::Set)
         S.Smashed.insert("[]");
     } else if (StoredTrans) {
       auto It = StoredTrans->find(I.Callee->name());
@@ -358,7 +356,8 @@ IntraInfo analyzeFunction(
       A.Label = formatString("%s:%u", F.name().c_str(), Pc);
       A.FieldClassName = I.ClassName;
       A.Field = IsElem ? "[]" : I.Member;
-      A.IsWrite = I.Op == Opcode::StoreField || I.Member == "set";
+      A.IsWrite =
+          I.Op == Opcode::StoreField || I.Builtin == ArrayBuiltin::Set;
       A.IsElem = IsElem;
       AbsValue Base =
           I.A < S.Regs.size() ? S.Regs[I.A] : AbsValue::unknown();
@@ -376,7 +375,7 @@ IntraInfo analyzeFunction(
     }
     if (I.Op == Opcode::StoreField)
       Out.StoredOwn.insert(I.Member);
-    if (I.Op == Opcode::Invoke && !I.Callee && I.Member == "set")
+    if (I.Builtin == ArrayBuiltin::Set)
       Out.StoredOwn.insert("[]");
     if (I.Op == Opcode::SpawnThread)
       Out.StoredOwn.insert(SmashAll);
@@ -507,7 +506,7 @@ ModuleSummary composeModule(const IRModule &M) {
     for (const Instr &I : F->instrs()) {
       if (I.Op == Opcode::StoreField)
         Own.insert(I.Member);
-      if (I.Op == Opcode::Invoke && !I.Callee && I.Member == "set")
+      if (I.Builtin == ArrayBuiltin::Set)
         Own.insert("[]");
       if (I.Op == Opcode::SpawnThread)
         Own.insert(SmashAll);

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "corpus/Corpus.h"
 #include "detect/Detection.h"
 #include "detect/HBDetector.h"
 #include "detect/LockSetDetector.h"
@@ -13,6 +14,9 @@
 #include "synth/Narada.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
 
 using namespace narada;
 
@@ -64,6 +68,30 @@ constexpr const char *SafeCounter =
     "  spawn { c.inc(); }\n"
     "  spawn { c.inc(); }\n"
     "}\n";
+
+/// Renders the races \p D detected, in order: detector, raced field,
+/// both labels (without the class, when it is the raced one) with their
+/// write flags, both threads and the object.
+std::string detectedLines(const TestDetectionResult &D) {
+  std::string Out;
+  for (const RaceReport &R : D.Detected) {
+    auto Short = [&](const std::string &Label) {
+      std::string Prefix = R.ClassName + ".";
+      return Label.rfind(Prefix, 0) == 0 ? Label.substr(Prefix.size())
+                                         : Label;
+    };
+    Out += formatString("%s %s.%s %s(%c)~%s(%c) t%u~t%u o%u%s\n",
+                        R.Detector.c_str(), R.ClassName.c_str(),
+                        R.Field.c_str(), Short(R.FirstLabel).c_str(),
+                        R.FirstIsWrite ? 'w' : 'r',
+                        Short(R.SecondLabel).c_str(),
+                        R.SecondIsWrite ? 'w' : 'r', R.FirstThread,
+                        R.SecondThread, R.Obj,
+                        R.IsElem ? formatString("[%u]", R.ElemIndex).c_str()
+                                 : "");
+  }
+  return Out;
+}
 
 } // namespace
 
@@ -507,4 +535,108 @@ TEST(LockOrderTest, CycleKeyIsRotationInvariant) {
   B.Objects = {7, 3};
   B.AcquireLabels = {"y", "x"};
   EXPECT_EQ(A.key(), B.key());
+}
+
+// Recorded with detectors that rendered a RaceReport for every race of
+// every run and a detectRacesInTest that keyed each of them.  The first
+// report of a race wins, so these lines also pin which detector, run and
+// threads saw each race first: HB before LockSet within a run, earlier
+// runs first.
+TEST(DetectionTest, RaceOrderIsPinned) {
+  struct Case {
+    const char *Class;
+    ExplorationMode Mode;
+    const char *Test;
+    const char *Lines;
+  };
+  const Case Want[] = {
+      {"C6", ExplorationMode::Systematic, "narada_001",
+       "hb Scanner.errorCount reset:18(w)~scanIdentifier:29(r) t1~t2 o1\n"
+       "hb Scanner.errorCount reset:18(w)~scanIdentifier:32(w) t1~t2 o1\n"
+       "lockset Scanner.errorCount scanIdentifier:29(r)~scanIdentifier:32(w) t2~t2 o1\n"
+       "hb Scanner.limit reset:4(w)~peekChar:1(r) t1~t2 o1\n"
+       "hb Scanner.limit reset:4(w)~readChar:1(r) t1~t2 o1\n"
+       "hb Scanner.pos reset:2(w)~peekChar:0(r) t1~t2 o1\n"
+       "hb Scanner.pos reset:2(w)~peekChar:9(r) t1~t2 o1\n"
+       "hb Scanner.pos reset:2(w)~readChar:0(r) t1~t2 o1\n"
+       "lockset Scanner.pos readChar:12(r)~readChar:15(w) t2~t2 o1\n"
+       "hb Scanner.pos reset:2(w)~readChar:12(r) t1~t2 o1\n"
+       "hb Scanner.pos reset:2(w)~readChar:15(w) t1~t2 o1\n"
+       "hb Scanner.pos reset:2(w)~readChar:9(r) t1~t2 o1\n"
+       "hb Scanner.pos reset:2(w)~scanIdentifier:0(r) t1~t2 o1\n"
+       "hb Scanner.pos reset:2(w)~scanIdentifier:16(r) t1~t2 o1\n"
+       "lockset Scanner.source init:3(w)~reset:0(w) t0~t1 o1\n"
+       "hb Scanner.source reset:0(w)~peekChar:8(r) t1~t2 o1\n"
+       "hb Scanner.source reset:0(w)~readChar:8(r) t1~t2 o1\n"
+       "hb Scanner.tokenLength reset:10(w)~scanIdentifier:19(w) t1~t2 o1\n"
+       "hb Scanner.tokenLength scanIdentifier:20(r)~reset:10(w) t2~t1 o1\n"
+       "hb Scanner.tokenStart scanIdentifier:17(r)~reset:8(w) t2~t1 o1\n"
+       "hb Scanner.tokenStart reset:8(w)~scanIdentifier:1(w) t1~t2 o1\n"
+       "hb Scanner.tokenType reset:6(w)~scanIdentifier:25(w) t1~t2 o1\n"
+       "hb Scanner.tokenType reset:6(w)~scanIdentifier:28(w) t1~t2 o1\n"},
+      {"C6", ExplorationMode::Systematic, "narada_002",
+       "hb Scanner.errorCount reset:18(w)~scanOperator:55(r) t1~t2 o1\n"
+       "hb Scanner.errorCount reset:18(w)~scanOperator:58(w) t1~t2 o1\n"
+       "lockset Scanner.errorCount scanOperator:55(r)~scanOperator:58(w) t2~t2 o1\n"
+       "hb Scanner.limit reset:4(w)~peekChar:1(r) t1~t2 o1\n"
+       "hb Scanner.pos reset:2(w)~peekChar:0(r) t1~t2 o1\n"
+       "hb Scanner.pos reset:2(w)~peekChar:9(r) t1~t2 o1\n"
+       "hb Scanner.pos reset:2(w)~scanOperator:0(r) t1~t2 o1\n"
+       "lockset Scanner.source init:3(w)~reset:0(w) t0~t1 o1\n"
+       "hb Scanner.source reset:0(w)~peekChar:8(r) t1~t2 o1\n"
+       "hb Scanner.tokenLength reset:10(w)~scanOperator:54(w) t1~t2 o1\n"
+       "hb Scanner.tokenStart reset:8(w)~scanOperator:1(w) t1~t2 o1\n"
+       "hb Scanner.tokenType reset:6(w)~scanOperator:52(w) t1~t2 o1\n"},
+      {"C6", ExplorationMode::Systematic, "narada_005",
+       "hb Scanner.errorCount scanIdentifier:32(w)~scanIdentifier:29(r) t1~t2 o1\n"
+       "hb Scanner.errorCount scanIdentifier:32(w)~scanIdentifier:32(w) t1~t2 o1\n"
+       "hb Scanner.tokenLength scanIdentifier:19(w)~scanIdentifier:19(w) t1~t2 o1\n"
+       "hb Scanner.tokenLength scanIdentifier:20(r)~scanIdentifier:19(w) t1~t2 o1\n"
+       "lockset Scanner.tokenLength scanNumber:24(r)~scanIdentifier:19(w) t0~t1 o1\n"
+       "hb Scanner.tokenStart scanIdentifier:17(r)~scanIdentifier:1(w) t1~t2 o1\n"
+       "hb Scanner.tokenStart scanIdentifier:1(w)~scanIdentifier:1(w) t1~t2 o1\n"
+       "lockset Scanner.tokenStart scanNumber:21(r)~scanIdentifier:1(w) t0~t1 o1\n"
+       "hb Scanner.tokenType scanIdentifier:28(w)~scanIdentifier:28(w) t1~t2 o1\n"
+       "lockset Scanner.tokenType scanNumber:29(w)~scanIdentifier:28(w) t0~t1 o1\n"},
+      {"C1", ExplorationMode::Random, "narada_001",
+       "hb CoalescedWriteBehindQueue.count addFirst:3(r)~clear:3(w) t2~t1 o19\n"
+       "hb CoalescedWriteBehindQueue.count clear:3(w)~addFirst:6(w) t1~t2 o19\n"
+       "hb CoalescedWriteBehindQueue.head addFirst:0(r)~clear:1(w) t2~t1 o19\n"
+       "hb CoalescedWriteBehindQueue.head clear:1(w)~addFirst:2(w) t1~t2 o19\n"},
+      {"C1", ExplorationMode::Random, "narada_002",
+       "hb CoalescedWriteBehindQueue.count clear:3(w)~addLast:18(r) t1~t2 o19\n"
+       "hb CoalescedWriteBehindQueue.count clear:3(w)~addLast:21(w) t1~t2 o19\n"
+       "hb CoalescedWriteBehindQueue.head clear:1(w)~addLast:2(r) t1~t2 o19\n"
+       "hb CoalescedWriteBehindQueue.head clear:1(w)~addLast:6(w) t1~t2 o19\n"
+       "hb CoalescedWriteBehindQueue.head clear:1(w)~addLast:8(r) t1~t2 o19\n"},
+      {"C1", ExplorationMode::Random, "narada_003",
+       "hb CoalescedWriteBehindQueue.count clear:3(w)~removeFirst:12(w) t1~t2 o19\n"
+       "hb CoalescedWriteBehindQueue.count clear:3(w)~removeFirst:9(r) t1~t2 o19\n"
+       "hb CoalescedWriteBehindQueue.head clear:1(w)~removeFirst:0(r) t1~t2 o19\n"
+       "hb CoalescedWriteBehindQueue.head clear:1(w)~removeFirst:8(w) t1~t2 o19\n"},
+  };
+  std::map<std::string, NaradaResult> Synthesized;
+  for (const Case &C : Want) {
+    auto It = Synthesized.find(C.Class);
+    if (It == Synthesized.end()) {
+      const CorpusEntry *Entry = findCorpusEntry(C.Class);
+      NaradaOptions Pipeline;
+      Pipeline.FocusClass = Entry->ClassName;
+      Result<NaradaResult> R =
+          runNarada(Entry->Source, Entry->SeedNames, Pipeline);
+      ASSERT_TRUE(R.hasValue()) << R.error().str();
+      It = Synthesized.emplace(C.Class, R.take()).first;
+    }
+    const NaradaResult &R = It->second;
+    auto Info = std::find_if(
+        R.Tests.begin(), R.Tests.end(),
+        [&](const SynthesizedTestInfo &T) { return T.Name == C.Test; });
+    ASSERT_NE(Info, R.Tests.end()) << C.Class << " " << C.Test;
+    DetectOptions Options;
+    Options.Mode = C.Mode;
+    Result<TestDetectionResult> D = detectRacesInTest(
+        *R.Program.Module, C.Test, Options, Info->CandidateLabels);
+    ASSERT_TRUE(D.hasValue()) << D.error().str();
+    EXPECT_EQ(detectedLines(*D), C.Lines) << C.Class << " " << C.Test;
+  }
 }

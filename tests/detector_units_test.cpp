@@ -179,7 +179,7 @@ TEST(HBUnitTest, RepeatedRaceIsReportedOnceAndCountedPerInstance) {
     HBDetector HB;
     S.feed(HB);
     ASSERT_EQ(HB.races().size(), 1u);
-    const RaceReport &R = HB.races()[0];
+    RaceReport R = HB.races()[0];
     EXPECT_EQ(R.Obj, 1u);
     EXPECT_EQ(R.FirstThread, 0u);
     EXPECT_EQ(R.SecondThread, 1u);
@@ -189,6 +189,44 @@ TEST(HBUnitTest, RepeatedRaceIsReportedOnceAndCountedPerInstance) {
     EXPECT_TRUE(R.SecondIsWrite);
   }
   EXPECT_EQ(Reports.value() - Before, 1000u);
+}
+
+TEST(HBUnitTest, InterleavedRepeatsAreReportedOnceInFirstSeenOrder) {
+  // 300 distinct write/write races, each repeated 50 times on fresh
+  // objects, in an order that changes every round, so a check that only
+  // remembers recent races would report some of them twice.
+  IRFunction Put("C.put", IRFunction::Kind::Method);
+  IRFunction Clear("C.clear", IRFunction::Kind::Method);
+  constexpr unsigned Distinct = 300, Rounds = 50;
+  auto RaceAt = [](unsigned Round, unsigned I) {
+    return (I * 7 + Round) % Distinct;
+  };
+  Stream S;
+  S.start(0).start(1);
+  ObjectId Obj = 0;
+  for (unsigned Round = 0; Round != Rounds; ++Round) {
+    for (unsigned I = 0; I != Distinct; ++I) {
+      uint32_t Pc = RaceAt(Round, I);
+      ++Obj;
+      S.write(0, Obj).at(&Put, Pc).write(1, Obj).at(&Clear, Pc);
+    }
+  }
+  obs::Counter &Reports =
+      obs::MetricsRegistry::global().counter("detect.hb_reports");
+  uint64_t Before = Reports.value();
+  {
+    HBDetector HB;
+    S.feed(HB);
+    std::vector<RaceReport> Races = HB.races();
+    ASSERT_EQ(Races.size(), Distinct);
+    for (unsigned I = 0; I != Distinct; ++I) {
+      uint32_t Pc = RaceAt(0, I);
+      EXPECT_EQ(Races[I].FirstLabel, "C.put:" + std::to_string(Pc)) << I;
+      EXPECT_EQ(Races[I].SecondLabel, "C.clear:" + std::to_string(Pc)) << I;
+      EXPECT_EQ(Races[I].Obj, I + 1) << I;
+    }
+  }
+  EXPECT_EQ(Reports.value() - Before, uint64_t(Distinct) * Rounds);
 }
 
 TEST(HBUnitTest, SameThreadNeverRaces) {

@@ -23,10 +23,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
+#include <stdlib.h>
+#include <system_error>
 
 using namespace narada;
 
@@ -96,12 +99,29 @@ private:
   std::optional<HBDetector> HB;
 };
 
-std::string freshTempDir(const std::string &Tag) {
-  std::string Dir = ::testing::TempDir() + "narada_explore_" + Tag;
-  std::filesystem::remove_all(Dir);
-  std::filesystem::create_directories(Dir);
-  return Dir;
-}
+/// A new, empty directory under the gtest temp dir, unique to this
+/// object, and removed with everything in it when the object goes.
+/// Throws, which stops the test, if the directory cannot be made.
+class ScopedTempDir {
+public:
+  explicit ScopedTempDir(const std::string &Tag)
+      : Path(::testing::TempDir() + "narada_explore_" + Tag + "_XXXXXX") {
+    if (!::mkdtemp(Path.data()))
+      throw std::system_error(errno, std::generic_category(),
+                              "mkdtemp " + Path);
+  }
+  ~ScopedTempDir() {
+    std::error_code Ignored;
+    std::filesystem::remove_all(Path, Ignored);
+  }
+  ScopedTempDir(const ScopedTempDir &) = delete;
+  ScopedTempDir &operator=(const ScopedTempDir &) = delete;
+
+  const std::string &path() const { return Path; }
+
+private:
+  std::string Path;
+};
 
 std::string slurp(const std::string &Path) {
   std::ifstream In(Path);
@@ -167,7 +187,8 @@ TEST(ScheduleTraceTest, CommentsAndBlankLinesIgnored) {
 }
 
 TEST(ScheduleTraceTest, FileRoundTrip) {
-  std::string Dir = freshTempDir("file_round_trip");
+  ScopedTempDir Temp("file_round_trip");
+  const std::string &Dir = Temp.path();
   explore::ScheduleTrace T;
   T.TestName = "t";
   T.Picks = {0, 1, 0};
@@ -476,8 +497,10 @@ std::string digestOf(const std::vector<TestDetectionResult> &Results) {
 
 TEST(WitnessRoundTripTest, EmissionIsByteIdenticalAcrossJobs) {
   CompiledProgram P = compileOk(MultiNarrow);
-  std::string Dir1 = freshTempDir("emit_j1");
-  std::string Dir4 = freshTempDir("emit_j4");
+  ScopedTempDir Temp1("emit_j1");
+  ScopedTempDir Temp4("emit_j4");
+  const std::string &Dir1 = Temp1.path();
+  const std::string &Dir4 = Temp4.path();
 
   DetectOptions Options;
   Options.Mode = ExplorationMode::Systematic;
@@ -510,7 +533,8 @@ TEST(WitnessRoundTripTest, EmissionIsByteIdenticalAcrossJobs) {
 
 TEST(WitnessRoundTripTest, WitnessReplaysToIdenticalRaceReport) {
   CompiledProgram P = compileOk(MultiNarrow);
-  std::string Dir = freshTempDir("replay_round_trip");
+  ScopedTempDir Temp("replay_round_trip");
+  const std::string &Dir = Temp.path();
 
   DetectOptions Emit;
   Emit.Mode = ExplorationMode::Systematic;

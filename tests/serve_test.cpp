@@ -657,6 +657,42 @@ TEST(CacheSaveTest, ColdStartWritesTheFileAtTheFirstSave) {
   ::unlink(Old.c_str());
 }
 
+TEST(CacheSaveTest, RefusedFileAndFailedSaveWarnOnStderr) {
+  // A version-3 file is refused with a line on stderr, at the default log
+  // level.
+  const std::string Old = tempPath("warn_version3");
+  {
+    int Fd = ::open(Old.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ASSERT_GE(Fd, 0);
+    wire::RecordWriter Header;
+    Header.add("magic", std::string_view("narada.serve_cache"));
+    Header.add("version", static_cast<uint64_t>(3));
+    ASSERT_TRUE(wire::writeFrame(Fd, Header.str()));
+    ::close(Fd);
+  }
+  ::testing::internal::CaptureStderr();
+  {
+    ServeCaches Caches(Old);
+    EXPECT_FALSE(Caches.loadedFromDisk());
+  }
+  std::string Err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(Err.rfind("serve: starting cold: ", 0), 0u) << Err;
+  EXPECT_NE(Err.find("version"), std::string::npos) << Err;
+  ::unlink(Old.c_str());
+
+  // A missing file is a normal cold start, and silent.
+  ::testing::internal::CaptureStderr();
+  { ServeCaches Caches(tempPath("warn_missing")); }
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+  // A save into a directory that does not exist fails, and says so.
+  const std::string Unwritable = tempPath("warn_nodir") + "/cache";
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(saveCacheFile(Unwritable, CacheSnapshot()));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "serve: failed to persist cache file '" + Unwritable + "'\n");
+}
+
 //===----------------------------------------------------------------------===//
 // When the race database file is written: after a request that ingested.
 //===----------------------------------------------------------------------===//

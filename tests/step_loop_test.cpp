@@ -9,6 +9,8 @@
 // while holding a monitor.  The schedule pins record what whole runs did
 // (steps, context switches, final heap, every pick), so a change to the
 // step loop that moves one pick fails here, not only in the benchmark.
+// The event-stream pins add every event each run emits and the
+// instructions it executed per opcode, over every synthesized test.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,8 +18,9 @@
 #include "detect/RaceConfirmer.h"
 #include "obs/Metrics.h"
 #include "runtime/Execution.h"
-#include "synth/Narada.h"
+#include "support/Digest.h"
 #include "support/StringUtils.h"
+#include "synth/Narada.h"
 
 #include <gtest/gtest.h>
 
@@ -258,4 +261,135 @@ TEST(SchedulePinTest, ConfirmationRunOfAHangingC1Test) {
   EXPECT_EQ(pinLine(*R.Program.Module, "narada_088", Confirm, 400'000),
             "steps=400000 switches=75 heap=f5c01ce443e962ad "
             "picks=4ee8022a9d159dc7");
+}
+
+namespace {
+
+/// Digests every event of a run: kind, label, thread, function, pc,
+/// object, slot and value.
+class EventDigest final : public ExecutionObserver {
+public:
+  void onEvent(const TraceEvent &E) override {
+    Hash = digest::updateU64(Hash, static_cast<uint64_t>(E.Kind));
+    Hash = digest::updateU64(Hash, E.Label);
+    Hash = digest::updateU64(Hash, E.Thread);
+    Hash = digest::update(Hash, E.Func ? E.Func->name() : "-");
+    Hash = digest::updateU64(Hash, E.Pc);
+    Hash = digest::updateU64(Hash, E.Obj);
+    Hash = digest::updateU64(Hash, E.FieldIndex);
+    Hash = digestValue(Hash, E.Val);
+    ++Events;
+  }
+  uint64_t Hash = digest::Fnv1aBasis;
+  uint64_t Events = 0;
+};
+
+/// What a set of runs did, summed over the runs, with one digest over
+/// each run's steps, switches, final heap and event stream in run order.
+struct StreamPin {
+  uint64_t Runs = 0, Steps = 0, Switches = 0, Events = 0;
+  uint64_t Digest = digest::Fnv1aBasis;
+  uint64_t InstrByOp[NumOpcodes] = {};
+
+  /// Runs \p Test under \p Inner the way runTest does: VM seed 1, the
+  /// detection step budget.
+  void add(const IRModule &M, const std::string &Test,
+           SchedulingPolicy &Inner) {
+    const IRFunction *Entry = M.findTest(Test);
+    ASSERT_NE(Entry, nullptr) << Test;
+    VM Machine(M, /*RandSeed=*/1);
+    EventDigest Stream;
+    Machine.setObserver(&Stream);
+    Machine.spawnThread(Entry, {});
+    CheckingPolicy Policy(Inner);
+    RunResult Result = runToCompletion(Machine, Policy, 400'000);
+    EXPECT_EQ(Policy.Mismatches, 0u) << Test;
+    ++Runs;
+    Steps += Result.Steps;
+    Switches += Policy.Switches;
+    Events += Stream.Events;
+    for (uint64_t Part : {Result.Steps, Policy.Switches,
+                          Machine.heap().stateHash(), Stream.Hash})
+      Digest = digest::updateU64(Digest, Part);
+    for (unsigned Op = 0; Op != NumOpcodes; ++Op)
+      InstrByOp[Op] += Machine.stats().InstrByOp[Op];
+  }
+
+  std::string str() const {
+    std::string Out = formatString(
+        "runs=%llu steps=%llu switches=%llu events=%llu digest=%016llx "
+        "instr=",
+        static_cast<unsigned long long>(Runs),
+        static_cast<unsigned long long>(Steps),
+        static_cast<unsigned long long>(Switches),
+        static_cast<unsigned long long>(Events),
+        static_cast<unsigned long long>(Digest));
+    for (unsigned Op = 0; Op != NumOpcodes; ++Op)
+      Out += formatString(Op ? ",%llu" : "%llu",
+                          static_cast<unsigned long long>(InstrByOp[Op]));
+    return Out;
+  }
+};
+
+} // namespace
+
+// Recorded with the VM whose step loop called VM::step and a separate
+// execInstr switch, and that resolved array builtins by name.  For every
+// synthesized test of a class: its first random-phase detection run
+// (seed BaseSeed = 1) and its first confirmation run (the synthesizer's
+// first candidate pair at confirmation seed 1001, first order).
+TEST(EventStreamPinTest, FirstDetectionAndConfirmationRunsOfEveryTest) {
+  const std::pair<const char *, const char *> Want[] = {
+      {"C1",
+       "runs=178 steps=1772036 switches=602432 "
+       "events=544312 digest=76cc924109f006b2 "
+       "instr=8451,858,242762,246925,246054,0,486519,18584,5956,17817,0,4030,4020,231168,240215,18321,356"},
+      {"C2",
+       "runs=66 steps=83114 switches=1424 "
+       "events=33192 digest=3be37ee5b44680dd "
+       "instr=10897,178,0,8218,11980,1578,14651,2266,884,13470,0,1402,1402,631,7180,8245,132"},
+      {"C3",
+       "runs=52 steps=22029 switches=867 "
+       "events=8900 digest=a7e00ae1fb96256e "
+       "instr=2660,0,0,1428,3389,172,3491,663,454,3715,0,1206,1172,514,1461,1600,104"},
+      {"C4",
+       "runs=194 steps=498500 switches=3698 "
+       "events=156393 digest=1f8834274bf2e8ed "
+       "instr=56135,3658,0,71086,110259,152,82333,7613,1586,54323,0,12439,12309,24812,47564,13843,388"},
+      {"C5",
+       "runs=358 steps=351943 switches=4633 "
+       "events=149101 digest=e30d2effdeccaa3a "
+       "instr=46729,5468,0,36312,52977,2866,59375,11272,3598,54158,0,13099,12830,6366,29075,17102,716"},
+      {"C6",
+       "runs=196 steps=244366 switches=6345 "
+       "events=75569 digest=f643863e65867594 "
+       "instr=39689,686,0,32860,33362,6149,38559,12566,1176,29262,0,0,0,2569,29957,17139,392"},
+      {"C7",
+       "runs=30 steps=5720 switches=443 "
+       "events=3458 digest=f209cdd58891dfb3 "
+       "instr=254,151,407,377,451,36,785,841,216,522,0,230,230,105,443,612,60"},
+      {"C8",
+       "runs=32 steps=6092 switches=264 "
+       "events=4146 digest=0d8d056056e1d74a "
+       "instr=686,30,0,420,530,16,1070,836,64,652,0,340,340,0,296,748,64"},
+      {"C9",
+       "runs=16 steps=2170 switches=160 "
+       "events=1202 digest=961d339d04a6d122 "
+       "instr=356,2,0,246,152,32,344,150,64,358,0,60,60,0,132,182,32"},
+  };
+  for (const auto &[Class, Line] : Want) {
+    NaradaResult R = synthesize(*findCorpusEntry(Class));
+    ASSERT_FALSE(R.Tests.empty()) << Class;
+    StreamPin Pin;
+    for (const SynthesizedTestInfo &Info : R.Tests) {
+      RandomPolicy Random(/*Seed=*/1);
+      Pin.add(*R.Program.Module, Info.Name, Random);
+      if (Info.CandidateLabels.empty())
+        continue;
+      const auto &[A, B] = Info.CandidateLabels.front();
+      RaceConfirmPolicy Confirm(A, B, /*Seed=*/1001);
+      Pin.add(*R.Program.Module, Info.Name, Confirm);
+    }
+    EXPECT_EQ(Pin.str(), Line) << Class;
+  }
 }

@@ -195,11 +195,30 @@ TEST(VMTest, ArrayOutOfBoundsFaults) {
   auto P = compileOk("test t {\n"
                      "  var a: IntArray = new IntArray(2);\n"
                      "  a.set(5, 1);\n"
+                     "}\n"
+                     "test readBelow {\n"
+                     "  var a: IntArray = new IntArray(2);\n"
+                     "  var x: int = a.get(0 - 1);\n"
+                     "}\n"
+                     "test writeAtLength {\n"
+                     "  var a: IntArray = new IntArray(3);\n"
+                     "  a.set(a.length(), 7);\n"
+                     "}\n"
+                     "test negativeSize {\n"
+                     "  var a: IntArray = new IntArray(0 - 4);\n"
                      "}\n");
-  auto Run = runOk(*P.Module, "t");
-  EXPECT_TRUE(Run.Result.Faulted);
-  EXPECT_NE(Run.Result.FaultMessages[0].find("out of bounds"),
-            std::string::npos);
+  const std::pair<const char *, const char *> Want[] = {
+      {"t", "array index 5 out of bounds (size 2) at test$t:6"},
+      {"readBelow", "array index -1 out of bounds (size 2) at test$readBelow:7"},
+      {"writeAtLength", "array index 3 out of bounds (size 3) at test$writeAtLength:6"},
+      {"negativeSize", "negative array size -4 at test$negativeSize:4"},
+  };
+  for (const auto &[Test, Message] : Want) {
+    auto Run = runOk(*P.Module, Test);
+    EXPECT_TRUE(Run.Result.Faulted) << Test;
+    ASSERT_EQ(Run.Result.FaultMessages.size(), 1u) << Test;
+    EXPECT_EQ(Run.Result.FaultMessages[0], Message) << Test;
+  }
 }
 
 TEST(VMTest, MonitorEventsEmitted) {
