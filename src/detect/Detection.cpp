@@ -84,15 +84,24 @@ namespace {
 
 /// The passive detectors of one execution: HB and LockSet, each attached
 /// per Options.UseHB / UseLockSet.  Built fresh for every execution, so a
-/// retried or replayed run starts from clean detector state.  The set is
-/// the VM's observer and calls the detectors directly, one virtual call
-/// per event.
+/// retried or replayed run starts from clean detector state, or from the
+/// state() of a set that saw the run's prefix (a systematic schedule
+/// resumed at a decision point).  The set is the VM's observer and calls
+/// the detectors directly, one virtual call per event.
 class DetectorSet final : public ExecutionObserver {
 public:
-  explicit DetectorSet(const DetectOptions &Options)
-      : UseHB(Options.UseHB), UseLockSet(Options.UseLockSet) {}
+  struct State {
+    HBDetector::State HB;
+    LockSetDetector::State LockSet;
+  };
+
+  explicit DetectorSet(const DetectOptions &Options, State From = {})
+      : HB(std::move(From.HB)), LockSet(std::move(From.LockSet)),
+        UseHB(Options.UseHB), UseLockSet(Options.UseLockSet) {}
   DetectorSet(const DetectorSet &) = delete;
   DetectorSet &operator=(const DetectorSet &) = delete;
+
+  State state() const { return {HB.state(), LockSet.state()}; }
 
   void onEvent(const TraceEvent &Event) override {
     if (UseHB)
@@ -385,12 +394,14 @@ Result<TestDetectionResult> narada::detectRacesInTest(
             SchedulingPolicy &Policy =
                 WantWitness ? static_cast<SchedulingPolicy &>(Recorder)
                             : Inner;
-            Result<TestRun> Run = runTest(M, TestName, Policy,
-                                          /*RandSeed=*/1,
-                                          &Detectors, Budget);
-            if (!Run)
-              return Run.error();
-            if (!Run->Result.HitStepLimit) {
+            // Started and run to the end without runTest's heap hash,
+            // which nothing in phase 1 reads.
+            Result<VM> Machine =
+                startTest(M, TestName, /*RandSeed=*/1, &Detectors);
+            if (!Machine)
+              return Machine.error();
+            RunResult Run = runToEnd(*Machine, Policy, &Detectors, Budget);
+            if (!Run.HitStepLimit) {
               explore::ScheduleTrace Trace;
               if (WantWitness)
                 Trace = Recorder.trace(TestName, /*RandSeed=*/1);
@@ -399,7 +410,7 @@ Result<TestDetectionResult> narada::detectRacesInTest(
                     NoteRace(R, Detector, Trace);
                   });
             }
-            return std::move(Run->Result);
+            return Run;
           });
       if (!Run) {
         PhaseError = Run.error();
@@ -416,6 +427,16 @@ Result<TestDetectionResult> narada::detectRacesInTest(
   // The bounded DFS (mode Systematic), degrading to the randomized loop
   // when the schedule budget was hit before the pruned space was covered.
   auto runSystematicPhase = [&]() -> bool {
+    // Schedules resume from copies of the detectors' state, so a resumed
+    // schedule's detectors report (and count) the whole schedule.
+    struct Checkpoint final : explore::ObserverCheckpoint {
+      DetectorSet::State State;
+      explicit Checkpoint(DetectorSet::State State)
+          : State(std::move(State)) {}
+      std::unique_ptr<explore::ObserverCheckpoint> copy() const override {
+        return std::make_unique<Checkpoint>(State);
+      }
+    };
     struct Visitor final : explore::ScheduleVisitor {
       const DetectOptions &Options;
       std::function<bool(const DetectorSet &, const explore::ScheduleTrace &,
@@ -432,6 +453,17 @@ Result<TestDetectionResult> narada::detectRacesInTest(
       bool endSchedule(const explore::ScheduleTrace &Trace,
                        const TestRun &Run) override {
         return End(*Detectors, Trace, Run);
+      }
+      std::unique_ptr<explore::ObserverCheckpoint>
+      checkpointObserver() override {
+        return std::make_unique<Checkpoint>(Detectors->state());
+      }
+      ExecutionObserver *resumeSchedule(
+          unsigned,
+          std::unique_ptr<explore::ObserverCheckpoint> From) override {
+        Detectors.emplace(Options,
+                          std::move(static_cast<Checkpoint &>(*From).State));
+        return &*Detectors;
       }
     };
     Visitor V(Options, [&](const DetectorSet &Detectors,

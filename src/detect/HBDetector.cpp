@@ -14,18 +14,18 @@ using namespace narada;
 
 HBDetector::~HBDetector() {
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-  Metrics.counter("detect.vc_joins").inc(JoinCount);
-  Metrics.counter("detect.vc_compares").inc(CompareCount);
-  Metrics.counter("detect.vc_allocs").inc(AllocCount);
-  Metrics.counter("detect.hb_reports").inc(InstanceCount);
+  Metrics.counter("detect.vc_joins").inc(S.JoinCount);
+  Metrics.counter("detect.vc_compares").inc(S.CompareCount);
+  Metrics.counter("detect.vc_allocs").inc(S.AllocCount);
+  Metrics.counter("detect.hb_reports").inc(S.InstanceCount);
 }
 
 VectorClock &HBDetector::clockOf(ThreadId T) {
-  if (T >= ThreadClocks.size())
-    ThreadClocks.resize(T + 1);
-  VectorClock &C = ThreadClocks[T];
+  if (T >= S.ThreadClocks.size())
+    S.ThreadClocks.resize(T + 1);
+  VectorClock &C = S.ThreadClocks[T];
   if (C.empty()) {
-    ++AllocCount;
+    ++S.AllocCount;
     C.set(T, 1);
   }
   return C;
@@ -48,15 +48,15 @@ size_t HBDetector::ReportKeyHash::operator()(const ReportKey &K) const {
 
 void HBDetector::report(const TraceEvent &Event, ProgramPoint Prior,
                         ThreadId PriorThread, bool PriorIsWrite) {
-  ++InstanceCount;
+  ++S.InstanceCount;
   bool IsElem = Event.isElemAccess();
-  if (!Reported
+  if (!S.Reported
            .insert({Prior, Event.point(), IsElem ? 0 : Event.FieldIndex,
                     PriorThread, Event.Thread, IsElem, PriorIsWrite,
                     Event.isWrite()})
            .second)
     return;
-  Records.push_back(
+  S.Records.push_back(
       CompactRace::between(Prior, PriorThread, PriorIsWrite, Event));
 }
 
@@ -71,67 +71,67 @@ void HBDetector::VarState::setRead(const SharedRead &R) {
 }
 
 void HBDetector::handleRead(const TraceEvent &Event) {
-  VarState &S = Vars.at(Event);
+  VarState &V = S.Vars.at(Event);
   VectorClock &C = clockOf(Event.Thread);
 
   // write-read race: the last write must happen-before this read.
-  if (S.Write.isSet()) {
-    ++CompareCount;
-    if (!S.Write.leq(C))
-      report(Event, S.WritePoint, S.Write.Thread, /*PriorIsWrite=*/true);
+  if (V.Write.isSet()) {
+    ++S.CompareCount;
+    if (!V.Write.leq(C))
+      report(Event, V.WritePoint, V.Write.Thread, /*PriorIsWrite=*/true);
   }
 
   uint64_t Now = C.get(Event.Thread);
-  if (!S.ReadShared) {
+  if (!V.ReadShared) {
     // Same-epoch fast path, or exclusive-read ownership transfer.
-    if (S.Read.isSet() && S.Read.Thread != Event.Thread) {
-      ++CompareCount;
-      if (!S.Read.leq(C)) {
+    if (V.Read.isSet() && V.Read.Thread != Event.Thread) {
+      ++S.CompareCount;
+      if (!V.Read.leq(C)) {
         // Two concurrent readers: inflate to the read map.
-        S.ReadShared = true;
-        S.setRead({S.Read.Thread, S.Read.Clock, S.ReadPoint});
-        S.setRead({Event.Thread, Now, Event.point()});
+        V.ReadShared = true;
+        V.setRead({V.Read.Thread, V.Read.Clock, V.ReadPoint});
+        V.setRead({Event.Thread, Now, Event.point()});
         return;
       }
     }
-    S.Read = Epoch{Event.Thread, Now};
-    S.ReadPoint = Event.point();
+    V.Read = Epoch{Event.Thread, Now};
+    V.ReadPoint = Event.point();
     return;
   }
-  S.setRead({Event.Thread, Now, Event.point()});
+  V.setRead({Event.Thread, Now, Event.point()});
 }
 
 void HBDetector::handleWrite(const TraceEvent &Event) {
-  VarState &S = Vars.at(Event);
+  VarState &V = S.Vars.at(Event);
   VectorClock &C = clockOf(Event.Thread);
 
   // write-write race.
-  if (S.Write.isSet()) {
-    ++CompareCount;
-    if (!S.Write.leq(C))
-      report(Event, S.WritePoint, S.Write.Thread, /*PriorIsWrite=*/true);
+  if (V.Write.isSet()) {
+    ++S.CompareCount;
+    if (!V.Write.leq(C))
+      report(Event, V.WritePoint, V.Write.Thread, /*PriorIsWrite=*/true);
   }
 
   // read-write races.
-  if (!S.ReadShared) {
-    if (S.Read.isSet()) {
-      ++CompareCount;
-      if (!S.Read.leq(C))
-        report(Event, S.ReadPoint, S.Read.Thread, /*PriorIsWrite=*/false);
+  if (!V.ReadShared) {
+    if (V.Read.isSet()) {
+      ++S.CompareCount;
+      if (!V.Read.leq(C))
+        report(Event, V.ReadPoint, V.Read.Thread, /*PriorIsWrite=*/false);
     }
   } else {
-    for (const SharedRead &Read : S.ReadMap) {
-      ++CompareCount;
+    for (const SharedRead &Read : V.ReadMap) {
+      ++S.CompareCount;
       if (!Epoch{Read.Thread, Read.Clock}.leq(C))
         report(Event, Read.Point, Read.Thread, /*PriorIsWrite=*/false);
     }
-    S.ReadShared = false;
-    S.ReadMap.clear();
+    V.ReadShared = false;
+    V.ReadMap.clear();
   }
-  S.Read = Epoch{};
+  V.Read = Epoch{};
 
-  S.Write = Epoch{Event.Thread, C.get(Event.Thread)};
-  S.WritePoint = Event.point();
+  V.Write = Epoch{Event.Thread, C.get(Event.Thread)};
+  V.WritePoint = Event.point();
 }
 
 void HBDetector::onEvent(const TraceEvent &Event) {
@@ -139,13 +139,13 @@ void HBDetector::onEvent(const TraceEvent &Event) {
   case EventKind::ThreadStart: {
     // Both clocks live in ThreadClocks: size it before taking references.
     if (Event.ParentThread != NoThread &&
-        Event.ParentThread >= ThreadClocks.size())
-      ThreadClocks.resize(Event.ParentThread + 1);
+        Event.ParentThread >= S.ThreadClocks.size())
+      S.ThreadClocks.resize(Event.ParentThread + 1);
     VectorClock &Child = clockOf(Event.Thread);
     if (Event.ParentThread != NoThread) {
       VectorClock &Parent = clockOf(Event.ParentThread);
       Child.joinWith(Parent);
-      ++JoinCount;
+      ++S.JoinCount;
       Child.set(Event.Thread, Child.get(Event.Thread) + 1);
       Parent.tick(Event.ParentThread);
     }
@@ -153,20 +153,20 @@ void HBDetector::onEvent(const TraceEvent &Event) {
   }
   case EventKind::Lock: {
     // acquire: C_t := C_t ⊔ L_m.
-    if (Event.Obj < LockClocks.size() && !LockClocks[Event.Obj].empty()) {
-      clockOf(Event.Thread).joinWith(LockClocks[Event.Obj]);
-      ++JoinCount;
+    if (Event.Obj < S.LockClocks.size() && !S.LockClocks[Event.Obj].empty()) {
+      clockOf(Event.Thread).joinWith(S.LockClocks[Event.Obj]);
+      ++S.JoinCount;
     }
     return;
   }
   case EventKind::Unlock: {
     // release: L_m := C_t; C_t.tick().
     VectorClock &C = clockOf(Event.Thread);
-    if (Event.Obj >= LockClocks.size())
-      LockClocks.resize(Event.Obj + 1);
-    VectorClock &L = LockClocks[Event.Obj];
+    if (Event.Obj >= S.LockClocks.size())
+      S.LockClocks.resize(Event.Obj + 1);
+    VectorClock &L = S.LockClocks[Event.Obj];
     if (L.empty())
-      ++AllocCount;
+      ++S.AllocCount;
     L = C;
     C.tick(Event.Thread);
     return;

@@ -16,6 +16,11 @@
 /// detect.hb_reports counter still counts every dynamic instance.
 /// races() renders the records as reports when asked.
 ///
+/// Everything the detector knows after a prefix of events is one copyable
+/// State, counts included.  A copy reports nothing; a detector built from
+/// it continues the stream and flushes the counts of the whole stream
+/// when it is destroyed.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NARADA_DETECT_HBDETECTOR_H
@@ -33,18 +38,6 @@ namespace narada {
 
 /// Happens-before (FastTrack-style) detector.
 class HBDetector final : public ExecutionObserver {
-public:
-  ~HBDetector();
-
-  void onEvent(const TraceEvent &Event) override;
-
-  /// The distinct races seen so far, in first-seen order.
-  const std::vector<CompactRace> &records() const { return Records; }
-
-  /// records() rendered as reports.
-  std::vector<RaceReport> races() const { return renderRaces(Records, "hb"); }
-
-private:
   /// One reader's entry in the inflated read map.
   struct SharedRead {
     ThreadId Thread = NoThread;
@@ -83,29 +76,57 @@ private:
     size_t operator()(const ReportKey &K) const;
   };
 
+public:
+  /// The detector's state after a prefix of the event stream.
+  struct State {
+    /// Indexed by thread id; an empty clock was never materialized.
+    std::vector<VectorClock> ThreadClocks;
+    /// Indexed by lock object id; empty until the lock's first release.
+    std::vector<VectorClock> LockClocks;
+    ShadowTable<VarState> Vars;
+    std::vector<CompactRace> Records;
+    std::unordered_set<ReportKey, ReportKeyHash> Reported;
+    /// Dynamic race instances, deduplicated or not.
+    uint64_t InstanceCount = 0;
+    /// Joins performed, flushed to the metrics registry once on
+    /// destruction to keep the per-event path free of atomics.
+    uint64_t JoinCount = 0;
+    /// Epoch-vs-clock leq evaluations — the detector's dominant
+    /// comparison cost, and the number FastTrack's epoch optimization
+    /// keeps small.
+    uint64_t CompareCount = 0;
+    /// Vector clocks materialized (thread clocks plus lock clocks).
+    uint64_t AllocCount = 0;
+  };
+
+  HBDetector() = default;
+  /// Continues the stream \p From was copied from.
+  explicit HBDetector(State From) : S(std::move(From)) {}
+  HBDetector(const HBDetector &) = delete;
+  HBDetector &operator=(const HBDetector &) = delete;
+  /// Flushes the counts of the whole stream.
+  ~HBDetector();
+
+  void onEvent(const TraceEvent &Event) override;
+
+  const State &state() const { return S; }
+
+  /// The distinct races seen so far, in first-seen order.
+  const std::vector<CompactRace> &records() const { return S.Records; }
+
+  /// records() rendered as reports.
+  std::vector<RaceReport> races() const {
+    return renderRaces(S.Records, "hb");
+  }
+
+private:
   VectorClock &clockOf(ThreadId T);
   void handleRead(const TraceEvent &Event);
   void handleWrite(const TraceEvent &Event);
   void report(const TraceEvent &Event, ProgramPoint Prior,
               ThreadId PriorThread, bool PriorIsWrite);
 
-  /// Indexed by thread id; an empty clock was never materialized.
-  std::vector<VectorClock> ThreadClocks;
-  /// Indexed by lock object id; empty until the lock's first release.
-  std::vector<VectorClock> LockClocks;
-  ShadowTable<VarState> Vars;
-  std::vector<CompactRace> Records;
-  std::unordered_set<ReportKey, ReportKeyHash> Reported;
-  /// Dynamic race instances, deduplicated or not.
-  uint64_t InstanceCount = 0;
-  /// Joins performed, flushed to the metrics registry once on destruction
-  /// to keep the per-event path free of atomics.
-  uint64_t JoinCount = 0;
-  /// Epoch-vs-clock leq evaluations — the detector's dominant comparison
-  /// cost, and the number FastTrack's epoch optimization keeps small.
-  uint64_t CompareCount = 0;
-  /// Vector clocks materialized (thread clocks plus lock clocks).
-  uint64_t AllocCount = 0;
+  State S;
 };
 
 } // namespace narada

@@ -14,33 +14,33 @@ using namespace narada;
 
 LockSetDetector::~LockSetDetector() {
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-  Metrics.counter("detect.lockset_intersections").inc(IntersectionCount);
-  Metrics.counter("detect.lockset_reports").inc(Records.size());
+  Metrics.counter("detect.lockset_intersections").inc(S.IntersectionCount);
+  Metrics.counter("detect.lockset_reports").inc(S.Records.size());
 }
 
 std::vector<ObjectId> &LockSetDetector::heldBy(ThreadId T) {
-  if (T >= Held.size())
-    Held.resize(T + 1);
-  return Held[T];
+  if (T >= S.Held.size())
+    S.Held.resize(T + 1);
+  return S.Held[T];
 }
 
 void LockSetDetector::handleAccess(const TraceEvent &Event) {
-  VarState &S = Vars.at(Event);
+  VarState &V = S.Vars.at(Event);
   const std::vector<ObjectId> &Locks = heldBy(Event.Thread);
   bool IsWrite = Event.isWrite();
 
-  switch (S.Phase) {
+  switch (V.Phase) {
   case VarPhase::Virgin:
-    S.Phase = VarPhase::Exclusive;
-    S.Owner = Event.Thread;
+    V.Phase = VarPhase::Exclusive;
+    V.Owner = Event.Thread;
     break;
   case VarPhase::Exclusive:
-    if (Event.Thread != S.Owner)
-      S.Phase = IsWrite ? VarPhase::SharedModified : VarPhase::Shared;
+    if (Event.Thread != V.Owner)
+      V.Phase = IsWrite ? VarPhase::SharedModified : VarPhase::Shared;
     break;
   case VarPhase::Shared:
     if (IsWrite)
-      S.Phase = VarPhase::SharedModified;
+      V.Phase = VarPhase::SharedModified;
     break;
   case VarPhase::SharedModified:
     break;
@@ -51,30 +51,30 @@ void LockSetDetector::handleAccess(const TraceEvent &Event) {
   // thread may legitimately initialize without locks (constructors!), so
   // C(v) is first materialized from the locks held at the access that
   // makes the variable shared, and intersected thereafter.
-  if (S.Phase == VarPhase::Shared || S.Phase == VarPhase::SharedModified) {
-    if (!S.CandidatesInitialized) {
-      S.Candidates = Locks;
-      S.CandidatesInitialized = true;
+  if (V.Phase == VarPhase::Shared || V.Phase == VarPhase::SharedModified) {
+    if (!V.CandidatesInitialized) {
+      V.Candidates = Locks;
+      V.CandidatesInitialized = true;
     } else {
-      ++IntersectionCount;
-      std::erase_if(S.Candidates, [&](ObjectId Lock) {
+      ++S.IntersectionCount;
+      std::erase_if(V.Candidates, [&](ObjectId Lock) {
         return !std::binary_search(Locks.begin(), Locks.end(), Lock);
       });
     }
   }
 
-  if (S.Phase == VarPhase::SharedModified && S.Candidates.empty() &&
-      S.CandidatesInitialized && !S.Reported) {
+  if (V.Phase == VarPhase::SharedModified && V.Candidates.empty() &&
+      V.CandidatesInitialized && !V.Reported) {
     // The first access leaves the variable Exclusive, so a prior access
     // always exists here.
-    Records.push_back(
-        CompactRace::between(S.LastPoint, S.LastThread, S.LastIsWrite, Event));
-    S.Reported = true; // One report per variable, like Eraser.
+    S.Records.push_back(
+        CompactRace::between(V.LastPoint, V.LastThread, V.LastIsWrite, Event));
+    V.Reported = true; // One report per variable, like Eraser.
   }
 
-  S.LastPoint = Event.point();
-  S.LastThread = Event.Thread;
-  S.LastIsWrite = IsWrite;
+  V.LastPoint = Event.point();
+  V.LastThread = Event.Thread;
+  V.LastIsWrite = IsWrite;
 }
 
 void LockSetDetector::onEvent(const TraceEvent &Event) {

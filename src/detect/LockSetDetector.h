@@ -13,6 +13,10 @@
 /// candidate lockset is refined at every access, and an empty candidate set
 /// in the SharedModified state is reported as a (potential) race.
 ///
+/// Like HBDetector, the detector's knowledge is one copyable State: a
+/// copy reports nothing, and a detector built from it flushes the counts
+/// of the whole stream.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NARADA_DETECT_LOCKSETDETECTOR_H
@@ -28,20 +32,6 @@ namespace narada {
 
 /// Eraser-style lockset detector.
 class LockSetDetector final : public ExecutionObserver {
-public:
-  ~LockSetDetector();
-
-  void onEvent(const TraceEvent &Event) override;
-
-  /// One race per reported variable, in report order.
-  const std::vector<CompactRace> &records() const { return Records; }
-
-  /// records() rendered as reports.
-  std::vector<RaceReport> races() const {
-    return renderRaces(Records, "lockset");
-  }
-
-private:
   enum class VarPhase {
     Virgin,         ///< Never accessed.
     Exclusive,      ///< Accessed by one thread only.
@@ -60,16 +50,43 @@ private:
     bool Reported = false;
   };
 
+public:
+  /// The detector's state after a prefix of the event stream.
+  struct State {
+    /// Held locks, sorted, indexed by thread id.
+    std::vector<std::vector<ObjectId>> Held;
+    ShadowTable<VarState> Vars;
+    std::vector<CompactRace> Records;
+    /// Lockset refinements performed, flushed to the metrics registry
+    /// once on destruction to keep the per-access path free of atomics.
+    uint64_t IntersectionCount = 0;
+  };
+
+  LockSetDetector() = default;
+  /// Continues the stream \p From was copied from.
+  explicit LockSetDetector(State From) : S(std::move(From)) {}
+  LockSetDetector(const LockSetDetector &) = delete;
+  LockSetDetector &operator=(const LockSetDetector &) = delete;
+  /// Flushes the counts of the whole stream.
+  ~LockSetDetector();
+
+  void onEvent(const TraceEvent &Event) override;
+
+  const State &state() const { return S; }
+
+  /// One race per reported variable, in report order.
+  const std::vector<CompactRace> &records() const { return S.Records; }
+
+  /// records() rendered as reports.
+  std::vector<RaceReport> races() const {
+    return renderRaces(S.Records, "lockset");
+  }
+
+private:
   std::vector<ObjectId> &heldBy(ThreadId T);
   void handleAccess(const TraceEvent &Event);
 
-  /// Held locks, sorted, indexed by thread id.
-  std::vector<std::vector<ObjectId>> Held;
-  ShadowTable<VarState> Vars;
-  std::vector<CompactRace> Records;
-  /// Lockset refinements performed, flushed to the metrics registry once on
-  /// destruction to keep the per-access path free of atomics.
-  uint64_t IntersectionCount = 0;
+  State S;
 };
 
 } // namespace narada

@@ -16,7 +16,17 @@
 using namespace narada;
 using namespace narada::explore;
 
+ObserverCheckpoint::~ObserverCheckpoint() = default;
 ScheduleVisitor::~ScheduleVisitor() = default;
+
+std::unique_ptr<ObserverCheckpoint> ScheduleVisitor::checkpointObserver() {
+  return nullptr;
+}
+
+ExecutionObserver *
+ScheduleVisitor::resumeSchedule(unsigned, std::unique_ptr<ObserverCheckpoint>) {
+  narada_unreachable("resuming a visitor that makes no checkpoints");
+}
 
 namespace {
 
@@ -40,39 +50,57 @@ bool conflicting(const std::optional<PendingAccess> &A,
   return A->IsWrite || B->IsWrite;
 }
 
+/// The run at a decision point, before the decision's step: the VM, whose
+/// position() is the decision's (steps taken, context switches, last
+/// pick), and the observer's state.
+struct Checkpoint {
+  Checkpoint(const VM &Machine, std::unique_ptr<ObserverCheckpoint> Observer)
+      : Machine(Machine), Observer(std::move(Observer)) {}
+
+  VM Machine;
+  std::unique_ptr<ObserverCheckpoint> Observer;
+};
+
 /// A decision point with unexplored alternatives, kept on the DFS stack
 /// across runs.  Explored choices are never re-added (sleep-set
-/// discipline): Untried only shrinks.
+/// discipline): Untried only shrinks.  From is null for a visitor that
+/// makes no checkpoints, and once the last alternative has taken it.
 struct Branch {
   uint64_t Step = 0;               ///< Pick index of the decision.
   std::vector<ThreadId> Untried;   ///< Alternatives still to explore.
+  std::unique_ptr<Checkpoint> From;
 };
 
 /// Maximum preemptive context switches per schedule (the PCT/CHESS bound
 /// d); yield switches are free.  Races of depth d need d-1 preemptions.
 constexpr unsigned MaxPreemptions = 2;
 
-/// One run of the DFS: replays \p Forced, then continues non-preemptively
-/// (keep the running thread; at yields, lowest thread id first), creating
-/// Branch records for every decision point past the forced prefix.  It
-/// records its picks straight into the trace handed to the visitor.
+/// One run of the DFS: from the step it starts at (\p At, 0 for a run
+/// from step 0), takes the picks of \p Forced, then continues
+/// non-preemptively (keep the running thread; at yields, lowest thread id
+/// first), creating Branch records for every decision point past the
+/// forced picks.  It records its picks into the trace handed to the
+/// visitor, which starts with the picks the run resumes after.  When
+/// \p Visitor can copy its observer, each Branch gets a checkpoint.
 class DfsPolicy : public SchedulingPolicy {
 public:
-  DfsPolicy(const std::vector<ThreadId> &Forced, const std::string &TestName,
-            uint64_t RandSeed)
-      : Forced(Forced) {
-    Trace.TestName = TestName;
-    Trace.RandSeed = RandSeed;
+  DfsPolicy(const std::vector<ThreadId> &Forced, ScheduleTrace Start,
+            const VM::Position &At, ScheduleVisitor &Visitor,
+            bool &Checkpoints)
+      : Forced(Forced), Trace(std::move(Start)), Visitor(Visitor),
+        Checkpoints(Checkpoints), First(At.Steps), Prev(At.LastPick),
+        Switches(At.ContextSwitches) {
+    assert(Trace.Picks.size() == At.Steps && "a resumed run's picks");
   }
 
   ThreadId pick(const std::vector<ThreadId> &Runnable, VM &M) override {
     std::vector<ThreadId> &Picks = Trace.Picks;
     uint64_t Step = Picks.size();
     ThreadId Chosen;
-    if (Step < Forced.size()) {
+    if (Step - First < Forced.size()) {
       // Deterministic replay of the shared prefix; the branches along it
       // already live on the caller's stack.
-      Chosen = Forced[Step];
+      Chosen = Forced[Step - First];
       if (!contains(Runnable, Chosen)) {
         // Cannot happen for prefixes recorded against this module/test;
         // degrade rather than crash if it somehow does.
@@ -100,7 +128,7 @@ public:
           // thread is itself paused at an access, the DPOR dependence
           // filter applies: switching to a thread about to perform an
           // independent access only reorders commuting operations.
-          if (Preemptions >= MaxPreemptions) {
+          if (Trace.preemptions() >= MaxPreemptions) {
             ++Pruned;
             continue;
           }
@@ -117,34 +145,56 @@ public:
           Alternatives.push_back(T);
         }
         if (!Alternatives.empty())
-          NewBranches.push_back({Step, std::move(Alternatives)});
+          NewBranches.push_back(
+              {Step, std::move(Alternatives), checkpoint(M, Step)});
       }
       Chosen = Default;
     }
-    if (Prev != NoThread && Chosen != Prev && contains(Runnable, Prev)) {
-      Trace.PreemptSteps.push_back(Step);
-      ++Preemptions;
+    if (Prev != NoThread && Chosen != Prev) {
+      ++Switches;
+      if (contains(Runnable, Prev))
+        Trace.PreemptSteps.push_back(Step);
     }
     Prev = Chosen;
     Picks.push_back(Chosen);
     return Chosen;
   }
 
-  const std::vector<ThreadId> &picks() const { return Trace.Picks; }
   std::vector<Branch> takeNewBranches() { return std::move(NewBranches); }
   uint64_t pruned() const { return Pruned; }
   bool diverged() const { return Diverged; }
 
   /// The schedule run so far.
   const ScheduleTrace &trace() const { return Trace; }
+  ScheduleTrace takeTrace() { return std::move(Trace); }
 
 private:
-  const std::vector<ThreadId> &Forced;
+  /// The run as it stands before step \p Step, or null when the visitor
+  /// makes no checkpoints.  \p M's loop position is stale inside pick(),
+  /// so the copy gets the one this policy tracks.
+  std::unique_ptr<Checkpoint> checkpoint(const VM &M, uint64_t Step) {
+    if (!Checkpoints)
+      return nullptr;
+    std::unique_ptr<ObserverCheckpoint> Observer =
+        Visitor.checkpointObserver();
+    if (!Observer) {
+      Checkpoints = false;
+      return nullptr;
+    }
+    auto C = std::make_unique<Checkpoint>(M, std::move(Observer));
+    C->Machine.setPosition({Step, Switches, Prev});
+    return C;
+  }
 
+  const std::vector<ThreadId> &Forced;
   ScheduleTrace Trace;
+  ScheduleVisitor &Visitor;
+  bool &Checkpoints;
   std::vector<Branch> NewBranches;
-  ThreadId Prev = NoThread;
-  unsigned Preemptions = 0;
+  uint64_t First; ///< The step the run starts at.
+  ThreadId Prev;
+  /// Context switches by the VM's rule: any change of thread.
+  uint64_t Switches;
   uint64_t Pruned = 0;
   bool Diverged = false;
 };
@@ -161,7 +211,16 @@ narada::explore::exploreSchedules(const IRModule &M,
 
   ExploreOutcome Outcome;
   std::vector<Branch> Stack;
+  // The next schedule: the picks it is forced to take from its first
+  // step, the trace of the prefix it skips and the checkpoint it resumes
+  // from (both empty for a run from step 0).
   std::vector<ThreadId> Forced;
+  ScheduleTrace Start;
+  Start.TestName = TestName;
+  Start.RandSeed = Options.RandSeed;
+  std::unique_ptr<Checkpoint> From;
+  // Cleared for good by a visitor that makes no checkpoints.
+  bool Checkpoints = true;
 
   for (;;) {
     if (Outcome.SchedulesRun >= Options.MaxSchedules) {
@@ -174,13 +233,26 @@ narada::explore::exploreSchedules(const IRModule &M,
     // whole exploration and is quarantined per test by detectRacesInTests,
     // never aborting sibling tests (see support/FaultInjection.h).
     fault::probe("explore.schedule");
-    DfsPolicy Policy(Forced, TestName, Options.RandSeed);
-    ExecutionObserver *Observer =
-        Visitor.beginSchedule(Outcome.SchedulesRun);
-    Result<TestRun> Run = runTest(M, TestName, Policy, Options.RandSeed,
-                                  Observer, Options.MaxSteps);
-    if (!Run)
-      return Run.error();
+    std::optional<VM> Machine;
+    ExecutionObserver *Observer;
+    if (From) {
+      Observer = Visitor.resumeSchedule(Outcome.SchedulesRun,
+                                        std::move(From->Observer));
+      Machine.emplace(std::move(From->Machine));
+      From.reset();
+      Metrics.counter("explore.steps_resumed").inc(Machine->position().Steps);
+    } else {
+      Observer = Visitor.beginSchedule(Outcome.SchedulesRun);
+      Result<VM> Started =
+          startTest(M, TestName, Options.RandSeed, Observer);
+      if (!Started)
+        return Started.error();
+      Machine.emplace(Started.take());
+    }
+    DfsPolicy Policy(Forced, std::move(Start), Machine->position(), Visitor,
+                     Checkpoints);
+    TestRun Run;
+    Run.Result = runToEnd(*Machine, Policy, Observer, Options.MaxSteps);
     ++Outcome.SchedulesRun;
     Outcome.Pruned += Policy.pruned();
     Metrics.counter("explore.schedules_run").inc();
@@ -199,7 +271,7 @@ narada::explore::exploreSchedules(const IRModule &M,
       Pending += B.Untried.size();
     Metrics.gauge("explore.sleepset_peak").max(static_cast<int64_t>(Pending));
 
-    if (!Visitor.endSchedule(Policy.trace(), *Run)) {
+    if (!Visitor.endSchedule(Policy.trace(), Run)) {
       Outcome.Stopped = true;
       break;
     }
@@ -215,11 +287,30 @@ narada::explore::exploreSchedules(const IRModule &M,
     ThreadId Alternative = Flip.Untried.back();
     Flip.Untried.pop_back();
     // All runs in this decision's subtree share picks[0, Step), so the
-    // just-finished run's prefix is the right one to force.
-    const std::vector<ThreadId> &Picks = Policy.picks();
-    Forced.assign(Picks.begin(),
-                  Picks.begin() + static_cast<ptrdiff_t>(Flip.Step));
-    Forced.push_back(Alternative);
+    // just-finished run's prefix is the right one to force or keep.
+    Start = Policy.takeTrace();
+    if (!Flip.From) {
+      Forced.assign(Start.Picks.begin(),
+                    Start.Picks.begin() + static_cast<ptrdiff_t>(Flip.Step));
+      Forced.push_back(Alternative);
+      Start.Picks.clear();
+      Start.PreemptSteps.clear();
+      continue;
+    }
+    // Resume from the decision's checkpoint: keep the prefix's picks and
+    // preemptions, force only the alternative, and take the checkpoint
+    // itself with the last alternative.
+    Forced.assign(1, Alternative);
+    Start.Picks.resize(Flip.Step);
+    Start.PreemptSteps.erase(std::lower_bound(Start.PreemptSteps.begin(),
+                                              Start.PreemptSteps.end(),
+                                              Flip.Step),
+                             Start.PreemptSteps.end());
+    if (Flip.Untried.empty())
+      From = std::move(Flip.From);
+    else
+      From = std::make_unique<Checkpoint>(Flip.From->Machine,
+                                          Flip.From->Observer->copy());
   }
   return Outcome;
 }

@@ -65,22 +65,35 @@ Result<TestRun> narada::runTest(const IRModule &M,
                                 SchedulingPolicy &Policy, uint64_t RandSeed,
                                 ExecutionObserver *Extra,
                                 uint64_t MaxSteps) {
+  Result<VM> Machine = startTest(M, TestName, RandSeed, Extra);
+  if (!Machine)
+    return Machine.error();
+  TestRun Run;
+  Run.Result = runToEnd(*Machine, Policy, Extra, MaxSteps);
+  Run.HeapHash = Machine->heap().stateHash();
+  return Run;
+}
+
+Result<VM> narada::startTest(const IRModule &M, const std::string &TestName,
+                             uint64_t RandSeed, ExecutionObserver *Observer) {
   const IRFunction *Test = M.findTest(TestName);
   if (!Test)
     return Error(formatString("no such test '%s'", TestName.c_str()));
+  VM Machine(M, RandSeed);
+  Machine.setObserver(Observer);
+  Machine.spawnThread(Test, {});
+  return Machine;
+}
 
+RunResult narada::runToEnd(VM &Machine, SchedulingPolicy &Policy,
+                           ExecutionObserver *Observer, uint64_t MaxSteps) {
   // Injection point for the containment sweep: only fires inside a
   // fault::ScopedUnit (the detection stage's per-test scope) — seed
   // executions during analysis run unscoped and are never injected.
   fault::probe("runtime.run_test");
 
-  TestRun Run;
-  VM Machine(M, RandSeed);
-  Machine.setObserver(Extra);
-
-  Machine.spawnThread(Test, {});
-  Run.Result = runToCompletion(Machine, Policy, MaxSteps);
-  Run.HeapHash = Machine.heap().stateHash();
+  Machine.setObserver(Observer);
+  RunResult Result = runToCompletion(Machine, Policy, MaxSteps);
 
   const VMStats &Stats = Machine.stats();
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
@@ -99,7 +112,7 @@ Result<TestRun> narada::runTest(const IRModule &M,
   for (unsigned C = 0; C != NumInstrClasses; ++C)
     if (uint64_t Total = Stats.instrClassTotal(static_cast<InstrClass>(C)))
       Metrics.counter(InstrCounterNames[C]).inc(Total);
-  return Run;
+  return Result;
 }
 
 Result<TestRun> narada::runTestSequential(const IRModule &M,

@@ -60,11 +60,27 @@ struct TestRun {
 /// Runs test \p TestName under \p Policy, recording no trace: \p Extra,
 /// if non-null, observes every event, and a caller that wants TheTrace
 /// passes a TraceRecorder there (via an ObserverMux next to a detector).
-/// \p RandSeed seeds the VM's rand() stream.
+/// \p RandSeed seeds the VM's rand() stream.  startTest() plus runToEnd(),
+/// and then the final heap's hash.
 Result<TestRun> runTest(const IRModule &M, const std::string &TestName,
                         SchedulingPolicy &Policy, uint64_t RandSeed = 1,
                         ExecutionObserver *Extra = nullptr,
                         uint64_t MaxSteps = 1'000'000);
+
+/// Test \p TestName's VM before its first step: its main thread started,
+/// which \p Observer (may be null) sees.  \p RandSeed seeds rand().
+Result<VM> startTest(const IRModule &M, const std::string &TestName,
+                     uint64_t RandSeed = 1,
+                     ExecutionObserver *Observer = nullptr);
+
+/// Runs \p Machine to the end under \p Policy, with \p Observer (may be
+/// null) seeing every event from here on, and flushes the run's counters
+/// (runtime.*, vm.instr.*).  \p Machine is a startTest() VM or a copy of
+/// one taken mid-run (VM::position()).  Such a copy carries its run's
+/// counts so far, so the counters, the result's Steps and \p MaxSteps all
+/// count the whole run from the test's first step.  Hashes no heap.
+RunResult runToEnd(VM &Machine, SchedulingPolicy &Policy,
+                   ExecutionObserver *Observer, uint64_t MaxSteps);
 
 /// Runs test \p TestName single-threaded (round-robin degenerates to
 /// program order for sequential tests), recording every event into

@@ -127,8 +127,10 @@ struct RunResult {
 };
 
 /// Steps the VM under \p Policy until every thread finishes, a deadlock is
-/// reached, or \p MaxSteps instructions have executed.  Defined in VM.cpp,
-/// beside the VM's dispatch loop.
+/// reached, or the run has taken \p MaxSteps steps.  Steps count from the
+/// test's first step, also for a VM copied mid-run (VM::position()), and
+/// so does the returned Steps.  Defined in VM.cpp, beside the VM's
+/// dispatch loop.
 RunResult runToCompletion(VM &M, SchedulingPolicy &Policy,
                           uint64_t MaxSteps = 1'000'000);
 

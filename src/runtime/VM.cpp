@@ -336,10 +336,13 @@ void VM::spawnFrom(ThreadState &T, Frame &F, const Instr &I) {
   spawnThread(I.Callee, std::move(Args), T.Id);
 }
 
-void VM::run(SchedulingPolicy &Policy, uint64_t MaxSteps, RunResult &Result,
-             uint64_t &ContextSwitches) {
-  ThreadId Prev = NoThread;
-  uint64_t Steps = 0;
+void VM::run(SchedulingPolicy &Policy, uint64_t MaxSteps, RunResult &Result) {
+  // Steps and the last pick live in locals and go back to Pos on return.
+  // A context switch is counted in place: switches are rarer than steps,
+  // and a register for the count slows the event-emitting paths.
+  ThreadId Prev = Pos.LastPick;
+  uint64_t Steps = Pos.Steps;
+  uint64_t &ContextSwitches = Pos.ContextSwitches;
   while (LiveThreads != 0) {
     if (Steps >= MaxSteps) {
       Result.HitStepLimit = true;
@@ -592,17 +595,18 @@ void VM::run(SchedulingPolicy &Policy, uint64_t MaxSteps, RunResult &Result,
     }
     narada_unreachable("unknown opcode");
   }
+  Pos.Steps = Steps;
+  Pos.LastPick = Prev;
   Result.Steps = Steps;
 }
 
 RunResult narada::runToCompletion(VM &M, SchedulingPolicy &Policy,
                                   uint64_t MaxSteps) {
   RunResult Result;
-  // Scheduling stats accumulate in locals and flush to the registry once
-  // after the loop: the step loop is the hottest path in the system and
-  // must not touch atomics per iteration.
-  uint64_t ContextSwitches = 0;
-  M.run(Policy, MaxSteps, Result, ContextSwitches);
+  // Scheduling stats accumulate in the VM's plain fields and flush to the
+  // registry once after the loop: the step loop is the hottest path in
+  // the system and must not touch atomics per iteration.
+  M.run(Policy, MaxSteps, Result);
   for (const ThreadState &Thread : M.Threads) {
     if (Thread.Status == ThreadStatus::Faulted) {
       Result.Faulted = true;
@@ -613,7 +617,7 @@ RunResult narada::runToCompletion(VM &M, SchedulingPolicy &Policy,
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
   Metrics.counter("runtime.runs").inc();
   Metrics.counter("runtime.steps").inc(Result.Steps);
-  Metrics.counter("runtime.context_switches").inc(ContextSwitches);
+  Metrics.counter("runtime.context_switches").inc(M.Pos.ContextSwitches);
   if (Result.Deadlocked)
     Metrics.counter("runtime.deadlocks").inc();
   if (Result.Faulted)

@@ -174,16 +174,34 @@ public:
   /// Counters accumulated over this VM's lifetime.
   const VMStats &stats() const { return Stats; }
 
+  /// Where the step loop stands: the steps run since the test started,
+  /// the context switches among them (any change of thread between two
+  /// consecutive picks, yields included), and the thread picked last.
+  struct Position {
+    uint64_t Steps = 0;
+    uint64_t ContextSwitches = 0;
+    ThreadId LastPick = NoThread;
+  };
+
+  /// The loop reads its steps and last pick on entry and writes them back
+  /// on return, never per step (it counts a context switch in place).  So
+  /// a copy of the VM taken inside SchedulingPolicy::pick() does not hold
+  /// the position of the pick: the copy's owner sets it with
+  /// setPosition(), and running the copy then continues that run from
+  /// the pick.
+  const Position &position() const { return Pos; }
+  void setPosition(const Position &P) { Pos = P; }
+
 private:
   friend RunResult runToCompletion(VM &M, SchedulingPolicy &Policy,
                                    uint64_t MaxSteps);
 
   /// The step loop behind runToCompletion(): picks a thread, then
   /// dispatches its next instruction through one switch.  A blocked
-  /// thread retries its monitor acquisition.  Counts steps into \p Result
-  /// and context switches into \p ContextSwitches.
-  void run(SchedulingPolicy &Policy, uint64_t MaxSteps, RunResult &Result,
-           uint64_t &ContextSwitches);
+  /// thread retries its monitor acquisition.  Runs from position() until
+  /// the threads end, they deadlock, or position().Steps reaches
+  /// \p MaxSteps, and sets \p Result's Steps to that total.
+  void run(SchedulingPolicy &Policy, uint64_t MaxSteps, RunResult &Result);
 
   // The step loop's out-of-line paths: calls, builtins, returns, monitor
   // blocking, spawns and faults.
@@ -232,6 +250,7 @@ private:
   RNG Rand;
   uint64_t LabelCounter = 0;
   VMStats Stats;
+  Position Pos;
 };
 
 } // namespace narada

@@ -14,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EventDigest.h"
 #include "corpus/Corpus.h"
 #include "detect/RaceConfirmer.h"
 #include "obs/Metrics.h"
@@ -264,25 +265,6 @@ TEST(SchedulePinTest, ConfirmationRunOfAHangingC1Test) {
 }
 
 namespace {
-
-/// Digests every event of a run: kind, label, thread, function, pc,
-/// object, slot and value.
-class EventDigest final : public ExecutionObserver {
-public:
-  void onEvent(const TraceEvent &E) override {
-    Hash = digest::updateU64(Hash, static_cast<uint64_t>(E.Kind));
-    Hash = digest::updateU64(Hash, E.Label);
-    Hash = digest::updateU64(Hash, E.Thread);
-    Hash = digest::update(Hash, E.Func ? E.Func->name() : "-");
-    Hash = digest::updateU64(Hash, E.Pc);
-    Hash = digest::updateU64(Hash, E.Obj);
-    Hash = digest::updateU64(Hash, E.FieldIndex);
-    Hash = digestValue(Hash, E.Val);
-    ++Events;
-  }
-  uint64_t Hash = digest::Fnv1aBasis;
-  uint64_t Events = 0;
-};
 
 /// What a set of runs did, summed over the runs, with one digest over
 /// each run's steps, switches, final heap and event stream in run order.
