@@ -1,32 +1,23 @@
-//===- bench/ablation_static.cpp - Static prefilter ablation -------------------===//
+//===- bench/ablation_static.cpp - Static verdicts ablation ---------------===//
 //
 // Part of Narada-C++, a reproduction of "Synthesizing Racy Tests" (PLDI'15).
 //
-// Measures what the static race pre-analysis buys the dynamic pipeline on
-// C1–C9: candidate pairs pruned before synthesis, the static-analysis cost
-// itself, end-to-end pipeline time with and without --static-prefilter,
-// and — the soundness column — whether the reproduced race set is
-// unchanged.  The prefilter is conservative by construction (see
-// docs/STATIC.md), so the "same" column must read yes on every class; the
-// pruned and time columns quantify the benefit.  Results are recorded in
-// EXPERIMENTS.md.
+// Measures what the static race pre-analysis costs the dynamic pipeline on
+// C1–C9: the static-analysis time itself, end-to-end pipeline time with
+// and without --static-verdicts, and — the soundness column — whether the
+// reproduced race set is unchanged.  The verdicts annotate and filter
+// nothing (see docs/STATIC.md), so the "same" column must read yes on
+// every class; the time columns price the annotations.  Results are
+// recorded in EXPERIMENTS.md.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
-#include "obs/Metrics.h"
-
 using namespace narada;
 using namespace narada::bench;
 
 namespace {
-
-uint64_t prunedCounter() {
-  return obs::MetricsRegistry::global()
-      .counter("staticrace.pairs_pruned")
-      .value();
-}
 
 std::string seconds(double S) { return formatString("%.3f", S); }
 
@@ -34,17 +25,16 @@ std::string seconds(double S) { return formatString("%.3f", S); }
 
 int main(int Argc, char **Argv) {
   BenchReporter Reporter("ablation_static", Argc, Argv);
-  Reporter.Meta.addOption("static_prefilter", "ablation");
-  std::printf("Ablation: static must-lockset prefilter OFF vs ON\n"
-              "(pairs generated / pruned, pipeline seconds, reproduced "
-              "races unchanged)\n\n");
-  const std::vector<int> Widths = {-4, 6, 7, 9, 8, 9, 10, 5};
-  printRow({"Id", "pairs", "pruned", "off:time", "on:time", "static_s",
-            "on:races", "same"},
+  Reporter.Meta.addOption("static_verdicts", "ablation");
+  std::printf("Ablation: static must-lockset verdicts OFF vs ON\n"
+              "(pairs generated, pipeline seconds, reproduced races "
+              "unchanged)\n\n");
+  const std::vector<int> Widths = {-4, 6, 9, 8, 9, 10, 5};
+  printRow({"Id", "pairs", "off:time", "on:time", "static_s", "on:races",
+            "same"},
            Widths);
   printRule(Widths);
 
-  uint64_t TotalPruned = 0;
   unsigned Mismatches = 0;
   double TotalOff = 0.0, TotalOn = 0.0;
   for (const CorpusEntry &Entry : corpus()) {
@@ -54,20 +44,16 @@ int main(int Argc, char **Argv) {
     runDetection(Off, Detect);
 
     NaradaOptions WithStatic;
-    WithStatic.StaticPrefilter = true;
-    uint64_t Before = prunedCounter();
+    WithStatic.StaticVerdicts = true;
     ClassRun On = runSynthesis(Entry, WithStatic);
-    uint64_t Pruned = prunedCounter() - Before;
     runDetection(On, Detect);
 
     bool Same = Off.Reproduced == On.Reproduced;
     if (!Same)
       ++Mismatches;
-    TotalPruned += Pruned;
     TotalOff += Off.SynthesisSecondsTotal;
     TotalOn += On.SynthesisSecondsTotal;
     printRow({Entry.Id, std::to_string(Off.Narada.Pairs.size()),
-              std::to_string(Pruned),
               seconds(Off.SynthesisSecondsTotal),
               seconds(On.SynthesisSecondsTotal),
               seconds(On.Narada.Stages.StaticRaceSeconds),
@@ -76,13 +62,11 @@ int main(int Argc, char **Argv) {
              Widths);
   }
   printRule(Widths);
-  printRow({"Tot", "", std::to_string(TotalPruned), seconds(TotalOff),
-            seconds(TotalOn), "", "", Mismatches ? "NO" : "yes"},
+  printRow({"Tot", "", seconds(TotalOff), seconds(TotalOn), "", "",
+            Mismatches ? "NO" : "yes"},
            Widths);
 
-  std::printf("\nPruned counts are MustGuarded candidate combinations the "
-              "prefilter removed before the generated pair set (which is "
-              "unchanged by construction); 'same' compares reproduced race "
-              "keys between the two configurations.\n");
+  std::printf("\n'same' compares reproduced race keys between the two "
+              "configurations; the generated pair set is the same in both.\n");
   return Mismatches ? 1 : 0;
 }

@@ -208,7 +208,6 @@ Result<ConfirmRun> runConfirm(const IRModule &M, const std::string &TestName,
                               const std::string &LabelB, uint64_t Seed,
                               bool SecondFirst, uint64_t MaxSteps) {
   obs::Span ScheduleSpan("schedule");
-  obs::MetricsRegistry::global().counter("detect.schedules_explored").inc();
   obs::MetricsRegistry::global().counter("detect.confirm_runs").inc();
   fault::probe("detect.confirm");
   if (fault::timeoutProbe("detect.confirm.steps")) {
@@ -494,6 +493,7 @@ Result<TestDetectionResult> narada::detectRacesInTest(
       PhaseError = Outcome.error();
       return false;
     }
+    Metrics.counter("detect.schedules_explored").inc(Outcome->SchedulesRun);
     Out.SchedulesRun += Outcome->SchedulesRun;
     Out.SchedulesPruned += Outcome->Pruned;
     Out.ExplorationExhausted = Outcome->Exhausted;

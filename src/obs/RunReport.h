@@ -32,7 +32,7 @@ namespace obs {
 
 /// One race in a report's "races" array: identity plus outcome, so two
 /// runs' confirmed-race sets can be compared structurally (the CI
-/// prefilter-soundness sweep does exactly that via report-diff.py --races).
+/// static-verdicts job does exactly that via report-diff.py --races-only).
 struct RaceEntry {
   std::string Key;           ///< RaceReport::key() ("Class.field{A~B}").
   std::string StaticVerdict; ///< Static pre-analysis verdict; "" when the

@@ -159,7 +159,7 @@ NaradaOptions pipelineOptions(const CliArgs &Args) {
   NaradaOptions Options;
   Options.FocusClass = Args.FocusClass;
   Options.Jobs = Args.Jobs;
-  Options.StaticPrefilter = Args.StaticPrefilter;
+  Options.StaticVerdicts = Args.StaticVerdicts;
   Options.StaticRank = Args.StaticRank;
   Options.Isolate = Args.Isolate;
   return Options;
@@ -512,8 +512,8 @@ void emitObservability(const CliArgs &Args, const RunState &State) {
       Meta.addOption("worker_mem_limit",
                      std::to_string(Args.Isolate.WorkerMemLimitMb));
   }
-  if (Args.StaticPrefilter)
-    Meta.addOption("static_prefilter", "1");
+  if (Args.StaticVerdicts)
+    Meta.addOption("static_verdicts", "1");
   if (Args.StaticRank)
     Meta.addOption("static_rank", "1");
   if (Args.StaticOnly)
@@ -648,9 +648,10 @@ int serve::usage() {
       "                        (open in Perfetto / chrome://tracing)\n"
       "  --stats               print a metrics summary to stderr\n"
       "static pre-analysis flags (see docs/STATIC.md):\n"
-      "  --static-prefilter    prune candidate pairs proven MustGuarded\n"
-      "                        (conservative; confirmed races unchanged)\n"
-      "  --static-rank         synthesize most-racy candidates first\n"
+      "  --static-verdicts     annotate each race with the static verdict\n"
+      "                        of its pair (filters and reorders nothing)\n"
+      "  --static-rank         --static-verdicts, and synthesize\n"
+      "                        most-racy candidates first\n"
       "  --static-only         classify pairs purely statically and print\n"
       "                        the triage listing (no seed tests needed)\n"
       "seed generation flags (see docs/GENERATION.md):\n"
@@ -752,8 +753,12 @@ std::optional<CliArgs> serve::parseArgs(int Argc, char **Argv) {
       Args.Detect.Mode = ExplorationMode::Replay;
     } else if (Arg == "--emit-witness" && I + 1 < Argc) {
       Args.Detect.WitnessDir = Argv[++I];
+    } else if (Arg == "--static-verdicts") {
+      Args.StaticVerdicts = true;
     } else if (Arg == "--static-prefilter") {
-      Args.StaticPrefilter = true;
+      std::fprintf(stderr, "warning: --static-prefilter is deprecated; it "
+                           "now means --static-verdicts\n");
+      Args.StaticVerdicts = true;
     } else if (Arg == "--static-rank") {
       Args.StaticRank = true;
     } else if (Arg == "--static-only") {
@@ -816,12 +821,6 @@ int serve::cmdCorpus() {
                 Entry.Benchmark.c_str(), Entry.Version.c_str(),
                 Entry.ClassName.c_str(), Entry.linesOfCode());
   return 0;
-}
-
-int serve::runCommand(CliArgs &Args, std::string Source,
-                      const EngineHooks *Hooks) {
-  RunState State;
-  return runCommandImpl(Args, std::move(Source), Hooks, State);
 }
 
 int serve::runCommandAndReport(CliArgs &Args, std::string Source,

@@ -50,7 +50,7 @@ struct CliArgs {
   DetectOptions Detect;              ///< Watchdog/budget knobs for detect.
   std::string PolicyName = "random"; ///< --policy: scheduler for `run`.
   std::string ReplayPath;            ///< --replay: witness trace to re-run.
-  bool StaticPrefilter = false;      ///< --static-prefilter.
+  bool StaticVerdicts = false;       ///< --static-verdicts.
   bool StaticRank = false;           ///< --static-rank.
   bool StaticOnly = false;           ///< --static-only: triage, no seeds.
   bool GenSeeds = false;             ///< --gen-seeds: synthesize the seeds.
@@ -87,15 +87,11 @@ Result<std::string> loadSource(CliArgs &Args);
 /// `narada-cli corpus`: lists the built-in benchmark corpus.
 int cmdCorpus();
 
-/// Dispatches \p Args.Command over \p Source and returns the process exit
-/// code (2 = usage error).  Output goes to stdout/stderr exactly as the
-/// historical CLI wrote it.
-int runCommand(CliArgs &Args, std::string Source,
-               const EngineHooks *Hooks = nullptr);
-
-/// runCommand plus the --report/--stats emission (skipped on usage
-/// errors, matching the CLI's historical behavior).  This is the one call
-/// both narada-cli main() and the daemon's request handler make.
+/// Dispatches \p Args.Command over \p Source, then emits --report/--stats
+/// (skipped on usage errors), and returns the process exit code (2 =
+/// usage error).  Output goes to stdout/stderr exactly as the historical
+/// CLI wrote it.  This is the one call both narada-cli main() and the
+/// daemon's request handler make.
 int runCommandAndReport(CliArgs &Args, std::string Source,
                         const EngineHooks *Hooks = nullptr);
 

@@ -28,7 +28,7 @@ void serve::encodeSubmit(wire::RecordWriter &W, const CliArgs &Args,
   W.addBool("stats", Args.Stats);
   W.add("jobs", static_cast<uint64_t>(Args.Jobs));
   W.add("policy", Args.PolicyName);
-  W.addBool("static_prefilter", Args.StaticPrefilter);
+  W.addBool("static_verdicts", Args.StaticVerdicts);
   W.addBool("static_rank", Args.StaticRank);
   W.addBool("static_only", Args.StaticOnly);
   W.addBool("gen_seeds", Args.GenSeeds);
@@ -63,7 +63,7 @@ Result<SubmitRequest> serve::decodeSubmit(const wire::RecordReader &In) {
   Args.Stats = In.getBool("stats", Args.Stats);
   Args.Jobs = static_cast<unsigned>(In.getU64("jobs", Args.Jobs));
   Args.PolicyName = In.getOr("policy", Args.PolicyName);
-  Args.StaticPrefilter = In.getBool("static_prefilter", Args.StaticPrefilter);
+  Args.StaticVerdicts = In.getBool("static_verdicts", Args.StaticVerdicts);
   Args.StaticRank = In.getBool("static_rank", Args.StaticRank);
   Args.StaticOnly = In.getBool("static_only", Args.StaticOnly);
   Args.GenSeeds = In.getBool("gen_seeds", Args.GenSeeds);

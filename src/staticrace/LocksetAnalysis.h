@@ -21,7 +21,7 @@
 ///    innermost static label so they line up with dynamic AccessRecords.
 ///
 /// Soundness contract (held by tests/staticrace_test.cpp and the CI
-/// prefilter sweep): a reported must-lock is held on *every* concrete
+/// static-verdicts job): a reported must-lock is held on *every* concrete
 /// execution reaching the access, and a summary without Incomplete lists
 /// *every* access the method can perform.  See docs/STATIC.md.
 ///

@@ -103,15 +103,7 @@ bool setsIntersect(const std::set<Suffix> &A, const std::set<Suffix> &B) {
   return false;
 }
 
-} // namespace
-
-PairVerdict staticrace::classifyLabelPair(const ModuleSummary &S,
-                                          const std::string &SymA,
-                                          const std::string &LabelA,
-                                          const std::string &SymB,
-                                          const std::string &LabelB) {
-  SideView A = viewOf(S, SymA, LabelA);
-  SideView B = viewOf(S, SymB, LabelB);
+PairVerdict classifyViews(const SideView &A, const SideView &B) {
   if (!A.Complete || !B.Complete || !A.AllParam || !B.AllParam)
     return PairVerdict::Unknown;
 
@@ -128,15 +120,6 @@ PairVerdict staticrace::classifyLabelPair(const ModuleSummary &S,
 
   return PairVerdict::Unknown;
 }
-
-PairVerdict staticrace::classifyRecordPair(const ModuleSummary &S,
-                                           const AccessRecord &A,
-                                           const AccessRecord &B) {
-  return classifyLabelPair(S, methodSymbol(A.ClassName, A.Method), A.Label,
-                           methodSymbol(B.ClassName, B.Method), B.Label);
-}
-
-namespace {
 
 /// The per-side half of the MustRace certificate: every instance of the
 /// label is the entry method's own access (not inherited from a callee)
@@ -157,16 +140,24 @@ bool sideCertifiable(const SideView &Side, const std::string &Sym,
 
 } // namespace
 
+PairVerdict staticrace::classifyLabelPair(const ModuleSummary &S,
+                                          const std::string &SymA,
+                                          const std::string &LabelA,
+                                          const std::string &SymB,
+                                          const std::string &LabelB) {
+  return classifyViews(viewOf(S, SymA, LabelA), viewOf(S, SymB, LabelB));
+}
+
 PairVerdict staticrace::certifyLabelPair(const ModuleSummary &S,
                                          const std::string &SymA,
                                          const std::string &LabelA,
                                          const std::string &SymB,
                                          const std::string &LabelB) {
-  PairVerdict Base = classifyLabelPair(S, SymA, LabelA, SymB, LabelB);
-  if (Base != PairVerdict::MayRace)
-    return Base; // Only the priority candidates can be strengthened.
   SideView A = viewOf(S, SymA, LabelA);
   SideView B = viewOf(S, SymB, LabelB);
+  PairVerdict Base = classifyViews(A, B);
+  if (Base != PairVerdict::MayRace)
+    return Base; // Only the priority candidates can be strengthened.
   bool SawWrite = false;
   if (!sideCertifiable(A, SymA, LabelA, SawWrite) ||
       !sideCertifiable(B, SymB, LabelB, SawWrite))

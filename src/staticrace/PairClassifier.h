@@ -15,7 +15,7 @@
 ///  - MustGuarded: every static instance of both labels (under their entry
 ///    methods) holds a through-base monitor with one common suffix, and
 ///    both summaries are complete → the accesses are always serialized
-///    under the staged sharing; the pair is prunable.
+///    under the staged sharing.
 ///  - MayRace: all instances have fully resolved locksets and *no* instance
 ///    combination can produce a colliding monitor → priority candidate.
 ///  - Unknown: anything the abstraction lost.
@@ -45,11 +45,6 @@ PairVerdict classifyLabelPair(const ModuleSummary &S, const std::string &SymA,
                               const std::string &SymB,
                               const std::string &LabelB);
 
-/// Classifies a pair of dynamic access records by their (entry method,
-/// label) coordinates.
-PairVerdict classifyRecordPair(const ModuleSummary &S, const AccessRecord &A,
-                               const AccessRecord &B);
-
 /// The must-race certification fragment (completeness counterpart to the
 /// MustGuarded soundness direction, after RacerD's true-positives
 /// theorem).  Returns classifyLabelPair()'s verdict, upgraded to MustRace
@@ -68,13 +63,15 @@ PairVerdict classifyRecordPair(const ModuleSummary &S, const AccessRecord &A,
 /// Under the staged two-thread harness the accesses are then both
 /// reachable and permanently unordered — the race must be schedulable.
 /// Never upgrades MustGuarded or Unknown, so certification can never
-/// contradict the pruning direction.
+/// contradict the MustGuarded direction.
 PairVerdict certifyLabelPair(const ModuleSummary &S, const std::string &SymA,
                              const std::string &LabelA,
                              const std::string &SymB,
                              const std::string &LabelB);
 
-/// Record-coordinate wrapper around certifyLabelPair().
+/// certifyLabelPair() at a pair of dynamic access records' (entry method,
+/// label) coordinates: the one call that gives a generated pair its
+/// verdict.
 PairVerdict certifyRecordPair(const ModuleSummary &S, const AccessRecord &A,
                               const AccessRecord &B);
 

@@ -86,8 +86,7 @@ struct MethodSummary {
   /// True when the access list may be missing instances: a size cap was
   /// hit, monitor operations did not balance, recursion exceeded the
   /// inlining depth, or an incomplete callee was inlined.  A classifier
-  /// must not derive a MustGuarded (pruning) verdict from an incomplete
-  /// summary.
+  /// must not derive a MustGuarded verdict from an incomplete summary.
   bool Incomplete = false;
 };
 

@@ -21,13 +21,14 @@ namespace staticrace {
 enum class PairVerdict {
   /// Every execution of both access sites (under these entry methods)
   /// holds a monitor that the staged sharing forces to be one object:
-  /// the pair can never manifest and is prunable.
+  /// the pair can never manifest.  No generated pair gets this verdict,
+  /// since each is anchored on an access the seed trace saw unprotected.
   MustGuarded,
   /// Both sides' must-locksets are fully resolved and no held monitor can
   /// coincide under the sharing: the pair is a priority candidate.
   MayRace,
   /// The analysis could not decide (untracked base, unknown-identity
-  /// lock, incomplete summary).  Never pruned.
+  /// lock, incomplete summary).
   Unknown,
   /// Completeness counterpart to MustGuarded (certifyLabelPair): the pair
   /// is MayRace *and* both sites are performed directly by their entry

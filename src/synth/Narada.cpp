@@ -110,7 +110,7 @@ narada::runNaradaFrontHalf(std::string_view LibrarySource,
   // Optional static pre-analysis: per-method must-lockset summaries over
   // the lowered module (same lowering the detectors run on, so static
   // labels line up with dynamic ones).
-  if (Options.StaticPrefilter || Options.StaticRank) {
+  if (Options.StaticVerdicts || Options.StaticRank) {
     obs::Span StaticSpan("staticrace", &Out.Stages.StaticRaceSeconds);
     Out.Static = std::make_shared<const staticrace::ModuleSummary>(
         staticrace::summarizeModule(*Out.Program.Module));
@@ -122,7 +122,6 @@ narada::runNaradaFrontHalf(std::string_view LibrarySource,
     PairGenOptions PairOptions;
     PairOptions.FocusClass = Options.FocusClass;
     PairOptions.Static = Out.Static.get();
-    PairOptions.StaticPrefilter = Options.StaticPrefilter;
     PairOptions.StaticRank = Options.StaticRank;
     Out.Pairs = generatePairs(Out.Analysis, PairOptions);
     Metrics.counter("synth.pairs_generated").inc(Out.Pairs.size());
@@ -153,16 +152,15 @@ narada::runNarada(std::string_view LibrarySource,
     return Front.error();
   NaradaResult Out;
   Out.Analysis = std::move(Front->Analysis);
-  Out.Static = Front->Static;
   Out.Pairs = std::move(Front->Pairs);
   Out.Stages = Front->Stages;
   NARADA_LOG_INFO("analyze: %zu seeds -> %zu accesses, %zu setters, "
                   "%zu returns",
                   SeedNames.size(), Out.Analysis.Accesses.size(),
                   Out.Analysis.Setters.size(), Out.Analysis.Returns.size());
-  if (Out.Static)
+  if (Front->Static)
     NARADA_LOG_INFO("staticrace: %zu method summaries",
-                    Out.Static->Methods.size());
+                    Front->Static->Methods.size());
   NARADA_LOG_INFO("pairgen: %zu candidate racy pairs%s%s", Out.Pairs.size(),
                   Options.FocusClass.empty() ? "" : " for class ",
                   Options.FocusClass.c_str());

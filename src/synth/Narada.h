@@ -48,14 +48,14 @@ struct NaradaOptions {
   /// for every value — see synth/ParallelDriver.h.
   unsigned Jobs = 1;
   /// Run the static race pre-analysis (src/staticrace/) over the lowered
-  /// module and drop candidate pairs it proves MustGuarded before
-  /// derivation.  Conservative: the generated pair set is unchanged (see
-  /// docs/STATIC.md), only provably serialized candidates disappear from
-  /// the candidate space.
-  bool StaticPrefilter = false;
-  /// Run the pre-analysis and stable-sort candidate pairs most-racy-first
-  /// (MayRace < Unknown < MustGuarded) before synthesis; byte-identical
-  /// across --jobs because ranking happens before the parallel stage.
+  /// module and give every generated pair its verdict (docs/STATIC.md),
+  /// which detect output shows as a "[static: ...]" annotation.  The
+  /// verdicts filter and reorder nothing.
+  bool StaticVerdicts = false;
+  /// StaticVerdicts, plus a stable sort of the candidate pairs
+  /// most-racy-first (MayRace < Unknown < MustGuarded) before synthesis;
+  /// byte-identical across --jobs because ranking happens before the
+  /// parallel stage.
   bool StaticRank = false;
   /// Out-of-process worker isolation (--isolate): run per-pair derivation
   /// and synthesis units in crash-contained worker subprocesses.  Clean
@@ -136,9 +136,6 @@ struct NaradaResult {
   std::vector<SynthesizedTestInfo> Tests;
   /// Pairs that could not be synthesized, with structured reasons.
   std::vector<SkippedPair> Skipped;
-  /// Static per-method summaries; null unless StaticPrefilter/StaticRank
-  /// ran.  Shared so callers can annotate detection output.
-  std::shared_ptr<const staticrace::ModuleSummary> Static;
   /// The exact source text Program was compiled from (normalized library +
   /// seeds + synthesized tests) — what an isolated detect worker recompiles
   /// to reach an identical module.
@@ -154,7 +151,7 @@ struct NaradaFrontHalf {
   CompiledProgram Program;
   std::string NormalizedSource;
   AnalysisResult Analysis;
-  /// Static per-method summaries; null unless StaticPrefilter/StaticRank.
+  /// Static per-method summaries; null unless StaticVerdicts/StaticRank.
   std::shared_ptr<const staticrace::ModuleSummary> Static;
   std::vector<RacyPair> Pairs;
   SeedRegistry Registry;
@@ -164,7 +161,7 @@ struct NaradaFrontHalf {
 
 /// Stages 1-2a of runNarada plus the seed registry: compiles the library
 /// and normalizes the seeds, runs and analyzes the seeds, summarizes the
-/// module when StaticPrefilter or StaticRank asks, generates the
+/// module when StaticVerdicts or StaticRank asks, generates the
 /// candidate pairs and
 /// builds the seed registry.  Each stage runs in its span (frontend,
 /// analyze, staticrace, pairgen) under the caller's innermost span; the

@@ -133,37 +133,18 @@ narada::generatePairs(const AnalysisResult &Analysis,
 
   std::vector<RacyPair> Pairs;
   std::set<std::string> Seen;
-
   const staticrace::ModuleSummary *Static = Options.Static;
-  const bool Prefilter = Static && Options.StaticPrefilter;
-  std::set<std::string> PrunedKeys;
 
   for (const auto &[FieldKey, Records] : ByField) {
     for (const AccessRecord *A : Records) {
-      // With the prefilter on, protected anchors are still scanned so the
-      // guarded candidate space can be counted as pruned.
-      const bool Anchor = A->Unprotected;
-      if (!Anchor && !Prefilter)
-        continue;
+      if (!A->Unprotected)
+        continue; // Only an unprotected access anchors a pair.
       for (const AccessRecord *B : Records) {
         PairCheck Check = checkCandidatePair(*A, *B);
         if (Check == PairCheck::ReadRead) {
-          if (Anchor)
-            Metrics.counter("pairgen.candidates_rejected.read_read").inc();
+          Metrics.counter("pairgen.candidates_rejected.read_read").inc();
           continue;
         }
-        std::optional<staticrace::PairVerdict> Verdict;
-        if (Static)
-          Verdict = staticrace::classifyRecordPair(*Static, *A, *B);
-        if (Prefilter &&
-            Verdict == staticrace::PairVerdict::MustGuarded) {
-          // Provably serialized under the staged sharing: pruned, and not
-          // counted as a dynamic feasibility rejection.
-          PrunedKeys.insert(makeCandidatePair(*A, *B).key());
-          continue;
-        }
-        if (Check == PairCheck::Unanchored)
-          continue; // Scanned for pruning accounting only.
         if (Check == PairCheck::LocksCollide) {
           Metrics.counter("pairgen.candidates_rejected.lock_collision")
               .inc();
@@ -171,15 +152,18 @@ narada::generatePairs(const AnalysisResult &Analysis,
         }
 
         RacyPair Pair = makeCandidatePair(*A, *B);
-        if (Verdict) {
-          Pair.Verdict = *Verdict;
+        if (Static) {
+          // One call classifies the pair and tries the MustRace
+          // certificate on a MayRace verdict.  No counter here:
+          // certification must not perturb the pinned bench counters of
+          // the default pipeline (triage counts it).
+          staticrace::PairVerdict Verdict =
+              staticrace::certifyRecordPair(*Static, *A, *B);
+          Pair.CertifiedMustRace = Verdict == staticrace::PairVerdict::MustRace;
+          Pair.Verdict = Pair.CertifiedMustRace
+                             ? staticrace::PairVerdict::MayRace
+                             : Verdict;
           Pair.Classified = true;
-          // No counter here: certification must not perturb the pinned
-          // bench counters of the default pipeline (triage counts it).
-          Pair.CertifiedMustRace =
-              *Verdict == staticrace::PairVerdict::MayRace &&
-              staticrace::certifyRecordPair(*Static, *A, *B) ==
-                  staticrace::PairVerdict::MustRace;
         }
         if (Seen.insert(Pair.key()).second)
           Pairs.push_back(std::move(Pair));
@@ -188,16 +172,6 @@ narada::generatePairs(const AnalysisResult &Analysis,
   }
 
   if (Static) {
-    if (Prefilter) {
-      // Count keys that exist *only* in the pruned space: a key that some
-      // other (unprotected, non-guarded) record combination still
-      // generated was not removed from the pipeline.
-      size_t Pruned = 0;
-      for (const std::string &Key : PrunedKeys)
-        if (!Seen.count(Key))
-          ++Pruned;
-      Metrics.counter("staticrace.pairs_pruned").inc(Pruned);
-    }
     size_t Unknowns = 0;
     for (const RacyPair &Pair : Pairs)
       if (Pair.Verdict == staticrace::PairVerdict::Unknown)

@@ -42,19 +42,14 @@ struct PairGenOptions {
   std::string FocusClass;
 
   /// Static module summary; when set every generated pair carries a
-  /// staticrace::PairVerdict.  Null leaves generation byte-identical to
-  /// the classic (dynamic-only) behaviour.
+  /// staticrace::PairVerdict.  The verdicts annotate and never filter:
+  /// the generated pair set is the same with or without a summary.
   const staticrace::ModuleSummary *Static = nullptr;
-  /// With Static: additionally scan the protected candidate space and drop
-  /// every candidate classified MustGuarded before the feasibility checks,
-  /// counting distinct pruned keys in "staticrace.pairs_pruned".  Sound by
-  /// construction: a MustGuarded candidate is serialized under the staged
-  /// sharing (see docs/STATIC.md), so the generated pair set is unchanged.
-  bool StaticPrefilter = false;
   /// With Static: stable-sort the generated pairs MayRace < Unknown <
-  /// MustGuarded (original order within a rank), so the synthesis budget
-  /// is spent on the most promising candidates first.  Runs before the
-  /// parallel synthesis stage, hence byte-identical across --jobs.
+  /// MustGuarded (original order within a rank).  Every pair is still
+  /// synthesized, so ranking only sets the order of the synthesized tests;
+  /// race sets with and without it are identical on C1–C9.  Runs before
+  /// the parallel synthesis stage, hence byte-identical across --jobs.
   bool StaticRank = false;
 };
 

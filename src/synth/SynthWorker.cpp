@@ -21,7 +21,7 @@ void synthworker::encodeSynthOptions(wire::RecordWriter &W,
                                      const NaradaOptions &Options) {
   W.add("focus_class", Options.FocusClass);
   W.addBool("enable_context_derivation", Options.EnableContextDerivation);
-  W.addBool("static_prefilter", Options.StaticPrefilter);
+  W.addBool("static_verdicts", Options.StaticVerdicts);
   W.addBool("static_rank", Options.StaticRank);
   W.addBool("derivation_seed_set", Options.DerivationSeed.has_value());
   if (Options.DerivationSeed)
@@ -33,8 +33,8 @@ void synthworker::decodeSynthOptions(const wire::RecordReader &In,
   Options.FocusClass = In.getOr("focus_class", Options.FocusClass);
   Options.EnableContextDerivation =
       In.getBool("enable_context_derivation", Options.EnableContextDerivation);
-  Options.StaticPrefilter =
-      In.getBool("static_prefilter", Options.StaticPrefilter);
+  Options.StaticVerdicts =
+      In.getBool("static_verdicts", Options.StaticVerdicts);
   Options.StaticRank = In.getBool("static_rank", Options.StaticRank);
   if (In.getBool("derivation_seed_set", false))
     Options.DerivationSeed = In.getU64("derivation_seed");

@@ -10,6 +10,8 @@
 #include "detect/LockSetDetector.h"
 #include "detect/RaceConfirmer.h"
 #include "detect/VectorClock.h"
+#include "explore/ScheduleTrace.h"
+#include "obs/Metrics.h"
 #include "support/StringUtils.h"
 #include "synth/Narada.h"
 
@@ -399,6 +401,51 @@ TEST(DetectionTest, HintsDriveConfirmationWithoutDetection) {
   ASSERT_TRUE(R.hasValue());
   EXPECT_TRUE(R->Detected.empty());
   EXPECT_GE(R->reproducedCount(), 1u);
+}
+
+TEST(DetectionTest, SchedulesExploredCountsPhaseOneSchedules) {
+  // detect.schedules_explored counts what the detect command prints as
+  // "N schedules explored" (the sum of SchedulesRun) in every mode, and
+  // no confirmation run, which detect.confirm_runs counts.
+  auto P = compileOk(RacyCounter);
+  RandomPolicy Inner(1);
+  explore::RecordingPolicy Recorder(Inner);
+  ASSERT_TRUE(
+      runTest(*P.Module, "racy", Recorder, /*RandSeed=*/1).hasValue());
+  auto Trace = std::make_shared<const explore::ScheduleTrace>(
+      Recorder.trace("racy", /*RandSeed=*/1));
+
+  struct Config {
+    const char *Name;
+    ExplorationMode Mode;
+    unsigned MaxSchedules;
+  };
+  const Config Configs[] = {
+      {"random", ExplorationMode::Random, 256},
+      {"systematic", ExplorationMode::Systematic, 256},
+      // A budget the search exceeds: systematic schedules plus the
+      // random fallback's runs.
+      {"systematic+fallback", ExplorationMode::Systematic, 2},
+      {"replay", ExplorationMode::Replay, 256},
+  };
+  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
+  for (const Config &C : Configs) {
+    SCOPED_TRACE(C.Name);
+    DetectOptions Options;
+    Options.Mode = C.Mode;
+    Options.Explore.MaxSchedules = C.MaxSchedules;
+    Options.ReplayTrace = Trace;
+    const uint64_t Explored =
+        Metrics.counter("detect.schedules_explored").value();
+    const uint64_t Confirms = Metrics.counter("detect.confirm_runs").value();
+    Result<TestDetectionResult> R =
+        detectRacesInTest(*P.Module, "racy", Options);
+    ASSERT_TRUE(R.hasValue()) << R.error().str();
+    EXPECT_GT(R->SchedulesRun, 0u);
+    EXPECT_EQ(Metrics.counter("detect.schedules_explored").value() - Explored,
+              R->SchedulesRun);
+    EXPECT_GT(Metrics.counter("detect.confirm_runs").value() - Confirms, 0u);
+  }
 }
 
 TEST(DetectionTest, EndToEndNaradaPipelineFindsHarmfulRace) {

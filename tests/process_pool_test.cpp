@@ -148,7 +148,7 @@ NaradaResult runClass(const CorpusEntry &Entry, unsigned Jobs, bool Isolate,
   NaradaOptions Options;
   Options.FocusClass = Entry.ClassName;
   Options.Jobs = Jobs;
-  Options.StaticPrefilter = Static;
+  Options.StaticVerdicts = Static;
   Options.StaticRank = Static;
   if (Isolate)
     Options.Isolate = isolateOptions();

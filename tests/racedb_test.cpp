@@ -559,7 +559,7 @@ TEST(TriageGateTest, CleanReingestPassesRegressionsFail) {
 //===----------------------------------------------------------------------===//
 
 TEST(MustRaceSoundnessTest, CertifiedRacesReproduceAcrossCorpus) {
-  // The completeness counterpart to the prefilter-soundness sweep: every
+  // The completeness counterpart to the MustGuarded soundness check: every
   // pair the certifier marks MustRace must (a) base-classify MayRace —
   // never contradicting MustGuarded — and (b) reproduce dynamically when
   // its race is detected at all.

@@ -67,7 +67,7 @@ TEST(ServeProtocolTest, SubmitRoundTrips) {
   Args.ReportPath = "/tmp/some.json"; // Becomes the want_report bit.
   Args.Stats = true;
   Args.PolicyName = "pct";
-  Args.StaticPrefilter = true;
+  Args.StaticVerdicts = true;
   Args.StaticRank = true;
   Args.StaticOnly = true;
   Args.GenSeeds = true;
@@ -107,7 +107,7 @@ TEST(ServeProtocolTest, SubmitRoundTrips) {
   EXPECT_EQ(Out.Jobs, 4u);
   EXPECT_TRUE(Out.Stats);
   EXPECT_EQ(Out.PolicyName, "pct");
-  EXPECT_TRUE(Out.StaticPrefilter);
+  EXPECT_TRUE(Out.StaticVerdicts);
   EXPECT_TRUE(Out.StaticRank);
   EXPECT_TRUE(Out.StaticOnly);
   EXPECT_TRUE(Out.GenSeeds);
@@ -165,7 +165,7 @@ TEST(ServeProtocolTest, BareSubmitDecodesToTheDefaults) {
   EXPECT_EQ(Out.Jobs, Want.Jobs);
   EXPECT_EQ(Out.PolicyName, Want.PolicyName);
   EXPECT_EQ(Out.ReplayPath, Want.ReplayPath);
-  EXPECT_EQ(Out.StaticPrefilter, Want.StaticPrefilter);
+  EXPECT_EQ(Out.StaticVerdicts, Want.StaticVerdicts);
   EXPECT_EQ(Out.StaticRank, Want.StaticRank);
   EXPECT_EQ(Out.StaticOnly, Want.StaticOnly);
   EXPECT_EQ(Out.GenSeeds, Want.GenSeeds);

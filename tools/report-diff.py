@@ -15,10 +15,10 @@ noise.
 With --races, additionally requires the two reports' race sets to be
 identical — same keys, same reproduced flags — and exits 1 on any
 mismatch.  Static verdict annotations are ignored in the comparison (a
---static-prefilter run annotates verdicts; the race identities must still
+--static-verdicts run annotates verdicts; the race identities must still
 match a dynamic-only baseline exactly).  With --races-only the phase and
 counter diff is skipped entirely and the exit status reflects race-set
-identity alone — the mode for the CI prefilter-soundness sweep, which
+identity alone — the mode for the CI static-verdicts sweep, which
 compares runs whose phase timings legitimately differ (different job
 counts, sub-millisecond phases) and cares only that the races match.
 
@@ -65,9 +65,8 @@ _VARIABLE_SEGMENTS = {"explore", "schedule", "witness", "staticrace", "pool",
 
 # Counters whose values are expected to differ across exploration modes or
 # when the static pre-analysis is toggled; drift in them is annotated
-# rather than left to look like a anomaly.  lock_collision is listed
-# because a statically pruned pair skips the dynamic lock-collision check
-# it would otherwise have hit.  pool.* counters exist only under --isolate.
+# rather than left to look like a anomaly.  pool.* counters exist only
+# under --isolate.
 # serve.* counters exist only for requests executed by a narada-cli serve
 # daemon, and their hit/miss split depends on the daemon's cache
 # temperature — a warm resubmit is byte-identical in results but reports
@@ -75,7 +74,6 @@ _VARIABLE_SEGMENTS = {"explore", "schedule", "witness", "staticrace", "pool",
 MODE_DEPENDENT_COUNTER_PREFIXES = (
     "explore.",
     "staticrace.",
-    "pairgen.candidates_rejected.lock_collision",
     "pool.",
     "serve.",
     "synth.derivations",

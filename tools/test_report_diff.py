@@ -141,7 +141,7 @@ class DiffReportsTest(unittest.TestCase):
                          ([], [], [], []))
 
     def test_staticrace_phase_is_config_dependent(self):
-        # A --static-prefilter run has a staticrace span a plain run lacks.
+        # A --static-verdicts run has a staticrace span a plain run lacks.
         base = report({"pipeline": 1.0})
         cur = report({"pipeline": 1.0, "pipeline.staticrace": 0.2})
         regressions, warnings, notes, _ = report_diff.diff_reports(
@@ -247,6 +247,24 @@ class RacesOnlyModeTest(unittest.TestCase):
         code, out = self._run_main(["--races-only", base, cur])
         self.assertEqual(code, 1)
         self.assertIn("race set mismatches", out)
+
+    def test_lock_collision_drift_is_not_mode_dependent(self):
+        # The static verdicts filter nothing, so a default run and a
+        # static run reject the same lock-colliding candidates: drift in
+        # that counter is reported as plain drift, while the staticrace.*
+        # family a static run adds stays annotated.
+        base = self._write(report(counters={
+            "pairgen.candidates_rejected.lock_collision": 12}))
+        cur = self._write(report(counters={
+            "pairgen.candidates_rejected.lock_collision": 9,
+            "staticrace.unknown": 4}))
+        code, out = self._run_main([base, cur])
+        self.assertEqual(code, 0)
+        self.assertIn("counter drift (2 changed)", out)
+        lines = out.splitlines()
+        self.assertIn(
+            "  pairgen.candidates_rejected.lock_collision: 12 -> 9", lines)
+        self.assertIn("  staticrace.unknown: 0 -> 4 [mode-dependent]", lines)
 
     def test_plain_races_flag_still_checks_phases(self):
         base = self._write(report({"pipeline": 1.0}, races=self.RACES))
