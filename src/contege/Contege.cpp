@@ -264,8 +264,9 @@ Result<ContegeResult> narada::runContege(std::string_view LibrarySource,
         bool LinearizationsClean = true;
         for (const char *Suffix : {"_lin1", "_lin2"}) {
           Metrics.counter("contege.linearization_runs").inc();
+          RoundRobinPolicy Sequential;
           Result<TestRun> Run =
-              runTestSequential(*Base->Module, Name + Suffix);
+              runTest(*Base->Module, Name + Suffix, Sequential);
           if (!Run)
             return Run.error();
           if (Run->Result.Faulted || Run->Result.Deadlocked)

@@ -206,7 +206,7 @@ Service::create(const wire::RecordReader &Setup) {
   std::string ReplayPath = Setup.getOr("replay_path", "");
   if (!ReplayPath.empty()) {
     Result<explore::ScheduleTrace> Trace =
-        explore::ScheduleTrace::readFile(ReplayPath);
+        explore::ScheduleTrace::readFile(ReplayPath, replayStepBudget(O));
     if (!Trace)
       return Trace.error();
     O.ReplayTrace =

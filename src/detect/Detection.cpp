@@ -295,6 +295,10 @@ auto runWithRetries(const DetectOptions &Options, const std::string &TestName,
 
 } // namespace
 
+uint64_t narada::replayStepBudget(const DetectOptions &Options) {
+  return escalatedBudget(Options, Options.StepLimitRetries);
+}
+
 Result<TestDetectionResult> narada::detectRacesInTest(
     const IRModule &M, const std::string &TestName,
     const DetectOptions &Options,
@@ -530,12 +534,9 @@ Result<TestDetectionResult> narada::detectRacesInTest(
     ++Out.SchedulesRun;
     DetectorSet Detectors(Options);
     explore::ReplayPolicy Policy(*Options.ReplayTrace);
-    // Replays get the fully escalated budget up front: the recorded run
-    // already fit in some budget, so there is nothing to ladder.
     Result<TestRun> Run =
         runTest(M, TestName, Policy, Options.ReplayTrace->RandSeed,
-                &Detectors,
-                escalatedBudget(Options, Options.StepLimitRetries));
+                &Detectors, replayStepBudget(Options));
     if (!Run) {
       PhaseError = Run.error();
       return false;

@@ -90,6 +90,12 @@ struct DetectOptions {
   double WallBudgetSeconds = 0.0;
 };
 
+/// The step budget of a replay: the fully escalated one, MaxSteps *
+/// StepBudgetEscalation^StepLimitRetries, since the recorded run already
+/// fit in some budget.  A replay takes one pick per step, so this is also
+/// the most picks a trace read for it can hold.
+uint64_t replayStepBudget(const DetectOptions &Options);
+
 /// One race after confirmation and classification.
 struct ConfirmedRace {
   RaceReport Report;

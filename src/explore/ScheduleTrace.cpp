@@ -79,7 +79,8 @@ Error badLine(size_t LineNo, const std::string &Why) {
 
 } // namespace
 
-Result<ScheduleTrace> ScheduleTrace::deserialize(const std::string &Text) {
+Result<ScheduleTrace> ScheduleTrace::deserialize(const std::string &Text,
+                                                 uint64_t MaxPicks) {
   ScheduleTrace Out;
   std::istringstream In(Text);
   std::string Line;
@@ -133,8 +134,16 @@ Result<ScheduleTrace> ScheduleTrace::deserialize(const std::string &Text) {
             !parseU64(Words[I].substr(X + 1), Count) || Count == 0)
           return badLine(LineNo, "bad picks token '" + Words[I] +
                                      "' (want <tid>x<count>)");
-        for (uint64_t K = 0; K < Count; ++K)
-          Out.Picks.push_back(static_cast<ThreadId>(Tid));
+        if (Tid >= NoThread)
+          return badLine(LineNo, "thread id in '" + Words[I] +
+                                     "' is out of range");
+        // Checked before expanding: Picks never holds more than MaxPicks.
+        if (Count > MaxPicks - Out.Picks.size())
+          return badLine(
+              LineNo, formatString("more than %llu picks, the most a "
+                                   "replay can consume",
+                                   static_cast<unsigned long long>(MaxPicks)));
+        Out.Picks.insert(Out.Picks.end(), Count, static_cast<ThreadId>(Tid));
       }
     } else {
       return badLine(LineNo, "unknown directive '" + Directive + "'");
@@ -158,13 +167,14 @@ Status ScheduleTrace::writeFile(const std::string &Path) const {
   return Status::success();
 }
 
-Result<ScheduleTrace> ScheduleTrace::readFile(const std::string &Path) {
+Result<ScheduleTrace> ScheduleTrace::readFile(const std::string &Path,
+                                              uint64_t MaxPicks) {
   std::ifstream In(Path);
   if (!In)
     return Error("cannot open schedule trace '" + Path + "'");
   std::ostringstream Buffer;
   Buffer << In.rdbuf();
-  return deserialize(Buffer.str());
+  return deserialize(Buffer.str(), MaxPicks);
 }
 
 //===----------------------------------------------------------------------===//

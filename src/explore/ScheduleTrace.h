@@ -71,11 +71,16 @@ struct ScheduleTrace {
   std::string serialize() const;
 
   /// Parses a serialized trace; malformed input is an Error naming the
-  /// offending line.
-  static Result<ScheduleTrace> deserialize(const std::string &Text);
+  /// offending line.  So is a thread id that does not fit below NoThread,
+  /// and a trace of more than \p MaxPicks picks, the most the replay it is
+  /// read for can consume (one per step of its step budget); both are
+  /// checked before any run is expanded.
+  static Result<ScheduleTrace> deserialize(const std::string &Text,
+                                           uint64_t MaxPicks);
 
   Status writeFile(const std::string &Path) const;
-  static Result<ScheduleTrace> readFile(const std::string &Path);
+  static Result<ScheduleTrace> readFile(const std::string &Path,
+                                        uint64_t MaxPicks);
 };
 
 /// Wraps another policy and records its decisions, so every exploration

@@ -108,7 +108,7 @@ collectSteerTargets(const staticrace::ModuleSummary &Summary,
 /// Step budget of a candidate's validation run.  The longest candidate that
 /// finishes, over C1-C9 x seeds 1-16, takes 2,501 steps; the ones that do
 /// not finish run self-feeding loops (`l.addAll(l)`, capacity growth) that
-/// reach any budget, so a larger one only records a longer trace to reject.
+/// reach any budget, so a larger one only spends more steps to reject them.
 constexpr uint64_t ValidationStepBudget = 65'536;
 
 /// Keys of the candidate pairs that involve a record of \p New, within one
@@ -408,8 +408,13 @@ Result<GenResult> narada::gen::generateSeedCorpus(
           Validation &V = Checks[Idx];
           if (!V.Error.empty())
             return;
-          Result<TestRun> Run = runTestSequential(
-              *Lib.Module, C.Name, /*RandSeed=*/1, ValidationStepBudget);
+          // The first run records nothing, so a rejected candidate leaves
+          // no trace behind.  A clean one runs again, recorded, for its
+          // analysis: the VM is deterministic, so that run is the first.
+          RoundRobinPolicy Policy;
+          Result<TestRun> Run =
+              runTest(*Lib.Module, C.Name, Policy, /*RandSeed=*/1,
+                      /*Extra=*/nullptr, ValidationStepBudget);
           if (!Run) {
             V.Error = "failed to run: " + Run.error().str();
             return;
@@ -421,6 +426,7 @@ Result<GenResult> narada::gen::generateSeedCorpus(
                                                : "hit step limit";
             return;
           }
+          Run = runTestSequential(*Lib.Module, C.Name);
           V.Analysis = analyzeTrace(Run->TheTrace, Info);
           V.Valid = true;
         });

@@ -8,7 +8,23 @@
 
 #include "lang/Lexer.h"
 
+#include <algorithm>
+
 using namespace narada;
+
+/// Opens one nesting level for its lifetime.
+class Parser::Nested {
+public:
+  explicit Nested(Parser &P) : P(P) { ++P.Depth; }
+  ~Nested() { --P.Depth; }
+  Nested(const Nested &) = delete;
+  Nested &operator=(const Nested &) = delete;
+
+  bool exceeded() const { return P.Depth > MaxNestingDepth; }
+
+private:
+  Parser &P;
+};
 
 const char *narada::binaryOpSpelling(BinaryOp Op) {
   switch (Op) {
@@ -76,6 +92,11 @@ Result<const Token *> Parser::expect(TokenKind Kind, const char *Context) {
 
 Error Parser::errorHere(const std::string &Message) const {
   return Error(Message, peek().Loc.str());
+}
+
+Error Parser::tooDeep() const {
+  return errorHere(
+      formatString("nesting deeper than %u levels", MaxNestingDepth));
 }
 
 Result<std::unique_ptr<Program>>
@@ -259,6 +280,9 @@ Result<std::unique_ptr<BlockStmt>> Parser::parseBlock() {
 }
 
 Result<StmtPtr> Parser::parseStmt() {
+  Nested Level(*this);
+  if (Level.exceeded())
+    return tooDeep();
   switch (peek().Kind) {
   case TokenKind::KwVar:
     return parseVarDecl();
@@ -323,6 +347,10 @@ Result<StmtPtr> Parser::parseIf() {
   StmtPtr Else;
   if (match(TokenKind::KwElse)) {
     if (check(TokenKind::KwIf)) {
+      // An else-if is a statement one level below this one.
+      Nested Level(*this);
+      if (Level.exceeded())
+        return tooDeep();
       Result<StmtPtr> ElseIf = parseIf();
       if (!ElseIf)
         return ElseIf.error();
@@ -479,17 +507,28 @@ static BinaryOp binaryOpFor(TokenKind Kind) {
 }
 
 Result<ExprPtr> Parser::parseExpr() {
+  // The expression's root sits one level below Depth.
+  Result<ExprPtr> E = parseOperators();
+  if (E && Depth + Height > MaxNestingDepth)
+    return tooDeep();
+  return E;
+}
+
+Result<ExprPtr> Parser::parseOperators() {
   Result<ExprPtr> LHS = parseUnary();
   if (!LHS)
     return LHS.error();
-  return parseBinaryRHS(1, LHS.take());
+  return parseBinaryRHS(1, LHS.take(), Height);
 }
 
-Result<ExprPtr> Parser::parseBinaryRHS(int MinPrec, ExprPtr LHS) {
+Result<ExprPtr> Parser::parseBinaryRHS(int MinPrec, ExprPtr LHS,
+                                       unsigned LHSHeight) {
   while (true) {
     int Prec = binaryPrecedence(peek().Kind);
-    if (Prec < MinPrec)
+    if (Prec < MinPrec) {
+      Height = LHSHeight;
       return LHS;
+    }
     const Token &OpTok = advance();
     Result<ExprPtr> RHS = parseUnary();
     if (!RHS)
@@ -497,22 +536,32 @@ Result<ExprPtr> Parser::parseBinaryRHS(int MinPrec, ExprPtr LHS) {
     // Left associativity: fold anything that binds tighter into RHS first.
     while (binaryPrecedence(peek().Kind) > Prec) {
       Result<ExprPtr> Folded =
-          parseBinaryRHS(binaryPrecedence(peek().Kind), RHS.take());
+          parseBinaryRHS(binaryPrecedence(peek().Kind), RHS.take(), Height);
       if (!Folded)
         return Folded.error();
       RHS = Folded.take();
     }
+    // A chain built in this loop is as deep as it is long.  Its root sits
+    // at level Depth or below, so its deepest operand at least at
+    // Depth + LHSHeight - 1; the caller checks the exact level.
+    LHSHeight = 1 + std::max(LHSHeight, Height);
+    if (Depth + LHSHeight - 1 > MaxNestingDepth)
+      return tooDeep();
     LHS = std::make_unique<BinaryExpr>(binaryOpFor(OpTok.Kind),
                                        std::move(LHS), RHS.take(), OpTok.Loc);
   }
 }
 
 Result<ExprPtr> Parser::parseUnary() {
+  Nested Level(*this);
+  if (Level.exceeded())
+    return tooDeep();
   if (check(TokenKind::Minus)) {
     const Token &OpTok = advance();
     Result<ExprPtr> Operand = parseUnary();
     if (!Operand)
       return Operand.error();
+    ++Height;
     return ExprPtr(std::make_unique<UnaryExpr>(UnaryOp::Neg, Operand.take(),
                                                OpTok.Loc));
   }
@@ -521,6 +570,7 @@ Result<ExprPtr> Parser::parseUnary() {
     Result<ExprPtr> Operand = parseUnary();
     if (!Operand)
       return Operand.error();
+    ++Height;
     return ExprPtr(std::make_unique<UnaryExpr>(UnaryOp::Not, Operand.take(),
                                                OpTok.Loc));
   }
@@ -532,6 +582,7 @@ Result<ExprPtr> Parser::parsePostfix() {
   if (!E)
     return E.error();
   ExprPtr Node = E.take();
+  unsigned NodeHeight = Height;
   while (check(TokenKind::Dot)) {
     const Token &DotTok = advance();
     Result<const Token *> Member =
@@ -542,15 +593,22 @@ Result<ExprPtr> Parser::parsePostfix() {
       Result<std::vector<ExprPtr>> Args = parseArgs();
       if (!Args)
         return Args.error();
+      NodeHeight = 1 + std::max(NodeHeight, Height);
       Node = std::make_unique<CallExpr>(std::move(Node),
                                         std::string((*Member)->Text),
                                         Args.take(), DotTok.Loc);
     } else {
+      ++NodeHeight;
       Node = std::make_unique<FieldAccessExpr>(std::move(Node),
                                                std::string((*Member)->Text),
                                                DotTok.Loc);
     }
+    // Like an operator chain, a member chain is as deep as it is long; its
+    // root sits at level Depth.
+    if (Depth + NodeHeight - 1 > MaxNestingDepth)
+      return tooDeep();
   }
+  Height = NodeHeight;
   return Node;
 }
 
@@ -558,11 +616,13 @@ Result<std::vector<ExprPtr>> Parser::parseArgs() {
   if (auto R = expect(TokenKind::LParen, "to open argument list"); !R)
     return R.error();
   std::vector<ExprPtr> Args;
+  unsigned ArgsHeight = 0;
   if (!check(TokenKind::RParen)) {
     while (true) {
       Result<ExprPtr> Arg = parseExpr();
       if (!Arg)
         return Arg.error();
+      ArgsHeight = std::max(ArgsHeight, Height);
       Args.push_back(Arg.take());
       if (!match(TokenKind::Comma))
         break;
@@ -570,11 +630,13 @@ Result<std::vector<ExprPtr>> Parser::parseArgs() {
   }
   if (auto R = expect(TokenKind::RParen, "to close argument list"); !R)
     return R.error();
+  Height = ArgsHeight;
   return Args;
 }
 
 Result<ExprPtr> Parser::parsePrimary() {
   const Token &T = peek();
+  Height = 1;
   switch (T.Kind) {
   case TokenKind::IntLiteral:
     advance();
@@ -611,6 +673,7 @@ Result<ExprPtr> Parser::parsePrimary() {
       if (!Parsed)
         return Parsed.error();
       Args = Parsed.take();
+      Height += 1;
     }
     return ExprPtr(std::make_unique<NewExpr>(std::string((*ClassName)->Text),
                                              std::move(Args),
@@ -620,8 +683,11 @@ Result<ExprPtr> Parser::parsePrimary() {
     advance();
     return ExprPtr(std::make_unique<VarRefExpr>(std::string(T.Text), T.Loc));
   case TokenKind::LParen: {
+    // Parentheses build no node: the expression inside takes their place,
+    // and their level, in the tree.  The printer parenthesizes every
+    // operator, so its output nests no deeper than its input.
     advance();
-    Result<ExprPtr> Inner = parseExpr();
+    Result<ExprPtr> Inner = parseOperators();
     if (!Inner)
       return Inner.error();
     if (auto R = expect(TokenKind::RParen, "to close parenthesis"); !R)

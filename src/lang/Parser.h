@@ -49,7 +49,18 @@ public:
   /// Convenience: lex + parse a source buffer in one step.
   static Result<std::unique_ptr<Program>> parse(std::string_view Source);
 
+  /// The deepest nesting the parser accepts inside a method or test body;
+  /// deeper input is a parse error.  In the tree it builds, each statement,
+  /// operand and else-if is one level, and so is each link of an operator
+  /// or member chain: `1 + 1 + ... + 1` is as deep as it is long.  That
+  /// bounds every recursive walk over the tree (Sema, lowering, the
+  /// printer, clone, the AST destructor).  Parentheses build no node, but
+  /// each pair is one level of the parser's own recursion, which the same
+  /// bound holds.
+  static constexpr unsigned MaxNestingDepth = 256;
+
 private:
+  class Nested;
   Result<std::unique_ptr<ClassDecl>> parseClass();
   Result<std::unique_ptr<TestDecl>> parseTest();
   Result<FieldDecl> parseField();
@@ -66,7 +77,10 @@ private:
   Result<StmtPtr> parseExprOrAssign();
 
   Result<ExprPtr> parseExpr();
-  Result<ExprPtr> parseBinaryRHS(int MinPrec, ExprPtr LHS);
+  /// parseExpr() less its depth check, for a parenthesized expression,
+  /// which its enclosing expression checks.
+  Result<ExprPtr> parseOperators();
+  Result<ExprPtr> parseBinaryRHS(int MinPrec, ExprPtr LHS, unsigned LHSHeight);
   Result<ExprPtr> parseUnary();
   Result<ExprPtr> parsePostfix();
   Result<ExprPtr> parsePrimary();
@@ -80,10 +94,17 @@ private:
   /// stays valid as long as the parser.
   Result<const Token *> expect(TokenKind Kind, const char *Context);
   Error errorHere(const std::string &Message) const;
+  /// The error for input nested past MaxNestingDepth.
+  Error tooDeep() const;
 
   /// Ends with an Eof token, which advance() never moves past.
   std::vector<Token> Tokens;
   size_t Pos = 0;
+  /// Levels open around the statement or operand being parsed.
+  unsigned Depth = 0;
+  /// Levels of the expression the last expression parser returned, its
+  /// root included: its deepest node sits Height - 1 levels below it.
+  unsigned Height = 0;
 };
 
 } // namespace narada

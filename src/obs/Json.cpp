@@ -178,6 +178,14 @@ public:
   }
 
 private:
+  /// Holds one array or object level open for its lifetime.
+  struct Level {
+    explicit Level(unsigned &Depth) : Depth(Depth) { ++Depth; }
+    ~Level() { --Depth; }
+    bool exceeded() const { return Depth > MaxJsonNesting; }
+    unsigned &Depth;
+  };
+
   void skipSpace() {
     while (Pos < Text.size() &&
            std::isspace(static_cast<unsigned char>(Text[Pos])))
@@ -272,6 +280,9 @@ private:
     JsonValue V;
     char C = Text[Pos];
     if (C == '{') {
+      Level Open(Depth);
+      if (Open.exceeded())
+        return std::nullopt;
       ++Pos;
       V.K = JsonValue::Kind::Object;
       skipSpace();
@@ -294,6 +305,9 @@ private:
       }
     }
     if (C == '[') {
+      Level Open(Depth);
+      if (Open.exceeded())
+        return std::nullopt;
       ++Pos;
       V.K = JsonValue::Kind::Array;
       skipSpace();
@@ -354,6 +368,7 @@ private:
 
   std::string_view Text;
   size_t Pos = 0;
+  unsigned Depth = 0;
 };
 
 } // namespace

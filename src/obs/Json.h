@@ -87,8 +87,13 @@ struct JsonValue {
   }
 };
 
-/// Parses \p Text; empty optional on malformed input (trailing garbage
-/// included).
+/// The deepest array and object nesting parseJson() accepts.  Run reports
+/// and bench trajectories nest five levels; the parser recurses once per
+/// level, so a bound keeps a hostile document from exhausting the stack.
+inline constexpr unsigned MaxJsonNesting = 512;
+
+/// Parses \p Text; empty optional on malformed input (trailing garbage and
+/// nesting deeper than MaxJsonNesting included).
 std::optional<JsonValue> parseJson(std::string_view Text);
 
 } // namespace obs

@@ -117,13 +117,11 @@ RunResult narada::runToEnd(VM &Machine, SchedulingPolicy &Policy,
 
 Result<TestRun> narada::runTestSequential(const IRModule &M,
                                           const std::string &TestName,
-                                          uint64_t RandSeed,
-                                          uint64_t MaxSteps) {
+                                          uint64_t RandSeed) {
   RoundRobinPolicy Policy;
   Trace Recorded;
   TraceRecorder Recorder(Recorded);
-  Result<TestRun> Run =
-      runTest(M, TestName, Policy, RandSeed, &Recorder, MaxSteps);
+  Result<TestRun> Run = runTest(M, TestName, Policy, RandSeed, &Recorder);
   if (Run)
     Run->TheTrace = std::move(Recorded);
   return Run;

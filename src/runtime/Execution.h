@@ -52,7 +52,9 @@ Status compileTestsInto(CompiledProgram &Library, std::string_view TestSource);
 
 /// The outcome of one test execution.
 struct TestRun {
-  Trace TheTrace; ///< Filled by runTestSequential() only.
+  /// Filled by runTestSequential() only: the runs whose trace an analysis
+  /// reads.  Every other run records nothing.
+  Trace TheTrace;
   RunResult Result;
   uint64_t HeapHash = 0; ///< Heap state hash after the run.
 };
@@ -82,14 +84,13 @@ Result<VM> startTest(const IRModule &M, const std::string &TestName,
 RunResult runToEnd(VM &Machine, SchedulingPolicy &Policy,
                    ExecutionObserver *Observer, uint64_t MaxSteps);
 
-/// Runs test \p TestName single-threaded (round-robin degenerates to
-/// program order for sequential tests), recording every event into
-/// TheTrace: the sequential seed traces the Narada analysis consumes.
-/// A run that reaches \p MaxSteps stops with HitStepLimit set.
+/// Runs test \p TestName under RoundRobinPolicy (program order for
+/// sequential tests), recording every event into TheTrace: the sequential
+/// seed traces the Narada analysis consumes, and `narada-cli trace`.  A
+/// caller that needs only the outcome calls runTest() with no observer.
 Result<TestRun> runTestSequential(const IRModule &M,
                                   const std::string &TestName,
-                                  uint64_t RandSeed = 1,
-                                  uint64_t MaxSteps = 1'000'000);
+                                  uint64_t RandSeed = 1);
 
 } // namespace narada
 

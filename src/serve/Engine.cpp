@@ -150,7 +150,12 @@ int cmdTrace(CliArgs &Args, const std::string &Source) {
     std::fprintf(stderr, "error: %s\n", Run.error().str().c_str());
     return 1;
   }
-  std::fputs(printTrace(Run->TheTrace).c_str(), stdout);
+  // One line at a time: a trace that runs into the step limit holds
+  // hundreds of thousands of events.
+  for (const TraceEvent &Event : Run->TheTrace) {
+    std::fputs(printEvent(Event).c_str(), stdout);
+    std::fputc('\n', stdout);
+  }
   return 0;
 }
 
@@ -177,12 +182,9 @@ int cmdAnalyze(CliArgs &Args, const std::string &Source) {
   std::printf("\n== racy pairs (%zu) ==\n", R->Pairs.size());
   for (const RacyPair &Pair : R->Pairs) {
     std::string Line = Pair.str();
-    if (Pair.Classified)
+    if (Pair.Verdict)
       Line += std::string(" [static: ") +
-              (Pair.CertifiedMustRace
-                   ? "MustRace"
-                   : staticrace::verdictName(Pair.Verdict)) +
-              "]";
+              staticrace::verdictName(*Pair.Verdict) + "]";
     std::printf("  %s\n", Line.c_str());
   }
   return 0;
@@ -259,7 +261,8 @@ int cmdDetect(CliArgs &Args, const std::string &Source,
   // to the test it was recorded for.
   if (!Args.ReplayPath.empty()) {
     Result<explore::ScheduleTrace> Trace =
-        explore::ScheduleTrace::readFile(Args.ReplayPath);
+        explore::ScheduleTrace::readFile(Args.ReplayPath,
+                                         replayStepBudget(Args.Detect));
     if (!Trace) {
       std::fprintf(stderr, "error: %s\n", Trace.error().str().c_str());
       return 1;

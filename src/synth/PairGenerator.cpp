@@ -152,19 +152,12 @@ narada::generatePairs(const AnalysisResult &Analysis,
         }
 
         RacyPair Pair = makeCandidatePair(*A, *B);
-        if (Static) {
-          // One call classifies the pair and tries the MustRace
-          // certificate on a MayRace verdict.  No counter here:
-          // certification must not perturb the pinned bench counters of
-          // the default pipeline (triage counts it).
-          staticrace::PairVerdict Verdict =
-              staticrace::certifyRecordPair(*Static, *A, *B);
-          Pair.CertifiedMustRace = Verdict == staticrace::PairVerdict::MustRace;
-          Pair.Verdict = Pair.CertifiedMustRace
-                             ? staticrace::PairVerdict::MayRace
-                             : Verdict;
-          Pair.Classified = true;
-        }
+        // One call classifies the pair and tries the MustRace certificate
+        // on a MayRace verdict.  No counter here: certification must not
+        // perturb the pinned bench counters of the default pipeline
+        // (triage counts it).
+        if (Static)
+          Pair.Verdict = staticrace::certifyRecordPair(*Static, *A, *B);
         if (Seen.insert(Pair.key()).second)
           Pairs.push_back(std::move(Pair));
       }
@@ -179,9 +172,9 @@ narada::generatePairs(const AnalysisResult &Analysis,
     Metrics.counter("staticrace.unknown").inc(Unknowns);
     if (Options.StaticRank) {
       auto Rank = [](const RacyPair &Pair) {
-        switch (Pair.Verdict) {
-        case staticrace::PairVerdict::MustRace: // Pair.Verdict never holds
-        case staticrace::PairVerdict::MayRace:  // it, but rank it topmost.
+        switch (*Pair.Verdict) {
+        case staticrace::PairVerdict::MustRace:
+        case staticrace::PairVerdict::MayRace:
           return 0;
         case staticrace::PairVerdict::Unknown:
           return 1;
@@ -213,15 +206,13 @@ narada::staticVerdictsByRaceKey(const std::vector<RacyPair> &Pairs) {
   };
   std::map<std::string, std::string> Out;
   for (const RacyPair &Pair : Pairs) {
-    if (!Pair.Classified)
+    if (!Pair.Verdict)
       continue;
     // Reproduce RaceReport::key(), escaping and all (support/RaceKey.h).
     std::string Key = makeRaceKey(Pair.FieldClassName, Pair.Field,
                                   Pair.First.AccessLabel,
                                   Pair.Second.AccessLabel);
-    std::string Name = Pair.CertifiedMustRace
-                           ? "MustRace"
-                           : staticrace::verdictName(Pair.Verdict);
+    std::string Name = staticrace::verdictName(*Pair.Verdict);
     auto [It, Inserted] = Out.emplace(Key, Name);
     if (!Inserted && RankOf(Name) < RankOf(It->second))
       It->second = Name;

@@ -18,6 +18,7 @@
 #include "analysis/AccessAnalysis.h"
 #include "staticrace/Verdict.h"
 
+#include <optional>
 #include <string>
 
 namespace narada {
@@ -39,15 +40,12 @@ struct RacyPair {
   std::string Field;          ///< Raced-on field name ("[]" for elements).
   std::string FieldClassName; ///< Dynamic class declaring the field.
 
-  /// Verdict of the static pre-analysis (docs/STATIC.md); meaningful only
-  /// when Classified is set (pair generation ran with a module summary).
-  staticrace::PairVerdict Verdict = staticrace::PairVerdict::Unknown;
-  bool Classified = false;
-  /// True when the must-race certificate holds (certifyRecordPair): the
-  /// pair is MayRace and provably lock-free at directly reachable sites,
-  /// so dynamic confirmation is expected, not hoped for.  Surfaced as the
-  /// "MustRace" verdict in reports and the race database.
-  bool CertifiedMustRace = false;
+  /// Verdict of the static pre-analysis (docs/STATIC.md), set when pair
+  /// generation ran with a module summary.  MustRace when the must-race
+  /// certificate holds (certifyRecordPair): the pair classifies MayRace and
+  /// is provably lock-free at directly reachable sites, so dynamic
+  /// confirmation is expected, not hoped for.
+  std::optional<staticrace::PairVerdict> Verdict;
 
   /// Stable identity for deduplication and reporting.
   std::string key() const;

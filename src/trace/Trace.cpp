@@ -63,30 +63,13 @@ LabelMatcher::LabelMatcher(std::string_view Label) {
   FuncName = Label.substr(0, Colon);
 }
 
-void Trace::FreeChunk::operator()(TraceEvent *P) const {
-  std::allocator<TraceEvent>().deallocate(P, ChunkSize);
-}
-
-void Trace::swap(Trace &O) noexcept {
-  using std::swap;
-  swap(Chunks, O.Chunks);
-  swap(Size, O.Size);
-  swap(ArgLists, O.ArgLists);
-  swap(Messages, O.Messages);
-}
-
 void Trace::append(const TraceEvent &Event) {
-  if ((Size & (ChunkSize - 1)) == 0)
-    Chunks.push_back(Chunk(std::allocator<TraceEvent>().allocate(ChunkSize)));
-  TraceEvent *Slot = std::construct_at(
-      &Chunks[Size >> ChunkShift][Size & (ChunkSize - 1)], Event);
-  ++Size;
-
+  TraceEvent &Slot = Events.emplace_back(Event);
   if (Event.NumArgs)
-    Slot->Args = ArgLists.emplace_front(Event.Args, Event.Args + Event.NumArgs)
-                     .data();
+    Slot.Args = ArgLists.emplace_front(Event.Args, Event.Args + Event.NumArgs)
+                    .data();
   if (Event.Message)
-    Slot->Message = &Messages.emplace_front(*Event.Message);
+    Slot.Message = &Messages.emplace_front(*Event.Message);
 }
 
 std::vector<const TraceEvent *> Trace::eventsOfKind(EventKind Kind) const {

@@ -17,56 +17,36 @@
 
 #include <cstddef>
 #include <forward_list>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace narada {
 
-/// A complete recorded execution trace.  Events live in fixed-size chunks,
-/// so appending never moves recorded events.  The trace owns copies of the
-/// borrowed ClientCall arguments and fault messages; the names its events
-/// point to still belong to the IRModule that ran (see TraceEvent.h).
-/// Move-only: moving keeps every event's pointers valid.
+/// A complete recorded execution trace.  The trace owns copies of the
+/// borrowed ClientCall arguments and fault messages, in list nodes that
+/// never move, so moving or growing the trace keeps every event's pointers
+/// valid; the names its events point to still belong to the IRModule that
+/// ran (see TraceEvent.h).
 class Trace {
 public:
-  /// Iterates the events in recording order.
-  class const_iterator {
-  public:
-    const TraceEvent &operator*() const { return (*T)[I]; }
-    const_iterator &operator++() {
-      ++I;
-      return *this;
-    }
-    bool operator==(const const_iterator &O) const { return I == O.I; }
-
-  private:
-    friend class Trace;
-    const_iterator(const Trace *T, size_t I) : T(T), I(I) {}
-    const Trace *T;
-    size_t I;
-  };
+  using const_iterator = std::vector<TraceEvent>::const_iterator;
 
   Trace() = default;
-  /// Leaves \p O empty.
-  Trace(Trace &&O) noexcept { swap(O); }
-  Trace &operator=(Trace &&O) noexcept {
-    Trace(std::move(O)).swap(*this);
-    return *this;
-  }
+  /// Move-only: a copy's events would point into the original's payloads.
+  Trace(const Trace &) = delete;
+  Trace &operator=(const Trace &) = delete;
+  Trace(Trace &&) = default;
+  Trace &operator=(Trace &&) = default;
 
   /// Records a copy of \p Event, with its arguments and message copied
   /// into storage this trace owns.
   void append(const TraceEvent &Event);
 
-  size_t size() const { return Size; }
-  bool empty() const { return Size == 0; }
-  const TraceEvent &operator[](size_t I) const {
-    return Chunks[I >> ChunkShift][I & (ChunkSize - 1)];
-  }
-  const_iterator begin() const { return {this, 0}; }
-  const_iterator end() const { return {this, Size}; }
+  size_t size() const { return Events.size(); }
+  bool empty() const { return Events.empty(); }
+  const TraceEvent &operator[](size_t I) const { return Events[I]; }
+  const_iterator begin() const { return Events.begin(); }
+  const_iterator end() const { return Events.end(); }
 
   /// All events of kind \p Kind.
   std::vector<const TraceEvent *> eventsOfKind(EventKind Kind) const;
@@ -83,21 +63,8 @@ public:
   void clear() { *this = Trace(); }
 
 private:
-  void swap(Trace &O) noexcept;
-
-  /// Uninitialized chunk storage: events are placed by copy on append.
-  struct FreeChunk {
-    void operator()(TraceEvent *P) const;
-  };
-
-  static constexpr size_t ChunkShift = 10;
-  static constexpr size_t ChunkSize = size_t(1) << ChunkShift;
-
-  using Chunk = std::unique_ptr<TraceEvent[], FreeChunk>;
-
-  std::vector<Chunk> Chunks;
-  size_t Size = 0;
-  /// Owned copies of borrowed payloads; list nodes never move.
+  std::vector<TraceEvent> Events;
+  /// Owned copies of borrowed payloads.
   std::forward_list<std::vector<Value>> ArgLists;
   std::forward_list<std::string> Messages;
 };

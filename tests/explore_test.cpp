@@ -35,6 +35,17 @@ using namespace narada;
 
 namespace {
 
+/// The most picks a replay at the default options consumes.
+const uint64_t DefaultMaxPicks = replayStepBudget(DetectOptions());
+
+Result<explore::ScheduleTrace> parseTrace(const std::string &Text) {
+  return explore::ScheduleTrace::deserialize(Text, DefaultMaxPicks);
+}
+
+Result<explore::ScheduleTrace> readTrace(const std::string &Path) {
+  return explore::ScheduleTrace::readFile(Path, DefaultMaxPicks);
+}
+
 CompiledProgram compileOk(std::string_view Source) {
   Result<CompiledProgram> R = compileProgram(Source);
   EXPECT_TRUE(R.hasValue()) << (R ? "" : R.error().str());
@@ -145,8 +156,7 @@ TEST(ScheduleTraceTest, SerializeDeserializeRoundTrip) {
   T.PreemptSteps = {5, 6};
   T.RaceKeys = {"C.f{a:1~b:2}"};
 
-  Result<explore::ScheduleTrace> Back =
-      explore::ScheduleTrace::deserialize(T.serialize());
+  Result<explore::ScheduleTrace> Back = parseTrace(T.serialize());
   ASSERT_TRUE(Back.hasValue()) << Back.error().str();
   EXPECT_EQ(Back->TestName, T.TestName);
   EXPECT_EQ(Back->RandSeed, T.RandSeed);
@@ -158,25 +168,60 @@ TEST(ScheduleTraceTest, SerializeDeserializeRoundTrip) {
 }
 
 TEST(ScheduleTraceTest, RejectsMalformedInput) {
-  EXPECT_FALSE(explore::ScheduleTrace::deserialize("").hasValue());
-  EXPECT_FALSE(
-      explore::ScheduleTrace::deserialize("not-a-schedule\n").hasValue());
+  EXPECT_FALSE(parseTrace("").hasValue());
+  EXPECT_FALSE(parseTrace("not-a-schedule\n").hasValue());
   // Missing the test name.
-  EXPECT_FALSE(
-      explore::ScheduleTrace::deserialize("narada.schedule/v1\nseed 1\n")
-          .hasValue());
+  EXPECT_FALSE(parseTrace("narada.schedule/v1\nseed 1\n").hasValue());
   // Bad picks token.
-  EXPECT_FALSE(explore::ScheduleTrace::deserialize(
-                   "narada.schedule/v1\ntest t\npicks 0y3\n")
-                   .hasValue());
+  EXPECT_FALSE(
+      parseTrace("narada.schedule/v1\ntest t\npicks 0y3\n").hasValue());
   // Unknown directive.
-  EXPECT_FALSE(explore::ScheduleTrace::deserialize(
-                   "narada.schedule/v1\ntest t\nfrobnicate 1\n")
+  EXPECT_FALSE(
+      parseTrace("narada.schedule/v1\ntest t\nfrobnicate 1\n").hasValue());
+}
+
+TEST(ScheduleTraceTest, RejectsAThreadIdPastNoThread) {
+  // A cast to ThreadId would replay 4294967296 as thread 0.
+  Result<explore::ScheduleTrace> Wrapped =
+      parseTrace("narada.schedule/v1\ntest t\npicks 0x2 4294967296x5\n");
+  ASSERT_FALSE(Wrapped.hasValue());
+  EXPECT_EQ(Wrapped.error().str(),
+            "schedule trace line 3: thread id in '4294967296x5' is out of "
+            "range");
+  EXPECT_FALSE(parseTrace("narada.schedule/v1\ntest t\npicks 4294967295x1\n")
                    .hasValue());
+  Result<explore::ScheduleTrace> Highest =
+      parseTrace("narada.schedule/v1\ntest t\npicks 4294967294x1\n");
+  ASSERT_TRUE(Highest.hasValue()) << Highest.error().str();
+  EXPECT_EQ(Highest->Picks, std::vector<ThreadId>{NoThread - 1});
+}
+
+TEST(ScheduleTraceTest, RejectsMorePicksThanTheReplayConsumes) {
+  // MaxSteps * 4^StepLimitRetries at the defaults.
+  ASSERT_EQ(DefaultMaxPicks, 6'400'000u);
+  // Refused before the run is expanded: a trillion picks is 4 TB.
+  Result<explore::ScheduleTrace> Huge =
+      parseTrace("narada.schedule/v1\ntest t\npicks 2x1000000000000\n");
+  ASSERT_FALSE(Huge.hasValue());
+  EXPECT_EQ(Huge.error().str(),
+            "schedule trace line 3: more than 6400000 picks, the most a "
+            "replay can consume");
+  // The count runs across tokens and lines.
+  const std::string Header = "narada.schedule/v1\ntest t\n";
+  Result<explore::ScheduleTrace> Full = explore::ScheduleTrace::deserialize(
+      Header + "picks 0x6 1x3\npicks 0x1\n", 10);
+  ASSERT_TRUE(Full.hasValue()) << Full.error().str();
+  EXPECT_EQ(Full->Picks.size(), 10u);
+  Result<explore::ScheduleTrace> Over = explore::ScheduleTrace::deserialize(
+      Header + "picks 0x6 1x3\npicks 0x2\n", 10);
+  ASSERT_FALSE(Over.hasValue());
+  EXPECT_EQ(Over.error().str(),
+            "schedule trace line 4: more than 10 picks, the most a replay "
+            "can consume");
 }
 
 TEST(ScheduleTraceTest, CommentsAndBlankLinesIgnored) {
-  Result<explore::ScheduleTrace> T = explore::ScheduleTrace::deserialize(
+  Result<explore::ScheduleTrace> T = parseTrace(
       "# a witness\nnarada.schedule/v1\n\ntest t\n# seed next\nseed 9\n"
       "picks 1x3 0x2\n");
   ASSERT_TRUE(T.hasValue()) << T.error().str();
@@ -194,11 +239,10 @@ TEST(ScheduleTraceTest, FileRoundTrip) {
   T.Picks = {0, 1, 0};
   std::string Path = Dir + "/t.trace";
   ASSERT_TRUE(T.writeFile(Path).ok());
-  Result<explore::ScheduleTrace> Back = explore::ScheduleTrace::readFile(Path);
+  Result<explore::ScheduleTrace> Back = readTrace(Path);
   ASSERT_TRUE(Back.hasValue()) << Back.error().str();
   EXPECT_EQ(Back->Picks, T.Picks);
-  EXPECT_FALSE(
-      explore::ScheduleTrace::readFile(Dir + "/missing.trace").hasValue());
+  EXPECT_FALSE(readTrace(Dir + "/missing.trace").hasValue());
 }
 
 //===----------------------------------------------------------------------===//
@@ -234,8 +278,8 @@ TEST(ScheduleReplayTest, SerializedTraceReplaysIdentically) {
   ASSERT_TRUE(Original.hasValue());
   ASSERT_FALSE(Original->TheTrace.empty());
 
-  Result<explore::ScheduleTrace> Back = explore::ScheduleTrace::deserialize(
-      Recorder.trace("narrow", 1).serialize());
+  Result<explore::ScheduleTrace> Back =
+      parseTrace(Recorder.trace("narrow", 1).serialize());
   ASSERT_TRUE(Back.hasValue());
   explore::ReplayPolicy Replay(*Back);
   Result<TestRun> Replayed = runRecorded(*P.Module, "narrow", Replay);
@@ -549,15 +593,14 @@ TEST(WitnessRoundTripTest, WitnessReplaysToIdenticalRaceReport) {
   // Pick the witness that carries the narrow data race.
   std::string WitnessPath;
   for (const std::string &W : (*Emitted)[0].WitnessFiles) {
-    Result<explore::ScheduleTrace> T = explore::ScheduleTrace::readFile(W);
+    Result<explore::ScheduleTrace> T = readTrace(W);
     ASSERT_TRUE(T.hasValue());
     if (!T->RaceKeys.empty() && T->RaceKeys[0].rfind("W.data{", 0) == 0)
       WitnessPath = W;
   }
   ASSERT_FALSE(WitnessPath.empty());
 
-  Result<explore::ScheduleTrace> Trace =
-      explore::ScheduleTrace::readFile(WitnessPath);
+  Result<explore::ScheduleTrace> Trace = readTrace(WitnessPath);
   ASSERT_TRUE(Trace.hasValue());
   EXPECT_EQ(Trace->TestName, "n0");
 

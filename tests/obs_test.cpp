@@ -201,6 +201,22 @@ TEST(JsonTest, ParserRejectsMalformedInput) {
   EXPECT_TRUE(parseJson(" { \"a\" : [ 1 , 2 ] } ").has_value());
 }
 
+TEST(JsonTest, ParserRefusesNestingPastItsBound) {
+  auto Nested = [](unsigned Levels, char Open, char Close) {
+    return std::string(Levels, Open) + std::string(Levels, Close);
+  };
+  EXPECT_TRUE(parseJson(Nested(MaxJsonNesting, '[', ']')).has_value());
+  EXPECT_FALSE(parseJson(Nested(MaxJsonNesting + 1, '[', ']')).has_value());
+  std::string Objects;
+  for (unsigned I = 0; I <= MaxJsonNesting; ++I)
+    Objects += "{\"a\":";
+  Objects += "1" + std::string(MaxJsonNesting + 1, '}');
+  EXPECT_FALSE(parseJson(Objects).has_value());
+  EXPECT_TRUE(parseJson(Objects.substr(5, Objects.size() - 6)).has_value());
+  // Deep enough to overflow the stack of a parser that recursed freely.
+  EXPECT_FALSE(parseJson(Nested(200'000, '[', ']')).has_value());
+}
+
 TEST(RunReportTest, RendersMetaAndMetricsAndRoundTrips) {
   MetricsRegistry R;
   R.counter("synth.pairs_generated").inc(65);

@@ -289,3 +289,105 @@ TEST(ASTCloneTest, CloneDoesNotRenameFields) {
   // renamed.
   EXPECT_NE(Printed.find("this.p = q"), std::string::npos);
 }
+
+//===----------------------------------------------------------------------===//
+// Nesting bound: every shape refused one level past MaxNestingDepth, and
+// parsed clean at it.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string repeat(std::string_view Piece, unsigned Times) {
+  std::string Out;
+  for (unsigned I = 0; I < Times; ++I)
+    Out += Piece;
+  return Out;
+}
+
+/// A test whose one declaration (level 1) initializes to \p Expr, whose
+/// root therefore sits at level 2: \p Expr may be MaxNestingDepth - 1
+/// levels tall.
+std::string inInitializer(const std::string &Expr) {
+  return "test t { var x: int = " + Expr + "; }\n";
+}
+
+constexpr unsigned ExprBound = Parser::MaxNestingDepth - 1;
+
+std::string nestedParens(unsigned Levels) {
+  return repeat("(", Levels - 1) + "1" + repeat(")", Levels - 1);
+}
+
+std::string operatorChain(unsigned Levels) {
+  return "1" + repeat(" + 1", Levels - 1);
+}
+
+std::string unaryChain(unsigned Levels) {
+  return repeat("-", Levels - 1) + "1";
+}
+
+std::string nestedBlocks(unsigned Levels) {
+  return "test t { " + repeat("{ ", Levels) + repeat("} ", Levels) + "}\n";
+}
+
+void expectTooDeep(const std::string &Source) {
+  EXPECT_NE(parseFail(Source).find("nesting deeper than 256 levels"),
+            std::string::npos);
+}
+
+} // namespace
+
+TEST(ParserTest, NestedParenthesesAreBounded) {
+  EXPECT_TRUE(parseOk(inInitializer(nestedParens(ExprBound))));
+  expectTooDeep(inInitializer(nestedParens(ExprBound + 1)));
+}
+
+TEST(ParserTest, OperatorChainIsBoundedLikeNesting) {
+  // Built in a loop, but `1 + 1 + ... + 1` is a tree as deep as it is
+  // long, and every walk over it recurses that deep.
+  std::unique_ptr<Program> Prog =
+      parseOk(inInitializer(operatorChain(ExprBound)));
+  ASSERT_TRUE(Prog);
+  expectTooDeep(inInitializer(operatorChain(ExprBound + 1)));
+  // Tighter-binding runs inside the chain count too.
+  expectTooDeep(inInitializer("1 + " + repeat("1 * ", ExprBound) + "1"));
+}
+
+TEST(ParserTest, UnaryChainIsBounded) {
+  EXPECT_TRUE(parseOk(inInitializer(unaryChain(ExprBound))));
+  expectTooDeep(inInitializer(unaryChain(ExprBound + 1)));
+}
+
+TEST(ParserTest, NestedBlocksAreBounded) {
+  EXPECT_TRUE(parseOk(nestedBlocks(Parser::MaxNestingDepth)));
+  expectTooDeep(nestedBlocks(Parser::MaxNestingDepth + 1));
+}
+
+TEST(ParserTest, MemberChainAndElseIfChainAreBounded) {
+  // `a.a.a...` and `if .. else if .. else if ..` are built link by link.
+  const std::string Class = "class A { field a: A; }\n";
+  EXPECT_TRUE(parseOk(
+      Class + inInitializer("new A" + repeat(".a", ExprBound - 1))));
+  expectTooDeep(Class + inInitializer("new A" + repeat(".a", ExprBound)));
+  auto ElseIfs = [](unsigned Links) {
+    return "test t { if (true) { }" + repeat(" else if (true) { }", Links) +
+           " }\n";
+  };
+  EXPECT_TRUE(parseOk(ElseIfs(Parser::MaxNestingDepth - 2)));
+  expectTooDeep(ElseIfs(Parser::MaxNestingDepth - 1));
+}
+
+TEST(ParserTest, ShapesAtTheBoundPrintAndClone) {
+  for (const std::string &Source :
+       {inInitializer(nestedParens(ExprBound)),
+        inInitializer(operatorChain(ExprBound)),
+        inInitializer(unaryChain(ExprBound)),
+        nestedBlocks(Parser::MaxNestingDepth)}) {
+    std::unique_ptr<Program> Prog = parseOk(Source);
+    ASSERT_TRUE(Prog);
+    std::string Printed = printProgram(*Prog);
+    std::unique_ptr<Program> Reparsed = parseOk(Printed);
+    ASSERT_TRUE(Reparsed);
+    EXPECT_EQ(printProgram(*Reparsed), Printed);
+    EXPECT_TRUE(cloneStmt(Prog->Tests[0]->Body.get()));
+  }
+}

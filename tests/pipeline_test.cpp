@@ -10,6 +10,7 @@
 
 #include "corpus/Corpus.h"
 #include "detect/Detection.h"
+#include "lang/Parser.h"
 #include "obs/Json.h"
 #include "obs/RunReport.h"
 #include "synth/Narada.h"
@@ -67,6 +68,57 @@ TEST(PipelineTest, FaultingSeedIsRejected) {
       {"seed"});
   ASSERT_FALSE(R.hasValue());
   EXPECT_NE(R.error().message().find("faulted"), std::string::npos);
+}
+
+TEST(PipelineTest, LibraryNestedAtTheParserBoundRunsThroughDetection) {
+  // Every shape the parser bounds, at the bound: the deepest node of each
+  // method body sits at level MaxNestingDepth.  Each assignment is level
+  // 1 (or sits under the blocks), so its value may be one level shorter.
+  const unsigned Tall = Parser::MaxNestingDepth - 1;
+  auto Repeat = [](std::string_view Piece, unsigned Times) {
+    std::string Out;
+    for (unsigned I = 0; I < Times; ++I)
+      Out += Piece;
+    return Out;
+  };
+  // `this.f = 1;` under B blocks reaches level B + 3 (statement, field
+  // access, `this`).
+  const unsigned Blocks = Parser::MaxNestingDepth - 3;
+  const std::string Source =
+      "class Deep { field f: int;\n"
+      "  method chain() { this.f = 1" + Repeat(" + 1", Tall - 1) + "; }\n"
+      "  method parens() { this.f = " + Repeat("(", Tall - 1) + "1" +
+      Repeat(")", Tall - 1) + "; }\n"
+      "  method unary() { this.f = " + Repeat("-", Tall - 1) + "1; }\n"
+      "  method blocks() { " + Repeat("{ ", Blocks) + "this.f = 1; " +
+      Repeat("} ", Blocks) + "} }\n"
+      "test seed { var d: Deep = new Deep; d.chain(); d.parens(); "
+      "d.unary(); d.blocks(); }\n";
+  Result<NaradaResult> R = runNarada(Source, {"seed"});
+  ASSERT_TRUE(R.hasValue()) << R.error().str();
+  ASSERT_FALSE(R->Tests.empty());
+
+  std::vector<TestDetectJob> Jobs;
+  for (const SynthesizedTestInfo &T : R->Tests)
+    Jobs.push_back({T.Name, T.CandidateLabels});
+  Result<std::vector<TestDetectionResult>> Results =
+      detectRacesInTests(*R->Program.Module, Jobs, DetectOptions(), 1);
+  ASSERT_TRUE(Results.hasValue());
+  unsigned Reproduced = 0;
+  for (const TestDetectionResult &D : *Results)
+    Reproduced += D.reproducedCount();
+  EXPECT_GT(Reproduced, 0u);
+
+  // One level deeper anywhere is a parse error.
+  Result<NaradaResult> Deeper =
+      runNarada("class Deep { field f: int;\n"
+                "  method m() { this.f = 1" + Repeat(" + 1", Tall) +
+                    "; } }\n"
+                "test seed { var d: Deep = new Deep; d.m(); }\n",
+                {"seed"});
+  ASSERT_FALSE(Deeper.hasValue());
+  EXPECT_NE(Deeper.error().str().find("nesting deeper than"),
+            std::string::npos);
 }
 
 TEST(PipelineTest, ControlFlowSeedIsRejected) {

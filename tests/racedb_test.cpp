@@ -27,6 +27,7 @@
 #include "obs/RunReport.h"
 #include "racedb/RaceDb.h"
 #include "racedb/Triage.h"
+#include "staticrace/LocksetAnalysis.h"
 #include "staticrace/PairClassifier.h"
 #include "support/RaceKey.h"
 #include "support/Wire.h"
@@ -571,11 +572,18 @@ TEST(MustRaceSoundnessTest, CertifiedRacesReproduceAcrossCorpus) {
     Result<NaradaResult> R = runNarada(E.Source, E.SeedNames, Options);
     ASSERT_TRUE(R.hasValue()) << E.Id;
 
+    const staticrace::ModuleSummary Summary =
+        staticrace::summarizeModule(*R->Program.Module);
     for (const RacyPair &P : R->Pairs)
-      if (P.CertifiedMustRace) {
+      if (P.Verdict == staticrace::PairVerdict::MustRace) {
         ++CertifiedPairs;
-        EXPECT_TRUE(P.Classified) << E.Id << ": " << P.str();
-        EXPECT_EQ(P.Verdict, staticrace::PairVerdict::MayRace)
+        EXPECT_EQ(staticrace::classifyLabelPair(
+                      Summary,
+                      methodSymbol(P.First.ClassName, P.First.Method),
+                      P.First.AccessLabel,
+                      methodSymbol(P.Second.ClassName, P.Second.Method),
+                      P.Second.AccessLabel),
+                  staticrace::PairVerdict::MayRace)
             << E.Id << ": certification must refine MayRace, never "
             << "contradict MustGuarded: " << P.str();
       }

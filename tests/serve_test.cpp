@@ -876,6 +876,27 @@ TEST(DaemonLoopbackTest, SeedListChangeWarmEqualsItsOwnCold) {
   }
 }
 
+TEST(DaemonLoopbackTest, TooDeepSourceGetsAnErrorReplyAndTheDaemonServesOn) {
+  // Parsed in the daemon's own process: without the parser's nesting
+  // bound this overflows its stack and drops every client.
+  SubmitRequest Deep = c9Request(1);
+  Deep.Source += "class Deep { method m(): int { return " +
+                 std::string(10'000, '(') + "1" + std::string(10'000, ')') +
+                 "; } }\n";
+  SubmitResponse Refused = handleSubmit(Deep, nullptr, "", 0);
+  ASSERT_TRUE(Refused.Ok) << Refused.ErrorMessage;
+  EXPECT_EQ(Refused.Exit, 1);
+  EXPECT_TRUE(Refused.Stdout.empty());
+  EXPECT_NE(Refused.Stderr.find("nesting deeper than 256 levels"),
+            std::string::npos)
+      << Refused.Stderr;
+
+  SubmitResponse Next = handleSubmit(c9Request(1), nullptr, "", 1);
+  ASSERT_TRUE(Next.Ok) << Next.ErrorMessage;
+  EXPECT_EQ(Next.Exit, 0);
+  EXPECT_EQ(Next.Stdout, coldStdout(c9Request(1)));
+}
+
 TEST(DaemonLoopbackTest, InjectedFaultQuarantinesOneRequest) {
   fault::arm("serve.request", 0, fault::Mode::Throw);
   SubmitResponse Faulted = handleSubmit(c9Request(1), nullptr, "", 0);

@@ -404,8 +404,8 @@ TEST(StaticVerdictSoundnessTest, NoGeneratedPairIsMustGuarded) {
     ASSERT_TRUE(Front.hasValue()) << Input << ": " << Front.error().str();
     EXPECT_EQ(pairKeys(Plain->Pairs), pairKeys(Front->Pairs)) << Input;
     for (const RacyPair &P : Front->Pairs) {
-      ASSERT_TRUE(P.Classified) << Input << ": " << P.str();
-      ++Counts[P.CertifiedMustRace ? PairVerdict::MustRace : P.Verdict];
+      ASSERT_TRUE(P.Verdict.has_value()) << Input << ": " << P.str();
+      ++Counts[*P.Verdict];
       EXPECT_NE(P.Verdict, PairVerdict::MustGuarded)
           << Input << ": " << P.str();
     }
@@ -482,10 +482,10 @@ TEST(StaticRankTest, MayRaceSortsBeforeUnknown) {
       runPipeline(E, /*Verdicts=*/false, /*Rank=*/true);
   ASSERT_TRUE(R.hasValue());
   auto RankOf = [](const RacyPair &P) {
-    if (!P.Classified)
+    if (!P.Verdict)
       return 1;
-    switch (P.Verdict) {
-    case PairVerdict::MustRace: // Certifier-only; never a pair verdict.
+    switch (*P.Verdict) {
+    case PairVerdict::MustRace:
     case PairVerdict::MayRace:
       return 0;
     case PairVerdict::Unknown:

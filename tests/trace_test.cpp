@@ -266,9 +266,9 @@ TEST(TraceTest, MovedTraceOwnsArgumentsAndFaultMessage) {
   EXPECT_NE(printTrace(Moved).find(FaultMessage), std::string::npos);
 }
 
-TEST(TraceTest, ChunkedTraceKeepsEventsAndPayloadsAcrossGrowth) {
-  // Enough events for several chunks and enough arguments for several
-  // argument chunks, each appended from a buffer that is then reused.
+TEST(TraceTest, TraceKeepsEventsAndPayloadsAcrossGrowth) {
+  // Enough events that the event vector reallocates many times, each
+  // appended from a buffer that is then reused.
   const size_t N = 5000;
   Trace Grown;
   std::vector<Value> Args(3);
